@@ -26,6 +26,16 @@ std::vector<std::string> SortedUnion(const std::vector<std::string>& a,
   return out;
 }
 
+/// Advances `idx` to the next combination of `radix`-ary digits in
+/// lexicographic order (last digit fastest); returns false after the last.
+bool NextCombination(std::vector<size_t>& idx, size_t radix) {
+  for (size_t k = idx.size(); k-- > 0;) {
+    if (++idx[k] < radix) return true;
+    idx[k] = 0;
+  }
+  return false;
+}
+
 }  // namespace
 
 ValuationSet::ValuationSet(std::vector<std::string> variables)
@@ -36,11 +46,14 @@ ValuationSet::ValuationSet(std::vector<std::string> variables)
   rows_ = data::Relation(variables_.size());
 }
 
-ValuationSet ValuationSet::UnitTrue() {
-  ValuationSet s((std::vector<std::string>()));
-  s.AddRow(data::Tuple{});
-  return s;
+ValuationSet ValuationSet::FromRows(std::vector<std::string> variables,
+                                    std::vector<data::Tuple> rows) {
+  ValuationSet out(std::move(variables));
+  out.rows_ = data::Relation(out.variables_.size(), std::move(rows));
+  return out;
 }
+
+ValuationSet ValuationSet::UnitTrue() { return FromRows({}, {data::Tuple{}}); }
 
 ValuationSet ValuationSet::UnitFalse() {
   return ValuationSet(std::vector<std::string>());
@@ -48,7 +61,6 @@ ValuationSet ValuationSet::UnitFalse() {
 
 ValuationSet ValuationSet::Join(const ValuationSet& other) const {
   std::vector<std::string> out_vars = SortedUnion(variables_, other.variables_);
-  ValuationSet out(out_vars);
 
   // Column maps: for each output column, where it comes from.
   std::vector<size_t> from_left(out_vars.size(), kNpos);
@@ -65,6 +77,8 @@ ValuationSet ValuationSet::Join(const ValuationSet& other) const {
     }
   }
 
+  std::vector<data::Tuple> rows;
+  std::vector<data::Value> row(out_vars.size());
   for (const data::Tuple& l : rows_) {
     for (const data::Tuple& r : other.rows_) {
       bool match = true;
@@ -75,14 +89,13 @@ ValuationSet ValuationSet::Join(const ValuationSet& other) const {
         }
       }
       if (!match) continue;
-      std::vector<data::Value> row(out_vars.size());
       for (size_t i = 0; i < out_vars.size(); ++i) {
         row[i] = from_left[i] != kNpos ? l[from_left[i]] : r[from_right[i]];
       }
-      out.AddRow(data::Tuple(std::move(row)));
+      rows.emplace_back(row.data(), row.size());
     }
   }
-  return out;
+  return FromRows(std::move(out_vars), std::move(rows));
 }
 
 ValuationSet ValuationSet::Extend(const std::vector<std::string>& extra,
@@ -96,48 +109,31 @@ ValuationSet ValuationSet::Extend(const std::vector<std::string>& extra,
   if (fresh.empty()) return *this;
 
   std::vector<std::string> out_vars = SortedUnion(variables_, fresh);
-  ValuationSet out(out_vars);
-
   std::vector<size_t> from_old(out_vars.size(), kNpos);
   std::vector<size_t> fresh_slot(out_vars.size(), kNpos);
   for (size_t i = 0; i < out_vars.size(); ++i) {
     from_old[i] = IndexOfVar(variables_, out_vars[i]);
-    if (from_old[i] == kNpos) {
-      fresh_slot[i] = IndexOfVar(fresh, out_vars[i]);
-    }
+    if (from_old[i] == kNpos) fresh_slot[i] = IndexOfVar(fresh, out_vars[i]);
   }
 
-  // Enumerate domain^fresh.
-  std::vector<data::Value> combo(fresh.size());
-  for (const data::Tuple& base : rows_) {
-    // Odometer over fresh columns.
-    std::vector<size_t> idx(fresh.size(), 0);
-    if (domain.empty() && !fresh.empty()) break;
-    while (true) {
-      for (size_t k = 0; k < fresh.size(); ++k) {
-        combo[k] = domain.values()[idx[k]];
-      }
-      std::vector<data::Value> row(out_vars.size());
-      for (size_t i = 0; i < out_vars.size(); ++i) {
-        row[i] =
-            from_old[i] != kNpos ? base[from_old[i]] : combo[fresh_slot[i]];
-      }
-      out.AddRow(data::Tuple(std::move(row)));
-      // Advance odometer.
-      size_t k = 0;
-      while (k < idx.size()) {
-        if (++idx[k] < domain.size()) break;
-        idx[k] = 0;
-        ++k;
-      }
-      if (k == idx.size()) break;
-      if (idx.empty()) break;
-    }
-    if (fresh.empty()) {
-      break;  // only one iteration needed (shouldn't happen: fresh nonempty)
+  // Every base row times domain^fresh; sorted once at the end.
+  std::vector<data::Tuple> rows;
+  if (!domain.empty()) {
+    const std::vector<data::Value>& values = domain.values();
+    std::vector<size_t> idx(fresh.size());
+    std::vector<data::Value> row(out_vars.size());
+    for (const data::Tuple& base : rows_) {
+      std::fill(idx.begin(), idx.end(), 0);
+      do {
+        for (size_t i = 0; i < out_vars.size(); ++i) {
+          row[i] = from_old[i] != kNpos ? base[from_old[i]]
+                                        : values[idx[fresh_slot[i]]];
+        }
+        rows.emplace_back(row.data(), row.size());
+      } while (NextCombination(idx, values.size()));
     }
   }
-  return out;
+  return FromRows(std::move(out_vars), std::move(rows));
 }
 
 ValuationSet ValuationSet::UnionWith(const ValuationSet& other,
@@ -151,29 +147,26 @@ ValuationSet ValuationSet::UnionWith(const ValuationSet& other,
 }
 
 ValuationSet ValuationSet::ComplementWithin(const data::Domain& domain) const {
+  if (variables_.empty()) return rows_.empty() ? UnitTrue() : UnitFalse();
   ValuationSet out(variables_);
-  // Enumerate domain^variables and keep rows not present.
-  if (variables_.empty()) {
-    if (rows_.empty()) out.AddRow(data::Tuple{});
-    return out;
-  }
   if (domain.empty()) return out;
-  std::vector<size_t> idx(variables_.size(), 0);
-  while (true) {
-    std::vector<data::Value> row(variables_.size());
-    for (size_t k = 0; k < variables_.size(); ++k) {
-      row[k] = domain.values()[idx[k]];
+  // Enumerate domain^k in lexicographic order (the domain is sorted) while
+  // merge-walking the sorted rows, so the output is born sorted.
+  const std::vector<data::Value>& values = domain.values();
+  const size_t k = variables_.size();
+  std::vector<data::Tuple> missing;
+  std::vector<size_t> idx(k, 0);
+  std::vector<data::Value> row(k);
+  auto present = rows_.begin();
+  do {
+    for (size_t i = 0; i < k; ++i) row[i] = values[idx[i]];
+    data::Tuple t(row.data(), k);
+    while (present != rows_.end() && *present < t) ++present;
+    if (present == rows_.end() || !(*present == t)) {
+      missing.push_back(std::move(t));
     }
-    data::Tuple t(std::move(row));
-    if (!rows_.Contains(t)) out.AddRow(std::move(t));
-    size_t k = 0;
-    while (k < idx.size()) {
-      if (++idx[k] < domain.size()) break;
-      idx[k] = 0;
-      ++k;
-    }
-    if (k == idx.size()) break;
-  }
+  } while (NextCombination(idx, values.size()));
+  out.rows_.AssignSorted(std::move(missing));
   return out;
 }
 
@@ -190,13 +183,14 @@ ValuationSet ValuationSet::ProjectAway(
   for (const std::string& v : keep) {
     keep_idx.push_back(IndexOfVar(variables_, v));
   }
-  ValuationSet out(keep);
+  std::vector<data::Tuple> rows;
+  rows.reserve(rows_.size());
+  std::vector<data::Value> row(keep_idx.size());
   for (const data::Tuple& t : rows_) {
-    std::vector<data::Value> row(keep_idx.size());
     for (size_t i = 0; i < keep_idx.size(); ++i) row[i] = t[keep_idx[i]];
-    out.AddRow(data::Tuple(std::move(row)));
+    rows.emplace_back(row.data(), row.size());
   }
-  return out;
+  return FromRows(std::move(keep), std::move(rows));
 }
 
 data::Relation ValuationSet::ToRelation(
@@ -210,13 +204,14 @@ data::Relation ValuationSet::ToRelation(
     assert(i != kNpos && "output variable missing after extension");
     order.push_back(i);
   }
-  data::Relation out(out_vars.size());
+  std::vector<data::Tuple> rows;
+  rows.reserve(extended.rows_.size());
+  std::vector<data::Value> row(order.size());
   for (const data::Tuple& t : extended.rows_) {
-    std::vector<data::Value> row(order.size());
     for (size_t i = 0; i < order.size(); ++i) row[i] = t[order[i]];
-    out.Insert(data::Tuple(std::move(row)));
+    rows.emplace_back(row.data(), row.size());
   }
-  return out;
+  return data::Relation(out_vars.size(), std::move(rows));
 }
 
 Result<data::Value> Evaluator::ResolveConstant(
@@ -265,10 +260,11 @@ Result<ValuationSet> Evaluator::EvalAtom(const Formula& atom,
     }
   }
 
-  ValuationSet out(vars);
+  std::vector<data::Tuple> rows;
+  std::vector<data::Value> row(vars.size());
+  std::vector<bool> bound(vars.size());
   for (const data::Tuple& tuple : *rel) {
-    std::vector<data::Value> row(vars.size(), data::Value{0});
-    std::vector<bool> bound(vars.size(), false);
+    std::fill(bound.begin(), bound.end(), false);
     bool match = true;
     for (size_t i = 0; i < atom.terms().size() && match; ++i) {
       if (is_const[i]) {
@@ -283,9 +279,9 @@ Result<ValuationSet> Evaluator::EvalAtom(const Formula& atom,
         }
       }
     }
-    if (match) out.AddRow(data::Tuple(std::move(row)));
+    if (match) rows.emplace_back(row.data(), row.size());
   }
-  return out;
+  return ValuationSet::FromRows(std::move(vars), std::move(rows));
 }
 
 Result<ValuationSet> Evaluator::EvalEquality(
@@ -298,27 +294,22 @@ Result<ValuationSet> Evaluator::EvalEquality(
     return lv == rv ? ValuationSet::UnitTrue() : ValuationSet::UnitFalse();
   }
   if (lhs.is_variable() && rhs.is_variable()) {
-    if (lhs.text == rhs.text) {
-      // x = x: true for every domain element.
-      ValuationSet out({lhs.text});
-      for (data::Value v : structure.EvaluationDomain()) {
-        out.AddRow(data::Tuple{v});
-      }
-      return out;
-    }
-    ValuationSet out({lhs.text, rhs.text});
+    // x = x holds for every domain element; x = y on the diagonal.
+    const bool same = lhs.text == rhs.text;
+    std::vector<data::Tuple> rows;
+    rows.reserve(structure.EvaluationDomain().size());
     for (data::Value v : structure.EvaluationDomain()) {
-      out.AddRow(data::Tuple{v, v});
+      rows.push_back(same ? data::Tuple{v} : data::Tuple{v, v});
     }
-    return out;
+    std::vector<std::string> vars{lhs.text};
+    if (!same) vars.push_back(rhs.text);
+    return ValuationSet::FromRows(std::move(vars), std::move(rows));
   }
   // One variable, one constant.
   const Term& var = lhs.is_variable() ? lhs : rhs;
   const Term& con = lhs.is_constant() ? lhs : rhs;
   WSV_ASSIGN_OR_RETURN(data::Value cv, ResolveConstant(con.text));
-  ValuationSet out({var.text});
-  out.AddRow(data::Tuple{cv});
-  return out;
+  return ValuationSet::FromRows({var.text}, {data::Tuple{cv}});
 }
 
 Result<ValuationSet> Evaluator::Evaluate(const FormulaPtr& formula,
@@ -342,9 +333,6 @@ Result<ValuationSet> Evaluator::Evaluate(const FormulaPtr& formula,
       WSV_ASSIGN_OR_RETURN(ValuationSet acc,
                            Evaluate(formula->child(0), structure));
       for (size_t i = 1; i < formula->children().size(); ++i) {
-        // Short-circuit: joining with an empty set stays empty only if the
-        // remaining conjuncts introduce no new variables, so only skip work
-        // when provably empty regardless.
         WSV_ASSIGN_OR_RETURN(ValuationSet next,
                              Evaluate(formula->child(i), structure));
         acc = acc.Join(next);

@@ -30,8 +30,10 @@ class ValuationSet {
   bool IsSatisfiable() const { return !rows_.empty(); }
   size_t size() const { return rows_.size(); }
 
-  /// Adds a row aligned with `variables()`.
-  void AddRow(data::Tuple row) { rows_.Insert(row); }
+  /// The set over `variables` holding `rows` (each aligned with the sorted
+  /// variable list); sorts and deduplicates the rows once.
+  static ValuationSet FromRows(std::vector<std::string> variables,
+                               std::vector<data::Tuple> rows);
 
   /// Natural join with `other` on shared variables.
   ValuationSet Join(const ValuationSet& other) const;

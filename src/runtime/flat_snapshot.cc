@@ -22,19 +22,6 @@ const data::Schema& PartSchema(const spec::Peer& peer, size_t part) {
   }
 }
 
-const data::Instance& PartInstance(const PeerConfig& cfg, size_t part) {
-  switch (part) {
-    case 0:
-      return cfg.state;
-    case 1:
-      return cfg.input;
-    case 2:
-      return cfg.prev;
-    default:
-      return cfg.action;
-  }
-}
-
 data::Instance& PartInstance(PeerConfig& cfg, size_t part) {
   switch (part) {
     case 0:
@@ -57,10 +44,24 @@ void AppendRelation(const data::Relation& rel, std::vector<uint32_t>* out) {
 
 }  // namespace
 
+const data::Instance& PeerPart(const PeerConfig& cfg, uint32_t part) {
+  switch (part) {
+    case 0:
+      return cfg.state;
+    case 1:
+      return cfg.input;
+    case 2:
+      return cfg.prev;
+    default:
+      return cfg.action;
+  }
+}
+
 FlatSnapshotCodec::FlatSnapshotCodec(const spec::Composition* comp)
     : comp_(comp) {
   for (const spec::Peer& peer : comp_->peers()) {
     for (size_t part = 0; part < 4; ++part) {
+      part_bases_.push_back(static_cast<uint32_t>(part_arities_.size()));
       const data::Schema& schema = PartSchema(peer, part);
       for (size_t r = 0; r < schema.size(); ++r) {
         part_arities_.push_back(
@@ -74,7 +75,10 @@ FlatSnapshotCodec::FlatSnapshotCodec(const spec::Composition* comp)
     channel_arities_.push_back(static_cast<uint32_t>(channel.arity()));
   }
   event_bits_ = 2 * channel_arities_.size();  // received + sent
-  for (uint32_t n : send_error_counts_) event_bits_ += n;
+  for (uint32_t n : send_error_counts_) {
+    send_error_bases_.push_back(static_cast<uint32_t>(event_bits_));
+    event_bits_ += n;
+  }
   event_words_ = (event_bits_ + 31) / 32;
 }
 
@@ -100,7 +104,7 @@ void FlatSnapshotCodec::Encode(const Snapshot& snap,
 
   for (const PeerConfig& cfg : snap.peers) {
     for (size_t part = 0; part < 4; ++part) {
-      const data::Instance& inst = PartInstance(cfg, part);
+      const data::Instance& inst = PeerPart(cfg, static_cast<uint32_t>(part));
       for (size_t r = 0; r < inst.size(); ++r) {
         AppendRelation(inst.relation(r), out);
       }
@@ -180,6 +184,81 @@ void FlatSnapshotCodec::Decode(FlatSnapshot flat, Snapshot* out) const {
     }
   }
   assert(p == end && "flat snapshot span length mismatch");
+}
+
+void FlatSnapshotCodec::Locate(FlatSnapshot flat, FlatLayout* layout) const {
+  const uint32_t* base = flat.data;
+  uint32_t at = 1 + static_cast<uint32_t>(event_words_);
+  layout->relation.resize(part_arities_.size());
+  for (size_t r = 0; r < part_arities_.size(); ++r) {
+    layout->relation[r] = at;
+    at += 1 + base[at] * part_arities_[r];
+  }
+  const size_t num_channels = channel_arities_.size();
+  layout->queue_len.resize(num_channels);
+  layout->queue_first.resize(num_channels);
+  layout->queue_last.resize(num_channels);
+  for (size_t c = 0; c < num_channels; ++c) {
+    const uint32_t messages = base[at++];
+    layout->queue_len[c] = messages;
+    layout->queue_first[c] = at;
+    layout->queue_last[c] = at;
+    for (uint32_t m = 0; m < messages; ++m) {
+      layout->queue_last[c] = at;
+      at += 1 + base[at] * channel_arities_[c];
+    }
+  }
+  assert(at == flat.size && "flat snapshot span length mismatch");
+}
+
+void FlatSnapshotCodec::AppendPart(FlatSnapshot flat, const FlatLayout& layout,
+                                   const SnapshotPart& part,
+                                   std::vector<uint32_t>* out) const {
+  const uint32_t* base = flat.data;
+  auto append_block = [&](uint32_t at, uint32_t arity) {
+    const uint32_t* begin = base + at;
+    out->insert(out->end(), begin, begin + 1 + begin[0] * arity);
+  };
+  auto append_bit = [&](size_t bit) {
+    out->push_back((base[1 + bit / 32] >> (bit % 32)) & 1u);
+  };
+  const size_t num_channels = channel_arities_.size();
+  using Kind = SnapshotPart::Kind;
+  switch (part.kind) {
+    case Kind::kDatabase:
+      return;
+    case Kind::kRelation: {
+      const uint32_t r = part_bases_[part.peer * 4 + part.part] + part.index;
+      append_block(layout.relation[r], part_arities_[r]);
+      return;
+    }
+    case Kind::kMove:
+      out->push_back(static_cast<int>(base[0]) - 2 == part.peer ? 1u : 0u);
+      return;
+    case Kind::kSendError:
+      append_bit(send_error_bases_[part.peer] + part.index);
+      return;
+    case Kind::kReceived:
+      append_bit(part.index);
+      return;
+    case Kind::kSent:
+      append_bit(num_channels + part.index);
+      return;
+    case Kind::kQueueEmpty:
+      out->push_back(layout.queue_len[part.index] == 0 ? 1u : 0u);
+      return;
+    case Kind::kQueueFirst:
+    case Kind::kQueueLast:
+      if (layout.queue_len[part.index] == 0) {
+        out->push_back(0);  // the empty relation
+      } else {
+        append_block(part.kind == Kind::kQueueFirst
+                         ? layout.queue_first[part.index]
+                         : layout.queue_last[part.index],
+                     channel_arities_[part.index]);
+      }
+      return;
+  }
 }
 
 }  // namespace wsv::runtime

@@ -1,6 +1,7 @@
 #ifndef WSVERIFY_RUNTIME_FLAT_SNAPSHOT_H_
 #define WSVERIFY_RUNTIME_FLAT_SNAPSHOT_H_
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -55,6 +56,46 @@ inline size_t HashFlatSnapshot(const uint32_t* data, size_t words) {
   return static_cast<size_t>(h);
 }
 
+/// One piece of a snapshot that a property symbol reads (see
+/// runtime::PropertySymbols). BuildPropertyStructure turns a part into the
+/// relation bound to the symbol; FlatSnapshotCodec::AppendPart slices the
+/// same part straight out of a flat encoding, which is how footprint keys
+/// are built without decoding.
+struct SnapshotPart {
+  enum class Kind : uint8_t {
+    kDatabase,    // databases[peer].relation(index); not part of a snapshot
+    kRelation,    // relation `index` of peer part `part` (0 state, 1 input,
+                  // 2 prev, 3 action — the encode order)
+    kMove,        // mover == peer (kEnvMover for the environment)
+    kSendError,   // send_errors[index] of `peer`
+    kReceived,    // received[index]
+    kSent,        // sent[index]
+    kQueueEmpty,  // channel `index` holds no message
+    kQueueFirst,  // first message of channel `index` (empty if none)
+    kQueueLast,   // most recent message of channel `index` (empty if none)
+  };
+  Kind kind = Kind::kDatabase;
+  int32_t peer = 0;
+  uint32_t part = 0;
+  uint32_t index = 0;
+
+  friend bool operator==(const SnapshotPart&, const SnapshotPart&) = default;
+  friend auto operator<=>(const SnapshotPart&, const SnapshotPart&) = default;
+};
+
+/// The instance of `cfg` that a kRelation part's `part` names.
+const data::Instance& PeerPart(const PeerConfig& cfg, uint32_t part);
+
+/// Word offsets of the relations and queues inside one flat encoding,
+/// computed by FlatSnapshotCodec::Locate (one pass over the span) and read
+/// by AppendPart. Reusable across spans.
+struct FlatLayout {
+  std::vector<uint32_t> relation;     // per flat relation: its count word
+  std::vector<uint32_t> queue_len;    // per channel: number of messages
+  std::vector<uint32_t> queue_first;  // per channel: first message block
+  std::vector<uint32_t> queue_last;   // per channel: last message block
+};
+
 /// Encoder/decoder for one composition's snapshots. The codec captures the
 /// fixed shape (peer schemas, queue wiring, channel count) once, so
 /// encoding is a single append pass and decoding rebuilds structure without
@@ -88,6 +129,17 @@ class FlatSnapshotCodec {
   /// send_errors packed together).
   size_t event_words() const { return event_words_; }
 
+  /// Records where every relation and queue of `flat` starts.
+  void Locate(FlatSnapshot flat, FlatLayout* layout) const;
+
+  /// Appends to `out` the words of `part` as stored in `flat` (located by
+  /// `layout`): a relation as [tuple_count, values...], a flag as one 0/1
+  /// word. Each part's words are self-delimiting, so two spans agree on a
+  /// fixed part list exactly when the concatenations are equal. Database
+  /// parts are not in the encoding and append nothing.
+  void AppendPart(FlatSnapshot flat, const FlatLayout& layout,
+                  const SnapshotPart& part, std::vector<uint32_t>* out) const;
+
  private:
   const spec::Composition* comp_;
   /// Arity per (peer, part, relation), flattened in encode order.
@@ -96,6 +148,10 @@ class FlatSnapshotCodec {
   std::vector<uint32_t> channel_arities_;
   /// send_errors lengths per peer (out_queues count).
   std::vector<uint32_t> send_error_counts_;
+  /// Flat index of the first relation of (peer, part), at [peer * 4 + part].
+  std::vector<uint32_t> part_bases_;
+  /// Event-bit index of each peer's first send_errors flag.
+  std::vector<uint32_t> send_error_bases_;
   size_t event_bits_ = 0;
   size_t event_words_ = 0;
 };

@@ -1,6 +1,7 @@
 #ifndef WSVERIFY_RUNTIME_SNAPSHOT_VIEW_H_
 #define WSVERIFY_RUNTIME_SNAPSHOT_VIEW_H_
 
+#include <string>
 #include <vector>
 
 #include "data/instance.h"
@@ -11,6 +12,18 @@
 #include "spec/composition.h"
 
 namespace wsv::runtime {
+
+/// One symbol of the property structure and the snapshot part bound to it.
+struct PropertySymbol {
+  std::string name;
+  SnapshotPart part;
+};
+
+/// Every symbol of the property structure (see BuildPropertyStructure),
+/// one entry per name, sorted by name. This table is the single source of
+/// the symbol naming: BuildPropertyStructure binds exactly these symbols,
+/// and footprint keys (verifier::LeafCache) read exactly these parts.
+std::vector<PropertySymbol> PropertySymbols(const spec::Composition& comp);
 
 /// Builds the relational structure over which composition-level LTL-FO
 /// properties are evaluated at a snapshot (Section 3, "Semantics of LTL-FO

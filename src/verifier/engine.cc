@@ -595,6 +595,10 @@ Result<bool> VerificationEngine::CheckDatabases(
       outcome.search_stats.graph_transitions += graph.transitions_computed();
       outcome.search_stats.leaf_cache_hits += cache.hits();
       outcome.search_stats.leaf_cache_misses += cache.misses();
+      outcome.search_stats.leaf_evals += cache.leaf_evals();
+      outcome.search_stats.footprint_hits += cache.footprint_hits();
+      outcome.search_stats.leaves =
+          std::max(outcome.search_stats.leaves, cache.leaves().size());
     }
   } guard{graph, cache, outcome};
 
@@ -675,22 +679,12 @@ Result<bool> VerificationEngine::CheckDatabases(
   const size_t v_lo = std::min(options_.valuation_range_lo, total);
   const size_t v_hi = std::min(options_.valuation_range_hi, total);
 
-  auto add_search_stats = [](const SearchStats& from, SearchStats& into) {
-    into.snapshots += from.snapshots;
-    into.product_states += from.product_states;
-    into.transitions += from.transitions;
-    into.graph_transitions += from.graph_transitions;
-    into.leaf_cache_hits += from.leaf_cache_hits;
-    into.leaf_cache_misses += from.leaf_cache_misses;
-    into.inner_searches += from.inner_searches;
-    into.budget_hits += from.budget_hits;
-  };
   auto merge_lane = [&](const ValuationLane& lane) {
     outcome.searches += lane.searches;
     outcome.prefiltered += lane.prefiltered;
     outcome.prefilter_memo_misses += lane.memo_misses;
     outcome.prefilter_memo_hits += lane.memo_hits;
-    add_search_stats(lane.stats, outcome.search_stats);
+    outcome.search_stats.Add(lane.stats);
   };
   // Replays budget events the way the serial loop would have: it overwrites
   // its stop status per event in index order, so the survivor is the

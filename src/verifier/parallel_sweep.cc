@@ -55,17 +55,6 @@ struct Progress {
   size_t since_checkpoint = 0;
 };
 
-void AddSearchStats(const SearchStats& from, SearchStats& into) {
-  into.snapshots += from.snapshots;
-  into.product_states += from.product_states;
-  into.transitions += from.transitions;
-  into.graph_transitions += from.graph_transitions;
-  into.leaf_cache_hits += from.leaf_cache_hits;
-  into.leaf_cache_misses += from.leaf_cache_misses;
-  into.inner_searches += from.inner_searches;
-  into.budget_hits += from.budget_hits;
-}
-
 /// The fault-isolation boundary: a check that throws (std::bad_alloc from a
 /// huge product search, most importantly) is converted to a hard error
 /// status instead of escaping the worker thread.
@@ -303,7 +292,7 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
     merged.prefilter_memo_misses += w.outcome.prefilter_memo_misses;
     merged.prefilter_memo_hits += w.outcome.prefilter_memo_hits;
     merged.db_retries += w.outcome.db_retries;
-    AddSearchStats(w.outcome.search_stats, merged.search_stats);
+    merged.search_stats.Add(w.outcome.search_stats);
   }
   merged.completed_prefix = progress.next_expected;
 

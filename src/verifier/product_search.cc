@@ -90,6 +90,20 @@ ProductSearch::GuardTable ProductSearch::CompileGuards(
   return guards;
 }
 
+void SearchStats::Add(const SearchStats& other) {
+  snapshots += other.snapshots;
+  product_states += other.product_states;
+  transitions += other.transitions;
+  graph_transitions += other.graph_transitions;
+  leaf_cache_hits += other.leaf_cache_hits;
+  leaf_cache_misses += other.leaf_cache_misses;
+  leaf_evals += other.leaf_evals;
+  footprint_hits += other.footprint_hits;
+  leaves = std::max(leaves, other.leaves);
+  inner_searches += other.inner_searches;
+  budget_hits += other.budget_hits;
+}
+
 ProductSearch::ProductSearch(SnapshotGraph* graph, LeafCache* leaf_cache,
                              const automata::BuchiAutomaton* automaton,
                              std::vector<data::Tuple> leaf_rows,
@@ -124,21 +138,20 @@ Result<uint64_t> ProductSearch::ValuationBits(SnapshotId sid) {
     if (!all_cubes_) valuations_.resize(sid + 1);
   }
   if (!val_ready_[sid]) {
-    WSV_ASSIGN_OR_RETURN(const std::vector<std::optional<fo::ValuationSet>>*
-                             sats,
+    WSV_ASSIGN_OR_RETURN(const fo::ValuationSet* const* sats,
                          leaf_cache_->GetAll(sid));
     uint64_t bits = 0;
     if (all_cubes_) {
       // Cube guards only read the packed bits — skip the vector<bool>.
       for (size_t p = 0; p < leaf_rows_.size(); ++p) {
-        if (p < 64 && (*sats)[p]->rows().Contains(leaf_rows_[p])) {
+        if (p < 64 && sats[p]->rows().Contains(leaf_rows_[p])) {
           bits |= uint64_t{1} << p;
         }
       }
     } else {
       std::vector<bool> valuation(leaf_rows_.size(), false);
       for (size_t p = 0; p < leaf_rows_.size(); ++p) {
-        if ((*sats)[p]->rows().Contains(leaf_rows_[p])) {
+        if (sats[p]->rows().Contains(leaf_rows_[p])) {
           valuation[p] = true;
           if (p < 64) bits |= uint64_t{1} << p;
         }

@@ -38,12 +38,24 @@ struct SearchStats {
   size_t graph_transitions = 0;
   /// Per-snapshot leaf-table lookups served from the LeafCache...
   size_t leaf_cache_hits = 0;
-  /// ...versus evaluation passes that had to run the relational evaluator.
+  /// ...versus snapshots whose leaves had to be evaluated (looked up in the
+  /// footprint memo, or run through the relational evaluator).
   size_t leaf_cache_misses = 0;
+  /// Relational leaf evaluations: one per distinct (leaf, footprint)...
+  size_t leaf_evals = 0;
+  /// ...versus leaf cells served from the footprint memo. Per database,
+  /// leaf_evals + footprint_hits = leaf_cache_misses * leaves.
+  size_t footprint_hits = 0;
+  /// FO leaves of the property (one per automaton proposition); the same
+  /// for every database, so Add keeps the maximum instead of summing.
+  size_t leaves = 0;
   /// Inner (cycle-detection) DFS launches of the nested DFS.
   size_t inner_searches = 0;
   /// Searches aborted by the product-state budget.
   size_t budget_hits = 0;
+
+  /// Accumulates `other` into this record.
+  void Add(const SearchStats& other);
 };
 
 /// A violating run witness: a finite prefix from an initial snapshot

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/lock_profile.h"
@@ -333,51 +334,122 @@ fo::MapStructure SnapshotGraph::Structure(SnapshotId sid) const {
 
 LeafCache::LeafCache(SnapshotGraph* graph, std::vector<fo::FormulaPtr> leaves,
                      const Interner* interner)
-    : graph_(graph), leaves_(std::move(leaves)), evaluator_(interner) {
+    : graph_(graph),
+      leaves_(std::move(leaves)),
+      evaluator_(interner),
+      memos_(leaves_.size()) {
+  std::unordered_map<std::string, runtime::SnapshotPart> symbols;
+  for (runtime::PropertySymbol& symbol :
+       runtime::PropertySymbols(graph_->generator().composition())) {
+    symbols.emplace(std::move(symbol.name), symbol.part);
+  }
   leaf_vars_.reserve(leaves_.size());
-  for (const fo::FormulaPtr& leaf : leaves_) {
-    auto frees = leaf->FreeVariables();
+  for (size_t i = 0; i < leaves_.size(); ++i) {
+    auto frees = leaves_[i]->FreeVariables();
     leaf_vars_.emplace_back(frees.begin(), frees.end());  // sets are sorted
+    // A name the structure does not bind reads nothing; evaluation reports
+    // it (the same error at every snapshot).
+    std::vector<runtime::SnapshotPart>& parts = memos_[i].parts;
+    for (const std::string& name : leaves_[i]->RelationNames()) {
+      auto it = symbols.find(name);
+      if (it == symbols.end() ||
+          it->second.kind == runtime::SnapshotPart::Kind::kDatabase) {
+        continue;
+      }
+      parts.push_back(it->second);
+    }
+    std::sort(parts.begin(), parts.end());
+    parts.erase(std::unique(parts.begin(), parts.end()), parts.end());
   }
 }
 
-Status LeafCache::EvaluateSnapshot(SnapshotId sid) {
-  misses_.fetch_add(1, std::memory_order_relaxed);
+uint32_t LeafCache::Memo::Find(const uint32_t* key, size_t count,
+                               size_t hash) const {
+  return index.Find(hash, [&](uint32_t id) {
+    return begin[id + 1] - begin[id] == count &&
+           std::equal(key, key + count, words.data() + begin[id]);
+  });
+}
+
+uint32_t LeafCache::Memo::Add(const uint32_t* key, size_t count,
+                              size_t hash) {
+  const uint32_t id = static_cast<uint32_t>(results.size());
+  words.insert(words.end(), key, key + count);
+  begin.push_back(static_cast<uint32_t>(words.size()));
+  index.Insert(hash, id);
+  results.emplace_back();
+  return id;
+}
+
+void LeafCache::AppendKey(size_t leaf, runtime::FlatSnapshot flat,
+                          const runtime::FlatLayout& layout,
+                          std::vector<uint32_t>* out) const {
+  for (const runtime::SnapshotPart& part : memos_[leaf].parts) {
+    graph_->codec().AppendPart(flat, layout, part, out);
+  }
+}
+
+void LeafCache::CountMisses(size_t snapshots, size_t evals) {
+  const size_t cells = snapshots * leaves_.size();
+  misses_.fetch_add(snapshots, std::memory_order_relaxed);
+  evaluated_ += snapshots;
+  leaf_evals_ += evals;
+  footprint_hits_ += cells - evals;
   obs::Registry& registry = obs::Registry::Global();
   static obs::Counter& misses = registry.counter("leafcache.misses");
-  static obs::Counter& evals = registry.counter("leafcache.leaf_evals");
-  misses.Add(1);
-  evals.Add(leaves_.size());
+  static obs::Counter& leaf_evals = registry.counter("leafcache.leaf_evals");
+  static obs::Counter& footprint_hits =
+      registry.counter("leafcache.footprint_hits");
+  misses.Add(snapshots);
+  leaf_evals.Add(evals);
+  footprint_hits.Add(cells - evals);
+}
+
+bool LeafCache::Evaluated(SnapshotId sid) const {
+  const size_t first = static_cast<size_t>(sid) * leaves_.size();
+  return first < cells_.size() && cells_[first] != nullptr;
+}
+
+Status LeafCache::EvaluateSnapshot(SnapshotId sid) {
   obs::PhaseTimer phase("leaf_eval");
-  // Evaluate every leaf in one pass so the (relation-copying) snapshot
-  // structure is built once and immediately discarded.
-  fo::MapStructure structure = graph_->Structure(sid);
-  cache_[sid].reserve(leaves_.size());
-  for (const fo::FormulaPtr& formula : leaves_) {
-    auto result = evaluator_.Evaluate(formula, structure);
-    if (!result.ok()) return result.status();
-    cache_[sid].emplace_back(std::move(result).value());
+  const runtime::FlatSnapshot flat = graph_->flat(sid);
+  graph_->codec().Locate(flat, &layout_);
+  // Built only if some leaf meets a footprint without a result.
+  std::optional<fo::MapStructure> structure;
+  std::vector<const fo::ValuationSet*> row(leaves_.size());
+  size_t evals = 0;
+  for (size_t i = 0; i < leaves_.size(); ++i) {
+    Memo& memo = memos_[i];
+    key_.clear();
+    AppendKey(i, flat, layout_, &key_);
+    const size_t hash = runtime::HashFlatSnapshot(key_.data(), key_.size());
+    uint32_t id = memo.Find(key_.data(), key_.size(), hash);
+    if (id == FlatIdSet::kEmpty) id = memo.Add(key_.data(), key_.size(), hash);
+    if (memo.results[id] == nullptr) {
+      if (!structure.has_value()) structure = graph_->Structure(sid);
+      WSV_ASSIGN_OR_RETURN(fo::ValuationSet result,
+                           evaluator_.Evaluate(leaves_[i], *structure));
+      memo.results[id] = std::make_unique<fo::ValuationSet>(std::move(result));
+      ++evals;
+    }
+    row[i] = memo.results[id].get();
   }
+  std::copy(row.begin(), row.end(), cells_.begin() + sid * leaves_.size());
+  CountMisses(1, evals);
   return Status::Ok();
 }
 
 Result<const fo::ValuationSet*> LeafCache::Get(SnapshotId sid, size_t leaf) {
-  if (sid >= cache_.size()) cache_.resize(sid + 1);
-  if (cache_[sid].empty() && !leaves_.empty()) {
-    WSV_RETURN_IF_ERROR(EvaluateSnapshot(sid));
-  } else {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    static obs::Counter& hits =
-        obs::Registry::Global().counter("leafcache.hits");
-    hits.Add(1);
-  }
-  return &*cache_[sid][leaf];
+  WSV_ASSIGN_OR_RETURN(const fo::ValuationSet* const* row, GetAll(sid));
+  return row[leaf];
 }
 
-Result<const std::vector<std::optional<fo::ValuationSet>>*> LeafCache::GetAll(
-    SnapshotId sid) {
-  if (sid >= cache_.size()) cache_.resize(sid + 1);
-  if (cache_[sid].empty() && !leaves_.empty()) {
+Result<const fo::ValuationSet* const*> LeafCache::GetAll(SnapshotId sid) {
+  const size_t first = static_cast<size_t>(sid) * leaves_.size();
+  if (first + leaves_.size() > cells_.size()) {
+    cells_.resize(first + leaves_.size(), nullptr);
+  }
+  if (!leaves_.empty() && cells_[first] == nullptr) {
     WSV_RETURN_IF_ERROR(EvaluateSnapshot(sid));
   } else {
     hits_.fetch_add(1, std::memory_order_relaxed);
@@ -385,45 +457,159 @@ Result<const std::vector<std::optional<fo::ValuationSet>>*> LeafCache::GetAll(
         obs::Registry::Global().counter("leafcache.hits");
     hits.Add(1);
   }
-  return &cache_[sid];
+  return cells_.data() + first;
 }
 
 Status LeafCache::SealAndPopulate(ThreadPool* pool, size_t lanes) {
   if (leaves_.empty()) return Status::Ok();
   const size_t n = graph_->size();
-  if (cache_.size() < n) cache_.resize(n);
-  const size_t per_chunk = 16;
-  const size_t num_chunks = (n + per_chunk - 1) / per_chunk;
-  obs::TimedMutex error_mu{"leafcache.seal"};
-  SnapshotId error_sid = 0;
-  Status error = Status::Ok();
+  if (cells_.size() < n * leaves_.size()) {
+    cells_.resize(n * leaves_.size(), nullptr);
+  }
+  std::vector<SnapshotId> pending;
+  for (size_t sid = 0; sid < n; ++sid) {
+    if (!Evaluated(static_cast<SnapshotId>(sid))) {
+      pending.push_back(static_cast<SnapshotId>(sid));
+    }
+  }
+  if (pending.empty()) return Status::Ok();
+  obs::PhaseTimer phase("leaf_eval");
+  // Batches bound the transient footprint keys; they run in snapshot-id
+  // order, so the first failing batch holds the lowest failing id.
+  constexpr size_t kBatch = 8192;
+  for (size_t lo = 0; lo < pending.size(); lo += kBatch) {
+    const size_t count = std::min(kBatch, pending.size() - lo);
+    WSV_RETURN_IF_ERROR(SealBatch(pending.data() + lo, count, pool, lanes));
+  }
+  return Status::Ok();
+}
+
+Status LeafCache::SealBatch(const SnapshotId* sids, size_t count,
+                            ThreadPool* pool, size_t lanes) {
+  const size_t num_leaves = leaves_.size();
+  const size_t helpers = lanes > 0 ? lanes - 1 : 0;
+
+  // 1. Footprint keys, in parallel. Chunk c keys sids[c * kPerChunk, ...)
+  // into its own word buffer; cell (p, leaf) is refs[p * num_leaves + leaf].
+  struct KeyRef {
+    uint32_t at = 0;
+    uint32_t size = 0;
+    size_t hash = 0;
+  };
+  constexpr size_t kPerChunk = 64;
+  const size_t num_chunks = (count + kPerChunk - 1) / kPerChunk;
+  std::vector<std::vector<uint32_t>> chunk_words(num_chunks);
+  std::vector<KeyRef> refs(count * num_leaves);
+  std::vector<runtime::FlatLayout> layouts(helpers + 1);
   ThreadPool::ParallelChunks(
-      pool, lanes > 0 ? lanes - 1 : 0, num_chunks,
-      [&](size_t, size_t chunk) {
-        const size_t begin = chunk * per_chunk;
-        const size_t end = std::min(n, begin + per_chunk);
-        for (size_t sid = begin; sid < end; ++sid) {
-          if (!cache_[sid].empty()) continue;  // already evaluated lazily
-          Status status = EvaluateSnapshot(static_cast<SnapshotId>(sid));
-          if (!status.ok()) {
-            std::lock_guard<obs::TimedMutex> lock(error_mu);
-            if (error.ok() || sid < error_sid) {
-              error = std::move(status);
-              error_sid = static_cast<SnapshotId>(sid);
-            }
-            return;
+      pool, helpers, num_chunks, [&](size_t lane, size_t chunk) {
+        runtime::FlatLayout& layout = layouts[lane];
+        std::vector<uint32_t>& words = chunk_words[chunk];
+        const size_t end = std::min(count, (chunk + 1) * kPerChunk);
+        for (size_t p = chunk * kPerChunk; p < end; ++p) {
+          const runtime::FlatSnapshot flat = graph_->flat(sids[p]);
+          graph_->codec().Locate(flat, &layout);
+          for (size_t leaf = 0; leaf < num_leaves; ++leaf) {
+            KeyRef& ref = refs[p * num_leaves + leaf];
+            ref.at = static_cast<uint32_t>(words.size());
+            AppendKey(leaf, flat, layout, &words);
+            ref.size = static_cast<uint32_t>(words.size() - ref.at);
+            ref.hash =
+                runtime::HashFlatSnapshot(words.data() + ref.at, ref.size);
           }
         }
       });
-  return error;
+
+  // 2. Dedupe per leaf in snapshot-id order. Each leaf owns its memo, so
+  // leaves run in parallel without a lock and ids never depend on lanes.
+  // A footprint still lacking a result is queued once, at its first
+  // snapshot.
+  struct Todo {
+    size_t pos;  // index into sids
+    size_t leaf;
+    uint32_t id;
+  };
+  std::vector<uint32_t> ids(refs.size());
+  std::vector<std::vector<Todo>> leaf_todos(num_leaves);
+  ThreadPool::ParallelChunks(
+      pool, helpers, num_leaves, [&](size_t, size_t leaf) {
+        Memo& memo = memos_[leaf];
+        std::vector<bool> queued(memo.size(), false);
+        for (size_t p = 0; p < count; ++p) {
+          const KeyRef& ref = refs[p * num_leaves + leaf];
+          const uint32_t* key = chunk_words[p / kPerChunk].data() + ref.at;
+          uint32_t id = memo.Find(key, ref.size, ref.hash);
+          if (id == FlatIdSet::kEmpty) {
+            id = memo.Add(key, ref.size, ref.hash);
+            queued.push_back(false);
+          }
+          if (memo.results[id] == nullptr && !queued[id]) {
+            queued[id] = true;
+            leaf_todos[leaf].push_back(Todo{p, leaf, id});
+          }
+          ids[p * num_leaves + leaf] = id;
+        }
+      });
+  chunk_words.clear();
+  refs.clear();
+
+  // 3. Evaluate each queued footprint once, in parallel, grouped by its
+  // first snapshot so that snapshot's structure is built once.
+  std::vector<Todo> todos;
+  for (const std::vector<Todo>& t : leaf_todos) {
+    todos.insert(todos.end(), t.begin(), t.end());
+  }
+  std::sort(todos.begin(), todos.end(), [](const Todo& a, const Todo& b) {
+    return a.pos != b.pos ? a.pos < b.pos : a.leaf < b.leaf;
+  });
+  std::vector<size_t> groups;  // start of each same-snapshot run of todos
+  for (size_t t = 0; t < todos.size(); ++t) {
+    if (t == 0 || todos[t].pos != todos[t - 1].pos) groups.push_back(t);
+  }
+  groups.push_back(todos.size());
+  std::vector<Status> group_status(groups.size() - 1, Status::Ok());
+  ThreadPool::ParallelChunks(
+      pool, helpers, groups.size() - 1, [&](size_t, size_t g) {
+        const fo::MapStructure structure =
+            graph_->Structure(sids[todos[groups[g]].pos]);
+        for (size_t t = groups[g]; t < groups[g + 1]; ++t) {
+          auto result = evaluator_.Evaluate(leaves_[todos[t].leaf], structure);
+          if (!result.ok()) {
+            group_status[g] = result.status();
+            return;
+          }
+          memos_[todos[t].leaf].results[todos[t].id] =
+              std::make_unique<fo::ValuationSet>(std::move(result).value());
+        }
+      });
+  // Groups are in snapshot-id order: the first failure is the lowest id.
+  for (Status& status : group_status) {
+    if (!status.ok()) return status;
+  }
+
+  // 4. Point every cell at its footprint's shared result.
+  for (size_t p = 0; p < count; ++p) {
+    const fo::ValuationSet** row = cells_.data() + sids[p] * num_leaves;
+    for (size_t leaf = 0; leaf < num_leaves; ++leaf) {
+      row[leaf] = memos_[leaf].results[ids[p * num_leaves + leaf]].get();
+    }
+  }
+  CountMisses(count, todos.size());
+  return Status::Ok();
+}
+
+Status LeafCache::EnsureComplete() {
+  if (evaluated_ == graph_->size()) return Status::Ok();
+  return SealAndPopulate();
 }
 
 Result<const data::Relation*> LeafCache::EverSatisfied(size_t leaf) {
   if (ever_.size() < leaves_.size()) ever_.resize(leaves_.size());
   if (!ever_[leaf].has_value()) {
+    WSV_RETURN_IF_ERROR(EnsureComplete());
+    // Every snapshot's result is one of the leaf's distinct results.
     data::Relation all(leaf_vars_[leaf].size());
-    for (SnapshotId sid = 0; sid < graph_->size(); ++sid) {
-      WSV_ASSIGN_OR_RETURN(const fo::ValuationSet* sat, Get(sid, leaf));
+    for (const std::unique_ptr<fo::ValuationSet>& sat : memos_[leaf].results) {
       all = all.Union(sat->rows());
     }
     ever_[leaf] = std::move(all);
@@ -434,10 +620,13 @@ Result<const data::Relation*> LeafCache::EverSatisfied(size_t leaf) {
 Result<const data::Relation*> LeafCache::AlwaysSatisfied(size_t leaf) {
   if (always_.size() < leaves_.size()) always_.resize(leaves_.size());
   if (!always_[leaf].has_value()) {
+    WSV_RETURN_IF_ERROR(EnsureComplete());
+    const std::vector<std::unique_ptr<fo::ValuationSet>>& results =
+        memos_[leaf].results;
     data::Relation common(leaf_vars_[leaf].size());
-    for (SnapshotId sid = 0; sid < graph_->size(); ++sid) {
-      WSV_ASSIGN_OR_RETURN(const fo::ValuationSet* sat, Get(sid, leaf));
-      common = sid == 0 ? sat->rows() : common.Intersection(sat->rows());
+    for (size_t i = 0; i < results.size(); ++i) {
+      common = i == 0 ? results[i]->rows()
+                      : common.Intersection(results[i]->rows());
       if (common.empty()) break;
     }
     always_[leaf] = std::move(common);

@@ -2,6 +2,7 @@
 #define WSVERIFY_VERIFIER_SNAPSHOT_GRAPH_H_
 
 #include <atomic>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -87,8 +88,8 @@ class SnapshotGraph {
 
   /// Builds the property-evaluation structure of a snapshot (transient —
   /// structures copy every relation, so they are never cached; LeafCache
-  /// evaluates all leaves in one pass per snapshot instead). Thread-safe:
-  /// decodes into a local scratch snapshot.
+  /// builds one only for a snapshot that brings a new footprint).
+  /// Thread-safe: decodes into a local scratch snapshot.
   fo::MapStructure Structure(SnapshotId sid) const;
 
   size_t size() const { return flats_.size(); }
@@ -156,6 +157,14 @@ class SnapshotGraph {
 /// every property instance (closure valuation) then answers "does this leaf
 /// hold under my valuation?" with a tuple lookup.
 ///
+/// A leaf's answer depends only on the relations its atoms name (the
+/// graph's database and domain are fixed), so the cache evaluates each leaf
+/// once per distinct *footprint*: the exact contents of those relations,
+/// sliced straight from the snapshot's flat encoding. Footprints are hashed
+/// for lookup but always compared word for word. Snapshots with equal
+/// footprints share one ValuationSet, so a cell is a pointer into the
+/// leaf's memo rather than a copy.
+///
 /// After a complete exploration, SealAndPopulate evaluates every snapshot
 /// up front (optionally in parallel); Get is then a lock-free read, safe to
 /// call concurrently from many product searches.
@@ -176,20 +185,23 @@ class LeafCache {
   /// Satisfying assignments of leaf `leaf` at snapshot `sid`.
   Result<const fo::ValuationSet*> Get(SnapshotId sid, size_t leaf);
 
-  /// All leaves of `sid` at once (indexed by leaf). One hit/miss account
-  /// per call instead of per leaf — the product search's valuation builder
-  /// reads every leaf of a snapshot anyway, and the per-leaf accounting
-  /// (two atomic increments each) dominates the sealed-cache lookup.
-  Result<const std::vector<std::optional<fo::ValuationSet>>*> GetAll(
-      SnapshotId sid);
+  /// All leaves of `sid` at once, as an array indexed by leaf. One hit/miss
+  /// account per call instead of per leaf — the product search reads
+  /// every leaf of a snapshot anyway when it computes a valuation, and the
+  /// per-leaf accounting (two atomic increments each) dominates the
+  /// sealed-cache lookup. The array stays valid until a lazy Get grows
+  /// the cache; after SealAndPopulate it never moves.
+  Result<const fo::ValuationSet* const*> GetAll(SnapshotId sid);
 
-  /// Evaluates every leaf on every snapshot of the (fully explored) graph,
-  /// fanning the per-snapshot evaluation out over `pool` (see
-  /// ThreadPool::ParallelChunks; serial when pool is null or lanes <= 1).
-  /// Afterwards every Get is a hit and touches no mutable state, so
-  /// concurrent product searches can read the cache without locks. Hit/miss
-  /// totals are identical to the lazy path on a complete graph (one miss
-  /// per snapshot). On error, reports the lowest-snapshot-id failure.
+  /// Evaluates every leaf on every snapshot of the (fully explored) graph:
+  /// footprints are computed in parallel over `pool` (see
+  /// ThreadPool::ParallelChunks; serial when pool is null or lanes <= 1),
+  /// deduplicated per leaf in snapshot-id order, and each new footprint is
+  /// evaluated once, again in parallel. Afterwards every Get is a hit and
+  /// touches no mutable state, so concurrent product searches can read the
+  /// cache without locks. Results and counters are identical at every lane
+  /// count and to the lazy path on a complete graph (one miss per
+  /// snapshot). On error, reports the lowest-snapshot-id failure.
   Status SealAndPopulate(ThreadPool* pool = nullptr, size_t lanes = 1);
 
   /// Union of the satisfying assignments of leaf `leaf` over *all* reachable
@@ -204,24 +216,77 @@ class LeafCache {
 
   /// Get() calls answered from an already-evaluated snapshot...
   size_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  /// ...versus snapshots whose leaves had to be evaluated relationally.
+  /// ...versus snapshots whose leaves had to be looked up or evaluated.
   size_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  /// Relational evaluations run: one per new (leaf, footprint)...
+  size_t leaf_evals() const { return leaf_evals_; }
+  /// ...versus cells served from the memo. The two always sum to
+  /// misses() * leaves().size().
+  size_t footprint_hits() const { return footprint_hits_; }
+
+  /// Distinct footprints seen so far for leaf `leaf`.
+  size_t footprints(size_t leaf) const { return memos_[leaf].size(); }
 
  private:
-  /// Evaluates all leaves of one snapshot into cache_[sid] (the miss path).
-  /// cache_ must already span sid.
+  /// One leaf's footprint memo. Keys are interned like snapshot spans:
+  /// key i occupies words[begin[i], begin[i + 1]).
+  struct Memo {
+    /// The snapshot parts the leaf reads, sorted (database parts dropped:
+    /// they are fixed for the graph).
+    std::vector<runtime::SnapshotPart> parts;
+    std::vector<uint32_t> words;
+    std::vector<uint32_t> begin{0};
+    FlatIdSet index;
+    /// results[i]: the leaf on footprint i; null until evaluated.
+    std::vector<std::unique_ptr<fo::ValuationSet>> results;
+
+    size_t size() const { return results.size(); }
+    /// Id of the key `key[0, count)` with hash `hash`, or FlatIdSet::kEmpty.
+    uint32_t Find(const uint32_t* key, size_t count, size_t hash) const;
+    /// Adds the key (known absent) and returns its id.
+    uint32_t Add(const uint32_t* key, size_t count, size_t hash);
+  };
+
+  /// Appends leaf `leaf`'s footprint key of `flat` (located by `layout`).
+  void AppendKey(size_t leaf, runtime::FlatSnapshot flat,
+                 const runtime::FlatLayout& layout,
+                 std::vector<uint32_t>* out) const;
+
+  /// Whether every cell of `sid` is filled.
+  bool Evaluated(SnapshotId sid) const;
+
+  /// The lazy miss path: fills the cells of `sid` (which must exist)
+  /// through the memo, evaluating only footprints without a result.
   Status EvaluateSnapshot(SnapshotId sid);
+
+  /// SealAndPopulate on one batch of unevaluated snapshots, in id order.
+  Status SealBatch(const SnapshotId* sids, size_t count, ThreadPool* pool,
+                   size_t lanes);
+
+  /// Books `snapshots` newly evaluated snapshots, `evals` of whose cells
+  /// needed a fresh evaluation.
+  void CountMisses(size_t snapshots, size_t evals);
+
+  /// Evaluates every pending snapshot (a serial seal) unless all are done.
+  Status EnsureComplete();
 
   SnapshotGraph* graph_;
   std::vector<fo::FormulaPtr> leaves_;
   std::vector<std::vector<std::string>> leaf_vars_;
   fo::Evaluator evaluator_;
-  /// cache_[sid][leaf]
-  std::vector<std::vector<std::optional<fo::ValuationSet>>> cache_;
+  std::vector<Memo> memos_;
+  /// cells_[sid * leaves + leaf], null until the snapshot is evaluated.
+  std::vector<const fo::ValuationSet*> cells_;
+  size_t evaluated_ = 0;
   std::vector<std::optional<data::Relation>> ever_;
   std::vector<std::optional<data::Relation>> always_;
   std::atomic<size_t> hits_{0};
   std::atomic<size_t> misses_{0};
+  size_t leaf_evals_ = 0;
+  size_t footprint_hits_ = 0;
+  /// Lazy-path scratch.
+  runtime::FlatLayout layout_;
+  std::vector<uint32_t> key_;
 };
 
 }  // namespace wsv::verifier

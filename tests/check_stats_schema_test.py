@@ -202,6 +202,22 @@ def main(argv):
                          "bak_recoveries": 1, "splits": 1, "abandoned": 0,
                          "retry_budget": 3})
 
+    # Leaf-cache footprint memo: 10 snapshot misses x 3 leaves = 30 cells,
+    # 4 fresh evaluations + 26 footprint hits.
+    leaf_memo = mutate(base_doc(), "verdict.stats",
+                       {"jobs": 2, "leaf_cache_misses": 10, "leaves": 3,
+                        "leaf_evals": 4, "footprint_hits": 26})
+    leaf_counters = {"sweep.databases": 4, "leafcache.misses": 10,
+                     "leafcache.leaf_evals": 4,
+                     "leafcache.footprint_hits": 26}
+    leaf_memo = mutate(leaf_memo, "counters", leaf_counters)
+    leaf_stats_off = mutate(leaf_memo, "verdict.stats.footprint_hits", 25)
+    leaf_counters_off = mutate(leaf_memo, "counters",
+                               dict(leaf_counters,
+                                    **{"leafcache.leaf_evals": 30}))
+    leaf_missing_evals = mutate(leaf_memo, "verdict.stats.leaf_evals",
+                                DELETE)
+
     # (name, document, expect_ok)
     cases = [
         ("valid sweep verdict", base_doc(), True),
@@ -313,6 +329,13 @@ def main(argv):
          False),
         ("rollup valid symbolic counters", rollup_symbolic, True),
         ("rollup valuation_classes over checked", rollup_classes_bad, False),
+        # Leaf-cache footprint memo accounting.
+        ("valid leaf memo accounting", leaf_memo, True),
+        ("footprint_hits + leaf_evals off in verdict stats", leaf_stats_off,
+         False),
+        ("footprint_hits + leaf_evals off in counters", leaf_counters_off,
+         False),
+        ("leaves without leaf_evals", leaf_missing_evals, False),
         # Supervisor roll-up of a supervised shard_sweep run.
         ("valid supervisor rollup", supervised, True),
         ("supervisor missing relaunches",

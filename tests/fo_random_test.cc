@@ -107,10 +107,13 @@ bool Oracle(const FormulaPtr& f, const StructureView& structure,
 }
 
 /// Random formula generator over schema {r/1, s/2, flag/0} with variables
-/// {x, y, z} and constants {"a", "b"}.
+/// {x, y, z} and constants {"a", "b"}. The wide variant also draws atoms
+/// of t/3 and binds one variable per quantifier (keeping the brute-force
+/// oracle affordable on larger domains).
 class RandomFormula {
  public:
-  explicit RandomFormula(std::mt19937& rng) : rng_(rng) {}
+  explicit RandomFormula(std::mt19937& rng, bool wide = false)
+      : rng_(rng), wide_(wide) {}
 
   FormulaPtr Generate(int depth) {
     int pick = Int(0, depth <= 0 ? 2 : 7);
@@ -118,6 +121,9 @@ class RandomFormula {
       case 0:
         return Formula::Atom("r", {RandomTerm()});
       case 1:
+        if (wide_ && Int(0, 1)) {
+          return Formula::Atom("t", {RandomTerm(), RandomTerm(), RandomTerm()});
+        }
         return Formula::Atom("s", {RandomTerm(), RandomTerm()});
       case 2:
         return Int(0, 1) ? Formula::Atom("flag", {})
@@ -132,7 +138,7 @@ class RandomFormula {
         return Formula::Implies(Generate(depth - 1), Generate(depth - 1));
       default: {
         std::vector<std::string> vars{Var()};
-        if (Int(0, 2) == 0) vars.push_back(Var());
+        if (!wide_ && Int(0, 2) == 0) vars.push_back(Var());
         FormulaPtr body = Generate(depth - 1);
         return Int(0, 1) ? Formula::Exists(vars, body)
                          : Formula::Forall(vars, body);
@@ -153,6 +159,7 @@ class RandomFormula {
   }
 
   std::mt19937& rng_;
+  bool wide_;
 };
 
 class FoRandomTest : public ::testing::TestWithParam<int> {};
@@ -221,6 +228,77 @@ TEST_P(FoRandomTest, RelationalEvaluatorMatchesBruteForce) {
         ++i;
       }
       if (i == idx.size()) break;
+    }
+  }
+}
+
+/// The relational evaluator against the oracle row for row, on domains of
+/// 2 to 6 elements with a ternary relation: the complement, extension,
+/// join and projection tables grow to domain^3 rows, so the lexicographic
+/// ComplementWithin merge and the sort-once table construction are
+/// exercised well past the three-element domain above. The result must equal exactly the
+/// set of satisfying assignments, not merely contain the right members.
+TEST_P(FoRandomTest, WideDomainsMatchBruteForceRowForRow) {
+  std::mt19937 rng(GetParam() + 3000);
+  Interner interner;
+  std::vector<data::Value> universe;
+  for (const char* name : {"a", "b", "c", "d", "e", "f"}) {
+    universe.push_back(interner.Intern(name));
+  }
+  std::uniform_int_distribution<int> coin(0, 1);
+  for (size_t size = 2; size <= universe.size(); ++size) {
+    const std::vector<data::Value> domain(universe.begin(),
+                                          universe.begin() + size);
+    for (int round = 0; round < 30; ++round) {
+      MapStructure structure;
+      structure.SetDomain(data::Domain(domain));
+      std::vector<data::Tuple> r, s, t;
+      for (data::Value u : domain) {
+        if (coin(rng)) r.push_back({u});
+        for (data::Value v : domain) {
+          if (coin(rng)) s.push_back({u, v});
+          for (data::Value w : domain) {
+            if (coin(rng)) t.push_back({u, v, w});
+          }
+        }
+      }
+      data::Relation flag(0);
+      if (coin(rng)) flag.Insert(data::Tuple{});
+      structure.Set("r", data::Relation(1, std::move(r)));
+      structure.Set("s", data::Relation(2, std::move(s)));
+      structure.Set("t", data::Relation(3, std::move(t)));
+      structure.Set("flag", flag);
+
+      RandomFormula generator(rng, /*wide=*/true);
+      FormulaPtr formula = generator.Generate(3);
+      Evaluator evaluator(&interner);
+      auto result = evaluator.Evaluate(formula, structure);
+      ASSERT_TRUE(result.ok()) << result.status() << "\n"
+                               << formula->ToString();
+
+      auto frees = formula->FreeVariables();
+      const std::vector<std::string> free_list(frees.begin(), frees.end());
+      ASSERT_EQ(result->variables(), free_list);
+      std::vector<data::Tuple> satisfying;
+      std::vector<size_t> idx(free_list.size(), 0);
+      do {
+        Assignment env;
+        std::vector<data::Value> row;
+        for (size_t i = 0; i < free_list.size(); ++i) {
+          env[free_list[i]] = domain[idx[i]];
+          row.push_back(domain[idx[i]]);
+        }
+        if (Oracle(formula, structure, interner, env)) {
+          satisfying.push_back(data::Tuple(row));
+        }
+        size_t i = 0;
+        while (i < idx.size() && ++idx[i] == domain.size()) idx[i++] = 0;
+        if (i == idx.size()) break;
+      } while (true);
+      ASSERT_EQ(result->rows(),
+                data::Relation(free_list.size(), std::move(satisfying)))
+          << "formula: " << formula->ToString() << "\ndomain size " << size
+          << ", round " << round;
     }
   }
 }

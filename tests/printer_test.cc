@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "cfsm/embed.h"
 #include "ltl/property.h"
 #include "spec/library.h"
@@ -44,11 +46,21 @@ void ExpectStructurallyEqual(const Composition& a, const Composition& b) {
   }
 }
 
-class PrinterRoundTripTest
-    : public ::testing::TestWithParam<Result<Composition> (*)()> {};
+// A library composition under test. PrintTo gives each case its name, so
+// the ctest names gtest_discover_tests derives from the printed parameter
+// stay the same across builds (a bare function pointer would print as its
+// load address, which changes from run to run).
+struct LibraryCase {
+  const char* name;
+  Result<Composition> (*build)();
+};
+
+void PrintTo(const LibraryCase& c, std::ostream* os) { *os << c.name; }
+
+class PrinterRoundTripTest : public ::testing::TestWithParam<LibraryCase> {};
 
 TEST_P(PrinterRoundTripTest, PrintedSpecReparsesEquivalently) {
-  auto original = GetParam()();
+  auto original = GetParam().build();
   ASSERT_TRUE(original.ok()) << original.status();
   std::string printed = PrintComposition(*original);
   auto reparsed = ParseComposition(printed);
@@ -60,11 +72,16 @@ TEST_P(PrinterRoundTripTest, PrintedSpecReparsesEquivalently) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Library, PrinterRoundTripTest,
-                         ::testing::Values(&library::LoanComposition,
-                                           &library::OfficerOnlyComposition,
-                                           &library::BookstoreComposition,
-                                           &library::AirlineComposition,
-                                           &library::MotoGpComposition));
+                         ::testing::Values(
+                             LibraryCase{"Loan", &library::LoanComposition},
+                             LibraryCase{"OfficerOnly",
+                                         &library::OfficerOnlyComposition},
+                             LibraryCase{"Bookstore",
+                                         &library::BookstoreComposition},
+                             LibraryCase{"Airline",
+                                         &library::AirlineComposition},
+                             LibraryCase{"MotoGp",
+                                         &library::MotoGpComposition}));
 
 TEST(PrinterRoundTrip, ShopWithLookback) {
   auto original = library::ShopComposition(3);

@@ -8,7 +8,9 @@ src/obs/stats_json.h) — schema v2 added the profiling sections: per-worker
 time ledgers ("workers"), lock-contention counters ("locks"), and the
 phase tree ("phases"); v3 added the "process" section (peak memory); v4
 added the symbolic valuation counters (engine.valuation_classes, bdd.*)
-with the invariant valuation_classes <= valuations_checked.
+with the invariant valuation_classes <= valuations_checked. Verdicts that
+report 'leaves' must also satisfy the leaf-cache accounting
+footprint_hits + leaf_evals = leaf_cache_misses * leaves.
 With a trace argument, also checks that the trace file is a well-formed
 Chrome trace-event document. --require-counter (repeatable) additionally
 fails unless the named counter is present, so perf-smoke ctest entries can
@@ -106,6 +108,7 @@ def check_stats(path):
             jobs = verdict["stats"].get("jobs")
             expect(isinstance(jobs, int) and jobs >= 1,
                    "'verdict.stats.jobs' must be a positive integer")
+            check_leaf_counters(verdict["stats"], doc["counters"])
         if "phase_ns" in verdict:
             for phase in ("db_enum", "graph_expand", "leaf_eval", "ndfs"):
                 expect(isinstance(verdict["phase_ns"].get(phase), int),
@@ -247,6 +250,36 @@ def check_valuation_counters(counters, where):
     expect(classes <= checked,
            f"'{where}.engine.valuation_classes' is {classes}, which exceeds "
            f"engine.valuations_checked = {checked}")
+
+
+def check_leaf_counters(stats, counters):
+    """Validates the leaf-cache footprint memo accounting: every snapshot
+    miss fills one cell per leaf, and each cell is either a fresh
+    evaluation or a footprint hit, so footprint_hits + leaf_evals =
+    misses * leaves — in 'verdict.stats' and, when the run emitted them, in
+    the 'leafcache.*' counters (documents without 'leaves' predate the
+    memo and are not checked)."""
+    leaves = stats.get("leaves")
+    if leaves is None:
+        return
+    for field in ("leaves", "leaf_evals", "footprint_hits",
+                  "leaf_cache_misses"):
+        expect(isinstance(stats.get(field), int) and stats[field] >= 0,
+               f"'verdict.stats.{field}' must be a non-negative integer")
+    cells = stats["leaf_cache_misses"] * leaves
+    expect(stats["footprint_hits"] + stats["leaf_evals"] == cells,
+           f"'verdict.stats': footprint_hits {stats['footprint_hits']} + "
+           f"leaf_evals {stats['leaf_evals']} != leaf_cache_misses "
+           f"{stats['leaf_cache_misses']} * leaves {leaves}")
+    names = ("leafcache.footprint_hits", "leafcache.leaf_evals",
+             "leafcache.misses")
+    if not any(name in counters for name in names):
+        return
+    hits, evals, misses = (counters.get(name, 0) for name in names)
+    expect(hits + evals == misses * leaves,
+           f"'counters': leafcache.footprint_hits {hits} + "
+           f"leafcache.leaf_evals {evals} != leafcache.misses {misses} * "
+           f"leaves {leaves}")
 
 
 def check_supervisor(sup):

@@ -579,6 +579,7 @@ int RunProtocol(const Args& args, const std::string& spec_source,
   }
   protocol::ProtocolVerifierOptions options;
   options.run.queue_bound = FlagOr(args, "--queue-bound", 1, kMaxQueueBound);
+  options.run.lossy = args.flags.count("--perfect") == 0;
   options.fresh_domain_size = FlagOr(args, "--fresh", 1, kMaxFresh);
   options.budget.max_states = FlagOr(args, "--max-states", 4000000);
   options.max_databases =
@@ -651,6 +652,7 @@ int RunModular(const Args& args, const std::string& spec_source,
   }
   modular::ModularVerifierOptions options;
   options.run.queue_bound = FlagOr(args, "--queue-bound", 1, kMaxQueueBound);
+  options.run.lossy = args.flags.count("--perfect") == 0;
   options.fresh_domain_size = FlagOr(args, "--fresh", 1, kMaxFresh);
   options.budget.max_states = FlagOr(args, "--max-states", 8000000);
   options.max_databases =
@@ -819,6 +821,9 @@ std::string RenderVerdictJson(const CliReport& report, int exit_code) {
     w.Key("product_transitions").Uint(r.stats.search.transitions);
     w.Key("leaf_cache_hits").Uint(r.stats.search.leaf_cache_hits);
     w.Key("leaf_cache_misses").Uint(r.stats.search.leaf_cache_misses);
+    w.Key("leaf_evals").Uint(r.stats.search.leaf_evals);
+    w.Key("footprint_hits").Uint(r.stats.search.footprint_hits);
+    w.Key("leaves").Uint(r.stats.search.leaves);
     w.Key("inner_searches").Uint(r.stats.search.inner_searches);
     w.Key("budget_hits").Uint(r.stats.search.budget_hits);
     w.EndObject();
