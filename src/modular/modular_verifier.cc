@@ -2,8 +2,6 @@
 
 #include "ltl/grounding.h"
 #include "modular/translation.h"
-#include "obs/timer.h"
-#include "verifier/engine.h"
 #include "verifier/validate.h"
 
 namespace wsv::modular {
@@ -53,9 +51,8 @@ Status ModularVerifier::CheckDecidableRegime(
       }
     }
   }
-  WSV_RETURN_IF_ERROR(comp_->CheckInputBounded(options_.ib_options));
-  WSV_RETURN_IF_ERROR(
-      property.CheckInputBounded(*comp_, options_.ib_options));
+  WSV_RETURN_IF_ERROR(comp_->CheckInputBounded());
+  WSV_RETURN_IF_ERROR(property.CheckInputBounded(*comp_));
   return Status::Ok();
 }
 
@@ -63,133 +60,52 @@ Result<verifier::VerificationResult> ModularVerifier::Verify(
     const ltl::Property& property, const EnvironmentSpec& env) {
   WSV_RETURN_IF_ERROR(verifier::ValidateProperty(*comp_, property));
   WSV_RETURN_IF_ERROR(verifier::ValidateLtlSchema(*comp_, env.formula()));
-  verifier::VerificationResult result;
-  result.regime = CheckDecidableRegime(property, env);
-  if (!result.regime.ok() && options_.require_decidable_regime) {
-    return result.regime;
-  }
-
-  std::set<std::string> extra = property.Constants();
-  for (const std::string& c : env.Constants()) extra.insert(c);
-  verifier::PseudoDomain pd = verifier::BuildPseudoDomain(
-      *comp_, extra, options_.fresh_domain_size);
-  interner_ = std::move(pd.interner);
-
-  std::optional<std::vector<data::Instance>> fixed;
-  if (options_.fixed_databases.has_value()) {
-    WSV_ASSIGN_OR_RETURN(
-        std::vector<data::Instance> dbs,
-        verifier::MaterializeDatabases(*comp_, *options_.fixed_databases,
-                                       interner_, pd.domain));
-    fixed = std::move(dbs);
-  }
-
-  // psi -> psi-bar -> psi-bar-r -> quantifier-free over the pseudo-domain.
-  ltl::LtlPtr env_bar = RelativizeToMove(
-      env.formula(), spec::Composition::EnvMovePropName());
-  WSV_ASSIGN_OR_RETURN(ltl::LtlPtr env_bar_r,
-                       ObserverAtRecipientTranslate(env_bar, *comp_));
-  // Environment message candidates must be interned before the engine runs.
-  for (const auto& [channel, rows] : options_.run.env_message_candidates) {
-    (void)channel;
-    for (const std::vector<std::string>& row : rows) {
-      for (const std::string& spelling : row) interner_.Intern(spelling);
+  auto build = [this, &property, &env](
+                   Interner& interner, const data::Domain& domain,
+                   verifier::SymbolicTask& task) -> Status {
+    // psi -> psi-bar -> psi-bar-r -> quantifier-free over the pseudo-domain.
+    ltl::LtlPtr env_bar = RelativizeToMove(
+        env.formula(), spec::Composition::EnvMovePropName());
+    WSV_ASSIGN_OR_RETURN(ltl::LtlPtr env_bar_r,
+                         ObserverAtRecipientTranslate(env_bar, *comp_));
+    // Environment message candidates must be interned before the engine
+    // runs.
+    for (const auto& [channel, rows] : options_.run.env_message_candidates) {
+      (void)channel;
+      for (const std::vector<std::string>& row : rows) {
+        for (const std::string& spelling : row) interner.Intern(spelling);
+      }
     }
-  }
-
-  std::vector<std::string> domain_spellings = options_.env_quantifier_domain;
-  if (domain_spellings.empty()) {
-    for (data::Value v : pd.domain) {
-      domain_spellings.push_back(interner_.Text(v));
+    std::vector<std::string> domain_spellings = options_.env_quantifier_domain;
+    if (domain_spellings.empty()) {
+      for (data::Value v : domain) {
+        domain_spellings.push_back(interner.Text(v));
+      }
+    } else {
+      for (const std::string& c : domain_spellings) interner.Intern(c);
     }
-  } else {
-    for (const std::string& c : domain_spellings) interner_.Intern(c);
-  }
-  ltl::LtlPtr env_expanded =
-      ltl::ExpandTemporalQuantifiers(env_bar_r, domain_spellings);
+    ltl::LtlPtr env_expanded =
+        ltl::ExpandTemporalQuantifiers(env_bar_r, domain_spellings);
 
-  // Search for a run with (env_expanded and not phi), phi's closure
-  // variables symbolic — one instance per valuation.
-  ltl::LtlPtr violation = ltl::LtlFormula::And(
-      env_expanded, ltl::LtlFormula::Not(property.formula()));
-  verifier::SymbolicTask task;
-  {
-    obs::PhaseTimer automaton_phase("automaton");
+    // Search for a run with (env_expanded and not phi), phi's closure
+    // variables symbolic — one instance per valuation.
+    ltl::LtlPtr violation = ltl::LtlFormula::And(
+        env_expanded, ltl::LtlFormula::Not(property.formula()));
     WSV_ASSIGN_OR_RETURN(
         ltl::GroundLtl ground,
         ltl::GroundToPropositional(violation, /*negate=*/false,
                                    /*allow_free_leaves=*/true));
     WSV_ASSIGN_OR_RETURN(task.automaton, ground.BuildAutomaton());
     task.leaves = std::move(ground.propositions);
-  }
-  task.closure_variables = property.closure_variables();
-  task.valuations = verifier::ValuationSpace(
-      pd.domain, interner_, task.closure_variables.size());
-  result.stats.valuations_checked = task.valuations.size();
-
-  verifier::EngineOptions engine_options;
-  engine_options.run = options_.run;
-  engine_options.iso_reduction = options_.iso_reduction;
-  engine_options.max_databases = options_.max_databases;
-  engine_options.db_range_lo = options_.db_range_lo;
-  engine_options.db_range_hi = options_.db_range_hi;
-  engine_options.count_only = options_.count_only;
-  engine_options.valuation_mode = options_.valuation_mode;
-  engine_options.budget = options_.budget;
-  engine_options.jobs = options_.jobs;
-  engine_options.fixed_databases = std::move(fixed);
-  engine_options.control = options_.control;
-  engine_options.on_db_error = options_.on_db_error;
-  engine_options.checkpoint_path = options_.checkpoint_path;
-  engine_options.checkpoint_fingerprint = options_.checkpoint_fingerprint;
-  engine_options.checkpoint_every = options_.checkpoint_every;
-  engine_options.resume_prefix = options_.resume_prefix;
-  engine_options.resume_failed = options_.resume_failed;
-  engine_options.resume_covered = options_.resume_covered;
-  verifier::VerificationEngine engine(comp_, &interner_, pd.domain, pd.fresh,
-                                      engine_options);
-  WSV_ASSIGN_OR_RETURN(verifier::EngineOutcome outcome, engine.Run(task));
-
-  if (options_.count_only) {
-    result.enumeration_count = outcome.enumeration_count;
-    result.coverage.unit = outcome.coverage_unit;
-    result.stats.timings = outcome.timings;
-    result.holds = true;  // nothing verified; callers key off count_only
-    return result;
-  }
-
-  result.stats.databases_checked = outcome.databases_checked;
-  result.stats.searches = outcome.searches;
-  result.stats.prefiltered = outcome.prefiltered;
-  result.stats.prefilter_memo_misses = outcome.prefilter_memo_misses;
-  result.stats.prefilter_memo_hits = outcome.prefilter_memo_hits;
-  result.stats.search = outcome.search_stats;
-  result.stats.jobs = outcome.jobs;
-  result.stats.timings = outcome.timings;
-  result.holds = !outcome.violation_found;
-  if (outcome.violation_found) {
-    verifier::Counterexample ce;
-    ce.databases = std::move(outcome.databases);
-    ce.closure_valuation = std::move(outcome.label);
-    ce.lasso = std::move(outcome.lasso);
-    ce.database_index = outcome.violation_db_index;
-    ce.valuation_index = outcome.violation_valuation_index;
-    result.counterexample = std::move(ce);
-  }
-  result.coverage.stop_reason = outcome.stop_reason;
-  result.coverage.stop_status = outcome.stop_status;
-  result.coverage.completed_prefix = outcome.completed_prefix;
-  result.coverage.covered = std::move(outcome.covered);
-  result.coverage.unit = outcome.coverage_unit;
-  result.coverage.range_lo = options_.db_range_lo;
-  result.coverage.range_hi = options_.db_range_hi;
-  result.coverage.failed_db_indices = std::move(outcome.failed_db_indices);
-  result.coverage.db_retries = outcome.db_retries;
-  if (!outcome.stop_status.ok() && result.holds && result.regime.ok()) {
-    result.regime = outcome.stop_status;
-  }
-  result.complete = false;  // bounded pseudo-domain by construction
-  return result;
+    return Status::Ok();
+  };
+  std::set<std::string> constants = property.Constants();
+  for (const std::string& c : env.Constants()) constants.insert(c);
+  // The pseudo-domain is bounded by construction: never complete.
+  return verifier::RunVerification(
+      *comp_, options_, constants, property.closure_variables(),
+      CheckDecidableRegime(property, env), /*may_be_complete=*/false, build,
+      &pd_);
 }
 
 }  // namespace wsv::modular

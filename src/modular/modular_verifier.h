@@ -2,35 +2,14 @@
 #define WSVERIFY_MODULAR_MODULAR_VERIFIER_H_
 
 #include "modular/env_spec.h"
-#include "verifier/engine.h"
 #include "verifier/verifier.h"
 
 namespace wsv::modular {
 
-struct ModularVerifierOptions {
-  /// Channel semantics; allow_env_moves is forced on (environment
-  /// transitions are part of open-composition runs, Section 5).
-  runtime::RunOptions run;
-  size_t fresh_domain_size = 2;
-  bool iso_reduction = true;
-  /// Absolute-index enumeration bound and shard range (see VerifierOptions
-  /// for the full semantics).
-  size_t max_databases = static_cast<size_t>(-1);
-  size_t db_range_lo = 0;
-  size_t db_range_hi = static_cast<size_t>(-1);
-  /// Count the canonical databases instead of verifying (see
-  /// VerifierOptions::count_only).
-  bool count_only = false;
-  /// Valuation coverage strategy (see verifier::ValuationMode).
-  verifier::ValuationMode valuation_mode = verifier::ValuationMode::kConcrete;
-  verifier::SearchBudget budget;
-  /// Worker threads for the database sweep (1 = serial, 0 = hardware
-  /// concurrency); see VerifierOptions::jobs.
-  size_t jobs = 1;
-  fo::InputBoundedOptions ib_options;
-  bool require_decidable_regime = false;
-  std::optional<std::vector<verifier::NamedDatabase>> fixed_databases;
-
+/// The shared verifier options plus the environment quantifier domain.
+/// run.allow_env_moves is forced on (environment transitions are part of
+/// open-composition runs, Section 5).
+struct ModularVerifierOptions : verifier::VerifierOptions {
   /// Domain (constant spellings) over which the environment spec's
   /// quantifiers are expanded; empty = the full pseudo-domain. Narrowing it
   /// to the values that can actually occur in the affected message
@@ -38,17 +17,6 @@ struct ModularVerifierOptions {
   /// narrowing *strengthens* the check: the environment is constrained for
   /// fewer values, so more runs count as environment-conforming.
   std::vector<std::string> env_quantifier_domain;
-
-  /// Robustness knobs (deadline/cancel token, fault isolation, checkpoint +
-  /// resume); see VerifierOptions for semantics.
-  RunControl* control = nullptr;
-  verifier::OnDbError on_db_error = verifier::OnDbError::kAbort;
-  std::string checkpoint_path;
-  std::string checkpoint_fingerprint;
-  size_t checkpoint_every = 64;
-  size_t resume_prefix = 0;
-  std::vector<size_t> resume_failed;
-  std::vector<verifier::IndexInterval> resume_covered;
 };
 
 /// Modular verification (Theorem 5.4): checks C |=_psi phi — every run of
@@ -72,12 +40,12 @@ class ModularVerifier {
   Result<verifier::VerificationResult> Verify(const ltl::Property& property,
                                               const EnvironmentSpec& env);
 
-  const Interner& interner() const { return interner_; }
+  const Interner& interner() const { return pd_.interner; }
 
  private:
   const spec::Composition* comp_;
   ModularVerifierOptions options_;
-  Interner interner_;
+  verifier::PseudoDomain pd_;
 };
 
 }  // namespace wsv::modular

@@ -142,178 +142,6 @@ JsonWriter& JsonWriter::Raw(std::string_view json) {
   return *this;
 }
 
-namespace {
-
-/// Recursive-descent checker over the RFC 8259 grammar.
-class Checker {
- public:
-  explicit Checker(std::string_view text) : text_(text) {}
-
-  Status Run() {
-    WSV_RETURN_IF_ERROR(Value());
-    SkipSpace();
-    if (pos_ != text_.size()) return Fail("trailing content");
-    return Status::Ok();
-  }
-
- private:
-  Status Fail(const std::string& what) {
-    return Status::ParseError("invalid JSON at byte " + std::to_string(pos_) +
-                              ": " + what);
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Eat(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Status Literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) {
-      return Fail("expected literal");
-    }
-    pos_ += word.size();
-    return Status::Ok();
-  }
-
-  Status StringValue() {
-    if (!Eat('"')) return Fail("expected string");
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Fail("raw control character in string");
-      }
-      if (c == '"') {
-        ++pos_;
-        return Status::Ok();
-      }
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return Fail("truncated escape");
-        char e = text_[pos_++];
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            if (pos_ >= text_.size() || !std::isxdigit(static_cast<unsigned char>(text_[pos_]))) {
-              return Fail("bad \\u escape");
-            }
-            ++pos_;
-          }
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                   e != 'f' && e != 'n' && e != 'r' && e != 't') {
-          return Fail("bad escape character");
-        }
-        continue;
-      }
-      ++pos_;
-    }
-    return Fail("unterminated string");
-  }
-
-  Status NumberValue() {
-    (void)Eat('-');
-    if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      return Fail("expected digit");
-    }
-    if (text_[pos_] == '0') {
-      ++pos_;
-    } else {
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-    }
-    if (Eat('.')) {
-      if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        return Fail("expected fraction digit");
-      }
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
-      if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        return Fail("expected exponent digit");
-      }
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-    }
-    return Status::Ok();
-  }
-
-  Status Value() {
-    if (++depth_ > 256) return Fail("nesting too deep");
-    SkipSpace();
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    Status status;
-    switch (text_[pos_]) {
-      case '{':
-        status = ObjectValue();
-        break;
-      case '[':
-        status = ArrayValue();
-        break;
-      case '"':
-        status = StringValue();
-        break;
-      case 't':
-        status = Literal("true");
-        break;
-      case 'f':
-        status = Literal("false");
-        break;
-      case 'n':
-        status = Literal("null");
-        break;
-      default:
-        status = NumberValue();
-    }
-    --depth_;
-    return status;
-  }
-
-  Status ObjectValue() {
-    ++pos_;  // '{'
-    SkipSpace();
-    if (Eat('}')) return Status::Ok();
-    while (true) {
-      SkipSpace();
-      WSV_RETURN_IF_ERROR(StringValue());
-      SkipSpace();
-      if (!Eat(':')) return Fail("expected ':'");
-      WSV_RETURN_IF_ERROR(Value());
-      SkipSpace();
-      if (Eat('}')) return Status::Ok();
-      if (!Eat(',')) return Fail("expected ',' or '}'");
-    }
-  }
-
-  Status ArrayValue() {
-    ++pos_;  // '['
-    SkipSpace();
-    if (Eat(']')) return Status::Ok();
-    while (true) {
-      WSV_RETURN_IF_ERROR(Value());
-      SkipSpace();
-      if (Eat(']')) return Status::Ok();
-      if (!Eat(',')) return Fail("expected ',' or ']'");
-    }
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-  int depth_ = 0;
-};
-
-}  // namespace
-
-Status JsonValidate(std::string_view text) { return Checker(text).Run(); }
-
 const JsonValue* JsonValue::Find(std::string_view key) const {
   if (kind != Kind::kObject) return nullptr;
   const JsonValue* found = nullptr;
@@ -335,8 +163,7 @@ const JsonValue* JsonValue::FindPath(
 
 namespace {
 
-/// Recursive-descent DOM builder; mirrors Checker's grammar so the two
-/// never disagree about what is valid.
+/// Recursive-descent DOM builder over the RFC 8259 grammar.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}

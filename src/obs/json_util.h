@@ -49,11 +49,6 @@ class JsonWriter {
   bool after_key_ = false;
 };
 
-/// Validates that `text` is one syntactically well-formed JSON value
-/// (RFC 8259 grammar; no semantic checks). Used by the test suite to keep
-/// every serializer honest without an external JSON dependency.
-Status JsonValidate(std::string_view text);
-
 /// A parsed JSON value in DOM form, for the tools that need to READ the
 /// documents the pipeline writes (wsvc-merge consuming shard verdict JSON).
 /// Object members keep insertion order; duplicate keys keep the last value
@@ -94,8 +89,9 @@ struct JsonValue {
   }
 };
 
-/// Parses one JSON document into DOM form (same grammar JsonValidate
-/// accepts; \u escapes are decoded to UTF-8, surrogate pairs included).
+/// Parses one JSON document into DOM form (RFC 8259 grammar; \u escapes
+/// are decoded to UTF-8, surrogate pairs included). The test suite also
+/// uses it as the syntax check that keeps every serializer honest.
 Result<JsonValue> JsonParse(std::string_view text);
 
 }  // namespace wsv::obs

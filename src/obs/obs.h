@@ -9,7 +9,7 @@
 //   trace.h        — Chrome trace-event recorder (chrome://tracing, Perfetto)
 //   progress.h     — periodic stderr heartbeat (rates + ETA)
 //   stats_json.h   — versioned stats-JSON document (schema v2)
-//   json_util.h    — streaming JSON writer + syntactic validator
+//   json_util.h    — streaming JSON writer + DOM parser
 //   lock_profile.h — TimedMutex / TimedSharedMutex contention accounting
 //
 // Conventions: counters and histograms are dot-namespaced by pipeline stage

@@ -1,11 +1,6 @@
 #include "protocol/protocol_verifier.h"
 
-#include <optional>
-#include <set>
-
 #include "ltl/grounding.h"
-#include "obs/timer.h"
-#include "verifier/engine.h"
 
 namespace wsv::protocol {
 
@@ -39,36 +34,25 @@ Status ProtocolVerifier::CheckDecidableRegime(
     return Status::UndecidableRegime(
         "open composition without environment model");
   }
-  WSV_RETURN_IF_ERROR(comp_->CheckInputBounded(options_.ib_options));
-  WSV_RETURN_IF_ERROR(
-      protocol.CheckInputBounded(*comp_, options_.ib_options));
+  WSV_RETURN_IF_ERROR(comp_->CheckInputBounded());
+  WSV_RETURN_IF_ERROR(protocol.CheckInputBounded(*comp_));
   return Status::Ok();
 }
 
 Result<verifier::VerificationResult> ProtocolVerifier::Verify(
     const ConversationProtocol& protocol) {
-  verifier::VerificationResult result;
-  result.regime = CheckDecidableRegime(protocol);
-  if (!result.regime.ok() && options_.require_decidable_regime) {
-    return result.regime;
-  }
-
-  verifier::PseudoDomain pd = verifier::BuildPseudoDomain(
-      *comp_, protocol.Constants(), options_.fresh_domain_size);
-  interner_ = std::move(pd.interner);
-
-  std::optional<std::vector<data::Instance>> fixed;
-  if (options_.fixed_databases.has_value()) {
-    WSV_ASSIGN_OR_RETURN(
-        std::vector<data::Instance> dbs,
-        verifier::MaterializeDatabases(*comp_, *options_.fixed_databases,
-                                       interner_, pd.domain));
-    fixed = std::move(dbs);
-  }
-
-  verifier::SymbolicTask task;
-  std::optional<obs::PhaseTimer> automaton_phase(std::in_place, "automaton");
-  if (protocol.ltl_formula() != nullptr) {
+  auto build = [this, &protocol](Interner&, const data::Domain&,
+                                 verifier::SymbolicTask& task) -> Status {
+    if (protocol.ltl_formula() == nullptr) {
+      // Automaton-given protocol: a run violates the protocol iff its event
+      // sequence is accepted by the complement of B.
+      WSV_ASSIGN_OR_RETURN(task.automaton,
+                           automata::ComplementBuchi(protocol.automaton()));
+      for (const ProtocolSymbol& symbol : protocol.symbols()) {
+        task.leaves.push_back(symbol.guard);
+      }
+      return Status::Ok();
+    }
     // LTL-given protocol: the violating runs are exactly those of the
     // negated formula — no Büchi complementation needed. Grounding
     // propositions are channel-name atoms, which evaluate as the channel's
@@ -91,86 +75,12 @@ Result<verifier::VerificationResult> ProtocolVerifier::Verify(
       task.leaves.push_back(
           ChannelEventAtom(prop->relation(), protocol.observer()));
     }
-  } else {
-    // Automaton-given protocol: a run violates the protocol iff its event
-    // sequence is accepted by the complement of B.
-    WSV_ASSIGN_OR_RETURN(
-        automata::BuchiAutomaton complement,
-        automata::ComplementBuchi(protocol.automaton(), options_.complement));
-    task.automaton = std::move(complement);
-    for (const ProtocolSymbol& symbol : protocol.symbols()) {
-      task.leaves.push_back(symbol.guard);
-    }
-  }
-  automaton_phase.reset();  // closes the phase.automaton span
-  task.closure_variables = protocol.FreeVariables();
-  task.valuations = verifier::ValuationSpace(
-      pd.domain, interner_, task.closure_variables.size());
-  result.stats.valuations_checked = task.valuations.size();
-
-  verifier::EngineOptions engine_options;
-  engine_options.run = options_.run;
-  engine_options.iso_reduction = options_.iso_reduction;
-  engine_options.max_databases = options_.max_databases;
-  engine_options.db_range_lo = options_.db_range_lo;
-  engine_options.db_range_hi = options_.db_range_hi;
-  engine_options.count_only = options_.count_only;
-  engine_options.valuation_mode = options_.valuation_mode;
-  engine_options.budget = options_.budget;
-  engine_options.jobs = options_.jobs;
-  engine_options.fixed_databases = std::move(fixed);
-  engine_options.control = options_.control;
-  engine_options.on_db_error = options_.on_db_error;
-  engine_options.checkpoint_path = options_.checkpoint_path;
-  engine_options.checkpoint_fingerprint = options_.checkpoint_fingerprint;
-  engine_options.checkpoint_every = options_.checkpoint_every;
-  engine_options.resume_prefix = options_.resume_prefix;
-  engine_options.resume_failed = options_.resume_failed;
-  engine_options.resume_covered = options_.resume_covered;
-  verifier::VerificationEngine engine(comp_, &interner_, pd.domain, pd.fresh,
-                                      engine_options);
-  WSV_ASSIGN_OR_RETURN(verifier::EngineOutcome outcome, engine.Run(task));
-
-  if (options_.count_only) {
-    result.enumeration_count = outcome.enumeration_count;
-    result.coverage.unit = outcome.coverage_unit;
-    result.stats.timings = outcome.timings;
-    result.holds = true;  // nothing verified; callers key off count_only
-    return result;
-  }
-
-  result.stats.databases_checked = outcome.databases_checked;
-  result.stats.searches = outcome.searches;
-  result.stats.prefiltered = outcome.prefiltered;
-  result.stats.prefilter_memo_misses = outcome.prefilter_memo_misses;
-  result.stats.prefilter_memo_hits = outcome.prefilter_memo_hits;
-  result.stats.search = outcome.search_stats;
-  result.stats.jobs = outcome.jobs;
-  result.stats.timings = outcome.timings;
-  result.holds = !outcome.violation_found;
-  if (outcome.violation_found) {
-    verifier::Counterexample ce;
-    ce.databases = std::move(outcome.databases);
-    ce.closure_valuation = std::move(outcome.label);
-    ce.lasso = std::move(outcome.lasso);
-    ce.database_index = outcome.violation_db_index;
-    ce.valuation_index = outcome.violation_valuation_index;
-    result.counterexample = std::move(ce);
-  }
-  result.coverage.stop_reason = outcome.stop_reason;
-  result.coverage.stop_status = outcome.stop_status;
-  result.coverage.completed_prefix = outcome.completed_prefix;
-  result.coverage.covered = std::move(outcome.covered);
-  result.coverage.unit = outcome.coverage_unit;
-  result.coverage.range_lo = options_.db_range_lo;
-  result.coverage.range_hi = options_.db_range_hi;
-  result.coverage.failed_db_indices = std::move(outcome.failed_db_indices);
-  result.coverage.db_retries = outcome.db_retries;
-  if (!outcome.stop_status.ok() && result.holds && result.regime.ok()) {
-    result.regime = outcome.stop_status;
-  }
-  result.complete = false;  // protocol verification is always domain-bounded
-  return result;
+    return Status::Ok();
+  };
+  // Protocol verification is always domain-bounded: never complete.
+  return verifier::RunVerification(
+      *comp_, options_, protocol.Constants(), protocol.FreeVariables(),
+      CheckDecidableRegime(protocol), /*may_be_complete=*/false, build, &pd_);
 }
 
 }  // namespace wsv::protocol

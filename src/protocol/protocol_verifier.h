@@ -1,48 +1,14 @@
 #ifndef WSVERIFY_PROTOCOL_PROTOCOL_VERIFIER_H_
 #define WSVERIFY_PROTOCOL_PROTOCOL_VERIFIER_H_
 
-#include "automata/complement.h"
+#include "automata/complement.h"  // IWYU pragma: export
 #include "protocol/protocol.h"
-#include "verifier/engine.h"
 #include "verifier/verifier.h"
 
 namespace wsv::protocol {
 
-struct ProtocolVerifierOptions {
-  runtime::RunOptions run;
-  /// Fresh pseudo-domain elements (see VerifierOptions::fresh_domain_size).
-  size_t fresh_domain_size = 2;
-  bool iso_reduction = true;
-  /// Absolute-index enumeration bound and shard range (see VerifierOptions
-  /// for the full semantics).
-  size_t max_databases = static_cast<size_t>(-1);
-  size_t db_range_lo = 0;
-  size_t db_range_hi = static_cast<size_t>(-1);
-  /// Count the canonical databases instead of verifying (see
-  /// VerifierOptions::count_only).
-  bool count_only = false;
-  /// Valuation coverage strategy (see verifier::ValuationMode).
-  verifier::ValuationMode valuation_mode = verifier::ValuationMode::kConcrete;
-  verifier::SearchBudget budget;
-  /// Worker threads for the database sweep (1 = serial, 0 = hardware
-  /// concurrency); see VerifierOptions::jobs.
-  size_t jobs = 1;
-  automata::ComplementOptions complement;
-  fo::InputBoundedOptions ib_options;
-  bool require_decidable_regime = false;
-  std::optional<std::vector<verifier::NamedDatabase>> fixed_databases;
-
-  /// Robustness knobs (deadline/cancel token, fault isolation, checkpoint +
-  /// resume); see VerifierOptions for semantics.
-  RunControl* control = nullptr;
-  verifier::OnDbError on_db_error = verifier::OnDbError::kAbort;
-  std::string checkpoint_path;
-  std::string checkpoint_fingerprint;
-  size_t checkpoint_every = 64;
-  size_t resume_prefix = 0;
-  std::vector<size_t> resume_failed;
-  std::vector<verifier::IndexInterval> resume_covered;
-};
+/// Protocol verification takes exactly the shared verifier options.
+using ProtocolVerifierOptions = verifier::VerifierOptions;
 
 /// Verifies conversation protocols against compositions (Theorems 4.2 and
 /// 4.5): the composition satisfies (Σ, B, {phi_sigma}) iff no run's event
@@ -62,12 +28,12 @@ class ProtocolVerifier {
   Result<verifier::VerificationResult> Verify(
       const ConversationProtocol& protocol);
 
-  const Interner& interner() const { return interner_; }
+  const Interner& interner() const { return pd_.interner; }
 
  private:
   const spec::Composition* comp_;
   ProtocolVerifierOptions options_;
-  Interner interner_;
+  verifier::PseudoDomain pd_;
 };
 
 }  // namespace wsv::protocol

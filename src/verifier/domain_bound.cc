@@ -3,7 +3,7 @@
 namespace wsv::verifier {
 
 size_t SufficientFreshDomainSize(const spec::Composition& comp,
-                                 const ltl::Property& property,
+                                 size_t closure_variables,
                                  size_t queue_bound) {
   size_t fresh = 0;
   for (const spec::Peer& peer : comp.peers()) {
@@ -22,7 +22,7 @@ size_t SufficientFreshDomainSize(const spec::Composition& comp,
     }
   }
   // One fresh element per universally-quantified property variable.
-  fresh += property.closure_variables().size();
+  fresh += closure_variables;
   // At least one element so quantifiers have a non-trivial range even for
   // constant-free specifications.
   if (fresh == 0) fresh = 1;

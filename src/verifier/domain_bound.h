@@ -3,7 +3,6 @@
 
 #include <cstddef>
 
-#include "ltl/property.h"
 #include "spec/composition.h"
 
 namespace wsv::verifier {
@@ -20,12 +19,15 @@ namespace wsv::verifier {
 /// specification and property constants. The returned count is the number of
 /// *fresh* elements to add on top of the constants.
 ///
+/// `closure_variables` is the number of universally-quantified property
+/// (or protocol) variables; each gets a fresh element of its own.
+///
 /// The bound is conservative (and often much larger than what a
 /// counterexample needs); Verifier lets callers override it with a smaller
 /// bounded-verification domain and reports which regime the verdict holds
 /// in.
 size_t SufficientFreshDomainSize(const spec::Composition& comp,
-                                 const ltl::Property& property,
+                                 size_t closure_variables,
                                  size_t queue_bound);
 
 }  // namespace wsv::verifier

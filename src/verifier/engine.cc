@@ -152,29 +152,17 @@ const char* ValuationModeName(ValuationMode mode) {
   return "concrete";
 }
 
-std::vector<std::vector<std::string>> EnumerateValuations(
-    const data::Domain& domain, const Interner& interner, size_t num_vars) {
-  ValuationSpace space(domain, interner, num_vars);
-  std::vector<std::vector<std::string>> out;
-  out.reserve(space.size());
-  std::vector<std::string> scratch;
-  for (size_t i = 0; i < space.size(); ++i) {
-    space.DecodeSpellings(i, &scratch);
-    out.push_back(scratch);
-  }
-  return out;
-}
-
-VerificationEngine::VerificationEngine(const spec::Composition* comp,
-                                       const Interner* interner,
-                                       data::Domain domain,
-                                       std::vector<data::Value> fresh,
-                                       EngineOptions options)
+VerificationEngine::VerificationEngine(
+    const spec::Composition* comp, const Interner* interner,
+    data::Domain domain, std::vector<data::Value> fresh,
+    EngineOptions options,
+    std::optional<std::vector<data::Instance>> fixed_databases)
     : comp_(comp),
       interner_(interner),
       domain_(std::move(domain)),
       fresh_(std::move(fresh)),
-      options_(std::move(options)) {
+      options_(std::move(options)),
+      fixed_databases_(std::move(fixed_databases)) {
   // The deadline/cancellation token rides wherever the budget already goes,
   // so every search loop picks it up without extra plumbing.
   options_.budget.control = options_.control;
@@ -999,30 +987,6 @@ Result<bool> VerificationEngine::CheckDatabases(
 
 namespace {
 
-/// Snapshot of the engine's phase timers, for before/after deltas so the
-/// outcome carries only this run's share of the global accumulators.
-PhaseTimings TimerSnapshot() {
-  obs::Registry& registry = obs::Registry::Global();
-  PhaseTimings t;
-  t.db_enum_ns = registry.timer("phase.db_enum").total_nanos();
-  t.graph_expand_ns = registry.timer("phase.graph_expand").total_nanos();
-  t.leaf_eval_ns = registry.timer("phase.leaf_eval").total_nanos();
-  t.prefilter_ns = registry.timer("phase.prefilter").total_nanos();
-  t.ndfs_ns = registry.timer("phase.ndfs").total_nanos();
-  return t;
-}
-
-PhaseTimings TimerDelta(const PhaseTimings& before) {
-  PhaseTimings now = TimerSnapshot();
-  PhaseTimings d;
-  d.db_enum_ns = now.db_enum_ns - before.db_enum_ns;
-  d.graph_expand_ns = now.graph_expand_ns - before.graph_expand_ns;
-  d.leaf_eval_ns = now.leaf_eval_ns - before.leaf_eval_ns;
-  d.prefilter_ns = now.prefilter_ns - before.prefilter_ns;
-  d.ndfs_ns = now.ndfs_ns - before.ndfs_ns;
-  return d;
-}
-
 void CountDatabase(EngineOutcome& outcome) {
   ++outcome.databases_checked;
   static obs::Counter& dbs =
@@ -1063,7 +1027,6 @@ void PersistCheckpoint(const EngineOptions& options,
 
 Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
   EngineOutcome outcome;
-  PhaseTimings timers_before = TimerSnapshot();
   size_t jobs = ThreadPool::ResolveJobs(options_.jobs);
 
   if (options_.db_range_hi < options_.db_range_lo) {
@@ -1081,7 +1044,7 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
   const bool has_valuation_range =
       options_.valuation_range_lo != 0 ||
       options_.valuation_range_hi != static_cast<size_t>(-1);
-  if (has_valuation_range && !options_.fixed_databases.has_value()) {
+  if (has_valuation_range && !fixed_databases_.has_value()) {
     return Status::InvalidSpec(
         "--valuation-range requires pinned databases (--db): database "
         "sweeps shard with --db-range instead");
@@ -1090,7 +1053,7 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
   if (options_.count_only) {
     // Count-only: report the size of the enumeration space (the coordinate
     // system shard ranges index into) without checking anything.
-    if (options_.fixed_databases.has_value()) {
+    if (fixed_databases_.has_value()) {
       outcome.coverage_unit = "valuation";
       outcome.enumeration_count = task.valuations.size();
     } else {
@@ -1106,7 +1069,6 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
         }
       }
     }
-    outcome.timings = TimerDelta(timers_before);
     return outcome;
   }
 
@@ -1129,7 +1091,7 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
     }
   };
 
-  if (options_.fixed_databases.has_value()) {
+  if (fixed_databases_.has_value()) {
     // A single pinned database: all parallelism is within-database (graph
     // exploration, leaf sealing, valuation fan-out). The caller is lane 0,
     // so the pool only needs jobs - 1 helper threads.
@@ -1147,7 +1109,7 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
           obs::ProgressMeter::GoalUnit::kValuations, v_hi - v_lo);
     }
     CountDatabase(outcome);
-    Result<bool> found = CheckDatabases(task, *options_.fixed_databases,
+    Result<bool> found = CheckDatabases(task, *fixed_databases_,
                                         /*db_index=*/0, outcome);
     if (!found.ok()) {
       if (!RunControl::IsStopStatus(found.status())) return found.status();
@@ -1181,7 +1143,6 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
     if (outcome.stop_reason == StopReason::kDeadline) {
       obs::Registry::Global().counter("engine.deadline_hits").Add(1);
     }
-    outcome.timings = TimerDelta(timers_before);
     return outcome;
   }
 
@@ -1286,7 +1247,6 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
                       options_.resume_prefix + swept.databases_checked,
                       StopReasonName(swept.stop_reason));
   }
-  swept.timings = TimerDelta(timers_before);
   return swept;
 }
 

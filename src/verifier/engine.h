@@ -114,13 +114,6 @@ PseudoDomain BuildPseudoDomain(const spec::Composition& comp,
                                const std::set<std::string>& extra_constants,
                                size_t fresh_count);
 
-/// All valuations of `num_vars` variables over `domain`, as constant
-/// spellings — the materialized form of ValuationSpace, kept for callers
-/// that genuinely need the full list (and as the reference order the
-/// indexed decode is tested against).
-std::vector<std::vector<std::string>> EnumerateValuations(
-    const data::Domain& domain, const Interner& interner, size_t num_vars);
-
 /// How the engine covers the valuation space of one database.
 enum class ValuationMode {
   /// Enumerate every mixed-radix index (the historical fan-out).
@@ -158,7 +151,10 @@ enum class OnDbError {
 };
 
 struct EngineOptions {
+  /// Communication semantics (queue bound, lossy channels, ...).
   runtime::RunOptions run;
+  /// Enumerate databases up to isomorphism (permutations of the fresh
+  /// elements); sound and complete because FO rules are generic.
   bool iso_reduction = true;
   /// Exclusive bound on the enumeration in ABSOLUTE canonical indices:
   /// databases with index >= max_databases are never dispatched, counted
@@ -172,19 +168,20 @@ struct EngineOptions {
   /// which is the attestation a merge needs that the space ends in-range.
   size_t db_range_lo = 0;
   size_t db_range_hi = static_cast<size_t>(-1);
-  /// Half-open slice of the valuation space, legal only together with
-  /// fixed_databases (a pinned-database valuation shard); Run() rejects it
-  /// on database sweeps — those shard with db_range instead.
+  /// Half-open slice of the valuation space, legal only on pinned-database
+  /// runs (a valuation shard); Run() rejects it on database sweeps — those
+  /// shard with db_range instead.
   size_t valuation_range_lo = 0;
   size_t valuation_range_hi = static_cast<size_t>(-1);
   /// Walk the enumeration without checking anything and report its size in
   /// EngineOutcome::enumeration_count (canonical databases, or valuations
-  /// when fixed_databases is set). Shard coordinators use this to split
+  /// when the databases are pinned). Shard coordinators use this to split
   /// ranges evenly.
   bool count_only = false;
   /// Valuation coverage strategy (see ValuationMode). The default keeps
   /// the concrete loop; kSymbolic/kAuto collapse it to per-class checks.
   ValuationMode valuation_mode = ValuationMode::kConcrete;
+  /// Per-search state cap.
   SearchBudget budget;
   /// Global worker budget for the two-level scheduler. 1 = serial
   /// (default); 0 = hardware concurrency. One shared ThreadPool feeds both
@@ -195,8 +192,6 @@ struct EngineOptions {
   /// label and lasso always match the serial run's (aggregate statistics
   /// such as databases_checked may exceed them — see ParallelSweep).
   size_t jobs = 1;
-  /// Verify against these databases only (skips enumeration).
-  std::optional<std::vector<data::Instance>> fixed_databases;
 
   /// Deadline/cancellation token polled by every pipeline loop (not owned;
   /// may be null). A stop ends the run with a partial outcome: stop_reason
@@ -207,7 +202,9 @@ struct EngineOptions {
 
   /// When non-empty, the sweep persists progress checkpoints here (atomic
   /// temp-file + rename) every `checkpoint_every` completed databases and
-  /// once more when the sweep ends, stamped with `checkpoint_fingerprint`.
+  /// once more when the sweep ends, stamped with `checkpoint_fingerprint`
+  /// verbatim (validating it against a loaded checkpoint is the caller's
+  /// job).
   std::string checkpoint_path;
   std::string checkpoint_fingerprint;
   size_t checkpoint_every = 64;
@@ -223,19 +220,6 @@ struct EngineOptions {
   /// ResumeStart(resume_covered, db_range_lo) so dispatch skips the covered
   /// run containing the range start.
   std::vector<IndexInterval> resume_covered;
-};
-
-/// Wall time spent in each pipeline phase during one engine run, in
-/// nanoseconds. Zero when phase timing is disabled
-/// (obs::Registry::Global().timing_enabled()). Phases measure code regions
-/// and may nest (leaf evaluation runs lazily under graph expansion and
-/// NDFS), so they are not a partition of the total.
-struct PhaseTimings {
-  uint64_t db_enum_ns = 0;
-  uint64_t graph_expand_ns = 0;
-  uint64_t leaf_eval_ns = 0;
-  uint64_t prefilter_ns = 0;
-  uint64_t ndfs_ns = 0;
 };
 
 /// Outcome of an engine run; the caller wraps it into the public
@@ -268,7 +252,6 @@ struct EngineOutcome {
   size_t prefilter_memo_misses = 0;
   size_t prefilter_memo_hits = 0;
   SearchStats search_stats;
-  PhaseTimings timings;
   /// Why the run is not complete: budget exhaustion (kBudgetExceeded),
   /// deadline (kDeadlineExceeded), cancellation (kCanceled) or skipped
   /// database failures (kPartialFailure). OK when stop_reason == kComplete.
@@ -312,10 +295,14 @@ struct EngineOutcome {
 class VerificationEngine {
  public:
   /// `comp` and `interner` must outlive the engine. `fresh` are the
-  /// pseudo-domain elements permutations may move.
-  VerificationEngine(const spec::Composition* comp, const Interner* interner,
-                     data::Domain domain, std::vector<data::Value> fresh,
-                     EngineOptions options);
+  /// pseudo-domain elements permutations may move. With `fixed_databases`
+  /// (one instance per peer) the run checks those databases only instead
+  /// of enumerating.
+  VerificationEngine(
+      const spec::Composition* comp, const Interner* interner,
+      data::Domain domain, std::vector<data::Value> fresh,
+      EngineOptions options,
+      std::optional<std::vector<data::Instance>> fixed_databases);
 
   Result<EngineOutcome> Run(SymbolicTask& task);
 
@@ -345,6 +332,7 @@ class VerificationEngine {
   data::Domain domain_;
   std::vector<data::Value> fresh_;
   EngineOptions options_;
+  std::optional<std::vector<data::Instance>> fixed_databases_;
   /// The shared two-level scheduler: set by Run() for the duration of a
   /// sweep (borrowed, never owned here), consumed by CheckDatabases for
   /// graph exploration, leaf sealing and valuation fan-out. lanes_ is the

@@ -40,6 +40,103 @@ std::string Counterexample::ToString(const spec::Composition& comp,
   return out;
 }
 
+namespace {
+
+/// Wraps an engine outcome into the public result. A pinned-database run's
+/// coverage indexes valuations, so it reports the valuation range.
+VerificationResult ToVerificationResult(EngineOutcome outcome,
+                                        const VerifierOptions& options,
+                                        Status regime, bool may_be_complete,
+                                        size_t valuations) {
+  const bool pinned = options.fixed_databases.has_value();
+  VerificationResult result;
+  result.regime = std::move(regime);
+  result.stats.valuations_checked = valuations;
+  result.coverage.unit = outcome.coverage_unit;
+  if (options.count_only) {
+    result.enumeration_count = outcome.enumeration_count;
+    result.holds = true;  // nothing verified; callers key off count_only
+    return result;
+  }
+
+  result.stats.databases_checked = outcome.databases_checked;
+  result.stats.searches = outcome.searches;
+  result.stats.prefiltered = outcome.prefiltered;
+  result.stats.prefilter_memo_misses = outcome.prefilter_memo_misses;
+  result.stats.prefilter_memo_hits = outcome.prefilter_memo_hits;
+  result.stats.search = outcome.search_stats;
+  result.stats.jobs = outcome.jobs;
+  result.holds = !outcome.violation_found;
+  if (outcome.violation_found) {
+    Counterexample ce;
+    ce.databases = std::move(outcome.databases);
+    ce.closure_valuation = std::move(outcome.label);
+    ce.lasso = std::move(outcome.lasso);
+    ce.database_index = outcome.violation_db_index;
+    ce.valuation_index = outcome.violation_valuation_index;
+    result.counterexample = std::move(ce);
+  }
+  result.coverage.stop_reason = outcome.stop_reason;
+  result.coverage.stop_status = outcome.stop_status;
+  result.coverage.completed_prefix = outcome.completed_prefix;
+  result.coverage.covered = std::move(outcome.covered);
+  result.coverage.range_lo =
+      pinned ? options.valuation_range_lo : options.db_range_lo;
+  result.coverage.range_hi =
+      pinned ? options.valuation_range_hi : options.db_range_hi;
+  result.coverage.failed_db_indices = std::move(outcome.failed_db_indices);
+  result.coverage.db_retries = outcome.db_retries;
+  if (!outcome.stop_status.ok() && result.holds && result.regime.ok()) {
+    result.regime = outcome.stop_status;
+  }
+  result.complete = may_be_complete && result.regime.ok() &&
+                    outcome.stop_status.ok() && !pinned &&
+                    options.fresh_domain_size == 0;
+  return result;
+}
+
+}  // namespace
+
+Result<VerificationResult> RunVerification(
+    const spec::Composition& comp, const VerifierOptions& options,
+    const std::set<std::string>& constants,
+    std::vector<std::string> closure_variables, Status regime,
+    bool may_be_complete, const TaskBuilder& build, PseudoDomain* pd) {
+  // --- Pseudo-domain: constants + fresh elements. ---
+  size_t fresh = options.fresh_domain_size;
+  if (fresh == 0) {
+    fresh = SufficientFreshDomainSize(comp, closure_variables.size(),
+                                      options.run.queue_bound);
+  }
+  *pd = BuildPseudoDomain(comp, constants, fresh);
+
+  // Pin the databases before enumerating valuations, so their values join
+  // the quantification domain.
+  std::optional<std::vector<data::Instance>> fixed;
+  if (options.fixed_databases.has_value()) {
+    WSV_ASSIGN_OR_RETURN(fixed,
+                         MaterializeDatabases(comp, *options.fixed_databases,
+                                              pd->interner, pd->domain));
+  }
+
+  // --- The symbolic task: one automaton with open leaves; one instance per
+  // valuation of the closure variables. ---
+  SymbolicTask task;
+  {
+    obs::PhaseTimer automaton_phase("automaton");
+    WSV_RETURN_IF_ERROR(build(pd->interner, pd->domain, task));
+  }
+  task.valuations =
+      ValuationSpace(pd->domain, pd->interner, closure_variables.size());
+  task.closure_variables = std::move(closure_variables);
+
+  VerificationEngine engine(&comp, &pd->interner, pd->domain, pd->fresh,
+                            options, std::move(fixed));
+  WSV_ASSIGN_OR_RETURN(EngineOutcome outcome, engine.Run(task));
+  return ToVerificationResult(std::move(outcome), options, std::move(regime),
+                              may_be_complete, task.valuations.size());
+}
+
 Verifier::Verifier(const spec::Composition* comp, VerifierOptions options)
     : comp_(comp), options_(std::move(options)) {}
 
@@ -65,133 +162,26 @@ Status Verifier::CheckDecidableRegime(const ltl::Property& property) const {
         "open composition verified without an environment model; use "
         "ModularVerifier (Section 5) or close the composition");
   }
-  WSV_RETURN_IF_ERROR(comp_->CheckInputBounded(options_.ib_options));
-  WSV_RETURN_IF_ERROR(
-      property.CheckInputBounded(*comp_, options_.ib_options));
+  WSV_RETURN_IF_ERROR(comp_->CheckInputBounded());
+  WSV_RETURN_IF_ERROR(property.CheckInputBounded(*comp_));
   return Status::Ok();
 }
 
 Result<VerificationResult> Verifier::Verify(const ltl::Property& property) {
   WSV_RETURN_IF_ERROR(ValidateProperty(*comp_, property));
-  VerificationResult result;
-  result.regime = CheckDecidableRegime(property);
-  if (!result.regime.ok() && options_.require_decidable_regime) {
-    return result.regime;
-  }
-
-  // --- Pseudo-domain: constants + fresh elements. ---
-  size_t fresh = options_.fresh_domain_size;
-  if (fresh == 0) {
-    fresh = SufficientFreshDomainSize(*comp_, property,
-                                      options_.run.queue_bound);
-  }
-  PseudoDomain pd =
-      BuildPseudoDomain(*comp_, property.Constants(), fresh);
-  interner_ = std::move(pd.interner);
-  domain_ = std::move(pd.domain);
-  fresh_values_ = std::move(pd.fresh);
-
-  // Pin the databases before enumerating valuations, so their values join
-  // the quantification domain.
-  std::optional<std::vector<data::Instance>> fixed;
-  if (options_.fixed_databases.has_value()) {
-    WSV_ASSIGN_OR_RETURN(
-        std::vector<data::Instance> dbs,
-        MaterializeDatabases(*comp_, *options_.fixed_databases, interner_,
-                             domain_));
-    fixed = std::move(dbs);
-  }
-
-  // --- The symbolic task: one automaton of the negated property with open
-  // leaves; one instance per valuation of the closure variables. ---
-  SymbolicTask task;
-  task.closure_variables = property.closure_variables();
-  {
-    obs::PhaseTimer automaton_phase("automaton");
-    WSV_ASSIGN_OR_RETURN(
-        ltl::GroundLtl ground,
-        ltl::GroundToPropositional(property.formula(), /*negate=*/true,
-                                   /*allow_free_leaves=*/true));
-    WSV_ASSIGN_OR_RETURN(task.automaton, ground.BuildAutomaton());
-    task.leaves = std::move(ground.propositions);
-  }
-  task.valuations =
-      ValuationSpace(domain_, interner_, task.closure_variables.size());
-  result.stats.valuations_checked = task.valuations.size();
-
-  // --- Database sweep. ---
-  EngineOptions engine_options;
-  engine_options.run = options_.run;
-  engine_options.iso_reduction = options_.iso_reduction;
-  engine_options.max_databases = options_.max_databases;
-  engine_options.db_range_lo = options_.db_range_lo;
-  engine_options.db_range_hi = options_.db_range_hi;
-  engine_options.valuation_range_lo = options_.valuation_range_lo;
-  engine_options.valuation_range_hi = options_.valuation_range_hi;
-  engine_options.count_only = options_.count_only;
-  engine_options.valuation_mode = options_.valuation_mode;
-  engine_options.budget = options_.budget;
-  engine_options.jobs = options_.jobs;
-  engine_options.fixed_databases = std::move(fixed);
-  engine_options.control = options_.control;
-  engine_options.on_db_error = options_.on_db_error;
-  engine_options.checkpoint_path = options_.checkpoint_path;
-  engine_options.checkpoint_fingerprint = options_.checkpoint_fingerprint;
-  engine_options.checkpoint_every = options_.checkpoint_every;
-  engine_options.resume_prefix = options_.resume_prefix;
-  engine_options.resume_failed = options_.resume_failed;
-  engine_options.resume_covered = options_.resume_covered;
-  VerificationEngine engine(comp_, &interner_, domain_, fresh_values_,
-                            engine_options);
-  WSV_ASSIGN_OR_RETURN(EngineOutcome outcome, engine.Run(task));
-
-  if (options_.count_only) {
-    result.enumeration_count = outcome.enumeration_count;
-    result.coverage.unit = outcome.coverage_unit;
-    result.stats.timings = outcome.timings;
-    result.holds = true;  // nothing verified; callers key off count_only
-    return result;
-  }
-
-  result.stats.databases_checked = outcome.databases_checked;
-  result.stats.searches = outcome.searches;
-  result.stats.prefiltered = outcome.prefiltered;
-  result.stats.prefilter_memo_misses = outcome.prefilter_memo_misses;
-  result.stats.prefilter_memo_hits = outcome.prefilter_memo_hits;
-  result.stats.search = outcome.search_stats;
-  result.stats.jobs = outcome.jobs;
-  result.stats.timings = outcome.timings;
-  result.holds = !outcome.violation_found;
-  if (outcome.violation_found) {
-    Counterexample ce;
-    ce.databases = std::move(outcome.databases);
-    ce.closure_valuation = std::move(outcome.label);
-    ce.lasso = std::move(outcome.lasso);
-    ce.database_index = outcome.violation_db_index;
-    ce.valuation_index = outcome.violation_valuation_index;
-    result.counterexample = std::move(ce);
-  }
-  result.coverage.stop_reason = outcome.stop_reason;
-  result.coverage.stop_status = outcome.stop_status;
-  result.coverage.completed_prefix = outcome.completed_prefix;
-  result.coverage.covered = std::move(outcome.covered);
-  result.coverage.unit = outcome.coverage_unit;
-  if (options_.fixed_databases.has_value()) {
-    result.coverage.range_lo = options_.valuation_range_lo;
-    result.coverage.range_hi = options_.valuation_range_hi;
-  } else {
-    result.coverage.range_lo = options_.db_range_lo;
-    result.coverage.range_hi = options_.db_range_hi;
-  }
-  result.coverage.failed_db_indices = std::move(outcome.failed_db_indices);
-  result.coverage.db_retries = outcome.db_retries;
-  if (!outcome.stop_status.ok() && result.holds && result.regime.ok()) {
-    result.regime = outcome.stop_status;
-  }
-  result.complete = result.regime.ok() && outcome.stop_status.ok() &&
-                    !options_.fixed_databases.has_value() &&
-                    options_.fresh_domain_size == 0;
-  return result;
+  return RunVerification(
+      *comp_, options_, property.Constants(), property.closure_variables(),
+      CheckDecidableRegime(property), /*may_be_complete=*/true,
+      [&property](Interner&, const data::Domain&, SymbolicTask& task) {
+        WSV_ASSIGN_OR_RETURN(
+            ltl::GroundLtl ground,
+            ltl::GroundToPropositional(property.formula(), /*negate=*/true,
+                                       /*allow_free_leaves=*/true));
+        WSV_ASSIGN_OR_RETURN(task.automaton, ground.BuildAutomaton());
+        task.leaves = std::move(ground.propositions);
+        return Status::Ok();
+      },
+      &pd_);
 }
 
 }  // namespace wsv::verifier

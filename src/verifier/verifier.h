@@ -1,24 +1,26 @@
 #ifndef WSVERIFY_VERIFIER_VERIFIER_H_
 #define WSVERIFY_VERIFIER_VERIFIER_H_
 
+#include <functional>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/interner.h"
 #include "common/status.h"
 #include "ltl/property.h"
-#include "runtime/run_options.h"
 #include "spec/composition.h"
 #include "verifier/engine.h"
 #include "verifier/product_search.h"
 
 namespace wsv::verifier {
 
-struct VerifierOptions {
-  /// Communication semantics (queue bound, lossy channels, ...).
-  runtime::RunOptions run;
-
+/// Options shared by all three verifiers (Verifier, ProtocolVerifier and
+/// ModularVerifier): the engine's options (see EngineOptions for the
+/// semantics of every sweep, range, budget, robustness and checkpoint field)
+/// plus the pseudo-domain choice and the pinned databases.
+struct VerifierOptions : EngineOptions {
   /// Number of fresh pseudo-domain elements added beyond the specification
   /// and property constants. 0 selects SufficientFreshDomainSize() — the
   /// theoretically complete (often large) bound; small explicit values give
@@ -26,72 +28,10 @@ struct VerifierOptions {
   /// "holds" is relative to the explored domain size.
   size_t fresh_domain_size = 2;
 
-  /// Enumerate databases up to isomorphism (permutations of the fresh
-  /// elements); sound and complete because FO rules are generic.
-  bool iso_reduction = true;
-
-  /// Stop before this ABSOLUTE canonical database index (bounded verdict if
-  /// hit). Counted from index 0 of the enumeration even when resuming or
-  /// running a --db-range shard.
-  size_t max_databases = static_cast<size_t>(-1);
-
-  /// Absolute half-open slice [db_range_lo, db_range_hi) of the canonical
-  /// database enumeration to check — one shard of a distributed sweep. The
-  /// defaults cover everything. See EngineOptions for the kRangeEnd /
-  /// kComplete stop semantics a merge relies on.
-  size_t db_range_lo = 0;
-  size_t db_range_hi = static_cast<size_t>(-1);
-  /// Valuation-space slice for pinned-database runs (fixed_databases);
-  /// rejected on database sweeps.
-  size_t valuation_range_lo = 0;
-  size_t valuation_range_hi = static_cast<size_t>(-1);
-  /// Report the size of the enumeration space (canonical databases, or
-  /// valuations under fixed_databases) without verifying anything; the
-  /// result carries it in VerificationResult::enumeration_count.
-  bool count_only = false;
-
-  /// Valuation coverage strategy: concrete index enumeration, symbolic
-  /// leaf-signature classes, or auto (see verifier::ValuationMode).
-  /// Verdicts and witness indices are identical in every mode.
-  ValuationMode valuation_mode = ValuationMode::kConcrete;
-
-  /// Per-search state cap.
-  SearchBudget budget;
-
-  /// Worker threads for the database sweep (1 = serial, 0 = hardware
-  /// concurrency). Verdict and counterexample are identical at any setting.
-  size_t jobs = 1;
-
-  /// Refuse to run (rather than degrade to a bounded verdict) when the
-  /// instance falls outside the decidable regime of Theorem 3.4.
-  bool require_decidable_regime = false;
-
-  fo::InputBoundedOptions ib_options;
-
   /// Verify against these databases only (one per peer, by constant
   /// spellings), instead of enumerating all databases over the
-  /// pseudo-domain.
+  /// pseudo-domain. Enables valuation_range_lo/hi sharding.
   std::optional<std::vector<NamedDatabase>> fixed_databases;
-
-  /// Deadline/cancellation token polled throughout the pipeline (not owned;
-  /// may be null). A stop yields a partial result covering the completed
-  /// database prefix (see VerificationResult::coverage).
-  RunControl* control = nullptr;
-  /// Fault isolation: how a database whose check fails hard (exception or
-  /// internal error) is treated. kSkip records it in coverage.failed and
-  /// keeps sweeping; kAbort (default) surfaces the error.
-  OnDbError on_db_error = OnDbError::kAbort;
-  /// Checkpoint persistence + resume (see EngineOptions for field-by-field
-  /// semantics). Fingerprint validation against a loaded checkpoint is the
-  /// caller's job; the verifier stamps checkpoints with it verbatim.
-  std::string checkpoint_path;
-  std::string checkpoint_fingerprint;
-  size_t checkpoint_every = 64;
-  size_t resume_prefix = 0;
-  std::vector<size_t> resume_failed;
-  /// Covered intervals inherited from a resumed checkpoint (see
-  /// EngineOptions::resume_covered).
-  std::vector<IndexInterval> resume_covered;
 };
 
 /// A violating run: the database choice, the property-variable valuation,
@@ -128,9 +68,6 @@ struct VerificationStats {
   /// the hardware concurrency).
   size_t jobs = 1;
   SearchStats search;
-  /// Per-phase wall time of the engine run (zero unless
-  /// obs::Registry::Global().timing_enabled()).
-  PhaseTimings timings;
 };
 
 /// How much of the deterministic database enumeration a run covered and why
@@ -185,6 +122,25 @@ struct VerificationResult {
   size_t enumeration_count = 0;
 };
 
+/// Fills the automaton and leaves of a verifier's SymbolicTask. It runs
+/// after the pinned databases joined the pseudo-domain `domain`; spellings
+/// the automaton needs beyond it go into `interner`.
+using TaskBuilder = std::function<Status(
+    Interner& interner, const data::Domain& domain, SymbolicTask& task)>;
+
+/// The engine call shared by Verifier, ProtocolVerifier and ModularVerifier.
+/// Resolves options.fresh_domain_size == 0 to SufficientFreshDomainSize
+/// (counting `closure_variables`), builds the pseudo-domain of the spec
+/// constants plus `constants` into `*pd`, materializes the pinned databases,
+/// lets `build` fill the task, runs the engine on `options` and converts its
+/// outcome. `regime` is the caller's decidability classification; only a
+/// caller passing `may_be_complete` can report a complete verdict.
+Result<VerificationResult> RunVerification(
+    const spec::Composition& comp, const VerifierOptions& options,
+    const std::set<std::string>& constants,
+    std::vector<std::string> closure_variables, Status regime,
+    bool may_be_complete, const TaskBuilder& build, PseudoDomain* pd);
+
 /// Sound-and-complete verifier for input-bounded compositions with bounded
 /// lossy queues (Theorem 3.4), implemented by pseudo-domain reduction +
 /// explicit on-the-fly Büchi product search (DESIGN.md §5).
@@ -204,15 +160,13 @@ class Verifier {
 
   /// The interner used for the last Verify call (constants + fresh
   /// pseudo-domain elements); needed to render counterexamples.
-  const Interner& interner() const { return interner_; }
-  const data::Domain& domain() const { return domain_; }
+  const Interner& interner() const { return pd_.interner; }
+  const data::Domain& domain() const { return pd_.domain; }
 
  private:
   const spec::Composition* comp_;
   VerifierOptions options_;
-  Interner interner_;
-  data::Domain domain_;
-  std::vector<data::Value> fresh_values_;
+  PseudoDomain pd_;
 };
 
 }  // namespace wsv::verifier

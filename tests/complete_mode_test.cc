@@ -97,8 +97,9 @@ TEST(InfiniteDomain, SufficientBoundCoversInputWidths) {
   auto p2 = ltl::Property::Parse("forall x, y: G(P.s(x) -> P.s(y) or true)");
   ASSERT_TRUE(p0.ok() && p2.ok());
   // Closure variables enlarge the required fresh domain.
-  EXPECT_LT(SufficientFreshDomainSize(*comp, *p0, 1),
-            SufficientFreshDomainSize(*comp, *p2, 1));
+  EXPECT_LT(
+      SufficientFreshDomainSize(*comp, p0->closure_variables().size(), 1),
+      SufficientFreshDomainSize(*comp, p2->closure_variables().size(), 1));
 }
 
 }  // namespace

@@ -310,9 +310,8 @@ TEST(RenderMergeJson, EmitsWellFormedJson) {
       {MakeShard("a", 0, 6), MakeShard("b", 4, 9, "complete")});
   ASSERT_TRUE(merged.ok());
   const std::string json = RenderMergeJson(*merged, MergeExitCode(*merged));
-  EXPECT_TRUE(obs::JsonValidate(json).ok()) << json;
   auto doc = obs::JsonParse(json);
-  ASSERT_TRUE(doc.ok()) << doc.status();
+  ASSERT_TRUE(doc.ok()) << doc.status() << json;
   EXPECT_EQ(doc->Find("verdict")->AsString(""), "holds");
   EXPECT_EQ(doc->Find("coverage")->Find("overlap")->AsUint(0), 2u);
 }

@@ -89,6 +89,7 @@ int Usage() {
       "verification options:\n"
       "  --property <ltl-fo>      property to verify (verify, modular)\n"
       "  --ltl <formula>          protocol formula over channel names\n"
+      "                           (protocol)\n"
       "  --env <env-spec>         environment specification (modular)\n"
       "  --observer source        observer-at-source semantics (protocol)\n"
       "  --db P.rel=a,b;c,d       pin a database relation (repeatable)\n"
@@ -96,8 +97,15 @@ int Usage() {
       "  --env-domain a,b         env quantifier domain (modular)\n"
       "  --queue-bound <k>        k-bounded queues (default 1)\n"
       "  --perfect                perfect channels (Theorem 3.7 regime)\n"
-      "  --fresh <n>              fresh pseudo-domain elements (default 1)\n"
+      "  --fresh <n>              fresh pseudo-domain elements (default 1;\n"
+      "                           0 = the sufficient bound for a complete\n"
+      "                           verdict)\n"
       "  --max-states <n>         product-state budget per search\n"
+      "                           (default 4000000)\n"
+      "  --steps <n> / --seed <s> simulation length / RNG seed (simulate)\n"
+      "  --trace                  print the counterexample run\n"
+      "\n"
+      "sweep and range options (verify, protocol, modular):\n"
       "  --max-databases <n>      stop the database sweep before ABSOLUTE\n"
       "                           canonical index n (counted from 0 even when\n"
       "                           resuming or range-sharding)\n"
@@ -106,7 +114,7 @@ int Usage() {
       "                           enumeration — one shard of a distributed\n"
       "                           sweep (tools/shard_sweep.py, wsvc-merge)\n"
       "  --valuation-range <lo:hi> the same slicing over the valuation space\n"
-      "                           of a pinned-database run (verify with --db)\n"
+      "                           of a pinned-database run (--db)\n"
       "  --valuation-mode <m>     concrete (default): enumerate every\n"
       "                           valuation index; symbolic: one product\n"
       "                           search per leaf-signature class (BDD\n"
@@ -123,8 +131,6 @@ int Usage() {
       "                           graph exploration and valuation fan-out\n"
       "                           (default 1; 0 = hardware concurrency);\n"
       "                           verdict and witness are identical at any n\n"
-      "  --steps <n> / --seed <s> simulation length / RNG seed (simulate)\n"
-      "  --trace                  print the counterexample run\n"
       "\n"
       "robustness options (verify, protocol, modular):\n"
       "  --deadline-ms <ms>       stop after this much wall time with a\n"
@@ -335,45 +341,55 @@ verifier::ValuationMode ValuationModeFlagOr(const Args& args) {
   return *mode;
 }
 
-/// Everything Run{Verify,Protocol,Modular} need to wire the robustness
-/// options (deadline/cancel token, fault isolation, checkpoint/resume) into
-/// their verifier options.
-struct RobustnessSetup {
-  RunControl* control = nullptr;
-  verifier::OnDbError on_db_error = verifier::OnDbError::kSkip;
-  std::string checkpoint_path;
-  std::string checkpoint_fingerprint;
-  size_t checkpoint_every = 64;
-  size_t resume_prefix = 0;
-  std::vector<size_t> resume_failed;
-  std::vector<verifier::IndexInterval> resume_covered;
-};
+/// Fills the options verify, protocol and modular share from the flags:
+/// semantics, domain, budgets, ranges, valuation mode, pinned databases and
+/// the robustness options (deadline/cancel token, fault isolation,
+/// checkpoint/resume). The fingerprint covers everything that determines
+/// the enumeration order and the verdict (command, spec source,
+/// property/protocol/env, domain- and semantics-shaping flags) — but NOT
+/// --jobs, --max-databases, --db-range or budgets: resuming or sharding with
+/// different resource limits is exactly the point. It is always computed
+/// (the verdict JSON carries it so wsvc-merge can refuse cross-problem
+/// merges), checkpoint or not. Returns 0, or the exit code on a
+/// flag/checkpoint error.
+int OptionsFromFlags(const Args& args, const std::string& spec_source,
+                     const spec::Composition& comp,
+                     verifier::VerifierOptions* out) {
+  out->run.queue_bound = FlagOr(args, "--queue-bound", 1, kMaxQueueBound);
+  out->run.lossy = args.flags.count("--perfect") == 0;
+  out->fresh_domain_size = FlagOr(args, "--fresh", 1, kMaxFresh);
+  out->budget.max_states = FlagOr(args, "--max-states", 4000000);
+  out->max_databases =
+      FlagOr(args, "--max-databases", static_cast<size_t>(-1));
+  out->jobs = FlagOr(args, "--jobs", 1, kMaxJobs);
+  RangeFlagOr(args, "--db-range", &out->db_range_lo, &out->db_range_hi);
+  RangeFlagOr(args, "--valuation-range", &out->valuation_range_lo,
+              &out->valuation_range_hi);
+  out->valuation_mode = ValuationModeFlagOr(args);
+  out->count_only = args.flags.count("--count-databases") > 0;
+  if (!args.dbs.empty()) {
+    auto dbs = BuildDatabases(comp, args.dbs);
+    if (!dbs.ok()) {
+      std::fprintf(stderr, "%s\n", dbs.status().ToString().c_str());
+      return 2;
+    }
+    out->fixed_databases = std::move(*dbs);
+  }
 
-/// Builds the robustness setup from the flags. The fingerprint covers
-/// everything that determines the enumeration order and the verdict
-/// (command, spec source, property/protocol/env, domain- and
-/// semantics-shaping flags) — but NOT --jobs, --max-databases, --db-range
-/// or budgets: resuming or sharding with different resource limits is
-/// exactly the point. It is always computed (the verdict JSON carries it so
-/// wsvc-merge can refuse cross-problem merges), checkpoint or not.
-/// Returns 0, or the exit code on a flag/checkpoint error.
-int BuildRobustness(const Args& args, const std::string& spec_source,
-                    RobustnessSetup* out) {
   out->control = &RunControl::Global();
   uint64_t deadline_ms = FlagOr(args, "--deadline-ms", 0);
   if (deadline_ms > 0) out->control->ArmDeadlineMs(deadline_ms);
+  // The CLI skips hard-failing databases by default; the library aborts.
+  out->on_db_error = verifier::OnDbError::kSkip;
   auto mode = args.flags.find("--on-db-error");
-  if (mode != args.flags.end()) {
-    if (mode->second == "abort") {
-      out->on_db_error = verifier::OnDbError::kAbort;
-    } else if (mode->second == "skip") {
-      out->on_db_error = verifier::OnDbError::kSkip;
-    } else {
+  if (mode != args.flags.end() && mode->second != "skip") {
+    if (mode->second != "abort") {
       std::fprintf(stderr,
                    "wsvc: --on-db-error expects 'abort' or 'skip', got '%s'\n",
                    mode->second.c_str());
       return 2;
     }
+    out->on_db_error = verifier::OnDbError::kAbort;
   }
   auto flag = [&args](const char* name) {
     auto it = args.flags.find(name);
@@ -420,12 +436,9 @@ int BuildRobustness(const Args& args, const std::string& spec_source,
     const verifier::Checkpoint& cp = loaded->checkpoint;
     // A range shard resumes from the end of the covered interval containing
     // its own range start, not from the global prefix.
-    size_t range_lo = 0;
-    size_t range_hi = static_cast<size_t>(-1);
-    RangeFlagOr(args, "--db-range", &range_lo, &range_hi);
     out->resume_covered = cp.covered;
     out->resume_prefix = static_cast<size_t>(
-        verifier::ResumeStart(cp.covered, range_lo));
+        verifier::ResumeStart(cp.covered, out->db_range_lo));
     out->resume_failed.assign(cp.failed_indices.begin(),
                               cp.failed_indices.end());
     std::fprintf(stderr,
@@ -437,6 +450,7 @@ int BuildRobustness(const Args& args, const std::string& spec_source,
   }
   return 0;
 }
+
 
 void PrintVerdict(const char* what, const verifier::VerificationResult& r) {
   std::printf("%s: %s\n", what, r.holds ? "HOLDS" : "VIOLATED");
@@ -486,6 +500,37 @@ int RunCheck(const Args& args, spec::Composition& comp) {
   return 0;
 }
 
+/// The verdict tail of verify, protocol and modular: prints the enumeration
+/// size (count-only) or the verdict and, with --trace, the counterexample;
+/// records the result for the stats JSON and returns the exit code.
+int FinishVerification(const Args& args, const spec::Composition& comp,
+                       const char* kind,
+                       const verifier::VerifierOptions& options,
+                       Result<verifier::VerificationResult> result,
+                       const Interner& interner, CliReport* report) {
+  if (!result.ok()) {
+    std::fprintf(stderr, "error: %s\n", result.status().ToString().c_str());
+    return 1;
+  }
+  report->kind = kind;
+  report->fingerprint = options.checkpoint_fingerprint;
+  int rc = 0;
+  if (options.count_only) {
+    std::printf("enumeration space: %zu %s(s)\n", result->enumeration_count,
+                result->coverage.unit.c_str());
+  } else {
+    PrintVerdict(kind, *result);
+    if (args.flags.count("--trace") > 0 &&
+        result->counterexample.has_value()) {
+      std::printf("%s",
+                  result->counterexample->ToString(comp, interner).c_str());
+    }
+    rc = VerdictExitCode(*result);
+  }
+  report->result = std::move(*result);
+  return rc;
+}
+
 int RunVerify(const Args& args, const std::string& spec_source,
               spec::Composition& comp, CliReport* report) {
   auto it = args.flags.find("--property");
@@ -500,63 +545,13 @@ int RunVerify(const Args& args, const std::string& spec_source,
     return 2;
   }
   verifier::VerifierOptions options;
-  options.run.queue_bound = FlagOr(args, "--queue-bound", 1, kMaxQueueBound);
-  options.run.lossy = args.flags.count("--perfect") == 0;
-  options.fresh_domain_size = FlagOr(args, "--fresh", 1, kMaxFresh);
-  options.budget.max_states = FlagOr(args, "--max-states", 4000000);
-  options.max_databases =
-      FlagOr(args, "--max-databases", static_cast<size_t>(-1));
-  options.jobs = FlagOr(args, "--jobs", 1, kMaxJobs);
-  RangeFlagOr(args, "--db-range", &options.db_range_lo, &options.db_range_hi);
-  RangeFlagOr(args, "--valuation-range", &options.valuation_range_lo,
-              &options.valuation_range_hi);
-  options.valuation_mode = ValuationModeFlagOr(args);
-  options.count_only = args.flags.count("--count-databases") > 0;
-  RobustnessSetup rob;
-  if (int rrc = BuildRobustness(args, spec_source, &rob); rrc != 0) {
-    return rrc;
-  }
-  options.control = rob.control;
-  options.on_db_error = rob.on_db_error;
-  options.checkpoint_path = rob.checkpoint_path;
-  options.checkpoint_fingerprint = rob.checkpoint_fingerprint;
-  options.checkpoint_every = rob.checkpoint_every;
-  options.resume_prefix = rob.resume_prefix;
-  options.resume_failed = std::move(rob.resume_failed);
-  options.resume_covered = std::move(rob.resume_covered);
-  if (!args.dbs.empty()) {
-    auto dbs = BuildDatabases(comp, args.dbs);
-    if (!dbs.ok()) {
-      std::fprintf(stderr, "%s\n", dbs.status().ToString().c_str());
-      return 2;
-    }
-    options.fixed_databases = std::move(*dbs);
+  if (int rc = OptionsFromFlags(args, spec_source, comp, &options); rc != 0) {
+    return rc;
   }
   verifier::Verifier verifier(&comp, options);
   auto result = verifier.Verify(*property);
-  if (!result.ok()) {
-    std::fprintf(stderr, "error: %s\n", result.status().ToString().c_str());
-    return 1;
-  }
-  report->fingerprint = rob.checkpoint_fingerprint;
-  if (options.count_only) {
-    std::printf("enumeration space: %zu %s(s)\n", result->enumeration_count,
-                result->coverage.unit.c_str());
-    report->kind = "property";
-    report->result = std::move(*result);
-    return 0;
-  }
-  PrintVerdict("property", *result);
-  if (!result->holds && args.flags.count("--trace") > 0 &&
-      result->counterexample.has_value()) {
-    std::printf("%s", result->counterexample
-                          ->ToString(comp, verifier.interner())
-                          .c_str());
-  }
-  report->kind = "property";
-  int rc = VerdictExitCode(*result);
-  report->result = std::move(*result);
-  return rc;
+  return FinishVerification(args, comp, "property", options,
+                            std::move(result), verifier.interner(), report);
 }
 
 int RunProtocol(const Args& args, const std::string& spec_source,
@@ -578,60 +573,13 @@ int RunProtocol(const Args& args, const std::string& spec_source,
     return 2;
   }
   protocol::ProtocolVerifierOptions options;
-  options.run.queue_bound = FlagOr(args, "--queue-bound", 1, kMaxQueueBound);
-  options.run.lossy = args.flags.count("--perfect") == 0;
-  options.fresh_domain_size = FlagOr(args, "--fresh", 1, kMaxFresh);
-  options.budget.max_states = FlagOr(args, "--max-states", 4000000);
-  options.max_databases =
-      FlagOr(args, "--max-databases", static_cast<size_t>(-1));
-  options.jobs = FlagOr(args, "--jobs", 1, kMaxJobs);
-  RangeFlagOr(args, "--db-range", &options.db_range_lo, &options.db_range_hi);
-  if (args.flags.count("--valuation-range") > 0) {
-    std::fprintf(stderr,
-                 "wsvc: --valuation-range applies to 'verify' only\n");
-    return 2;
-  }
-  options.valuation_mode = ValuationModeFlagOr(args);
-  options.count_only = args.flags.count("--count-databases") > 0;
-  RobustnessSetup rob;
-  if (int rrc = BuildRobustness(args, spec_source, &rob); rrc != 0) {
-    return rrc;
-  }
-  options.control = rob.control;
-  options.on_db_error = rob.on_db_error;
-  options.checkpoint_path = rob.checkpoint_path;
-  options.checkpoint_fingerprint = rob.checkpoint_fingerprint;
-  options.checkpoint_every = rob.checkpoint_every;
-  options.resume_prefix = rob.resume_prefix;
-  options.resume_failed = std::move(rob.resume_failed);
-  options.resume_covered = std::move(rob.resume_covered);
-  if (!args.dbs.empty()) {
-    auto dbs = BuildDatabases(comp, args.dbs);
-    if (!dbs.ok()) {
-      std::fprintf(stderr, "%s\n", dbs.status().ToString().c_str());
-      return 2;
-    }
-    options.fixed_databases = std::move(*dbs);
+  if (int rc = OptionsFromFlags(args, spec_source, comp, &options); rc != 0) {
+    return rc;
   }
   protocol::ProtocolVerifier verifier(&comp, options);
   auto result = verifier.Verify(*proto);
-  if (!result.ok()) {
-    std::fprintf(stderr, "error: %s\n", result.status().ToString().c_str());
-    return 1;
-  }
-  report->fingerprint = rob.checkpoint_fingerprint;
-  if (options.count_only) {
-    std::printf("enumeration space: %zu %s(s)\n", result->enumeration_count,
-                result->coverage.unit.c_str());
-    report->kind = "protocol";
-    report->result = std::move(*result);
-    return 0;
-  }
-  PrintVerdict("protocol", *result);
-  report->kind = "protocol";
-  int rc = VerdictExitCode(*result);
-  report->result = std::move(*result);
-  return rc;
+  return FinishVerification(args, comp, "protocol", options,
+                            std::move(result), verifier.interner(), report);
 }
 
 int RunModular(const Args& args, const std::string& spec_source,
@@ -651,33 +599,9 @@ int RunModular(const Args& args, const std::string& spec_source,
     return 2;
   }
   modular::ModularVerifierOptions options;
-  options.run.queue_bound = FlagOr(args, "--queue-bound", 1, kMaxQueueBound);
-  options.run.lossy = args.flags.count("--perfect") == 0;
-  options.fresh_domain_size = FlagOr(args, "--fresh", 1, kMaxFresh);
-  options.budget.max_states = FlagOr(args, "--max-states", 8000000);
-  options.max_databases =
-      FlagOr(args, "--max-databases", static_cast<size_t>(-1));
-  options.jobs = FlagOr(args, "--jobs", 1, kMaxJobs);
-  RangeFlagOr(args, "--db-range", &options.db_range_lo, &options.db_range_hi);
-  if (args.flags.count("--valuation-range") > 0) {
-    std::fprintf(stderr,
-                 "wsvc: --valuation-range applies to 'verify' only\n");
-    return 2;
+  if (int rc = OptionsFromFlags(args, spec_source, comp, &options); rc != 0) {
+    return rc;
   }
-  options.valuation_mode = ValuationModeFlagOr(args);
-  options.count_only = args.flags.count("--count-databases") > 0;
-  RobustnessSetup rob;
-  if (int rrc = BuildRobustness(args, spec_source, &rob); rrc != 0) {
-    return rrc;
-  }
-  options.control = rob.control;
-  options.on_db_error = rob.on_db_error;
-  options.checkpoint_path = rob.checkpoint_path;
-  options.checkpoint_fingerprint = rob.checkpoint_fingerprint;
-  options.checkpoint_every = rob.checkpoint_every;
-  options.resume_prefix = rob.resume_prefix;
-  options.resume_failed = std::move(rob.resume_failed);
-  options.resume_covered = std::move(rob.resume_covered);
   auto dom = args.flags.find("--env-domain");
   if (dom != args.flags.end()) {
     options.env_quantifier_domain = Split(dom->second, ',');
@@ -693,33 +617,10 @@ int RunModular(const Args& args, const std::string& spec_source,
       if (!row.empty()) rows.push_back(Split(row, ','));
     }
   }
-  if (!args.dbs.empty()) {
-    auto dbs = BuildDatabases(comp, args.dbs);
-    if (!dbs.ok()) {
-      std::fprintf(stderr, "%s\n", dbs.status().ToString().c_str());
-      return 2;
-    }
-    options.fixed_databases = std::move(*dbs);
-  }
   modular::ModularVerifier verifier(&comp, options);
   auto result = verifier.Verify(*property, *env);
-  if (!result.ok()) {
-    std::fprintf(stderr, "error: %s\n", result.status().ToString().c_str());
-    return 1;
-  }
-  report->fingerprint = rob.checkpoint_fingerprint;
-  if (options.count_only) {
-    std::printf("enumeration space: %zu %s(s)\n", result->enumeration_count,
-                result->coverage.unit.c_str());
-    report->kind = "modular";
-    report->result = std::move(*result);
-    return 0;
-  }
-  PrintVerdict("modular", *result);
-  report->kind = "modular";
-  int rc = VerdictExitCode(*result);
-  report->result = std::move(*result);
-  return rc;
+  return FinishVerification(args, comp, "modular", options,
+                            std::move(result), verifier.interner(), report);
 }
 
 int RunSimulate(const Args& args, spec::Composition& comp) {
@@ -827,12 +728,15 @@ std::string RenderVerdictJson(const CliReport& report, int exit_code) {
     w.Key("inner_searches").Uint(r.stats.search.inner_searches);
     w.Key("budget_hits").Uint(r.stats.search.budget_hits);
     w.EndObject();
+    // One verification per process, so the registry's phase timers are
+    // this run's.
     w.Key("phase_ns").BeginObject();
-    w.Key("db_enum").Uint(r.stats.timings.db_enum_ns);
-    w.Key("graph_expand").Uint(r.stats.timings.graph_expand_ns);
-    w.Key("leaf_eval").Uint(r.stats.timings.leaf_eval_ns);
-    w.Key("prefilter").Uint(r.stats.timings.prefilter_ns);
-    w.Key("ndfs").Uint(r.stats.timings.ndfs_ns);
+    for (const char* phase :
+         {"db_enum", "graph_expand", "leaf_eval", "prefilter", "ndfs"}) {
+      w.Key(phase).Uint(obs::Registry::Global()
+                            .timer(std::string("phase.") + phase)
+                            .total_nanos());
+    }
     w.EndObject();
   }
   w.EndObject();
