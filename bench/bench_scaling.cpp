@@ -158,21 +158,17 @@ BENCHMARK(BM_JobsSweep)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-/// Within-database parallelism and the symbolic valuation collapse: ONE
-/// pinned database, many property instances (|domain|^2 = 100 valuations
-/// of a two-variable closure over 3 database values + 7 fresh), so all
-/// speedup must come from the second scheduler level — parallel graph
-/// exploration, leaf sealing and the chunked valuation fan-out — not from
-/// sweeping databases. The property is a response shape, G(s -> F t),
-/// whose leaves flip across snapshots, so every valuation touching a
-/// database value pays a real product search.
-///
-/// mode:0 checks each valuation index concretely; mode:1 partitions the
-/// space into leaf-signature classes first (--valuation-mode symbolic) and
-/// searches once per class. Each closure variable has 4 signatures (a, b,
-/// c, or fresh/never-satisfied), so 100 valuations collapse to 16 classes:
-/// engine.valuation_classes vs engine.valuations_checked in the exported
-/// counters is the collapse ratio.
+/// Within-database parallelism and the search memo: ONE pinned database,
+/// many property instances (|domain|^2 = 100 valuations of a two-variable
+/// closure over 3 database values + 7 fresh), so all speedup must come from
+/// the second scheduler level — parallel graph exploration, leaf sealing
+/// and the chunked valuation fan-out — not from sweeping databases. The
+/// property is a response shape, G(s -> F t), whose leaves flip across
+/// snapshots, so every valuation touching a database value needs a real
+/// product search. Each closure variable has 4 leaf signatures (a, b, c,
+/// or fresh/never-satisfied): 49 valuations are prefiltered and the other
+/// 51 share 15 searches through the search memo, at every job count
+/// (engine.searches + engine.search_memo_hits in the exported counters).
 void BM_ValuationFanout(benchmark::State& state) {
   spec::Composition comp = bench::MustParse(R"(
 peer Store {
@@ -197,9 +193,6 @@ peer Store {
   options.fresh_domain_size = 7;  // 10-value domain, 100 valuations
   options.budget.max_states = 500000;
   options.jobs = static_cast<size_t>(state.range(0));
-  options.valuation_mode = state.range(1) == 1
-                               ? verifier::ValuationMode::kSymbolic
-                               : verifier::ValuationMode::kConcrete;
   verifier::NamedDatabase db;
   db["r"] = {{"a"}, {"b"}, {"c"}};
   options.fixed_databases = std::vector<verifier::NamedDatabase>{db};
@@ -226,15 +219,11 @@ peer Store {
   state.counters["searches"] = static_cast<double>(searches);
 }
 BENCHMARK(BM_ValuationFanout)
-    ->ArgNames({"jobs", "mode"})
-    ->Args({1, 0})
-    ->Args({2, 0})
-    ->Args({4, 0})
-    ->Args({8, 0})
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({4, 1})
-    ->Args({8, 1})
+    ->ArgName("jobs")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -92,7 +92,6 @@ Result<std::vector<verifier::NamedDatabase>> BuildPinnedDatabases(
 
 struct EngineLegConfig {
   size_t jobs = 1;
-  verifier::ValuationMode mode = verifier::ValuationMode::kConcrete;
   size_t range_lo = 0;
   size_t range_hi = static_cast<size_t>(-1);
   bool count_only = false;
@@ -108,7 +107,6 @@ Result<VerificationResult> RunEngine(const Composition& comp,
   options.fresh_domain_size = scenario.fresh;
   options.budget.max_states = scenario.max_states;
   options.jobs = config.jobs;
-  options.valuation_mode = config.mode;
   options.count_only = config.count_only;
   bool pinned = !scenario.pinned_dbs.empty();
   if (pinned) {
@@ -139,7 +137,6 @@ Result<VerificationResult> RunModular(const Composition& comp,
   options.fresh_domain_size = scenario.fresh;
   options.budget.max_states = scenario.max_states;
   options.jobs = config.jobs;
-  options.valuation_mode = config.mode;
   options.count_only = config.count_only;
   options.db_range_lo = config.range_lo;
   options.db_range_hi = config.range_hi;
@@ -326,9 +323,6 @@ Result<ScenarioVerdict> RunDifferential(const Scenario& scenario,
     EngineLegConfig parallel;
     parallel.jobs = jobs;
     run_whole(family + "-jobs" + std::to_string(jobs), parallel);
-    EngineLegConfig symbolic;
-    symbolic.mode = verifier::ValuationMode::kSymbolic;
-    run_whole(family + "-symbolic", symbolic);
 
     // Sharded + merged leg, driven off the (possibly broken) base leg.
     std::optional<LegResult> merged_leg;
@@ -343,16 +337,15 @@ Result<ScenarioVerdict> RunDifferential(const Scenario& scenario,
       }
     }
 
-    std::vector<const LegResult*> whole = {&verdict.legs[0], &verdict.legs[1],
-                                           &verdict.legs[2]};
+    std::vector<const LegResult*> whole = {&verdict.legs[0],
+                                           &verdict.legs[1]};
     CompareFamily(whole, merged_leg ? &verdict.legs.back() : nullptr,
                   &verdict.detail);
   }
 
   // CFSM scenarios: the exact explorer and a data-agnostic protocol leg.
   if (scenario.has_cfsm && verdict.detail.empty()) {
-    const LegResult* engine_leg =
-        verdict.legs.empty() ? nullptr : &verdict.legs[0];
+    const bool has_engine_leg = !verdict.legs.empty();
     cfsm::ExploreOptions explore;
     explore.queue_bound = scenario.run.queue_bound;
     explore.lossy = scenario.run.lossy;
@@ -369,6 +362,8 @@ Result<ScenarioVerdict> RunDifferential(const Scenario& scenario,
       explorer.verdict = explored->target_reached ? "violated" : "holds";
     }
     const LegResult& explorer_leg = add_leg(std::move(explorer));
+    // Taken after add_leg, whose push_back may reallocate the legs.
+    const LegResult* engine_leg = has_engine_leg ? &verdict.legs[0] : nullptr;
     if (!explorer_leg.error.empty()) {
       verdict.detail = "leg failed: " + DescribeLeg(explorer_leg);
     } else if (engine_leg != nullptr && engine_leg->verdict == "violated" &&

@@ -13,7 +13,7 @@ namespace wsv::gen {
 /// One verifier leg's observable outcome, normalized to what wsvc-merge
 /// compares across shards: verdict, witness indices, covered intervals.
 struct LegResult {
-  std::string name;  // "engine", "engine-jobs2", "engine-symbolic", ...
+  std::string name;  // "engine", "engine-jobs2", "engine-shards", ...
   std::string verdict = "incomplete";  // "violated" | "holds" | "incomplete"
   bool has_witness = false;
   uint64_t witness_db_index = 0;
@@ -53,10 +53,10 @@ struct ScenarioVerdict {
 /// Runs every verifier leg applicable to the scenario's regime and
 /// cross-compares verdicts, witness indices and coverage:
 ///
-///  * engine serial vs `jobs` vs symbolic valuations vs sharded + merged
+///  * engine serial vs `jobs` vs sharded + merged
 ///    (closed regimes; the CFSM embedding adds the exact explorer and a
 ///    data-agnostic protocol leg);
-///  * modular serial vs `jobs` vs symbolic vs sharded + merged (external
+///  * modular serial vs `jobs` vs sharded + merged (external
 ///    regime, against the scenario's environment spec).
 ///
 /// A Status error means the harness itself could not run (generator bug);

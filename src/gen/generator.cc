@@ -206,8 +206,8 @@ std::string DrawChainProperty(Rng& rng, const ChainPlan& plan,
     templates.push_back("G(not " + sink_state + "(\"" + ConstName(0) +
                         "\"))");
   }
-  // Two closure variables: a 2-dimensional valuation space, so the
-  // symbolic-vs-concrete leg has classes to collapse.
+  // Two closure variables: a 2-dimensional valuation space, so the engine's
+  // search memo has valuations with equal leaf signatures to share.
   templates.push_back("forall x, y: G(not (" + QualState(1, 1) + "(x) and " +
                       sink_state + "(y) and not x = y))");
   // Response shape the prefilter cannot discharge.

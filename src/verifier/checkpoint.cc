@@ -22,10 +22,6 @@ namespace {
 
 constexpr char kMagic[] = "wsv-checkpoint";
 constexpr int kVersion = 3;
-// Older formats, still readable: v2 interval coverage without the CRC
-// trailer, v1 prefix-style.
-constexpr int kVersionIntervals = 2;
-constexpr int kVersionPrefix = 1;
 
 Status Corrupt(const std::string& path, const std::string& why) {
   return Status::ParseError("checkpoint '" + path + "' is corrupted (" +
@@ -315,8 +311,7 @@ Result<Checkpoint> ReadCheckpoint(const std::string& path,
     std::string magic;
     header >> magic >> version;
     if (magic != kMagic) return Corrupt(path, "bad magic");
-    if (version != kVersion && version != kVersionIntervals &&
-        version != kVersionPrefix) {
+    if (version != kVersion) {
       return Corrupt(path, "unsupported version " + std::to_string(version));
     }
   }
@@ -404,16 +399,8 @@ Result<Checkpoint> ReadCheckpoint(const std::string& path,
   }
   if (!saw_end) return Corrupt(path, "truncated: missing end marker");
   if (!saw_prefix) return Corrupt(path, "missing completed_prefix");
-  if (version >= kVersionIntervals && !saw_covered) {
-    return Corrupt(path, "missing covered intervals");
-  }
-  if (version >= kVersion && !saw_crc) {
-    return Corrupt(path, "missing crc32 trailer");
-  }
-  if (!saw_covered && cp.completed_prefix > 0) {
-    // v1 file: the prefix is the whole story.
-    cp.covered.emplace_back(0, cp.completed_prefix);
-  }
+  if (!saw_covered) return Corrupt(path, "missing covered intervals");
+  if (!saw_crc) return Corrupt(path, "missing crc32 trailer");
   // Keep the derived prefix authoritative regardless of what was written.
   cp.completed_prefix = ContiguousPrefix(cp.covered);
   for (uint64_t index : cp.failed_indices) {

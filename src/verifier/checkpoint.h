@@ -93,16 +93,15 @@ struct Checkpoint {
 /// to "<path>.tmp" (any stale temp from a crashed writer is removed first),
 /// fsynced, renamed over the target, and the containing directory is
 /// fsynced so the publish survives power loss. The previous good checkpoint
-/// is kept as "<path>.bak" for recovery. Writes format version 3: the v2
-/// interval coverage plus a CRC32 content trailer, so a torn or bit-flipped
+/// is kept as "<path>.bak" for recovery. Writes format version 3: the
+/// covered intervals plus a CRC32 content trailer, so a torn or bit-flipped
 /// file is detected on read instead of being trusted.
 Status WriteCheckpoint(const std::string& path, const Checkpoint& cp);
 
-/// Parses a checkpoint written by WriteCheckpoint — version 3, a v2
-/// interval file, or a v1 prefix-style file, which is lifted to
-/// covered = [0, completed_prefix). Corrupted, truncated (missing the
-/// trailing "end" marker), CRC-mismatched (v3) or unknown-version files are
-/// rejected with kParseError; when `expected_fingerprint` is non-empty, a
+/// Parses a checkpoint written by WriteCheckpoint (format version 3).
+/// Corrupted, truncated (missing the trailing "end" marker), CRC-mismatched
+/// or other-version files (including the retired v1 and v2) are rejected
+/// with kParseError; when `expected_fingerprint` is non-empty, a
 /// mismatch is rejected with kInvalidSpec.
 Result<Checkpoint> ReadCheckpoint(const std::string& path,
                                   const std::string& expected_fingerprint);

@@ -11,8 +11,6 @@
 
 #include "automata/emptiness.h"
 #include "common/thread_pool.h"
-#include "fo/bdd.h"
-#include "fo/logic.h"
 #include "obs/lock_profile.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
@@ -133,25 +131,6 @@ std::vector<std::string> ValuationSpace::DecodeSpellings(size_t index) const {
   return out;
 }
 
-std::optional<ValuationMode> ValuationModeFromName(const std::string& name) {
-  if (name == "concrete") return ValuationMode::kConcrete;
-  if (name == "symbolic") return ValuationMode::kSymbolic;
-  if (name == "auto") return ValuationMode::kAuto;
-  return std::nullopt;
-}
-
-const char* ValuationModeName(ValuationMode mode) {
-  switch (mode) {
-    case ValuationMode::kConcrete:
-      return "concrete";
-    case ValuationMode::kSymbolic:
-      return "symbolic";
-    case ValuationMode::kAuto:
-      return "auto";
-  }
-  return "concrete";
-}
-
 VerificationEngine::VerificationEngine(
     const spec::Composition* comp, const Interner* interner,
     data::Domain domain, std::vector<data::Value> fresh,
@@ -211,53 +190,70 @@ automata::BuchiAutomaton RestrictAutomaton(
 
 }  // namespace
 
-/// Sharded, exactly-once prefilter memo: at most 3^#leaves distinct
-/// truth-status vectors versus |domain|^#vars valuations. Each key's entry
-/// is computed exactly once even under concurrent lookups (waiters block on
-/// the shard and then count a hit), so hit/miss totals are deterministic at
-/// any job count. Entries are pointer-stable: concurrent product searches
-/// read the memoized automata in place.
-class PrefilterMemo {
+/// A string-keyed memo split into independently locked shards, with
+/// pointer-stable entries. `make` runs under the shard lock on a key's
+/// first lookup, so each entry is built exactly once even under concurrent
+/// lookups (waiters block on the shard and then count a hit) and hit/miss
+/// totals are deterministic at any job count. All shard mutexes report as
+/// one lock site: contention there means lanes colliding on hot keys.
+template <typename Entry, const char* kLockSite>
+class ShardedMemo {
  public:
-  struct Entry {
-    bool empty_language = false;
-    automata::BuchiAutomaton automaton{0};
-    /// Guard cubes compiled once per restricted automaton and shared by
-    /// every product search (one per valuation) that hits this entry.
-    ProductSearch::GuardTable guards;
-  };
-
-  /// Looks `key` up, running `compute` under the shard lock on first sight.
-  /// `*was_miss` reports whether this call computed the entry. The caller
+  /// `*was_miss` reports whether this call built the entry. The caller
   /// owns `key`'s buffer (reused across lookups); the memo copies it only
   /// on insert.
   template <typename Fn>
-  const Entry* GetOrCompute(const std::string& key, bool* was_miss,
-                            const Fn& compute) {
+  Entry* GetOrCompute(const std::string& key, bool* was_miss,
+                      const Fn& make) {
     Shard& shard = shards_[std::hash<std::string>{}(key) % kShards];
     std::lock_guard<obs::TimedMutex> lock(shard.mu);
     auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      *was_miss = false;
-      return it->second.get();
-    }
-    *was_miss = true;
-    auto entry = std::make_unique<Entry>(compute());
-    const Entry* raw = entry.get();
-    shard.map.emplace(key, std::move(entry));
-    return raw;
+    *was_miss = it == shard.map.end();
+    if (*was_miss) it = shard.map.emplace(key, make()).first;
+    return it->second.get();
   }
 
  private:
   static constexpr size_t kShards = 8;
   struct Shard {
-    // All eight shard mutexes report as one "prefilter_memo" lock site:
-    // contention here means concurrent lanes colliding on hot memo keys.
-    obs::TimedMutex mu{"prefilter_memo"};
+    obs::TimedMutex mu{kLockSite};
     std::unordered_map<std::string, std::unique_ptr<Entry>> map;
   };
   std::array<Shard, kShards> shards_;
 };
+
+/// Prefilter memo entry: at most 3^#leaves distinct truth-status vectors
+/// versus |domain|^#vars valuations. Concurrent product searches read the
+/// memoized automata in place.
+struct PrefilterEntry {
+  bool empty_language = false;
+  automata::BuchiAutomaton automaton{0};
+  /// Guard cubes compiled once per restricted automaton and shared by
+  /// every product search (one per valuation) that hits this entry.
+  ProductSearch::GuardTable guards;
+};
+constexpr char kPrefilterMemoSite[] = "prefilter_memo";
+using PrefilterMemo = ShardedMemo<PrefilterEntry, kPrefilterMemoSite>;
+
+/// Search memo entry, keyed by leaf signature and used on a complete graph
+/// only. Two valuations with the same prefilter key whose leaf rows fall in
+/// the same footprint results of every unfixed leaf see the same truth
+/// values at every snapshot, so their product searches run on the same
+/// restricted automaton over the same labelled graph and end the same way.
+/// The first lane with a signature searches under the entry's lock, so
+/// only lanes with that signature wait on it and each signature is searched
+/// once at any job count. Only completed outcomes (found, not found,
+/// budget-cut) are stored; after a deadline, cancel or hard error the entry
+/// stays unfilled and the next lane with that signature searches again.
+struct SearchEntry {
+  obs::TimedMutex mu{"search_memo_entry"};
+  bool done = false;
+  /// The search's budget status: OK, or the kBudgetExceeded it was cut by.
+  Status budget = Status::Ok();
+  std::optional<LassoWitness> witness;
+};
+constexpr char kSearchMemoSite[] = "search_memo";
+using SearchMemo = ShardedMemo<SearchEntry, kSearchMemoSite>;
 
 /// Per-lane accumulators and scratch buffers of the valuation fan-out. A
 /// lane is touched by exactly one thread at a time (lane 0 = the
@@ -281,11 +277,12 @@ struct VerificationEngine::ValuationLane {
   std::optional<Candidate> candidate;
 
   // Scratch reused across valuations: the decoded assignment, the rigid
-  // truth-status vector and the memo key built from it (no per-lookup
+  // truth-status vector and the two memo keys built from it (no per-lookup
   // string reallocation).
   std::vector<data::Value> values;
   std::vector<int8_t> rigid_truths;
   std::string memo_key;
+  std::string search_key;
 };
 
 /// Read-only per-database state shared by every valuation instance.
@@ -294,6 +291,8 @@ struct VerificationEngine::ValuationContext {
   SnapshotGraph* graph;
   LeafCache* cache;
   PrefilterMemo* memo;
+  /// Null on an incomplete graph, where searches grow the graph.
+  SearchMemo* search_memo;
   const std::vector<bool>* rigid;
   SnapshotId init_sid;
   const std::vector<const data::Relation*>* ever_sat;
@@ -304,109 +303,9 @@ struct VerificationEngine::ValuationContext {
   const std::vector<std::vector<size_t>>* leaf_positions;
 };
 
-namespace {
-
-/// One leaf-signature equivalence class of the valuation space: every
-/// member index induces the same truth assignment on every property leaf
-/// at every reachable snapshot, so the product search has one outcome for
-/// all of them. `min_index` is the lexicographically least member — the
-/// representative that is actually searched, and (for a violating class)
-/// exactly the index the serial concrete loop would have reported first.
-struct ValuationClass {
-  size_t min_index;
-  size_t size;
-};
-
-/// Partitions the valuation slice [v_lo, v_hi) into leaf-signature classes
-/// over the *sealed* leaf cache (the graph must be fully explored).
-///
-/// Per leaf: every row in any snapshot's satisfying set is grouped by its
-/// snapshot-membership profile (the set of snapshots containing it); each
-/// profile becomes a decision diagram — the OR of its row cubes over the
-/// leaf's closure positions — which is the leaf evaluated symbolically as
-/// a predicate on valuation indices. Rows no snapshot satisfies share the
-/// ambient (complement) profile. Classes are the nonempty intersections of
-/// one profile diagram per leaf, intersected with the slice interval.
-Result<std::vector<ValuationClass>> PartitionValuationClasses(
-    SnapshotGraph* graph, LeafCache* cache, const ValuationSpace& space,
-    const std::vector<std::vector<size_t>>& leaf_positions, size_t v_lo,
-    size_t v_hi) {
-  obs::PhaseTimer phase("symbolic_partition");
-  fo::bdd::Manager mgr(space.num_vars(), space.values().size());
-  fo::BddLogic logic{&mgr, &space.values()};
-
-  std::vector<fo::bdd::NodeRef> classes{mgr.Interval(v_lo, v_hi)};
-  if (classes[0] == fo::bdd::kFalse) classes.clear();
-  const size_t num_leaves = leaf_positions.size();
-  std::vector<uint32_t> digits;
-  for (size_t i = 0; i < num_leaves && !classes.empty(); ++i) {
-    const std::vector<size_t>& slots = leaf_positions[i];
-    // Row -> sorted list of snapshots whose satisfying set contains it.
-    std::map<data::Tuple, std::vector<SnapshotId>> row_profiles;
-    for (SnapshotId sid = 0; sid < graph->size(); ++sid) {
-      WSV_ASSIGN_OR_RETURN(const fo::ValuationSet* sat, cache->Get(sid, i));
-      for (const data::Tuple& row : sat->rows()) {
-        row_profiles[row].push_back(sid);
-      }
-    }
-    // Profile -> diagram of the indices projecting onto its rows. A row
-    // with a value outside the valuation domain is unreachable by any
-    // index (its cube is empty) and drops out here.
-    std::map<std::vector<SnapshotId>, fo::bdd::NodeRef> profiles;
-    fo::bdd::NodeRef any = fo::bdd::kFalse;
-    for (const auto& [row, sids] : row_profiles) {
-      fo::bdd::NodeRef cube = fo::bdd::kTrue;
-      digits.clear();
-      bool reachable = true;
-      for (size_t k = 0; k < slots.size() && reachable; ++k) {
-        int d = logic.DigitOf(row[k]);
-        reachable = d >= 0;
-        if (reachable) digits.push_back(static_cast<uint32_t>(d));
-      }
-      if (!reachable) continue;
-      cube = mgr.Cube(slots, digits);
-      auto [it, fresh] = profiles.try_emplace(sids, fo::bdd::kFalse);
-      it->second = mgr.Or(it->second, cube);
-      any = mgr.Or(any, cube);
-    }
-    const fo::bdd::NodeRef ambient = mgr.Not(any);
-    std::vector<fo::bdd::NodeRef> refined;
-    refined.reserve(classes.size());
-    for (fo::bdd::NodeRef cls : classes) {
-      for (const auto& [sids, dd] : profiles) {
-        fo::bdd::NodeRef inter = mgr.And(cls, dd);
-        if (inter != fo::bdd::kFalse) refined.push_back(inter);
-      }
-      fo::bdd::NodeRef amb = mgr.And(cls, ambient);
-      if (amb != fo::bdd::kFalse) refined.push_back(amb);
-    }
-    classes = std::move(refined);
-  }
-
-  std::vector<ValuationClass> out;
-  out.reserve(classes.size());
-  for (fo::bdd::NodeRef cls : classes) {
-    out.push_back(ValuationClass{mgr.MinIndex(cls), mgr.SatCount(cls)});
-  }
-  // Ascending representative order IS serial valuation order: classes are
-  // disjoint, so checking them by least member and stopping at the first
-  // violation reproduces the concrete loop's lowest-index witness.
-  std::sort(out.begin(), out.end(),
-            [](const ValuationClass& a, const ValuationClass& b) {
-              return a.min_index < b.min_index;
-            });
-  obs::Registry& registry = obs::Registry::Global();
-  registry.counter("bdd.nodes").Add(mgr.node_count());
-  registry.counter("bdd.cache_hits").Add(mgr.cache_hits());
-  return out;
-}
-
-}  // namespace
-
 Result<bool> VerificationEngine::CheckOneValuation(const ValuationContext& ctx,
                                                    size_t index,
-                                                   ValuationLane& lane,
-                                                   size_t weight) {
+                                                   ValuationLane& lane) {
   const SymbolicTask& task = *ctx.task;
   // The valuation count is |domain|^#vars — a deadline must be able to cut
   // a sweep short between instances, not only inside a search.
@@ -447,26 +346,24 @@ Result<bool> VerificationEngine::CheckOneValuation(const ValuationContext& ctx,
   for (int8_t t : lane.rigid_truths) any_fixed = any_fixed || t >= 0;
   lane.memo_key.assign(lane.rigid_truths.begin(), lane.rigid_truths.end());
   bool was_miss = false;
-  const PrefilterMemo::Entry* entry =
+  const PrefilterEntry* entry =
       ctx.memo->GetOrCompute(lane.memo_key, &was_miss, [&] {
         obs::PhaseTimer prefilter_phase("prefilter");
-        PrefilterMemo::Entry e;
-        e.automaton = any_fixed
-                          ? RestrictAutomaton(task.automaton, lane.rigid_truths)
-                          : task.automaton;
-        e.empty_language = any_fixed && automata::IsEmptyLanguage(e.automaton);
-        if (!e.empty_language) {
-          e.guards = ProductSearch::CompileGuards(e.automaton);
+        auto e = std::make_unique<PrefilterEntry>();
+        e->automaton = any_fixed ? RestrictAutomaton(task.automaton,
+                                                     lane.rigid_truths)
+                                 : task.automaton;
+        e->empty_language =
+            any_fixed && automata::IsEmptyLanguage(e->automaton);
+        if (!e->empty_language) {
+          e->guards = ProductSearch::CompileGuards(e->automaton);
         }
         return e;
       });
   obs::Registry& registry = obs::Registry::Global();
   static obs::Counter& valuations_checked =
       registry.counter("engine.valuations_checked");
-  // Symbolic classes stand for `weight` indices: coverage counters keep
-  // counting valuations, so classes-vs-valuations stays comparable across
-  // modes (and valuation_classes <= valuations_checked by construction).
-  valuations_checked.Add(weight);
+  valuations_checked.Add(1);
   if (was_miss) {
     ++lane.memo_misses;
     static obs::Counter& memo_misses =
@@ -479,36 +376,84 @@ Result<bool> VerificationEngine::CheckOneValuation(const ValuationContext& ctx,
     memo_hits.Add(1);
   }
   if (entry->empty_language) {
-    lane.prefiltered += weight;
+    ++lane.prefiltered;
     static obs::Counter& prefiltered = registry.counter("engine.prefiltered");
-    prefiltered.Add(weight);
+    prefiltered.Add(1);
     return false;
   }
 
-  ++lane.searches;
-  static obs::Counter& searches = registry.counter("engine.searches");
-  searches.Add(1);
-  ProductSearch search(ctx.graph, ctx.cache, &entry->automaton,
-                       std::move(leaf_rows), options_.budget, &entry->guards);
-  Result<std::optional<LassoWitness>> witness = [&] {
-    obs::PhaseTimer ndfs_phase("ndfs");
-    return search.FindAcceptedRun(&lane.stats);
-  }();
-  if (!witness.ok()) {
-    if (witness.status().code() == StatusCode::kBudgetExceeded) {
-      lane.budget_events.emplace_back(index, witness.status());
-      return false;
+  // Search memo: the prefilter key, then one bit per footprint result of
+  // each unfixed leaf — whether this valuation's row is in it. Every
+  // snapshot's cell is one of those results, so equal keys mean equal
+  // truth everywhere and the memoized outcome is this valuation's own.
+  SearchEntry* memo_entry = nullptr;
+  std::unique_lock<obs::TimedMutex> memo_lock;
+  if (ctx.search_memo != nullptr) {
+    lane.search_key = lane.memo_key;
+    for (size_t i = 0; i < num_leaves; ++i) {
+      if (lane.rigid_truths[i] >= 0) continue;
+      uint8_t bits = 0;
+      size_t used = 0;
+      for (const auto& sat : ctx.cache->FootprintResults(i)) {
+        bits = static_cast<uint8_t>(
+            (bits << 1) | (sat->rows().Contains(leaf_rows[i]) ? 1 : 0));
+        if (++used == 8) {
+          lane.search_key.push_back(static_cast<char>(bits));
+          bits = 0;
+          used = 0;
+        }
+      }
+      if (used > 0) lane.search_key.push_back(static_cast<char>(bits));
     }
-    return witness.status();
+    bool first_lookup = false;
+    memo_entry = ctx.search_memo->GetOrCompute(
+        lane.search_key, &first_lookup,
+        [] { return std::make_unique<SearchEntry>(); });
+    memo_lock = std::unique_lock<obs::TimedMutex>(memo_entry->mu);
   }
-  if (witness.value().has_value()) {
-    if (!lane.candidate.has_value() || index < lane.candidate->index) {
-      lane.candidate =
-          ValuationLane::Candidate{index, std::move(**witness)};
+
+  std::optional<LassoWitness> found;
+  Status budget = Status::Ok();
+  if (memo_entry != nullptr && memo_entry->done) {
+    static obs::Counter& search_memo_hits =
+        registry.counter("engine.search_memo_hits");
+    search_memo_hits.Add(1);
+    found = memo_entry->witness;
+    budget = memo_entry->budget;
+  } else {
+    ++lane.searches;
+    static obs::Counter& searches = registry.counter("engine.searches");
+    searches.Add(1);
+    ProductSearch search(ctx.graph, ctx.cache, &entry->automaton,
+                         std::move(leaf_rows), options_.budget,
+                         &entry->guards);
+    Result<std::optional<LassoWitness>> witness = [&] {
+      obs::PhaseTimer ndfs_phase("ndfs");
+      return search.FindAcceptedRun(&lane.stats);
+    }();
+    if (witness.ok()) {
+      found = std::move(witness).value();
+    } else if (witness.status().code() == StatusCode::kBudgetExceeded) {
+      budget = witness.status();
+    } else {
+      return witness.status();  // a stop or hard error is never memoized
     }
-    return true;
+    if (memo_entry != nullptr) {
+      memo_entry->done = true;
+      memo_entry->witness = found;
+      memo_entry->budget = budget;
+    }
   }
-  return false;
+
+  if (!budget.ok()) {
+    lane.budget_events.emplace_back(index, budget);
+    return false;
+  }
+  if (!found.has_value()) return false;
+  if (!lane.candidate.has_value() || index < lane.candidate->index) {
+    lane.candidate = ValuationLane::Candidate{index, std::move(*found)};
+  }
+  return true;
 }
 
 Result<bool> VerificationEngine::CheckDatabases(
@@ -657,9 +602,17 @@ Result<bool> VerificationEngine::CheckDatabases(
   }
 
   PrefilterMemo prefilter_memo;
-  const ValuationContext ctx{&task,     &graph,      &cache,
-                             &prefilter_memo, &rigid, init_sid,
-                             &ever_sat, &always_sat, &leaf_positions};
+  SearchMemo search_memo;
+  const ValuationContext ctx{&task,
+                             &graph,
+                             &cache,
+                             &prefilter_memo,
+                             complete_graph ? &search_memo : nullptr,
+                             &rigid,
+                             init_sid,
+                             &ever_sat,
+                             &always_sat,
+                             &leaf_positions};
   const size_t total = task.valuations.size();
   // Valuation shard bounds; the full space on database sweeps (Run()
   // rejects a valuation range there). Indices stay absolute, so a shard's
@@ -701,161 +654,6 @@ Result<bool> VerificationEngine::CheckDatabases(
           "verdict covers exactly this shard's valuations");
     }
   };
-
-  // Symbolic (leaf-signature) fan-out: partition the slice into classes of
-  // valuations the product search cannot distinguish and check one
-  // representative — the class's least index — per class, weighted by the
-  // class size. Needs a complete graph (the partition reads the sealed
-  // leaf cache) and an unsaturated index space; kAuto additionally demands
-  // that the classes actually collapse the span. Verdict, witness index,
-  // label, lasso, coverage and budget/stop semantics are identical to the
-  // concrete loop below.
-  if (options_.valuation_mode != ValuationMode::kConcrete && complete_graph &&
-      task.valuations.num_vars() > 0 && total != static_cast<size_t>(-1) &&
-      v_hi > v_lo) {
-    WSV_ASSIGN_OR_RETURN(
-        std::vector<ValuationClass> classes,
-        PartitionValuationClasses(&graph, &cache, task.valuations,
-                                  leaf_positions, v_lo, v_hi));
-    const bool collapse_pays =
-        options_.valuation_mode == ValuationMode::kSymbolic ||
-        classes.size() * 2 <= v_hi - v_lo;
-    if (collapse_pays) {
-      // Counted per class *checked* (not per class partitioned) so that a
-      // violation that stops the sweep early keeps the schema invariant
-      // valuation_classes <= valuations_checked: every counted class also
-      // contributed its weight to the coverage counter.
-      static obs::Counter& class_counter =
-          obs::Registry::Global().counter("engine.valuation_classes");
-
-      const bool class_fan_out =
-          pool_ != nullptr && lanes_ > 1 && classes.size() > 1;
-      if (!class_fan_out) {
-        std::vector<ValuationLane> lanes(1);
-        ValuationLane& lane = lanes[0];
-        for (const ValuationClass& c : classes) {
-          class_counter.Add(1);
-          Result<bool> one = CheckOneValuation(ctx, c.min_index, lane, c.size);
-          if (!one.ok()) {
-            merge_lane(lane);
-            replay_budget_events(lanes, static_cast<size_t>(-1));
-            return one.status();
-          }
-          if (*one) {
-            merge_lane(lane);
-            replay_budget_events(lanes, c.min_index);
-            outcome.violation_found = true;
-            outcome.databases = dbs;
-            outcome.label = task.valuations.DecodeSpellings(c.min_index);
-            outcome.lasso = std::move(lane.candidate->lasso);
-            outcome.violation_valuation_index = c.min_index;
-            return true;
-          }
-        }
-        merge_lane(lane);
-        replay_budget_events(lanes, static_cast<size_t>(-1));
-        apply_range_end();
-        return false;
-      }
-
-      // Parallel class fan-out: chunks of the (ascending-representative)
-      // class list, with the same CAS-min stop fence as the concrete
-      // dispatch — positions order exactly as representative indices do,
-      // so the merged witness is still the lowest-index one.
-      obs::PhaseTimer fanout_phase("valuation_fanout");
-      std::vector<ValuationLane> lanes(lanes_);
-      std::atomic<size_t> stop_before{static_cast<size_t>(-1)};
-      std::atomic<bool> abort{false};
-      obs::TimedMutex stop_mu{"engine.fanout_stop"};
-      std::optional<Status> stop_event;
-      std::optional<std::pair<size_t, Status>> hard_error;  // class position
-      const size_t work = classes.size();
-      const size_t per_chunk = std::max<size_t>(
-          1, std::min<size_t>(256, work / (lanes_ * 8) + 1));
-      const size_t num_chunks = (work + per_chunk - 1) / per_chunk;
-      static obs::Counter& chunk_counter =
-          obs::Registry::Global().counter("engine.valuation_chunks");
-      ThreadPool::ParallelChunks(
-          pool_, lanes_ - 1, num_chunks, [&](size_t lane_id, size_t chunk) {
-            ValuationLane& lane = lanes[lane_id];
-            chunk_counter.Add(1);
-            const size_t begin = chunk * per_chunk;
-            const size_t end = std::min(work, begin + per_chunk);
-            for (size_t pos = begin; pos < end; ++pos) {
-              if (abort.load(std::memory_order_acquire)) return;
-              if (pos >= stop_before.load(std::memory_order_acquire)) break;
-              class_counter.Add(1);
-              Result<bool> one = CheckOneValuation(
-                  ctx, classes[pos].min_index, lane, classes[pos].size);
-              if (!one.ok()) {
-                std::lock_guard<obs::TimedMutex> lock(stop_mu);
-                if (RunControl::IsStopStatus(one.status())) {
-                  if (!stop_event.has_value()) stop_event = one.status();
-                } else if (!hard_error.has_value() ||
-                           pos < hard_error->first) {
-                  hard_error = {pos, one.status()};
-                }
-                abort.store(true, std::memory_order_release);
-                return;
-              }
-              if (*one) {
-                size_t cur = stop_before.load(std::memory_order_acquire);
-                while (pos < cur &&
-                       !stop_before.compare_exchange_weak(
-                           cur, pos, std::memory_order_acq_rel)) {
-                }
-                break;
-              }
-            }
-          });
-
-      obs::PhaseTimer merge_phase("merge");
-      for (const ValuationLane& lane : lanes) merge_lane(lane);
-      const ValuationLane::Candidate* best = nullptr;
-      for (ValuationLane& lane : lanes) {
-        if (lane.candidate.has_value() &&
-            (best == nullptr || lane.candidate->index < best->index)) {
-          best = &*lane.candidate;
-        }
-      }
-      // Class positions and representative indices order identically
-      // (classes are disjoint, so minima are distinct); recover the
-      // winner's position for the serial-order race against a hard error.
-      size_t best_pos = static_cast<size_t>(-1);
-      if (best != nullptr) {
-        best_pos = static_cast<size_t>(
-            std::lower_bound(classes.begin(), classes.end(), best->index,
-                             [](const ValuationClass& c, size_t idx) {
-                               return c.min_index < idx;
-                             }) -
-            classes.begin());
-      }
-      if (hard_error.has_value() &&
-          (best == nullptr || hard_error->first < best_pos)) {
-        return hard_error->second;
-      }
-      if (stop_event.has_value() && best == nullptr) {
-        return *stop_event;
-      }
-      if (best != nullptr) {
-        if (stop_event.has_value()) {
-          outcome.stop_status = *stop_event;
-        } else {
-          replay_budget_events(lanes, best->index);
-        }
-        outcome.violation_found = true;
-        outcome.databases = dbs;
-        outcome.label = task.valuations.DecodeSpellings(best->index);
-        outcome.lasso =
-            std::move(const_cast<ValuationLane::Candidate*>(best)->lasso);
-        outcome.violation_valuation_index = best->index;
-        return true;
-      }
-      replay_budget_events(lanes, static_cast<size_t>(-1));
-      apply_range_end();
-      return false;
-    }
-  }
 
   // Fan the valuation sweep out only when the graph is complete (searches
   // on a partial graph grow it on the fly, which is inherently serial) and

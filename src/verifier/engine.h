@@ -114,30 +114,6 @@ PseudoDomain BuildPseudoDomain(const spec::Composition& comp,
                                const std::set<std::string>& extra_constants,
                                size_t fresh_count);
 
-/// How the engine covers the valuation space of one database.
-enum class ValuationMode {
-  /// Enumerate every mixed-radix index (the historical fan-out).
-  kConcrete,
-  /// Partition the space into leaf-signature equivalence classes — two
-  /// valuations inducing the same truth assignment on every property leaf
-  /// at every reachable snapshot are indistinguishable to the Büchi
-  /// product — and run one product search per class, on the class's least
-  /// index. Verdicts, witness indices, labels and coverage are bit-for-bit
-  /// identical to kConcrete; aggregate search statistics (searches,
-  /// prefilter memo traffic) reflect the smaller class count. Falls back
-  /// to the concrete loop when the snapshot graph is incomplete (symbolic
-  /// partitioning needs the sealed leaf cache) or the space saturated.
-  kSymbolic,
-  /// kSymbolic, but additionally falls back to kConcrete when the class
-  /// count fails to collapse the span (classes * 2 > indices), so the
-  /// partition overhead is never paid twice on incompressible spaces.
-  kAuto,
-};
-
-/// Parses "concrete" / "symbolic" / "auto"; empty result on anything else.
-std::optional<ValuationMode> ValuationModeFromName(const std::string& name);
-const char* ValuationModeName(ValuationMode mode);
-
 /// How the sweep treats a database whose check fails hard (an exception
 /// such as std::bad_alloc, or a non-budget error status).
 enum class OnDbError {
@@ -178,9 +154,6 @@ struct EngineOptions {
   /// when the databases are pinned). Shard coordinators use this to split
   /// ranges evenly.
   bool count_only = false;
-  /// Valuation coverage strategy (see ValuationMode). The default keeps
-  /// the concrete loop; kSymbolic/kAuto collapse it to per-class checks.
-  ValuationMode valuation_mode = ValuationMode::kConcrete;
   /// Per-search state cap.
   SearchBudget budget;
   /// Global worker budget for the two-level scheduler. 1 = serial
@@ -321,11 +294,8 @@ class VerificationEngine {
   /// the chunked parallel dispatch (see engine.cc).
   struct ValuationLane;
   struct ValuationContext;
-  /// `weight` is the number of valuation indices this check stands for: 1
-  /// on the concrete path, the class size on the symbolic path (coverage
-  /// counters scale by it; the search itself runs once, on `index`).
   Result<bool> CheckOneValuation(const ValuationContext& ctx, size_t index,
-                                 ValuationLane& lane, size_t weight = 1);
+                                 ValuationLane& lane);
 
   const spec::Composition* comp_;
   const Interner* interner_;

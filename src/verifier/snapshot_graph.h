@@ -227,6 +227,13 @@ class LeafCache {
   /// Distinct footprints seen so far for leaf `leaf`.
   size_t footprints(size_t leaf) const { return memos_[leaf].size(); }
 
+  /// The leaf's result on each distinct footprint: every cell of the leaf
+  /// points at one of them. All are non-null after SealAndPopulate.
+  const std::vector<std::unique_ptr<fo::ValuationSet>>& FootprintResults(
+      size_t leaf) const {
+    return memos_[leaf].results;
+  }
+
  private:
   /// One leaf's footprint memo. Keys are interned like snapshot spans:
   /// key i occupies words[begin[i], begin[i + 1]).

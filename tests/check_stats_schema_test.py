@@ -179,22 +179,21 @@ def main(argv):
     fault_no_total = mutate(base_doc(), "counters",
                             {"fault.injected.merge.io": 1})
 
-    symbolic = mutate(base_doc(), "counters",
-                      {"sweep.databases": 4,
-                       "engine.valuations_checked": 16,
-                       "engine.valuation_classes": 3,
-                       "bdd.nodes": 40, "bdd.cache_hits": 12})
-    classes_over_checked = mutate(base_doc(), "counters",
-                                  {"engine.valuations_checked": 4,
-                                   "engine.valuation_classes": 9})
-    classes_no_checked = mutate(base_doc(), "counters",
-                                {"engine.valuation_classes": 3})
-    rollup_symbolic = mutate(merge_doc(), "shards.counters",
-                             {"engine.valuations_checked": 32,
-                              "engine.valuation_classes": 5})
-    rollup_classes_bad = mutate(merge_doc(), "shards.counters",
-                                {"engine.valuations_checked": 5,
-                                 "engine.valuation_classes": 32})
+    memo_counters = {"engine.valuations_checked": 100,
+                     "engine.prefiltered": 49, "engine.searches": 15,
+                     "engine.search_memo_hits": 36}
+    memo = mutate(base_doc(), "counters",
+                  {"sweep.databases": 4, **memo_counters})
+    memo_hits_uncounted = mutate(base_doc(), "counters",
+                                 {**memo_counters,
+                                  "engine.search_memo_hits": 0})
+    searches_without_checked = mutate(base_doc(), "counters",
+                                      {"engine.searches": 3})
+    rollup_memo = mutate(merge_doc(), "shards.counters",
+                         {"engine.databases_checked": 4, **memo_counters})
+    rollup_memo_bad = mutate(merge_doc(), "shards.counters",
+                             {**memo_counters,
+                              "engine.valuations_checked": 99})
 
     supervised = mutate(merge_doc(), "supervisor",
                         {"leases": 4, "relaunches": 2, "watchdog_kills": 1,
@@ -319,16 +318,15 @@ def main(argv):
         ("counter checkpoint.recoveries",
          mutate(base_doc(), "counters",
                 {"sweep.databases": 4, "checkpoint.recoveries": 1}), True),
-        # Schema-v4 symbolic-valuation counters.
+        # Schema-v4 valuation accounting.
         ("old schema_version 3",
          mutate(base_doc(), "schema_version", 3), False),
-        ("valid symbolic valuation counters", symbolic, True),
-        ("valuation_classes over valuations_checked", classes_over_checked,
+        ("valid search memo accounting", memo, True),
+        ("search_memo_hits left out of the sum", memo_hits_uncounted, False),
+        ("searches without valuations_checked", searches_without_checked,
          False),
-        ("valuation_classes without valuations_checked", classes_no_checked,
-         False),
-        ("rollup valid symbolic counters", rollup_symbolic, True),
-        ("rollup valuation_classes over checked", rollup_classes_bad, False),
+        ("rollup valid search memo accounting", rollup_memo, True),
+        ("rollup accounting off by one", rollup_memo_bad, False),
         # Leaf-cache footprint memo accounting.
         ("valid leaf memo accounting", leaf_memo, True),
         ("footprint_hits + leaf_evals off in verdict stats", leaf_stats_off,

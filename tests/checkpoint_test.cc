@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -59,24 +60,43 @@ TEST(CheckpointIo, MissingFileIsNotFound) {
   ASSERT_FALSE(loaded.ok());
 }
 
+/// `body` followed by its CRC32 trailer and the end marker: a v3 document
+/// whose only defect is whatever `body` puts there.
+std::string Sealed(const std::string& body) {
+  char crc_line[24];
+  std::snprintf(crc_line, sizeof(crc_line), "crc32 %08x\n", Crc32(body));
+  return body + crc_line + "end\n";
+}
+
 TEST(CheckpointIo, RejectsCorruptedDocuments) {
   struct Case {
     const char* name;
-    const char* content;
+    std::string content;
   };
   const Case cases[] = {
       {"empty", ""},
       {"bad magic", "not-a-checkpoint 1\nend\n"},
       {"unsupported version",
        "wsv-checkpoint 99\ncompleted_prefix 1\nend\n"},
+      // The retired formats: v1 (prefix only) and v2 (intervals, no CRC).
+      {"unsupported version 1",
+       "wsv-checkpoint 1\nfingerprint -\ncompleted_prefix 3\n"
+       "databases_completed 3\nstop_reason budget\nend\n"},
+      {"unsupported version 2",
+       "wsv-checkpoint 2\nfingerprint -\ncompleted_prefix 2\n"
+       "covered 0:2,5:7\nunit database\nfailed 1\n"
+       "databases_completed 4\nstop_reason budget\nend\n"},
       {"non-numeric prefix",
-       "wsv-checkpoint 1\ncompleted_prefix abc\nend\n"},
+       "wsv-checkpoint 3\ncompleted_prefix abc\nend\n"},
       {"unknown field",
-       "wsv-checkpoint 1\ncompleted_prefix 1\nbogus 3\nend\n"},
+       "wsv-checkpoint 3\ncompleted_prefix 1\nbogus 3\nend\n"},
       {"truncated (no end marker)",
-       "wsv-checkpoint 1\nfingerprint -\ncompleted_prefix 7\n"},
+       "wsv-checkpoint 3\nfingerprint -\ncompleted_prefix 7\n"},
+      {"missing covered intervals",
+       Sealed("wsv-checkpoint 3\nfingerprint -\ncompleted_prefix 2\n")},
       {"failed index beyond prefix",
-       "wsv-checkpoint 1\ncompleted_prefix 2\nfailed 5\nend\n"},
+       Sealed("wsv-checkpoint 3\nfingerprint -\ncompleted_prefix 2\n"
+              "covered 0:2\nfailed 5\n")},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -86,6 +106,15 @@ TEST(CheckpointIo, RejectsCorruptedDocuments) {
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   }
+  // The sealing itself is sound: the same document with a valid failed
+  // index reads back.
+  const std::string path = TempPath("sealed.ckpt");
+  std::ofstream(path) << Sealed(
+      "wsv-checkpoint 3\nfingerprint -\ncompleted_prefix 2\n"
+      "covered 0:2\nfailed 1\n");
+  auto loaded = ReadCheckpoint(path, "");
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->failed_indices, std::vector<uint64_t>{1});
 }
 
 TEST(CheckpointIo, RejectsFingerprintMismatch) {
@@ -170,27 +199,6 @@ TEST(CheckpointCrc, V3RequiresTheCrcTrailer) {
   auto loaded = ReadCheckpoint(path, "");
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
-}
-
-TEST(CheckpointCrc, LegacyV2AndV1StayReadable) {
-  const std::string v2 = TempPath("legacy2.ckpt");
-  std::ofstream(v2) << "wsv-checkpoint 2\nfingerprint -\n"
-                       "completed_prefix 2\ncovered 0:2,5:7\n"
-                       "unit database\nfailed 1\n"
-                       "databases_completed 4\nstop_reason budget\nend\n";
-  auto loaded2 = ReadCheckpoint(v2, "");
-  ASSERT_TRUE(loaded2.ok()) << loaded2.status();
-  EXPECT_EQ(loaded2->covered,
-            (std::vector<IndexInterval>{{0, 2}, {5, 7}}));
-  EXPECT_EQ(loaded2->failed_indices, std::vector<uint64_t>{1});
-
-  const std::string v1 = TempPath("legacy1.ckpt");
-  std::ofstream(v1) << "wsv-checkpoint 1\nfingerprint -\n"
-                       "completed_prefix 3\ndatabases_completed 3\n"
-                       "stop_reason budget\nend\n";
-  auto loaded1 = ReadCheckpoint(v1, "");
-  ASSERT_TRUE(loaded1.ok()) << loaded1.status();
-  EXPECT_EQ(loaded1->covered, (std::vector<IndexInterval>{{0, 3}}));
 }
 
 TEST(CheckpointRecovery, WriterKeepsTheLastGoodBackup) {

@@ -9,10 +9,8 @@
 #include <string>
 #include <vector>
 
-#include "fo/bdd.h"
 #include "fo/eval.h"
 #include "fo/formula.h"
-#include "fo/logic.h"
 #include "fo/structure.h"
 
 namespace wsv::fo {
@@ -305,127 +303,6 @@ TEST_P(FoRandomTest, WideDomainsMatchBruteForceRowForRow) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FoRandomTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
-
-/// Differential test of the templated backends (fo/logic.h): the
-/// Logic<bool> point evaluator must agree with the oracle assignment by
-/// assignment, and the BddLogic evaluation — free variables bound to digit
-/// slots — must denote exactly the set of valuation indices whose decoded
-/// assignments satisfy the formula. This is the correctness core of the
-/// engine's symbolic valuation fan-out: a leaf's diagram and its concrete
-/// per-valuation truths are the same function.
-TEST_P(FoRandomTest, LogicBackendsMatchBruteForce) {
-  std::mt19937 rng(GetParam() + 1000);
-  Interner interner;
-  data::Value a = interner.Intern("a");
-  data::Value b = interner.Intern("b");
-  data::Value c = interner.Intern("c");
-  std::vector<data::Value> domain{a, b, c};
-
-  for (int round = 0; round < 40; ++round) {
-    MapStructure structure;
-    structure.SetDomain(data::Domain(domain));
-    data::Relation r(1);
-    data::Relation s(2);
-    data::Relation flag(0);
-    std::uniform_int_distribution<int> coin(0, 1);
-    for (data::Value v : domain) {
-      if (coin(rng)) r.Insert({v});
-      for (data::Value w : domain) {
-        if (coin(rng)) s.Insert({v, w});
-      }
-    }
-    if (coin(rng)) flag.Insert(data::Tuple{});
-    structure.Set("r", r);
-    structure.Set("s", s);
-    structure.Set("flag", flag);
-
-    RandomFormula generator(rng);
-    FormulaPtr formula = generator.Generate(3);
-
-    auto frees = formula->FreeVariables();
-    std::vector<std::string> free_list(frees.begin(), frees.end());
-    const size_t k = free_list.size();
-
-    // Symbolic pass: free variable i becomes digit slot i, so valuation
-    // index I assigns free_list[i] = domain[(I / 3^i) % 3].
-    bdd::Manager mgr(k, domain.size());
-    BddLogic bdd_logic{&mgr, &domain};
-    PointEvaluator<BddLogic> symbolic(bdd_logic, &interner);
-    PointEvaluator<BddLogic>::Env slot_env;
-    for (size_t i = 0; i < k; ++i) {
-      slot_env[free_list[i]] =
-          PointEvaluator<BddLogic>::Binding::Slot(i);
-    }
-    auto dd = symbolic.Evaluate(formula, structure, slot_env);
-    ASSERT_TRUE(dd.ok()) << dd.status() << "\n" << formula->ToString();
-    std::vector<size_t> symbolic_indices;
-    mgr.ForEachIndex(*dd, [&](size_t i) { symbolic_indices.push_back(i); });
-
-    // Concrete pass over every assignment: oracle, Logic<bool> point
-    // evaluation, and membership in the diagram must all coincide.
-    PointEvaluator<Logic<bool>> concrete(Logic<bool>{}, &interner);
-    std::vector<size_t> oracle_indices;
-    size_t total = 1;
-    for (size_t i = 0; i < k; ++i) total *= domain.size();
-    for (size_t index = 0; index < total; ++index) {
-      Assignment env;
-      PointEvaluator<Logic<bool>>::Env point_env;
-      size_t rest = index;
-      for (size_t i = 0; i < k; ++i) {
-        data::Value v = domain[rest % domain.size()];
-        rest /= domain.size();
-        env[free_list[i]] = v;
-        point_env[free_list[i]] =
-            PointEvaluator<Logic<bool>>::Binding::Concrete(v);
-      }
-      bool expected = Oracle(formula, structure, interner, env);
-      auto actual = concrete.Evaluate(formula, structure, point_env);
-      ASSERT_TRUE(actual.ok()) << actual.status() << "\n"
-                               << formula->ToString();
-      ASSERT_EQ(expected, *actual)
-          << "Logic<bool> point evaluation disagrees with oracle\n"
-          << "formula: " << formula->ToString() << "\nround " << round
-          << " index " << index;
-      if (expected) oracle_indices.push_back(index);
-    }
-
-    ASSERT_EQ(oracle_indices, symbolic_indices)
-        << "BddLogic satisfying set disagrees with oracle enumeration\n"
-        << "formula: " << formula->ToString() << "\nround " << round;
-    EXPECT_EQ(oracle_indices.size(), mgr.SatCount(*dd))
-        << "formula: " << formula->ToString();
-    if (!oracle_indices.empty()) {
-      EXPECT_EQ(oracle_indices.front(), mgr.MinIndex(*dd))
-          << "formula: " << formula->ToString();
-    }
-  }
-}
-
-/// Randomized check of Manager::Interval against direct enumeration — the
-/// engine intersects every leaf-signature class with Interval(v_lo, v_hi)
-/// to honor --valuation-range, so [lo, hi) must be exact at the edges.
-TEST_P(FoRandomTest, BddIntervalMatchesEnumeration) {
-  std::mt19937 rng(GetParam() + 2000);
-  for (int round = 0; round < 60; ++round) {
-    size_t num_vars = std::uniform_int_distribution<size_t>(0, 3)(rng);
-    size_t radix = std::uniform_int_distribution<size_t>(1, 4)(rng);
-    size_t total = 1;
-    for (size_t i = 0; i < num_vars; ++i) total *= radix;
-    size_t lo = std::uniform_int_distribution<size_t>(0, total)(rng);
-    size_t hi = std::uniform_int_distribution<size_t>(0, total)(rng);
-    if (lo > hi) std::swap(lo, hi);
-
-    bdd::Manager mgr(num_vars, radix);
-    bdd::NodeRef dd = mgr.Interval(lo, hi);
-    std::vector<size_t> got;
-    mgr.ForEachIndex(dd, [&](size_t i) { got.push_back(i); });
-    std::vector<size_t> want;
-    for (size_t i = lo; i < hi; ++i) want.push_back(i);
-    ASSERT_EQ(want, got) << "interval [" << lo << ", " << hi << ") over "
-                         << num_vars << " vars, radix " << radix;
-    EXPECT_EQ(want.size(), mgr.SatCount(dd));
-  }
-}
 
 }  // namespace
 }  // namespace wsv::fo

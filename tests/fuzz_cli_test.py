@@ -74,7 +74,7 @@ def main():
     shutil.rmtree(broken_corpus, ignore_errors=True)
     p = run(opts.fuzz_bin, ["run", "--seed", "2", "--count", "2",
                             "--regimes", "core,perfect",
-                            "--break-leg", "engine-symbolic",
+                            "--break-leg", "engine-jobs2",
                             "--corpus", broken_corpus])
     expect(p.returncode == 1,
            f"broken run exited {p.returncode} (want 1): {p.stderr}")
@@ -88,7 +88,7 @@ def main():
         text = f.read()
     expect(text.startswith("//!"), "repro missing directive header")
     expect("//! detail:" in text, "repro missing mismatch detail")
-    expect("//! break-leg: engine-symbolic" in text,
+    expect("//! break-leg: engine-jobs2" in text,
            "repro does not record the broken leg")
     expect("peer " in text, "repro missing spec text")
 

@@ -203,11 +203,11 @@ TEST(GenTest, BreakLegForcesMismatch) {
   EXPECT_GE(verdict.value().legs.size(), 3u);
 
   DiffOptions broken;
-  broken.break_leg = "engine-symbolic";
+  broken.break_leg = "engine-jobs2";
   auto broken_verdict = RunDifferential(scenario.value(), broken);
   ASSERT_TRUE(broken_verdict.ok()) << broken_verdict.status();
   EXPECT_FALSE(broken_verdict.value().ok);
-  EXPECT_NE(broken_verdict.value().detail.find("engine-symbolic"),
+  EXPECT_NE(broken_verdict.value().detail.find("engine-jobs2"),
             std::string::npos)
       << broken_verdict.value().detail;
 }

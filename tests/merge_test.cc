@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -97,43 +98,22 @@ TEST(CheckpointIntervals, V2RoundTripPreservesCoveredAndUnit) {
   EXPECT_EQ(loaded->stop_reason, "range-end");
 }
 
-TEST(CheckpointIntervals, V1PrefixFileRoundTripsThroughIntervalForm) {
-  // A file written by the v1 (prefix-only) format must read as the interval
-  // [0, prefix), and re-writing it must preserve exactly that coverage.
-  const std::string path = TempPath("v1.ckpt");
-  std::ofstream(path) << "wsv-checkpoint 1\n"
-                         "fingerprint -\n"
-                         "completed_prefix 7\n"
-                         "failed 2,5\n"
-                         "databases_completed 7\n"
-                         "stop_reason deadline\n"
-                         "end\n";
-  auto loaded = ReadCheckpoint(path, "");
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->covered, (Intervals{{0, 7}}));
-  EXPECT_EQ(loaded->completed_prefix, 7u);
-  EXPECT_EQ(loaded->unit, "database");
-
-  ASSERT_TRUE(WriteCheckpoint(path, *loaded).ok());
-  auto reread = ReadCheckpoint(path, "");
-  ASSERT_TRUE(reread.ok()) << reread.status();
-  EXPECT_EQ(reread->covered, (Intervals{{0, 7}}));
-  EXPECT_EQ(reread->completed_prefix, 7u);
-  EXPECT_EQ(reread->failed_indices, loaded->failed_indices);
-  EXPECT_EQ(reread->stop_reason, "deadline");
-}
-
 TEST(CheckpointIntervals, RejectsFailedIndexOutsideCoveredIntervals) {
   const std::string path = TempPath("outside.ckpt");
-  std::ofstream(path) << "wsv-checkpoint 2\n"
-                         "fingerprint -\n"
-                         "completed_prefix 0\n"
-                         "covered 5:10\n"
-                         "unit database\n"
-                         "failed 3\n"
-                         "databases_completed 5\n"
-                         "stop_reason range-end\n"
-                         "end\n";
+  // A well-formed v3 document (valid CRC) whose only defect is the failed
+  // index outside its covered interval.
+  const std::string body =
+      "wsv-checkpoint 3\n"
+      "fingerprint -\n"
+      "completed_prefix 0\n"
+      "covered 5:10\n"
+      "unit database\n"
+      "failed 3\n"
+      "databases_completed 5\n"
+      "stop_reason range-end\n";
+  char crc_line[24];
+  std::snprintf(crc_line, sizeof(crc_line), "crc32 %08x\n", Crc32(body));
+  std::ofstream(path) << body << crc_line << "end\n";
   auto loaded = ReadCheckpoint(path, "");
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);

@@ -34,18 +34,32 @@ struct RunResult {
   std::string counterexample_text;  // empty when holds
   uint64_t violations_counter = 0;
   uint64_t chunks_counter = 0;
+  uint64_t checked_counter = 0;
+  uint64_t prefiltered_counter = 0;
+  uint64_t searches_counter = 0;
+  uint64_t search_memo_hits_counter = 0;
+};
+
+/// Optional knobs of VerifyPinned beyond the property and job count.
+struct PinnedRun {
+  RunControl* control = nullptr;
+  size_t fresh = 2;
+  size_t v_lo = 0;
+  size_t v_hi = static_cast<size_t>(-1);
 };
 
 RunResult VerifyPinned(const spec::Composition& comp,
                        const std::string& property_text, size_t jobs,
-                       RunControl* control = nullptr) {
+                       const PinnedRun& run_options = {}) {
   obs::Registry::Global().Reset();
   auto property = ltl::Property::Parse(property_text);
   EXPECT_TRUE(property.ok()) << property.status();
   VerifierOptions options;
-  options.fresh_domain_size = 2;
+  options.fresh_domain_size = run_options.fresh;
   options.jobs = jobs;
-  options.control = control;
+  options.control = run_options.control;
+  options.valuation_range_lo = run_options.v_lo;
+  options.valuation_range_hi = run_options.v_hi;
   NamedDatabase db;
   db["r"] = {{"a"}, {"b"}, {"c"}};
   options.fixed_databases = std::vector<NamedDatabase>{db};
@@ -60,8 +74,13 @@ RunResult VerifyPinned(const spec::Composition& comp,
   }
   run.violations_counter =
       obs::Registry::Global().counter("engine.violations").value();
-  run.chunks_counter =
-      obs::Registry::Global().counter("engine.valuation_chunks").value();
+  obs::Registry& registry = obs::Registry::Global();
+  run.chunks_counter = registry.counter("engine.valuation_chunks").value();
+  run.checked_counter = registry.counter("engine.valuations_checked").value();
+  run.prefiltered_counter = registry.counter("engine.prefiltered").value();
+  run.searches_counter = registry.counter("engine.searches").value();
+  run.search_memo_hits_counter =
+      registry.counter("engine.search_memo_hits").value();
   return run;
 }
 
@@ -157,7 +176,8 @@ TEST(ValuationFanout, CancelStopsParallelRunDeterministically) {
   RunControl control;
   control.RequestCancel();
   RunResult run = VerifyPinned(
-      *comp, "forall x, y: G(not (Store.t(x) and Store.t(y)))", 4, &control);
+      *comp, "forall x, y: G(not (Store.t(x) and Store.t(y)))", 4,
+      {.control = &control});
   EXPECT_TRUE(run.result.holds);  // no witness reached — partial verdict
   EXPECT_EQ(run.result.coverage.stop_reason, StopReason::kCanceled);
   EXPECT_EQ(run.result.stats.searches, 0u);
@@ -176,10 +196,104 @@ TEST(ValuationFanout, ExpiredDeadlineCutsParallelSweep) {
   while (control.Check().ok()) {
   }
   RunResult run = VerifyPinned(
-      *comp, "forall x, y: G(not (Store.t(x) and Store.t(y)))", 4, &control);
+      *comp, "forall x, y: G(not (Store.t(x) and Store.t(y)))", 4,
+      {.control = &control});
   EXPECT_TRUE(run.result.holds);
   EXPECT_EQ(run.result.coverage.stop_reason, StopReason::kDeadline);
   EXPECT_EQ(run.violations_counter, 0u);
+}
+
+/// The search memo on the response property of BM_ValuationFanout (3
+/// database values + 7 fresh, 100 valuations): each closure variable has 4
+/// leaf signatures, so the 51 valuations the prefilter keeps share 15
+/// searches. Every signature is searched exactly once at any job count, so
+/// the split is identical at jobs 1, 2 and 4, and every checked valuation
+/// is prefiltered, searched or served by the memo.
+TEST(ValuationFanout, SearchMemoRunsOneSearchPerSignatureAtEveryJobCount) {
+  auto comp = spec::ParseComposition(kPipeline);
+  ASSERT_TRUE(comp.ok()) << comp.status();
+  const std::string property =
+      "forall x, y: G((Store.s(x) -> F Store.t(x)) and "
+      "(Store.s(y) -> F Store.t(y)))";
+  for (size_t jobs : {1u, 2u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    RunResult run = VerifyPinned(*comp, property, jobs, {.fresh = 7});
+    EXPECT_TRUE(run.result.holds) << run.counterexample_text;
+    EXPECT_EQ(run.checked_counter, 100u);
+    EXPECT_EQ(run.prefiltered_counter, 49u);
+    EXPECT_EQ(run.searches_counter, 15u);
+    EXPECT_EQ(run.search_memo_hits_counter, 36u);
+    EXPECT_EQ(run.result.stats.searches, 15u);
+    EXPECT_EQ(run.result.stats.prefiltered, 49u);
+  }
+}
+
+/// Oracle for the memo: a one-valuation slice [i, i + 1) has nothing to
+/// share, so it searches valuation i on its own. The memoized run's
+/// witness must be the least violated slice (with the same rendered
+/// trace), a range past the witness reports the next violated slice even
+/// when its upper bound overshoots the space, the range before the witness
+/// holds, and a holding property holds on every slice. In the one-variable
+/// case x = a holds while x = b and x = c are violated with the same
+/// prefilter key, so a memo keyed too coarsely fails here.
+TEST(ValuationFanout, OneValuationSlicesAgreeWithTheMemoizedRun) {
+  auto comp = spec::ParseComposition(kPipeline);
+  ASSERT_TRUE(comp.ok()) << comp.status();
+  struct Case {
+    std::string violated;
+    std::string holds;
+    size_t space;
+  };
+  const Case cases[] = {
+      // 3 database values + 2 fresh, two variables.
+      {"forall x, y: G(not (Store.t(x) and Store.t(y)))",
+       "forall x, y: G((Store.t(x) -> Store.s(x)) and "
+       "(Store.t(y) -> Store.s(y)))",
+       25},
+      {"forall x: G(Store.t(x) -> F Store.s(\"a\"))",
+       "forall x: G(Store.t(x) -> F Store.s(x))", 5},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.violated);
+    RunResult full = VerifyPinned(*comp, c.violated, 1);
+    ASSERT_FALSE(full.result.holds);
+    ASSERT_TRUE(full.result.counterexample.has_value());
+    const size_t witness = full.result.counterexample->valuation_index;
+    ASSERT_EQ(full.result.stats.valuations_checked, c.space);
+
+    std::vector<size_t> violated_slices;
+    for (size_t i = 0; i < c.space; ++i) {
+      SCOPED_TRACE("slice=" + std::to_string(i));
+      RunResult held =
+          VerifyPinned(*comp, c.holds, 1, {.v_lo = i, .v_hi = i + 1});
+      EXPECT_TRUE(held.result.holds) << held.counterexample_text;
+      RunResult slice =
+          VerifyPinned(*comp, c.violated, 1, {.v_lo = i, .v_hi = i + 1});
+      EXPECT_EQ(slice.search_memo_hits_counter, 0u);
+      if (slice.result.holds) continue;
+      ASSERT_TRUE(slice.result.counterexample.has_value());
+      EXPECT_EQ(slice.result.counterexample->valuation_index, i);
+      violated_slices.push_back(i);
+      if (i == witness) {
+        EXPECT_EQ(slice.counterexample_text, full.counterexample_text);
+      }
+    }
+    ASSERT_FALSE(violated_slices.empty());
+    EXPECT_EQ(violated_slices.front(), witness);
+    ASSERT_GE(violated_slices.size(), 2u);  // the tail below has a witness
+
+    for (size_t jobs : {1u, 4u}) {
+      SCOPED_TRACE("jobs=" + std::to_string(jobs));
+      RunResult tail = VerifyPinned(
+          *comp, c.violated, jobs, {.v_lo = witness + 1, .v_hi = c.space + 10});
+      ASSERT_FALSE(tail.result.holds);
+      EXPECT_EQ(tail.result.counterexample->valuation_index,
+                violated_slices[1]);
+      RunResult before =
+          VerifyPinned(*comp, c.violated, jobs, {.v_hi = witness});
+      EXPECT_TRUE(before.result.holds) << before.counterexample_text;
+    }
+  }
 }
 
 }  // namespace

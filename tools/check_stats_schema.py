@@ -7,8 +7,10 @@ Checks the required top-level keys and their types (see
 src/obs/stats_json.h) — schema v2 added the profiling sections: per-worker
 time ledgers ("workers"), lock-contention counters ("locks"), and the
 phase tree ("phases"); v3 added the "process" section (peak memory); v4
-added the symbolic valuation counters (engine.valuation_classes, bdd.*)
-with the invariant valuation_classes <= valuations_checked. Verdicts that
+checks the valuation accounting: every checked valuation is prefiltered,
+searched or served by the search memo, so engine.prefiltered +
+engine.searches + engine.search_memo_hits = engine.valuations_checked,
+per document and on the shard roll-up. Verdicts that
 report 'leaves' must also satisfy the leaf-cache accounting
 footprint_hits + leaf_evals = leaf_cache_misses * leaves.
 With a trace argument, also checks that the trace file is a well-formed
@@ -236,20 +238,18 @@ def check_fault_counters(counters, where):
 
 
 def check_valuation_counters(counters, where):
-    """Validates the symbolic-valuation counters (schema v4): a class
-    stands for >= 1 valuation indices, so 'engine.valuation_classes' can
-    never exceed 'engine.valuations_checked' (both absent, or classes
-    absent on a concrete-mode run, is fine)."""
-    classes = counters.get("engine.valuation_classes")
-    if classes is None:
-        return
-    checked = counters.get("engine.valuations_checked")
-    expect(checked is not None,
-           f"'{where}' has engine.valuation_classes but no "
-           f"'engine.valuations_checked'")
-    expect(classes <= checked,
-           f"'{where}.engine.valuation_classes' is {classes}, which exceeds "
-           f"engine.valuations_checked = {checked}")
+    """Validates the valuation accounting (schema v4): every checked
+    valuation is either discharged by the prefilter, searched, or served
+    by the engine's search memo, so prefiltered + searches +
+    search_memo_hits = valuations_checked (absent counters count as 0)."""
+    checked = counters.get("engine.valuations_checked", 0)
+    parts = {name: counters.get(f"engine.{name}", 0)
+             for name in ("prefiltered", "searches", "search_memo_hits")}
+    expect(sum(parts.values()) == checked,
+           f"'{where}': prefiltered {parts['prefiltered']} + searches "
+           f"{parts['searches']} + search_memo_hits "
+           f"{parts['search_memo_hits']} != engine.valuations_checked "
+           f"{checked}")
 
 
 def check_leaf_counters(stats, counters):
@@ -391,7 +391,7 @@ def check_trace(path):
 def main(argv):
     parser = argparse.ArgumentParser(
         prog="check_stats_schema.py",
-        description="Validate a wsvc --stats-json document (schema v3).")
+        description="Validate a wsvc --stats-json document (schema v4).")
     parser.add_argument("stats", help="stats JSON file")
     parser.add_argument("trace", nargs="?", default=None,
                         help="optional Chrome trace-event JSON file")

@@ -2,10 +2,10 @@
 //
 // Generates seeded random compositions per regime (src/gen), runs every
 // applicable verifier pair on each (engine vs CFSM explorer vs modular
-// translation; serial vs --jobs; whole vs sharded + merged; concrete vs
-// symbolic valuations) and fails loudly on any verdict/witness/coverage
-// mismatch. Mismatches are shrunk and committed as self-contained repros
-// under tests/corpus/. See README.md "Differential fuzzing".
+// translation; serial vs --jobs; whole vs sharded + merged) and fails
+// loudly on any verdict/witness/coverage mismatch. Mismatches are shrunk and
+// committed as self-contained repros under tests/corpus/. See README.md
+// "Differential fuzzing".
 
 #include <chrono>
 #include <cstdio>
@@ -41,7 +41,7 @@ run options:
   --jobs N          thread count of the parallel legs (default 2)
   --shards N        shard count of the sharded+merged leg (default 2)
   --corpus DIR      where shrunk repros are written (default tests/corpus)
-  --break-leg LEG   test hook: flip LEG's verdict (e.g. engine-symbolic) to
+  --break-leg LEG   test hook: flip LEG's verdict (e.g. engine-jobs2) to
                     prove the mismatch->shrink->repro pipeline end to end;
                     also read from the WSV_FUZZ_BREAK environment variable
   --max-states N    per-search state cap override

@@ -64,8 +64,7 @@ const std::set<std::string>& ValueFlags() {
       "--steps",     "--seed",          "--db",         "--env-msg",
       "--env-domain", "--stats-json",   "--trace-json", "--progress-ms",
       "--jobs",      "--deadline-ms",   "--checkpoint", "--checkpoint-every",
-      "--on-db-error", "--db-range",    "--valuation-range",
-      "--valuation-mode"};
+      "--on-db-error", "--db-range",    "--valuation-range"};
   return flags;
 }
 
@@ -115,13 +114,6 @@ int Usage() {
       "                           sweep (tools/shard_sweep.py, wsvc-merge)\n"
       "  --valuation-range <lo:hi> the same slicing over the valuation space\n"
       "                           of a pinned-database run (--db)\n"
-      "  --valuation-mode <m>     concrete (default): enumerate every\n"
-      "                           valuation index; symbolic: one product\n"
-      "                           search per leaf-signature class (BDD\n"
-      "                           partition of the valuation space); auto:\n"
-      "                           symbolic unless the classes fail to\n"
-      "                           collapse the span. Verdict and witness are\n"
-      "                           identical in every mode\n"
       "  --count-databases        report the size of the enumeration space\n"
       "                           (databases, or valuations under --db) and\n"
       "                           exit without verifying — how a coordinator\n"
@@ -325,24 +317,8 @@ void RangeFlagOr(const Args& args, const std::string& name, size_t* lo,
   }
 }
 
-/// Parses --valuation-mode (concrete | symbolic | auto; default concrete).
-/// Exits with usage code 2 on an unknown mode, mirroring the range flags.
-verifier::ValuationMode ValuationModeFlagOr(const Args& args) {
-  auto it = args.flags.find("--valuation-mode");
-  if (it == args.flags.end()) return verifier::ValuationMode::kConcrete;
-  auto mode = verifier::ValuationModeFromName(it->second);
-  if (!mode.has_value()) {
-    std::fprintf(stderr,
-                 "wsvc: --valuation-mode expects concrete|symbolic|auto, "
-                 "got '%s'\n",
-                 it->second.c_str());
-    std::exit(2);
-  }
-  return *mode;
-}
-
 /// Fills the options verify, protocol and modular share from the flags:
-/// semantics, domain, budgets, ranges, valuation mode, pinned databases and
+/// semantics, domain, budgets, ranges, pinned databases and
 /// the robustness options (deadline/cancel token, fault isolation,
 /// checkpoint/resume). The fingerprint covers everything that determines
 /// the enumeration order and the verdict (command, spec source,
@@ -365,7 +341,6 @@ int OptionsFromFlags(const Args& args, const std::string& spec_source,
   RangeFlagOr(args, "--db-range", &out->db_range_lo, &out->db_range_hi);
   RangeFlagOr(args, "--valuation-range", &out->valuation_range_lo,
               &out->valuation_range_hi);
-  out->valuation_mode = ValuationModeFlagOr(args);
   out->count_only = args.flags.count("--count-databases") > 0;
   if (!args.dbs.empty()) {
     auto dbs = BuildDatabases(comp, args.dbs);
