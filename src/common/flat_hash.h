@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace wsv {
@@ -90,6 +91,43 @@ class FlatIdSet {
   /// recomputation-free.
   std::vector<size_t> hashes_;
   size_t size_ = 0;
+};
+
+/// An append-only table of uint32 word-string keys with dense ids. The
+/// keys are stored back to back in one word array and found through a
+/// FlatIdSet on a caller-supplied hash (HashFlatSnapshot of the key
+/// words). Callers keep per-id payloads in a parallel array; the footprint
+/// memo of verifier::LeafCache and the move and input-choice memos of
+/// verifier::FlatExpander are built this way.
+///
+/// Concurrency: as FlatIdSet (Find is safe against concurrent Find).
+class WordKeySet {
+ public:
+  /// Id of the key `key[0, count)` with hash `hash`, or FlatIdSet::kEmpty.
+  uint32_t Find(const uint32_t* key, size_t count, size_t hash) const {
+    return index_.Find(hash, [&](uint32_t id) {
+      const uint32_t* stored = words_.data() + begin_[id];
+      return begin_[id + 1] - begin_[id] == count &&
+             (count == 0 ||
+              std::memcmp(stored, key, count * sizeof(uint32_t)) == 0);
+    });
+  }
+
+  /// Adds the key (known absent) and returns its id.
+  uint32_t Add(const uint32_t* key, size_t count, size_t hash) {
+    const uint32_t id = static_cast<uint32_t>(size());
+    words_.insert(words_.end(), key, key + count);
+    begin_.push_back(static_cast<uint32_t>(words_.size()));
+    index_.Insert(hash, id);
+    return id;
+  }
+
+  size_t size() const { return begin_.size() - 1; }
+
+ private:
+  std::vector<uint32_t> words_;
+  std::vector<uint32_t> begin_{0};
+  FlatIdSet index_;
 };
 
 }  // namespace wsv

@@ -35,14 +35,27 @@ data::Instance& PartInstance(PeerConfig& cfg, size_t part) {
   }
 }
 
-void AppendRelation(const data::Relation& rel, std::vector<uint32_t>* out) {
+}  // namespace
+
+void AppendRelationWords(const data::Relation& rel,
+                         std::vector<uint32_t>* out) {
   out->push_back(static_cast<uint32_t>(rel.size()));
   for (const data::Tuple& t : rel.tuples()) {
     for (data::Value v : t) out->push_back(v);
   }
 }
 
-}  // namespace
+const uint32_t* ReadRelationWords(const uint32_t* at, uint32_t arity,
+                                  data::Relation* out) {
+  const uint32_t count = *at++;
+  std::vector<data::Tuple> tuples;
+  tuples.reserve(count);
+  for (uint32_t t = 0; t < count; ++t, at += arity) {
+    tuples.emplace_back(at, arity);
+  }
+  out->AssignSorted(std::move(tuples));
+  return at;
+}
 
 const data::Instance& PeerPart(const PeerConfig& cfg, uint32_t part) {
   switch (part) {
@@ -106,13 +119,13 @@ void FlatSnapshotCodec::Encode(const Snapshot& snap,
     for (size_t part = 0; part < 4; ++part) {
       const data::Instance& inst = PeerPart(cfg, static_cast<uint32_t>(part));
       for (size_t r = 0; r < inst.size(); ++r) {
-        AppendRelation(inst.relation(r), out);
+        AppendRelationWords(inst.relation(r), out);
       }
     }
   }
   for (const auto& queue : snap.channels) {
     out->push_back(static_cast<uint32_t>(queue.size()));
-    for (const data::Relation& msg : queue) AppendRelation(msg, out);
+    for (const data::Relation& msg : queue) AppendRelationWords(msg, out);
   }
 }
 
@@ -146,17 +159,6 @@ void FlatSnapshotCodec::Decode(FlatSnapshot flat, Snapshot* out) const {
     }
   }
 
-  auto read_tuples = [&](uint32_t arity) {
-    uint32_t count = *p++;
-    std::vector<data::Tuple> tuples;
-    tuples.reserve(count);
-    for (uint32_t t = 0; t < count; ++t) {
-      tuples.emplace_back(p, arity);
-      p += arity;
-    }
-    return tuples;
-  };
-
   size_t flat_rel = 0;
   for (size_t i = 0; i < peers.size(); ++i) {
     PeerConfig& cfg = out->peers[i];
@@ -165,7 +167,7 @@ void FlatSnapshotCodec::Decode(FlatSnapshot flat, Snapshot* out) const {
       data::Instance& inst = PartInstance(cfg, part);
       if (inst.schema() != &schema) inst = data::Instance(&schema);
       for (size_t r = 0; r < schema.size(); ++r, ++flat_rel) {
-        inst.relation(r).AssignSorted(read_tuples(part_arities_[flat_rel]));
+        p = ReadRelationWords(p, part_arities_[flat_rel], &inst.relation(r));
       }
     }
   }
@@ -179,7 +181,7 @@ void FlatSnapshotCodec::Decode(FlatSnapshot flat, Snapshot* out) const {
     queue.reserve(messages);
     for (uint32_t m = 0; m < messages; ++m) {
       data::Relation msg(arity);
-      msg.AssignSorted(read_tuples(arity));
+      p = ReadRelationWords(p, arity, &msg);
       queue.push_back(std::move(msg));
     }
   }
@@ -194,6 +196,7 @@ void FlatSnapshotCodec::Locate(FlatSnapshot flat, FlatLayout* layout) const {
     layout->relation[r] = at;
     at += 1 + base[at] * part_arities_[r];
   }
+  layout->queues = at;
   const size_t num_channels = channel_arities_.size();
   layout->queue_len.resize(num_channels);
   layout->queue_first.resize(num_channels);
@@ -209,6 +212,17 @@ void FlatSnapshotCodec::Locate(FlatSnapshot flat, FlatLayout* layout) const {
     }
   }
   assert(at == flat.size && "flat snapshot span length mismatch");
+}
+
+std::pair<uint32_t, uint32_t> FlatSnapshotCodec::PeerBlock(
+    const FlatLayout& layout, size_t peer) const {
+  auto offset = [&](size_t r) {
+    return r < layout.relation.size() ? layout.relation[r] : layout.queues;
+  };
+  return {offset(part_bases_[peer * 4]),
+          offset(peer + 1 < send_error_counts_.size()
+                     ? part_bases_[(peer + 1) * 4]
+                     : part_arities_.size())};
 }
 
 void FlatSnapshotCodec::AppendPart(FlatSnapshot flat, const FlatLayout& layout,

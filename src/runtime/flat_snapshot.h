@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "runtime/snapshot.h"
@@ -86,11 +87,27 @@ struct SnapshotPart {
 /// The instance of `cfg` that a kRelation part's `part` names.
 const data::Instance& PeerPart(const PeerConfig& cfg, uint32_t part);
 
+/// Appends `rel` in the encoding's relation format: [tuple_count,
+/// values...], tuples in their sorted order.
+void AppendRelationWords(const data::Relation& rel, std::vector<uint32_t>* out);
+
+/// Reads one relation block written by AppendRelationWords (tuples of
+/// `arity` values) into `out`; returns the word after the block.
+const uint32_t* ReadRelationWords(const uint32_t* at, uint32_t arity,
+                                  data::Relation* out);
+
+/// Words of the relation block at `at` (a [tuple_count, values...] block
+/// of `arity`-tuples).
+inline uint32_t RelationBlockWords(const uint32_t* at, uint32_t arity) {
+  return 1 + at[0] * arity;
+}
+
 /// Word offsets of the relations and queues inside one flat encoding,
 /// computed by FlatSnapshotCodec::Locate (one pass over the span) and read
 /// by AppendPart. Reusable across spans.
 struct FlatLayout {
   std::vector<uint32_t> relation;     // per flat relation: its count word
+  uint32_t queues = 0;                // the first channel's count word
   std::vector<uint32_t> queue_len;    // per channel: number of messages
   std::vector<uint32_t> queue_first;  // per channel: first message block
   std::vector<uint32_t> queue_last;   // per channel: last message block
@@ -128,6 +145,23 @@ class FlatSnapshotCodec {
   /// Number of event-bit words in the header (received + sent +
   /// send_errors packed together).
   size_t event_words() const { return event_words_; }
+
+  /// Event-bit indices (bit b lives in header word 1 + b / 32): channel
+  /// `c`'s received and sent flags, and `peer`'s send_errors[q].
+  uint32_t received_bit(size_t c) const { return static_cast<uint32_t>(c); }
+  uint32_t sent_bit(size_t c) const {
+    return static_cast<uint32_t>(channel_arities_.size() + c);
+  }
+  uint32_t send_error_bit(size_t peer, size_t q) const {
+    return send_error_bases_[peer] + static_cast<uint32_t>(q);
+  }
+
+  uint32_t channel_arity(size_t c) const { return channel_arities_[c]; }
+
+  /// Word range [first, second) of `peer`'s block (its state, input, prev
+  /// and action relations) in the span `layout` was located on.
+  std::pair<uint32_t, uint32_t> PeerBlock(const FlatLayout& layout,
+                                          size_t peer) const;
 
   /// Records where every relation and queue of `flat` starts.
   void Locate(FlatSnapshot flat, FlatLayout* layout) const;

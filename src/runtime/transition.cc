@@ -72,51 +72,57 @@ bool TransitionGenerator::ChannelIsLossy(spec::QueueKind kind) const {
   return true;
 }
 
+LocalView TransitionGenerator::View(const Snapshot& snap, size_t peer) const {
+  const PeerConfig& cfg = snap.peers[peer];
+  LocalView view{cfg.state, cfg.input, cfg.prev, {}, cfg.send_errors};
+  for (size_t c : wiring_[peer].in_channel) {
+    const auto& queue = snap.channels[c];
+    view.heads.push_back(queue.empty() ? std::nullopt
+                                       : std::optional(queue.front()));
+  }
+  return view;
+}
+
 Result<fo::MapStructure> TransitionGenerator::BuildRuleStructure(
-    const Snapshot& snap, size_t peer_index, bool include_input) const {
+    size_t peer_index, const LocalView& view, bool include_input) const {
   const spec::Peer& peer = comp_->peers()[peer_index];
-  const PeerConfig& cfg = snap.peers[peer_index];
   fo::MapStructure structure;
   structure.SetDomain(domain_);
 
-  const data::Instance& db = databases_[peer_index];
-  for (size_t i = 0; i < db.schema()->size(); ++i) {
-    structure.Set(db.schema()->relation(i).name, db.relation(i));
-  }
-  for (size_t i = 0; i < cfg.state.schema()->size(); ++i) {
-    structure.Set(cfg.state.schema()->relation(i).name, cfg.state.relation(i));
-  }
-  for (size_t i = 0; i < cfg.prev.schema()->size(); ++i) {
-    structure.Set(cfg.prev.schema()->relation(i).name, cfg.prev.relation(i));
-  }
-  if (include_input) {
-    for (size_t i = 0; i < cfg.input.schema()->size(); ++i) {
-      structure.Set(cfg.input.schema()->relation(i).name,
-                    cfg.input.relation(i));
+  auto set_all = [&](const data::Instance& inst) {
+    for (size_t i = 0; i < inst.schema()->size(); ++i) {
+      structure.Set(inst.schema()->relation(i).name, inst.relation(i));
     }
-  }
+  };
+  set_all(databases_[peer_index]);
+  set_all(view.state);
+  set_all(view.prev);
+  if (include_input) set_all(view.input);
   // Queue views: f(Q) (first message) and the empty_Q queue-state.
   for (size_t q = 0; q < peer.in_queues().size(); ++q) {
     const spec::QueueDecl& decl = peer.in_queues()[q];
-    const auto& queue = snap.channels[wiring_[peer_index].in_channel[q]];
-    structure.Set(decl.name, queue.empty() ? data::Relation(decl.arity())
-                                           : queue.front());
+    const std::optional<data::Relation>& head = view.heads[q];
+    structure.Set(decl.name, head ? *head : data::Relation(decl.arity()));
     structure.Set(spec::QueueEmptyStateName(decl.name),
-                  PropRelation(queue.empty()));
+                  PropRelation(!head.has_value()));
   }
   // Send-error flags (Theorem 3.8: consultable by rules and properties;
   // constant false outside the deterministic-send semantics).
   for (size_t q = 0; q < peer.out_queues().size(); ++q) {
     if (peer.out_queues()[q].kind != spec::QueueKind::kFlat) continue;
     structure.Set("error_" + peer.out_queues()[q].name,
-                  PropRelation(q < cfg.send_errors.size() &&
-                               cfg.send_errors[q]));
+                  PropRelation(q < view.send_errors.size() &&
+                               view.send_errors[q]));
   }
   return structure;
 }
 
-Result<std::vector<data::Instance>> TransitionGenerator::EnumerateInputChoices(
-    const spec::Peer& peer, const fo::MapStructure& base) const {
+Result<std::vector<data::Instance>> TransitionGenerator::InputChoices(
+    size_t peer_index, const LocalView& view) const {
+  const spec::Peer& peer = comp_->peers()[peer_index];
+  WSV_ASSIGN_OR_RETURN(fo::MapStructure base,
+                       BuildRuleStructure(peer_index, view,
+                                          /*include_input=*/false));
   // Evaluate the options rule of every input relation, then form all
   // combinations of "no input" plus each option tuple (Definition 2.3).
   std::vector<data::Instance> combos;
@@ -172,35 +178,30 @@ void TransitionGenerator::DeliverMessages(
   }
 }
 
-Result<std::vector<Snapshot>> TransitionGenerator::SuccessorsForPeer(
-    const Snapshot& snap, size_t peer_index) const {
+Result<PeerMove> TransitionGenerator::EvaluateMove(
+    size_t peer_index, const LocalView& view) const {
   const spec::Peer& peer = comp_->peers()[peer_index];
   const PeerWiring& wiring = wiring_[peer_index];
 
   // Definition 2.4: the transition consumes the input *stored in the
   // current configuration* (Definition 2.3 requires it to be
-  // options-consistent there); the successor's input is re-chosen below
-  // against the successor configuration.
+  // options-consistent there); the successor's input is re-chosen by the
+  // caller against the successor configuration.
   WSV_ASSIGN_OR_RETURN(fo::MapStructure structure,
-                       BuildRuleStructure(snap, peer_index,
+                       BuildRuleStructure(peer_index, view,
                                           /*include_input=*/true));
-
-  Snapshot next = snap;
-  next.mover = static_cast<int>(peer_index);
-  next.received.assign(next.received.size(), false);
-  next.sent.assign(next.sent.size(), false);
-  PeerConfig& cfg = next.peers[peer_index];
+  PeerMove move;
 
   // --- State updates (snapshot semantics: all rules read `structure`,
   // which reflects the *current* configuration). ---
-  data::Instance new_state = cfg.state;
+  move.state = view.state;
   for (size_t s = 0; s < peer.declared_state_schema().size(); ++s) {
     const std::string& name = peer.declared_state_schema().relation(s).name;
     const spec::Rule* ins = peer.FindRule(spec::RuleKind::kStateInsert, name);
     const spec::Rule* del = peer.FindRule(spec::RuleKind::kStateDelete, name);
     if (ins == nullptr && del == nullptr) continue;  // state unchanged
-    data::Relation plus(cfg.state.relation(s).arity());
-    data::Relation minus(cfg.state.relation(s).arity());
+    data::Relation plus(view.state.relation(s).arity());
+    data::Relation minus(view.state.relation(s).arity());
     if (ins != nullptr) {
       WSV_ASSIGN_OR_RETURN(
           plus,
@@ -213,15 +214,15 @@ Result<std::vector<Snapshot>> TransitionGenerator::SuccessorsForPeer(
     }
     // (phi+ and not phi-) or (S and phi+ and phi-) or (S and not phi+ and
     // not phi-)  — conflicting insert+delete is a no-op (Definition 2.4).
-    const data::Relation& current = cfg.state.relation(s);
+    const data::Relation& current = view.state.relation(s);
     data::Relation result = plus.Difference(minus);
     result = result.Union(current.Intersection(plus.Intersection(minus)));
     result = result.Union(current.Difference(plus.Union(minus)));
-    new_state.SetRelation(s, std::move(result));
+    move.state.SetRelation(s, std::move(result));
   }
 
   // --- Actions. ---
-  data::Instance new_action(&peer.action_schema());
+  move.action = data::Instance(&peer.action_schema());
   for (size_t a = 0; a < peer.action_schema().size(); ++a) {
     const std::string& name = peer.action_schema().relation(a).name;
     const spec::Rule* rule = peer.FindRule(spec::RuleKind::kAction, name);
@@ -229,13 +230,13 @@ Result<std::vector<Snapshot>> TransitionGenerator::SuccessorsForPeer(
     WSV_ASSIGN_OR_RETURN(
         data::Relation result,
         evaluator_.EvaluateQuery(rule->body, rule->head_vars, structure));
-    new_action.SetRelation(a, std::move(result));
+    move.action.SetRelation(a, std::move(result));
   }
 
   // --- Sends. ---
-  std::vector<std::vector<OutgoingMessage>> send_alternatives;
+  std::vector<std::vector<OutgoingMessage>>& send_alternatives = move.sends;
   send_alternatives.emplace_back();  // start with "messages so far" = none
-  std::vector<bool> new_errors(peer.out_queues().size(), false);
+  move.send_errors.assign(peer.out_queues().size(), false);
   for (size_t q = 0; q < peer.out_queues().size(); ++q) {
     const spec::QueueDecl& decl = peer.out_queues()[q];
     const spec::Rule* rule = peer.FindRule(spec::RuleKind::kSend, decl.name);
@@ -255,11 +256,11 @@ Result<std::vector<Snapshot>> TransitionGenerator::SuccessorsForPeer(
         data::Relation msg(decl.arity());
         msg.Insert(result.tuples()[0]);
         for (auto& alt : send_alternatives) {
-          alt.push_back(OutgoingMessage{channel, decl.kind, std::move(msg)});
+          alt.push_back(OutgoingMessage{channel, decl.kind, msg});
         }
       } else if (options_.deterministic_flat_sends) {
         // Theorem 3.8 semantics: runtime error, no message.
-        new_errors[q] = true;
+        move.send_errors[q] = true;
       } else {
         // Nondeterministically pick one tuple (Definition 2.4).
         std::vector<std::vector<OutgoingMessage>> expanded;
@@ -278,6 +279,39 @@ Result<std::vector<Snapshot>> TransitionGenerator::SuccessorsForPeer(
     }
   }
 
+  // --- Previous-input window update (shift the lookback window with the
+  // input this transition consumed). ---
+  move.prev = view.prev;
+  for (size_t i = 0; i < peer.input_schema().size(); ++i) {
+    const std::string& iname = peer.input_schema().relation(i).name;
+    if (view.input.relation(i).empty()) continue;  // window unchanged
+    for (int k = peer.lookback(); k >= 2; --k) {
+      move.prev.relation(spec::PrevInputName(iname, k)) =
+          move.prev.relation(spec::PrevInputName(iname, k - 1));
+    }
+    move.prev.relation(spec::PrevInputName(iname, 1)) = view.input.relation(i);
+  }
+  return move;
+}
+
+Result<std::vector<Snapshot>> TransitionGenerator::SuccessorsForPeer(
+    const Snapshot& snap, size_t peer_index) const {
+  const spec::Peer& peer = comp_->peers()[peer_index];
+  const PeerWiring& wiring = wiring_[peer_index];
+  WSV_ASSIGN_OR_RETURN(PeerMove move,
+                       EvaluateMove(peer_index, View(snap, peer_index)));
+
+  Snapshot next = snap;
+  next.mover = static_cast<int>(peer_index);
+  next.received.assign(next.received.size(), false);
+  next.sent.assign(next.sent.size(), false);
+  PeerConfig& cfg = next.peers[peer_index];
+  cfg.state = std::move(move.state);
+  cfg.input.Clear();  // re-chosen per delivered successor below
+  cfg.prev = std::move(move.prev);
+  cfg.action = std::move(move.action);
+  cfg.send_errors = std::move(move.send_errors);
+
   // --- Dequeue consumed in-queues. ---
   for (size_t q = 0; q < peer.in_queues().size(); ++q) {
     if (!wiring.consumes[q]) continue;
@@ -285,39 +319,17 @@ Result<std::vector<Snapshot>> TransitionGenerator::SuccessorsForPeer(
     if (!queue.empty()) queue.erase(queue.begin());
   }
 
-  // --- Previous-input window update (shift the lookback window with the
-  // input this transition consumed). ---
-  data::Instance new_prev = cfg.prev;
-  for (size_t i = 0; i < peer.input_schema().size(); ++i) {
-    const std::string& iname = peer.input_schema().relation(i).name;
-    if (cfg.input.relation(i).empty()) continue;  // window unchanged
-    for (int k = peer.lookback(); k >= 2; --k) {
-      new_prev.relation(spec::PrevInputName(iname, k)) =
-          new_prev.relation(spec::PrevInputName(iname, k - 1));
-    }
-    new_prev.relation(spec::PrevInputName(iname, 1)) = cfg.input.relation(i);
-  }
-
-  cfg.state = std::move(new_state);
-  cfg.input.Clear();  // re-chosen per delivered successor below
-  cfg.prev = std::move(new_prev);
-  cfg.action = std::move(new_action);
-  cfg.send_errors = std::move(new_errors);
-
   // --- Deliver messages with lossy/bounded branching. ---
   std::vector<Snapshot> delivered;
-  for (auto& alt : send_alternatives) {
+  for (auto& alt : move.sends) {
     DeliverMessages(next, alt, 0, delivered);
   }
 
   // --- Choose the successor configuration's input (Definition 2.3). ---
   std::vector<Snapshot> successors;
   for (Snapshot& d : delivered) {
-    WSV_ASSIGN_OR_RETURN(fo::MapStructure succ_structure,
-                         BuildRuleStructure(d, peer_index,
-                                            /*include_input=*/false));
     WSV_ASSIGN_OR_RETURN(std::vector<data::Instance> choices,
-                         EnumerateInputChoices(peer, succ_structure));
+                         InputChoices(peer_index, View(d, peer_index)));
     for (data::Instance& input : choices) {
       Snapshot with_input = d;
       with_input.peers[peer_index].input = std::move(input);
@@ -334,11 +346,8 @@ Result<std::vector<Snapshot>> TransitionGenerator::InitialSnapshots() const {
   for (size_t p = 0; p < comp_->peers().size(); ++p) {
     const spec::Peer& peer = comp_->peers()[p];
     if (peer.input_schema().size() == 0) continue;
-    WSV_ASSIGN_OR_RETURN(fo::MapStructure structure,
-                         BuildRuleStructure(initials.front(), p,
-                                            /*include_input=*/false));
     WSV_ASSIGN_OR_RETURN(std::vector<data::Instance> choices,
-                         EnumerateInputChoices(peer, structure));
+                         InputChoices(p, View(initials.front(), p)));
     if (choices.size() <= 1) continue;  // only the empty input
     std::vector<Snapshot> expanded;
     expanded.reserve(initials.size() * choices.size());
@@ -440,19 +449,20 @@ Result<std::vector<Snapshot>> TransitionGenerator::EnvSuccessors(
       const spec::Channel& channel = comp_->channels()[c];
       bool full = stutter.channels[c].size() >= options_.queue_bound;
       bool lossy = ChannelIsLossy(channel.kind);
-      for (const data::Relation& msg : EnvCandidates(c)) {
-        if (lossy || full) {
-          Snapshot dropped = stutter;
-          dropped.sent[c] = true;
-          successors.push_back(std::move(dropped));
-        }
-        if (!full) {
-          Snapshot fed = stutter;
-          fed.sent[c] = true;
-          fed.channels[c].push_back(msg);
-          fed.received[c] = true;
-          successors.push_back(std::move(fed));
-        }
+      std::vector<data::Relation> candidates = EnvCandidates(c);
+      // "Sent but dropped" is one snapshot whatever the message was.
+      if ((lossy || full) && !candidates.empty()) {
+        Snapshot dropped = stutter;
+        dropped.sent[c] = true;
+        successors.push_back(std::move(dropped));
+      }
+      for (const data::Relation& msg : candidates) {
+        if (full) break;
+        Snapshot fed = stutter;
+        fed.sent[c] = true;
+        fed.channels[c].push_back(msg);
+        fed.received[c] = true;
+        successors.push_back(std::move(fed));
       }
     }
     return successors;
@@ -483,20 +493,19 @@ Result<std::vector<Snapshot>> TransitionGenerator::EnvSuccessors(
       expanded.push_back(base);  // feed nothing
       bool full = base.channels[c].size() >= options_.queue_bound;
       bool lossy = ChannelIsLossy(channel.kind);
+      // "Sent but dropped" is one snapshot whatever the message was.
+      if ((lossy || full) && !candidates.empty()) {
+        Snapshot dropped = base;
+        dropped.sent[c] = true;
+        expanded.push_back(std::move(dropped));
+      }
       for (const data::Relation& msg : candidates) {
-        // "sent but dropped" branch.
-        if (lossy || full) {
-          Snapshot dropped = base;
-          dropped.sent[c] = true;
-          expanded.push_back(std::move(dropped));
-        }
-        if (!full) {
-          Snapshot fed = base;
-          fed.sent[c] = true;
-          fed.channels[c].push_back(msg);
-          fed.received[c] = true;
-          expanded.push_back(std::move(fed));
-        }
+        if (full) break;
+        Snapshot fed = base;
+        fed.sent[c] = true;
+        fed.channels[c].push_back(msg);
+        fed.received[c] = true;
+        expanded.push_back(std::move(fed));
       }
     }
     bases = std::move(expanded);

@@ -1,6 +1,7 @@
 #ifndef WSVERIFY_RUNTIME_TRANSITION_H_
 #define WSVERIFY_RUNTIME_TRANSITION_H_
 
+#include <optional>
 #include <vector>
 
 #include "common/interner.h"
@@ -14,6 +15,42 @@
 
 namespace wsv::runtime {
 
+/// What one peer's rules read at a configuration (Definitions 2.4, 2.6):
+/// its state, current input and previous inputs, the first message and
+/// emptiness of each in-queue, and its error_Q flags. The database is fixed
+/// per generator, so a peer's move and its input options are functions of
+/// this view alone.
+struct LocalView {
+  data::Instance state;
+  data::Instance input;
+  data::Instance prev;
+  /// Per in-queue (aligned with the peer's in_queues()): the first
+  /// message, or nullopt when the queue is empty.
+  std::vector<std::optional<data::Relation>> heads;
+  /// error_Q flags, aligned with the peer's out_queues().
+  std::vector<bool> send_errors;
+};
+
+/// A message produced by a send rule, before channel delivery.
+struct OutgoingMessage {
+  size_t channel;
+  spec::QueueKind kind;
+  data::Relation content;  // singleton for flat
+};
+
+/// A peer's move evaluated on its local view (Definition 2.4), before the
+/// queue effects: the successor configuration's state, lookback window,
+/// actions and error flags, and the messages sent.
+struct PeerMove {
+  data::Instance state;
+  data::Instance prev;
+  data::Instance action;
+  std::vector<bool> send_errors;
+  /// One message list per nondeterministic flat-send pick, each in
+  /// out-queue order; there is always at least one (possibly empty) list.
+  std::vector<std::vector<OutgoingMessage>> sends;
+};
+
 /// Generates the legal successor snapshots of a composition configuration
 /// (Definition 2.4 lifted to serialized runs, Definition 2.6).
 ///
@@ -22,8 +59,25 @@ namespace wsv::runtime {
 /// option tuple per input relation), nondeterministic flat-send picks,
 /// lossy-channel drops, and — for environment moves — arbitrary
 /// domain-bounded message injections (Section 5).
+///
+/// Successors emit in a fixed order: peers in index order, then the
+/// environment; within a peer move, send alternatives, then per message
+/// the drop branch before the deliver branch, then input choices.
+/// verifier::FlatExpander reproduces this order on flat encodings from the
+/// same EvaluateMove / InputChoices / EnvCandidates.
 class TransitionGenerator {
  public:
+  /// Channel wiring of one peer.
+  struct PeerWiring {
+    /// Composition channel index per in-queue / out-queue (aligned with the
+    /// peer's in_queues() / out_queues()).
+    std::vector<size_t> in_channel;
+    std::vector<size_t> out_channel;
+    /// In-queues mentioned in some rule body (these are dequeued on every
+    /// move of the peer, Definition 2.4).
+    std::vector<bool> consumes;
+  };
+
   /// `comp` must be validated and outlive the generator. `databases` is one
   /// instance of each peer's database schema, aligned with comp.peers().
   /// `domain` is the evaluation domain for rule quantifiers (the
@@ -38,6 +92,7 @@ class TransitionGenerator {
   const std::vector<data::Instance>& databases() const { return databases_; }
   const data::Domain& domain() const { return domain_; }
   const RunOptions& options() const { return options_; }
+  const PeerWiring& wiring(size_t peer) const { return wiring_[peer]; }
 
   /// All legal initial snapshots (Definition 2.6): states, previous inputs,
   /// actions and queues empty; every peer's current input is any
@@ -56,36 +111,34 @@ class TransitionGenerator {
   /// Successors where the environment moves (open compositions only).
   Result<std::vector<Snapshot>> EnvSuccessors(const Snapshot& snap) const;
 
-  /// The evaluation structure a peer's rules see in `snap` (database, state,
-  /// queue-states, first messages of in-queues, previous inputs); inputs are
-  /// layered on top by the caller. Exposed for testing.
-  Result<fo::MapStructure> BuildRuleStructure(const Snapshot& snap,
-                                              size_t peer_index,
-                                              bool include_input) const;
+  /// Peer `peer`'s local view in `snap`.
+  LocalView View(const Snapshot& snap, size_t peer) const;
+
+  /// Evaluates every rule of `peer` on `view` (Definition 2.4: all rules
+  /// read the current configuration, including its stored input).
+  Result<PeerMove> EvaluateMove(size_t peer, const LocalView& view) const;
+
+  /// The options-consistent input instances of `peer` at the configuration
+  /// whose local view is `view` (Definition 2.3: at most one option tuple
+  /// per input relation); view.input is not read. The first choice is the
+  /// empty input.
+  Result<std::vector<data::Instance>> InputChoices(size_t peer,
+                                                   const LocalView& view) const;
+
+  /// Whether a message on a channel of `kind` may be dropped.
+  bool ChannelIsLossy(spec::QueueKind kind) const;
+
+  /// Candidate environment-message contents for a channel (configured
+  /// finite domain, or every tuple over the evaluation domain).
+  std::vector<data::Relation> EnvCandidates(size_t channel_index) const;
 
  private:
-  struct PeerWiring {
-    /// Composition channel index per in-queue / out-queue (aligned with the
-    /// peer's in_queues() / out_queues()).
-    std::vector<size_t> in_channel;
-    std::vector<size_t> out_channel;
-    /// In-queues mentioned in some rule body (these are dequeued on every
-    /// move of the peer, Definition 2.4).
-    std::vector<bool> consumes;
-  };
-
-  /// A message produced by a send rule, before channel delivery.
-  struct OutgoingMessage {
-    size_t channel;
-    spec::QueueKind kind;
-    data::Relation content;  // singleton for flat
-  };
-
-  /// Enumerates the options-consistent input instances of `peer` at the
-  /// configuration whose rule structure (without inputs) is `base`
-  /// (Definition 2.3: at most one option tuple per input relation).
-  Result<std::vector<data::Instance>> EnumerateInputChoices(
-      const spec::Peer& peer, const fo::MapStructure& base) const;
+  /// The evaluation structure `peer`'s rules see at `view`: database,
+  /// state, previous inputs, first messages and empty_Q states of its
+  /// in-queues, error_Q flags, and the input when `include_input`.
+  Result<fo::MapStructure> BuildRuleStructure(size_t peer,
+                                              const LocalView& view,
+                                              bool include_input) const;
 
   /// Applies channel delivery (lossy branching, bounds) of `messages` to
   /// `base`, appending all resulting snapshots to `out`.
@@ -93,12 +146,6 @@ class TransitionGenerator {
                        const std::vector<OutgoingMessage>& messages,
                        size_t message_index,
                        std::vector<Snapshot>& out) const;
-
-  bool ChannelIsLossy(spec::QueueKind kind) const;
-
-  /// Candidate environment-message contents for a channel (configured
-  /// finite domain, or every tuple over the evaluation domain).
-  std::vector<data::Relation> EnvCandidates(size_t channel_index) const;
 
   const spec::Composition* comp_;
   std::vector<data::Instance> databases_;

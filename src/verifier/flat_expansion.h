@@ -1,0 +1,201 @@
+#ifndef WSVERIFY_VERIFIER_FLAT_EXPANSION_H_
+#define WSVERIFY_VERIFIER_FLAT_EXPANSION_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "common/flat_hash.h"
+#include "common/status.h"
+#include "runtime/flat_snapshot.h"
+#include "runtime/transition.h"
+
+namespace wsv::verifier {
+
+/// Which parts of a snapshot must be kept distinct. Everything here is
+/// bisimulation-invariant for successor computation — the mover tag, event
+/// flags, action relations (pure outputs; Definition 2.1 forbids reading
+/// them in rule bodies) and previous-input relations no rule consults — so
+/// any part not observed by a proposition is normalized away, collapsing
+/// bisimilar snapshots.
+struct SnapshotNormalization {
+  bool keep_mover = true;
+  bool keep_flags = true;
+  bool keep_actions = true;
+  /// keep_prev[peer][prev-relation index within the peer's
+  /// prev_input_schema]; empty = keep everything.
+  std::vector<std::vector<bool>> keep_prev;
+};
+
+/// A list of flat spans in one word buffer: span i is
+/// words[begin[i], begin[i + 1]).
+struct SpanList {
+  std::vector<uint32_t> words;
+  std::vector<uint32_t> begin{0};
+
+  size_t size() const { return begin.size() - 1; }
+  runtime::FlatSnapshot span(size_t i) const {
+    return {words.data() + begin[i], begin[i + 1] - begin[i]};
+  }
+  void Clear() {
+    words.clear();
+    begin.assign(1, 0);
+  }
+};
+
+/// Memo traffic of some expansions: one move lookup per (node, peer), one
+/// input lookup per delivered peer successor; evals are the lookups that
+/// missed and ran the rules.
+struct MemoCounts {
+  size_t move_lookups = 0;
+  size_t move_evals = 0;
+  size_t input_lookups = 0;
+  size_t input_evals = 0;
+
+  MemoCounts& operator+=(const MemoCounts& o) {
+    move_lookups += o.move_lookups;
+    move_evals += o.move_evals;
+    input_lookups += o.input_lookups;
+    input_evals += o.input_evals;
+    return *this;
+  }
+};
+
+/// Computes a snapshot's successors on canonical flat encodings, with the
+/// same result and order as normalizing each snapshot of
+/// TransitionGenerator::Successors(Decode(span)) and encoding it.
+///
+/// A peer's move reads only its local view (runtime::LocalView) and writes
+/// only its own configuration and the queues it uses (Definitions 2.4 and
+/// 2.6). So the rules run once per distinct view: the move memo maps the
+/// view's words, sliced from the parent span, to the encoded PeerMove, and
+/// the input memo maps the part of the successor's view that the options
+/// rules read to the encoded input choices. Each successor span is then
+/// spliced from the parent: a new header, the mover's block replaced,
+/// consumed in-queues dequeued and delivered messages appended.
+/// Environment moves splice the same way. No runtime::Snapshot is built;
+/// memo misses decode just the view from its key. Errors are never
+/// memoized.
+class FlatExpander {
+ public:
+  /// One lane's memos and scratch. Not thread-safe: each concurrent
+  /// expansion needs its own lane.
+  class Lane {
+   public:
+    Lane() = default;
+
+   private:
+    friend class FlatExpander;
+    /// Keys with one encoded result each: result i is
+    /// values[value_begin[i], value_begin[i + 1]).
+    struct Memo {
+      WordKeySet keys;
+      std::vector<uint32_t> values;
+      std::vector<uint32_t> value_begin{0};
+    };
+    /// A channel's change in one successor.
+    struct ChannelEdit {
+      bool dequeue = false;
+      const uint32_t* append = nullptr;  // message block to enqueue
+      bool sent = false;
+      bool received = false;
+    };
+
+    std::vector<Memo> moves;   // per peer
+    std::vector<Memo> inputs;  // per peer
+    runtime::FlatLayout layout;
+    std::vector<uint32_t> key;
+    std::vector<uint32_t> input_key;  // a move's input-key prefix
+    std::vector<uint32_t> head;  // the mover's successor span up to its input
+    std::vector<uint32_t> tail;  // ... and after it
+    std::vector<ChannelEdit> edits;
+    std::vector<std::vector<ChannelEdit>> env_bases;
+    /// One send alternative: (channel, message block) in out-queue order,
+    /// and its delivery branches as bitmasks of delivered messages.
+    std::vector<std::pair<uint32_t, const uint32_t*>> messages;
+    std::vector<uint64_t> deliveries;
+  };
+
+  /// `generator` and `codec` must outlive the expander.
+  FlatExpander(const runtime::TransitionGenerator* generator,
+               const runtime::FlatSnapshotCodec* codec,
+               SnapshotNormalization normalization);
+
+  /// Appends every successor of `parent` (a normalized encoding) to `out`,
+  /// normalized, duplicates included, in TransitionGenerator::Successors
+  /// order. Adds the memo traffic to `counts`. On error `out` may hold a
+  /// partial expansion.
+  Status Expand(runtime::FlatSnapshot parent, Lane* lane, SpanList* out,
+                MemoCounts* counts) const;
+
+ private:
+  /// The move of peer `p` from `parent` (located in lane->layout): its
+  /// encoded PeerMove, from the lane's memo or freshly evaluated.
+  Result<const uint32_t*> Move(runtime::FlatSnapshot parent, size_t p,
+                               Lane* lane, MemoCounts* counts) const;
+
+  /// Encoded input choices of peer `p` for the input key in lane->key.
+  Result<const uint32_t*> InputChoices(size_t p, Lane* lane,
+                                       MemoCounts* counts) const;
+
+  /// The result memoized under `key`, or else `encode(out)`'s, which
+  /// evaluates the view, appends the result's words to `out` and is
+  /// counted in `evals`. A failed evaluation (which appends nothing) is not
+  /// memoized. The result stays valid until the memo's next miss.
+  template <typename Encode>
+  static Result<const uint32_t*> Memoized(Lane::Memo* memo,
+                                          const std::vector<uint32_t>& key,
+                                          size_t* evals, Encode encode);
+
+  /// The parts of a peer's local view that a memo key holds, by index, in
+  /// key order: state, input and prev relations as relation blocks, then
+  /// in-queue heads as [empty flag, first-message block], then send-error
+  /// flags as one word each.
+  struct ViewSelection {
+    std::vector<uint32_t> state, input, prev, heads, errors;
+  };
+
+  /// Rebuilds peer `p`'s local view from a key holding `selection`; parts
+  /// outside it are empty.
+  runtime::LocalView DecodeView(size_t p, const ViewSelection& selection,
+                                const uint32_t* key) const;
+
+  Status ExpandPeer(runtime::FlatSnapshot parent, size_t p, Lane* lane,
+                    SpanList* out, MemoCounts* counts) const;
+  void ExpandEnv(runtime::FlatSnapshot parent, Lane* lane,
+                 SpanList* out) const;
+
+  /// Appends the successor header: `mover_word`, then the parent's event
+  /// words with received/sent taken from `edits` (cleared unless
+  /// keep_flags) and, for a peer mover `p` >= 0, its send-error bits from
+  /// `errors`.
+  void AppendHeader(runtime::FlatSnapshot parent, uint32_t mover_word,
+                    const Lane::ChannelEdit* edits, int p,
+                    const uint32_t* errors, std::vector<uint32_t>* out) const;
+  /// Appends every channel of `parent` with `edits` applied.
+  void AppendChannels(runtime::FlatSnapshot parent,
+                      const runtime::FlatLayout& layout,
+                      const Lane::ChannelEdit* edits,
+                      std::vector<uint32_t>* out) const;
+  /// Appends an environment successor: header, unchanged peers, channels.
+  void EmitEnv(runtime::FlatSnapshot parent, const Lane& lane,
+               const Lane::ChannelEdit* edits, SpanList* out) const;
+
+  const runtime::TransitionGenerator* generator_;
+  const runtime::FlatSnapshotCodec* codec_;
+  SnapshotNormalization normalization_;
+  /// Per peer: the move key holds the whole local view (move_parts_ is
+  /// the same selection as snapshot parts, for AppendPart); the input key
+  /// holds what the peer's options rules name, never the input itself.
+  std::vector<ViewSelection> move_view_, input_view_;
+  std::vector<std::vector<runtime::SnapshotPart>> move_parts_;
+  std::vector<bool> lossy_;  // per channel
+  std::vector<size_t> env_consume_, env_feed_;
+  /// Per channel: the encoded environment-message candidates.
+  std::vector<std::vector<std::vector<uint32_t>>> env_candidates_;
+};
+
+}  // namespace wsv::verifier
+
+#endif  // WSVERIFY_VERIFIER_FLAT_EXPANSION_H_

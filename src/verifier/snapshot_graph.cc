@@ -14,40 +14,38 @@
 
 namespace wsv::verifier {
 
+namespace {
+
+/// Books the memo traffic of some expansions in the registry.
+void CountMemo(const MemoCounts& counts) {
+  obs::Registry& registry = obs::Registry::Global();
+  static obs::Counter& move_lookups = registry.counter("graph.move_lookups");
+  static obs::Counter& move_evals = registry.counter("graph.move_evals");
+  static obs::Counter& input_lookups =
+      registry.counter("graph.input_lookups");
+  static obs::Counter& input_evals = registry.counter("graph.input_evals");
+  move_lookups.Add(counts.move_lookups);
+  move_evals.Add(counts.move_evals);
+  input_lookups.Add(counts.input_lookups);
+  input_evals.Add(counts.input_evals);
+}
+
+}  // namespace
+
 SnapshotGraph::SnapshotGraph(const runtime::TransitionGenerator* generator,
                              SnapshotNormalization normalization)
     : generator_(generator),
-      normalization_(std::move(normalization)),
-      codec_(&generator->composition()) {}
-
-void SnapshotGraph::Normalize(runtime::Snapshot* snap) const {
-  if (!normalization_.keep_mover) snap->mover = runtime::kNoMover;
-  if (!normalization_.keep_flags) {
-    snap->received.assign(snap->received.size(), false);
-    snap->sent.assign(snap->sent.size(), false);
-  }
-  if (!normalization_.keep_actions) {
-    for (runtime::PeerConfig& cfg : snap->peers) cfg.action.Clear();
-  }
-  if (!normalization_.keep_prev.empty()) {
-    for (size_t p = 0; p < snap->peers.size(); ++p) {
-      const std::vector<bool>& keep = normalization_.keep_prev[p];
-      for (size_t r = 0; r < keep.size(); ++r) {
-        if (!keep[r]) snap->peers[p].prev.relation(r).Clear();
-      }
-    }
-  }
-}
+      codec_(&generator->composition()),
+      expander_(generator, &codec_, std::move(normalization)),
+      lanes_(1) {}
 
 SnapshotId SnapshotGraph::InternSpan(const uint32_t* words, uint32_t count,
-                                     size_t hash) {
+                                     size_t hash, size_t* hits) {
   SnapshotId found = intern_.Find(hash, [&](uint32_t id) {
     return flats_[id] == runtime::FlatSnapshot{words, count};
   });
   if (found != FlatIdSet::kEmpty) {
-    static obs::Counter& hits =
-        obs::Registry::Global().counter("graph.intern_hits");
-    hits.Add(1);
+    ++*hits;
     return found;
   }
   SnapshotId id = static_cast<SnapshotId>(flats_.size());
@@ -63,24 +61,24 @@ SnapshotId SnapshotGraph::InternSpan(const uint32_t* words, uint32_t count,
   return id;
 }
 
-SnapshotId SnapshotGraph::Intern(runtime::Snapshot& snap) {
-  Normalize(&snap);
-  codec_.Encode(snap, &encode_buf_);
-  static obs::Counter& encodes =
-      obs::Registry::Global().counter("graph.encode");
-  encodes.Add(1);
-  size_t hash =
-      runtime::HashFlatSnapshot(encode_buf_.data(), encode_buf_.size());
-  return InternSpan(encode_buf_.data(),
-                    static_cast<uint32_t>(encode_buf_.size()), hash);
-}
-
 Result<const std::vector<SnapshotId>*> SnapshotGraph::Initials() {
   if (!initials_.has_value()) {
     WSV_ASSIGN_OR_RETURN(std::vector<runtime::Snapshot> snaps,
                          generator_->InitialSnapshots());
+    // Initial snapshots are already normalized: no mover, no events, empty
+    // actions and previous inputs.
     std::vector<SnapshotId> ids;
-    for (runtime::Snapshot& s : snaps) ids.push_back(Intern(s));
+    std::vector<uint32_t> words;
+    size_t hits = 0;
+    for (const runtime::Snapshot& s : snaps) {
+      codec_.Encode(s, &words);
+      ids.push_back(InternSpan(
+          words.data(), static_cast<uint32_t>(words.size()),
+          runtime::HashFlatSnapshot(words.data(), words.size()), &hits));
+    }
+    obs::Registry& registry = obs::Registry::Global();
+    registry.counter("graph.encode").Add(snaps.size());
+    registry.counter("graph.intern_hits").Add(hits);
     std::sort(ids.begin(), ids.end());
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
     initials_ = std::move(ids);
@@ -91,26 +89,39 @@ Result<const std::vector<SnapshotId>*> SnapshotGraph::Initials() {
 Result<const std::vector<SnapshotId>*> SnapshotGraph::Successors(
     SnapshotId sid) {
   if (!successors_[sid].has_value()) {
-    // Decode into the reusable scratch snapshot: the flat span is
-    // arena-stable, so unlike the old object store no defensive copy is
-    // needed before Intern below grows the graph.
-    codec_.Decode(flats_[sid], &decode_scratch_);
-    WSV_ASSIGN_OR_RETURN(std::vector<runtime::Snapshot> succ,
-                         generator_->Successors(decode_scratch_));
+    Lane& lane = lanes_[0];
+    SpanList& spans = lane.node;
+    spans.Clear();
+    MemoCounts counts;
+    WSV_RETURN_IF_ERROR(
+        expander_.Expand(flats_[sid], &lane.memo, &spans, &counts));
+    // The spans stay in the lane while InternSpan copies new ones into the
+    // persistent arena.
     std::vector<SnapshotId> ids;
-    ids.reserve(succ.size());
-    for (runtime::Snapshot& s : succ) ids.push_back(Intern(s));
+    ids.reserve(spans.size());
+    size_t hits = 0;
+    for (size_t i = 0; i < spans.size(); ++i) {
+      const runtime::FlatSnapshot span = spans.span(i);
+      ids.push_back(InternSpan(span.data, span.size,
+                               runtime::HashFlatSnapshot(span.data, span.size),
+                               &hits));
+    }
     std::sort(ids.begin(), ids.end());
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
     transitions_ += ids.size();
     obs::Registry& registry = obs::Registry::Global();
+    static obs::Counter& encodes = registry.counter("graph.encode");
+    static obs::Counter& intern_hits = registry.counter("graph.intern_hits");
     static obs::Counter& calls = registry.counter("graph.successor_calls");
     static obs::Counter& edges = registry.counter("graph.transitions");
     static obs::Histogram& fanout =
         registry.histogram("graph.successors_per_snapshot");
+    encodes.Add(spans.size());
+    intern_hits.Add(hits);
     calls.Add(1);
     edges.Add(ids.size());
     fanout.Record(ids.size());
+    CountMemo(counts);
     successors_[sid] = std::move(ids);
   }
   return &*successors_[sid];
@@ -120,10 +131,15 @@ Result<bool> SnapshotGraph::ExploreAll(size_t max_snapshots,
                                        RunControl* control, ThreadPool* pool,
                                        size_t lanes) {
   obs::PhaseTimer phase("graph_expand");
-  if (pool == nullptr || lanes <= 1) {
-    return ExploreAllSerial(max_snapshots, control);
-  }
-  return ExploreAllParallel(max_snapshots, control, pool, lanes);
+  Result<bool> complete = pool == nullptr || lanes <= 1
+                              ? ExploreAllSerial(max_snapshots, control)
+                              : ExploreAllParallel(max_snapshots, control,
+                                                   pool, lanes);
+  // Helper lanes are done; a complete graph needs no lane at all, while a
+  // partial one keeps lane 0's memos for lazy expansion.
+  if (complete.ok() && *complete) lanes_.clear();
+  lanes_.resize(1);
+  return complete;
 }
 
 Result<bool> SnapshotGraph::ExploreAllSerial(size_t max_snapshots,
@@ -152,58 +168,42 @@ Result<bool> SnapshotGraph::ExploreAllSerial(size_t max_snapshots,
   return true;
 }
 
-namespace {
-
-/// One frontier node's expansion, computed concurrently: its successors'
-/// canonical encodings (spans into the expanding lane's scratch arena) with
-/// their hashes, or the generator's error. The Snapshot objects themselves
-/// are dropped inside the compute phase — only the flat spans survive to
-/// the merge.
-struct NodeExpansion {
-  Status status = Status::Ok();
-  std::vector<runtime::FlatSnapshot> flat;
-  std::vector<size_t> hash;
-};
-
-/// Per-lane scratch reused across every frontier node the lane expands (and
-/// across BFS levels): the decoded frontier snapshot, the encode buffer,
-/// and the arena holding this level's candidate spans. Resetting the arena
-/// per level recycles its chunks, so steady-state expansion allocates
-/// nothing for the ~16x of candidates that end up duplicates.
-struct LaneScratch {
-  runtime::Snapshot snap;
-  std::vector<uint32_t> encode;
-  Arena arena;
-};
-
-}  // namespace
-
 Result<bool> SnapshotGraph::ExploreAllParallel(size_t max_snapshots,
                                                RunControl* control,
                                                ThreadPool* pool,
                                                size_t lanes) {
   WSV_ASSIGN_OR_RETURN(const std::vector<SnapshotId>* inits, Initials());
   std::vector<SnapshotId> frontier(inits->begin(), inits->end());
-  std::vector<LaneScratch> scratch(lanes);
+  if (lanes_.size() < lanes) lanes_.resize(lanes);
+
+  /// One frontier node's expansion, or its error: per candidate its id
+  /// if it was interned before this level, else FlatIdSet::kEmpty and its
+  /// span (in the expanding lane's arena) and hash in `fresh`.
+  struct NodeExpansion {
+    Status status = Status::Ok();
+    std::vector<SnapshotId> ids;
+    std::vector<std::pair<runtime::FlatSnapshot, size_t>> fresh;
+    MemoCounts memo;
+  };
 
   while (!frontier.empty()) {
     const size_t n = frontier.size();
 
-    // Compute phase: expand every frontier node concurrently. The graph is
-    // not mutated here — workers read stable flat spans, decode into their
-    // lane scratch, and encode candidates into their lane arena; ids are
-    // only assigned in the sequential merge below.
+    // Compute phase: expand every frontier node concurrently and probe each
+    // candidate against the interned set as it stood before this level.
+    // The graph is not mutated here, so hits are final; only the misses'
+    // spans are kept (in the lane's arena) for the sequential merge below,
+    // the only place ids are assigned.
     std::vector<NodeExpansion> expansions(n);
     std::atomic<bool> stop_requested{false};
     obs::TimedMutex stop_mu{"graph.stop"};
     Status stop_status = Status::Ok();
-    for (LaneScratch& s : scratch) s.arena.Reset();
+    for (Lane& lane : lanes_) lane.arena.Reset();
     const size_t per_chunk =
         std::max<size_t>(1, std::min<size_t>(64, n / (lanes * 4) + 1));
     const size_t num_chunks = (n + per_chunk - 1) / per_chunk;
     ThreadPool::ParallelChunks(
         pool, lanes - 1, num_chunks, [&](size_t lane, size_t chunk) {
-          LaneScratch& lane_scratch = scratch[lane];
           const size_t begin = chunk * per_chunk;
           const size_t end = std::min(n, begin + per_chunk);
           for (size_t p = begin; p < end; ++p) {
@@ -219,100 +219,86 @@ Result<bool> SnapshotGraph::ExploreAllParallel(size_t max_snapshots,
               }
             }
             NodeExpansion& out = expansions[p];
-            codec_.Decode(flats_[frontier[p]], &lane_scratch.snap);
-            auto succ = generator_->Successors(lane_scratch.snap);
-            if (!succ.ok()) {
-              out.status = succ.status();
-              continue;
-            }
-            out.flat.reserve(succ.value().size());
-            out.hash.reserve(succ.value().size());
-            for (runtime::Snapshot& s : succ.value()) {
-              Normalize(&s);
-              codec_.Encode(s, &lane_scratch.encode);
-              const uint32_t* span = lane_scratch.arena.CopyWords(
-                  lane_scratch.encode.data(), lane_scratch.encode.size());
-              out.flat.push_back(runtime::FlatSnapshot{
-                  span, static_cast<uint32_t>(lane_scratch.encode.size())});
-              out.hash.push_back(runtime::HashFlatSnapshot(
-                  lane_scratch.encode.data(), lane_scratch.encode.size()));
+            Lane& scratch = lanes_[lane];
+            SpanList& spans = scratch.node;
+            spans.Clear();
+            out.status = expander_.Expand(flats_[frontier[p]], &scratch.memo,
+                                          &spans, &out.memo);
+            if (!out.status.ok()) continue;
+            out.ids.reserve(spans.size());
+            for (size_t i = 0; i < spans.size(); ++i) {
+              const runtime::FlatSnapshot span = spans.span(i);
+              const size_t hash =
+                  runtime::HashFlatSnapshot(span.data, span.size);
+              const SnapshotId id = intern_.Find(
+                  hash, [&](uint32_t known) { return flats_[known] == span; });
+              out.ids.push_back(id);
+              if (id == FlatIdSet::kEmpty) {
+                out.fresh.push_back(
+                    {{scratch.arena.CopyWords(span.data, span.size), span.size},
+                     hash});
+              }
             }
           }
         });
     if (!stop_status.ok()) return stop_status;
-
-    // Resolve pass (parallel): probe every candidate against the interned
-    // set as it stood before this level. Hits are final (existing ids never
-    // change); misses are re-probed during the merge, which is the only
-    // place the table grows.
-    size_t total = 0;
-    for (const NodeExpansion& exp : expansions) total += exp.flat.size();
-    struct Candidate {
-      runtime::FlatSnapshot flat;
-      size_t hash;
-    };
-    std::vector<Candidate> candidates;
-    candidates.reserve(total);
-    for (NodeExpansion& exp : expansions) {
-      for (size_t j = 0; j < exp.flat.size(); ++j) {
-        candidates.push_back(Candidate{exp.flat[j], exp.hash[j]});
-      }
-    }
-    static obs::Counter& encodes =
-        obs::Registry::Global().counter("graph.encode");
-    encodes.Add(total);
-    std::vector<SnapshotId> resolved(total, FlatIdSet::kEmpty);
-    const size_t resolve_chunk = 1024;
-    const size_t resolve_chunks = (total + resolve_chunk - 1) / resolve_chunk;
-    ThreadPool::ParallelChunks(
-        pool, lanes - 1, resolve_chunks, [&](size_t, size_t chunk) {
-          const size_t begin = chunk * resolve_chunk;
-          const size_t end = std::min(total, begin + resolve_chunk);
-          for (size_t g = begin; g < end; ++g) {
-            resolved[g] = intern_.Find(candidates[g].hash, [&](uint32_t id) {
-              return flats_[id] == candidates[g].flat;
-            });
-          }
-        });
 
     // Merge pass (sequential): assign ids in exact frontier order — the
     // same order the serial BFS interns in — so ids, counters, transitions,
     // and the budget cut-off are bit-for-bit identical to a serial run.
     // Unresolved candidates re-probe the (now growing) table, which both
     // dedups within the level and copies each winner's span into the
-    // persistent arena exactly once.
+    // persistent arena exactly once. Counters are summed over the merged
+    // nodes and booked once per level.
     obs::Registry& registry = obs::Registry::Global();
+    static obs::Counter& encodes = registry.counter("graph.encode");
     static obs::Counter& intern_hits = registry.counter("graph.intern_hits");
     static obs::Counter& calls = registry.counter("graph.successor_calls");
     static obs::Counter& edges = registry.counter("graph.transitions");
     static obs::Histogram& fanout =
         registry.histogram("graph.successors_per_snapshot");
+    size_t merged = 0, merged_candidates = 0, hits = 0, level_edges = 0;
+    MemoCounts memo;
+    auto book = [&] {
+      encodes.Add(merged_candidates);
+      intern_hits.Add(hits);
+      calls.Add(merged);
+      edges.Add(level_edges);
+      CountMemo(memo);
+    };
     std::vector<SnapshotId> next_frontier;
     const size_t before_level = flats_.size();
-    for (size_t p = 0, g = 0; p < n; ++p) {
+    for (size_t p = 0; p < n; ++p) {
       NodeExpansion& exp = expansions[p];
-      WSV_RETURN_IF_ERROR(exp.status);
-      std::vector<SnapshotId> ids;
-      ids.reserve(exp.flat.size());
-      for (size_t j = 0; j < exp.flat.size(); ++j, ++g) {
-        SnapshotId id = resolved[g];
-        if (id != FlatIdSet::kEmpty) {
-          intern_hits.Add(1);
+      if (!exp.status.ok()) {
+        book();
+        return exp.status;
+      }
+      std::vector<SnapshotId>& ids = exp.ids;
+      const size_t candidates = ids.size();
+      for (size_t j = 0, k = 0; j < candidates; ++j) {
+        if (ids[j] != FlatIdSet::kEmpty) {
+          ++hits;
         } else {
-          id = InternSpan(candidates[g].flat.data, candidates[g].flat.size,
-                          candidates[g].hash);
+          const auto& [span, hash] = exp.fresh[k++];
+          ids[j] = InternSpan(span.data, span.size, hash, &hits);
         }
-        ids.push_back(id);
       }
       std::sort(ids.begin(), ids.end());
       ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
       transitions_ += ids.size();
-      calls.Add(1);
-      edges.Add(ids.size());
+      ++merged;
+      merged_candidates += candidates;
+      level_edges += ids.size();
+      memo += exp.memo;
       fanout.Record(ids.size());
       successors_[frontier[p]] = std::move(ids);
-      if (flats_.size() > max_snapshots) return false;
+      if (flats_.size() > max_snapshots) {
+        book();
+        return false;
+      }
     }
+    book();
     next_frontier.reserve(flats_.size() - before_level);
     for (size_t id = before_level; id < flats_.size(); ++id) {
       next_frontier.push_back(static_cast<SnapshotId>(id));
@@ -361,24 +347,6 @@ LeafCache::LeafCache(SnapshotGraph* graph, std::vector<fo::FormulaPtr> leaves,
     std::sort(parts.begin(), parts.end());
     parts.erase(std::unique(parts.begin(), parts.end()), parts.end());
   }
-}
-
-uint32_t LeafCache::Memo::Find(const uint32_t* key, size_t count,
-                               size_t hash) const {
-  return index.Find(hash, [&](uint32_t id) {
-    return begin[id + 1] - begin[id] == count &&
-           std::equal(key, key + count, words.data() + begin[id]);
-  });
-}
-
-uint32_t LeafCache::Memo::Add(const uint32_t* key, size_t count,
-                              size_t hash) {
-  const uint32_t id = static_cast<uint32_t>(results.size());
-  words.insert(words.end(), key, key + count);
-  begin.push_back(static_cast<uint32_t>(words.size()));
-  index.Insert(hash, id);
-  results.emplace_back();
-  return id;
 }
 
 void LeafCache::AppendKey(size_t leaf, runtime::FlatSnapshot flat,

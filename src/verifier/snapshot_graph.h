@@ -16,25 +16,11 @@
 #include "fo/structure.h"
 #include "runtime/flat_snapshot.h"
 #include "runtime/transition.h"
+#include "verifier/flat_expansion.h"
 
 namespace wsv::verifier {
 
 using SnapshotId = uint32_t;
-
-/// Which parts of a snapshot must be kept distinct. Everything here is
-/// bisimulation-invariant for successor computation — the mover tag, event
-/// flags, action relations (pure outputs; Definition 2.1 forbids reading
-/// them in rule bodies) and previous-input relations no rule consults — so
-/// any part not observed by a proposition is normalized away, collapsing
-/// bisimilar snapshots.
-struct SnapshotNormalization {
-  bool keep_mover = true;
-  bool keep_flags = true;
-  bool keep_actions = true;
-  /// keep_prev[peer][prev-relation index within the peer's
-  /// prev_input_schema]; empty = keep everything.
-  std::vector<std::vector<bool>> keep_prev;
-};
 
 /// The composition's configuration graph for one database choice, explored
 /// lazily and shared across all property instances (valuations of the
@@ -51,9 +37,10 @@ struct SnapshotNormalization {
 /// Interned snapshots are stored as canonical flat encodings
 /// (runtime::FlatSnapshot): one contiguous arena-backed uint32 span per
 /// snapshot, deduplicated through an open-addressing id table keyed by the
-/// span hash. Equality on the intern path is a single memcmp and the
-/// Snapshot object graph is only rebuilt (into reusable scratch) when a
-/// node is expanded or a witness is rendered. ExploreAll can run the
+/// span hash. Equality on the intern path is a single memcmp. Expansion
+/// runs on the spans too (FlatExpander): successor spans are spliced from
+/// the parent, and a Snapshot object is only rebuilt when a witness is
+/// rendered or a property structure is built. ExploreAll can run the
 /// successor computation level-parallel on a borrowed ThreadPool; ids are
 /// assigned by an ordered per-level merge, so the id sequence (and every
 /// derived witness and statistic) is bit-for-bit identical to the serial
@@ -116,24 +103,28 @@ class SnapshotGraph {
   bool fully_explored() const { return fully_explored_; }
 
  private:
-  /// Applies the normalization in place (see SnapshotNormalization).
-  void Normalize(runtime::Snapshot* snap) const;
+  /// One expansion lane: its memos, the candidate spans of the node it is
+  /// expanding, and the arena that keeps a parallel level's candidates
+  /// until the merge (reset per level, so its chunks are recycled).
+  struct Lane {
+    FlatExpander::Lane memo;
+    SpanList node;
+    Arena arena;
+  };
 
-  /// Normalizes and interns `snap` (via its flat encoding), reusing the
-  /// member encode buffer. `snap` is left in its normalized state.
-  SnapshotId Intern(runtime::Snapshot& snap);
-
-  /// Interns an already-encoded span: returns the existing id or copies the
-  /// span into the persistent arena under a fresh id.
-  SnapshotId InternSpan(const uint32_t* words, uint32_t count, size_t hash);
+  /// Interns an already-encoded span: returns the existing id (counting
+  /// it in `hits`) or copies the span into the persistent arena under a
+  /// fresh id.
+  SnapshotId InternSpan(const uint32_t* words, uint32_t count, size_t hash,
+                        size_t* hits);
 
   Result<bool> ExploreAllSerial(size_t max_snapshots, RunControl* control);
   Result<bool> ExploreAllParallel(size_t max_snapshots, RunControl* control,
                                   ThreadPool* pool, size_t lanes);
 
   const runtime::TransitionGenerator* generator_;
-  SnapshotNormalization normalization_;
   runtime::FlatSnapshotCodec codec_;
+  FlatExpander expander_;
 
   /// Canonical encodings: flats_[id] points into arena_; hashes_[id] is its
   /// span hash, kept so table growth never rehashes content.
@@ -142,9 +133,9 @@ class SnapshotGraph {
   std::vector<size_t> hashes_;
   FlatIdSet intern_;
 
-  /// Serial-path scratch, reused across every intern/expansion.
-  runtime::Snapshot decode_scratch_;
-  std::vector<uint32_t> encode_buf_;
+  /// Expansion lanes (lane 0 serves the serial paths). A finished
+  /// exploration drops them: every successor list is then cached.
+  std::vector<Lane> lanes_;
 
   std::vector<std::optional<std::vector<SnapshotId>>> successors_;
   std::optional<std::vector<SnapshotId>> initials_;
@@ -235,23 +226,24 @@ class LeafCache {
   }
 
  private:
-  /// One leaf's footprint memo. Keys are interned like snapshot spans:
-  /// key i occupies words[begin[i], begin[i + 1]).
+  /// One leaf's footprint memo: footprint keys with one result slot each.
   struct Memo {
     /// The snapshot parts the leaf reads, sorted (database parts dropped:
     /// they are fixed for the graph).
     std::vector<runtime::SnapshotPart> parts;
-    std::vector<uint32_t> words;
-    std::vector<uint32_t> begin{0};
-    FlatIdSet index;
+    WordKeySet keys;
     /// results[i]: the leaf on footprint i; null until evaluated.
     std::vector<std::unique_ptr<fo::ValuationSet>> results;
 
     size_t size() const { return results.size(); }
-    /// Id of the key `key[0, count)` with hash `hash`, or FlatIdSet::kEmpty.
-    uint32_t Find(const uint32_t* key, size_t count, size_t hash) const;
-    /// Adds the key (known absent) and returns its id.
-    uint32_t Add(const uint32_t* key, size_t count, size_t hash);
+    uint32_t Find(const uint32_t* key, size_t count, size_t hash) const {
+      return keys.Find(key, count, hash);
+    }
+    /// Adds the key (known absent) with an empty result slot.
+    uint32_t Add(const uint32_t* key, size_t count, size_t hash) {
+      results.emplace_back();
+      return keys.Add(key, count, hash);
+    }
   };
 
   /// Appends leaf `leaf`'s footprint key of `flat` (located by `layout`).

@@ -217,6 +217,20 @@ def main(argv):
     leaf_missing_evals = mutate(leaf_memo, "verdict.stats.leaf_evals",
                                 DELETE)
 
+    # Graph expansion memos: 3 peers x 10 expanded snapshots = 30 move
+    # lookups, 4 of them evaluated.
+    move_counters = {"sweep.databases": 4, "graph.successor_calls": 10,
+                     "graph.move_lookups": 30, "graph.move_evals": 4,
+                     "graph.input_lookups": 50, "graph.input_evals": 6}
+    move_memo = mutate(mutate(base_doc(), "counters", move_counters),
+                       "peers", 3)
+    move_lookups_off = mutate(move_memo, "counters",
+                              dict(move_counters,
+                                   **{"graph.move_lookups": 29}))
+    input_evals_over = mutate(move_memo, "counters",
+                              dict(move_counters,
+                                   **{"graph.input_evals": 51}))
+
     # (name, document, expect_ok)
     cases = [
         ("valid sweep verdict", base_doc(), True),
@@ -334,6 +348,12 @@ def main(argv):
         ("footprint_hits + leaf_evals off in counters", leaf_counters_off,
          False),
         ("leaves without leaf_evals", leaf_missing_evals, False),
+        # Graph expansion memo accounting.
+        ("valid move memo accounting", move_memo, True),
+        ("move_lookups != successor_calls * peers", move_lookups_off, False),
+        ("input_evals over input_lookups", input_evals_over, False),
+        ("peers not a positive integer", mutate(move_memo, "peers", 0),
+         False),
         # Supervisor roll-up of a supervised shard_sweep run.
         ("valid supervisor rollup", supervised, True),
         ("supervisor missing relaunches",

@@ -1,0 +1,324 @@
+// Oracle test for verifier::FlatExpander: for every snapshot of a reachable
+// graph (explored up to a budget), the successor spans spliced from the
+// flat encoding must equal, in order, the normalized encodings of
+// TransitionGenerator::Successors on the decoded snapshot — the object
+// path that Simulator uses. Inputs cover every spec file, the loan
+// composition at k = 1 and 2, and generated compositions of all six
+// regimes (environment moves, perfect channels, deterministic flat sends,
+// lookback, nested queues), under each normalization, serially and on
+// four lanes.
+
+#include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
+#include <optional>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "common/thread_pool.h"
+#include "gen/generator.h"
+#include "ltl/property.h"
+#include "runtime/transition.h"
+#include "spec/library.h"
+#include "spec/parser.h"
+#include "verifier/db_enum.h"
+#include "verifier/engine.h"
+#include "verifier/flat_expansion.h"
+#include "verifier/snapshot_graph.h"
+
+namespace wsv::verifier {
+namespace {
+
+/// One composition to expand, with its run semantics.
+struct Input {
+  Input(std::string name_in, spec::Composition comp_in)
+      : name(std::move(name_in)), comp(std::move(comp_in)) {}
+
+  std::string name;
+  spec::Composition comp;
+  std::set<std::string> constants;
+  /// Pinned databases; empty takes the third canonical database of the
+  /// enumeration (or the last, if there are fewer; see CheckInput when the
+  /// enumeration is out of reach).
+  std::vector<NamedDatabase> pinned;
+  runtime::RunOptions run;
+  size_t max_snapshots = 400;
+};
+
+/// The normalization SnapshotGraph applied to Snapshot objects before
+/// expansion went flat.
+void Normalize(const SnapshotNormalization& norm, runtime::Snapshot* snap) {
+  if (!norm.keep_mover) snap->mover = runtime::kNoMover;
+  if (!norm.keep_flags) {
+    snap->received.assign(snap->received.size(), false);
+    snap->sent.assign(snap->sent.size(), false);
+  }
+  if (!norm.keep_actions) {
+    for (runtime::PeerConfig& cfg : snap->peers) cfg.action.Clear();
+  }
+  if (!norm.keep_prev.empty()) {
+    for (size_t p = 0; p < snap->peers.size(); ++p) {
+      const std::vector<bool>& keep = norm.keep_prev[p];
+      for (size_t r = 0; r < keep.size(); ++r) {
+        if (!keep[r]) snap->peers[p].prev.relation(r).Clear();
+      }
+    }
+  }
+}
+
+/// Keep everything; drop each of mover, flags and actions alone; drop all
+/// three and every other previous-input relation of each peer.
+std::vector<SnapshotNormalization> Normalizations(
+    const spec::Composition& comp) {
+  std::vector<SnapshotNormalization> out(5);
+  out[1].keep_mover = false;
+  out[2].keep_flags = false;
+  out[3].keep_actions = false;
+  SnapshotNormalization& partial = out[4];
+  partial.keep_mover = partial.keep_flags = partial.keep_actions = false;
+  for (const spec::Peer& peer : comp.peers()) {
+    std::vector<bool>& keep = partial.keep_prev.emplace_back();
+    for (size_t r = 0; r < peer.prev_input_schema().size(); ++r) {
+      keep.push_back(r % 2 == 0);
+    }
+  }
+  return out;
+}
+
+/// Shape facts about the checked snapshots, for coverage assertions.
+struct Coverage {
+  size_t snapshots = 0;
+  size_t longest_queue = 0;
+  size_t env_successors = 0;
+};
+
+/// Empty when `sid`'s flat successors match the reference, else a
+/// description of the first difference.
+std::string CompareSuccessors(const runtime::TransitionGenerator& generator,
+                              const SnapshotGraph& graph,
+                              const FlatExpander& expander,
+                              const SnapshotNormalization& norm,
+                              const Interner& interner,
+                              FlatExpander::Lane* lane, MemoCounts* counts,
+                              SnapshotId sid) {
+  SpanList spans;
+  Status status = expander.Expand(graph.flat(sid), lane, &spans, counts);
+  if (!status.ok()) return "flat expansion failed: " + status.ToString();
+  auto reference = generator.Successors(graph.snapshot(sid));
+  if (!reference.ok()) {
+    return "reference expansion failed: " + reference.status().ToString();
+  }
+  if (reference->size() != spans.size()) {
+    return "flat path has " + std::to_string(spans.size()) +
+           " successors, reference " + std::to_string(reference->size());
+  }
+  std::vector<uint32_t> words;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    runtime::Snapshot& expected = (*reference)[i];
+    Normalize(norm, &expected);
+    graph.codec().Encode(expected, &words);
+    const runtime::FlatSnapshot want{words.data(),
+                                     static_cast<uint32_t>(words.size())};
+    if (!(spans.span(i) == want)) {
+      return "successor " + std::to_string(i) + " differs: flat path " +
+             graph.codec().Decode(spans.span(i)).ToString(
+                 generator.composition(), interner) +
+             "\nreference " +
+             expected.ToString(generator.composition(), interner);
+    }
+  }
+  return "";
+}
+
+/// Explores `in` under `norm` on `lanes` lanes, then checks every
+/// snapshot's flat successors against the reference, again on `lanes`
+/// lanes with one memo lane each.
+void CheckInput(const Input& in, const SnapshotNormalization& norm,
+                size_t lanes, Coverage* coverage) {
+  SCOPED_TRACE(in.name + " at " + std::to_string(lanes) + " lanes");
+  PseudoDomain pd = BuildPseudoDomain(in.comp, in.constants, 1);
+  std::vector<data::Instance> dbs;
+  if (!in.pinned.empty()) {
+    auto materialized =
+        MaterializeDatabases(in.comp, in.pinned, pd.interner, pd.domain);
+    ASSERT_TRUE(materialized.ok()) << materialized.status();
+    dbs = std::move(*materialized);
+  } else {
+    DatabaseEnumerator enumerator(&in.comp, pd.domain, pd.fresh,
+                                  /*iso_reduce=*/true);
+    std::vector<data::Instance> db;
+    for (int i = 0; i < 3 && enumerator.Next(&db); ++i) dbs = db;
+  }
+  if (dbs.empty()) {
+    // Too many databases to enumerate: every relation holds the diagonal
+    // tuples (v, ..., v) of the domain.
+    for (const spec::Peer& peer : in.comp.peers()) {
+      data::Instance& db = dbs.emplace_back(&peer.database_schema());
+      for (size_t r = 0; r < db.size(); ++r) {
+        for (data::Value v : pd.domain.values()) {
+          db.relation(r).Insert(data::Tuple(
+              std::vector<data::Value>(db.relation(r).arity(), v)));
+        }
+      }
+    }
+  }
+  runtime::TransitionGenerator generator(&in.comp, dbs, pd.domain,
+                                         &pd.interner, in.run);
+  std::optional<ThreadPool> pool;
+  if (lanes > 1) pool.emplace(lanes - 1);
+  ThreadPool* pool_ptr = pool.has_value() ? &*pool : nullptr;
+
+  SnapshotGraph graph(&generator, norm);
+  auto explored = graph.ExploreAll(in.max_snapshots, nullptr, pool_ptr, lanes);
+  ASSERT_TRUE(explored.ok()) << explored.status();
+  const size_t n = graph.size();
+
+  FlatExpander expander(&generator, &graph.codec(), norm);
+  std::vector<FlatExpander::Lane> memo_lanes(lanes);
+  std::vector<MemoCounts> counts(lanes);
+  std::vector<std::string> failures(n);
+  ThreadPool::ParallelChunks(pool_ptr, lanes - 1, n,
+                             [&](size_t lane, size_t sid) {
+                               failures[sid] = CompareSuccessors(
+                                   generator, graph, expander, norm,
+                                   pd.interner, &memo_lanes[lane],
+                                   &counts[lane],
+                                   static_cast<SnapshotId>(sid));
+                             });
+  for (size_t sid = 0; sid < n; ++sid) {
+    ASSERT_EQ(failures[sid], "") << "snapshot " << sid;
+  }
+
+  MemoCounts total;
+  for (const MemoCounts& c : counts) total += c;
+  EXPECT_EQ(total.move_lookups, n * in.comp.peers().size());
+  EXPECT_LE(total.move_evals, total.move_lookups);
+  EXPECT_LE(total.input_evals, total.input_lookups);
+
+  coverage->snapshots += n;
+  for (size_t sid = 0; sid < n; ++sid) {
+    const runtime::Snapshot snap = graph.snapshot(static_cast<SnapshotId>(sid));
+    for (const auto& queue : snap.channels) {
+      coverage->longest_queue = std::max(coverage->longest_queue, queue.size());
+    }
+    if (snap.mover == runtime::kEnvMover) ++coverage->env_successors;
+  }
+}
+
+Coverage CheckAll(const Input& in) {
+  Coverage coverage;
+  for (const SnapshotNormalization& norm : Normalizations(in.comp)) {
+    for (size_t lanes : {1, 4}) {
+      CheckInput(in, norm, lanes, &coverage);
+      if (::testing::Test::HasFatalFailure()) return coverage;
+    }
+  }
+  return coverage;
+}
+
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream file(path);
+  std::stringstream text;
+  text << file.rdbuf();
+  return text.str();
+}
+
+TEST(FlatExpansion, SpecFilesMatchReference) {
+  size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(WSV_SPECS_DIR)) {
+    if (entry.path().extension() != ".wsv") continue;
+    auto comp = spec::ParseComposition(ReadFile(entry.path()));
+    ASSERT_TRUE(comp.ok()) << entry.path() << ": " << comp.status();
+    Input in(entry.path().filename().string(), std::move(*comp));
+    in.run.allow_env_moves = !in.comp.IsClosed();
+    const Coverage coverage = CheckAll(in);
+    if (HasFatalFailure()) return;
+    EXPECT_GT(coverage.snapshots, 0u);
+    ++files;
+  }
+  EXPECT_GE(files, 7u);
+}
+
+std::vector<NamedDatabase> LoanDatabase() {
+  std::vector<NamedDatabase> dbs(4);
+  dbs[0]["wants"] = {{"c1", "l1"}};
+  dbs[1]["customer"] = {{"c1", "s1", "ann"}};
+  dbs[2]["client"] = {{"c1", "s1", "ann"}};
+  dbs[3]["creditRecord"] = {{"s1", "good"}};
+  dbs[3]["accounts"] = {{"s1", "a1", "b1"}};
+  return dbs;
+}
+
+TEST(FlatExpansion, LoanAtQueueBounds1And2) {
+  for (size_t bound : {1, 2}) {
+    auto comp = spec::library::LoanComposition();
+    ASSERT_TRUE(comp.ok()) << comp.status();
+    Input in("loan k=" + std::to_string(bound), std::move(*comp));
+    in.pinned = LoanDatabase();
+    in.run.queue_bound = bound;
+    in.max_snapshots = 1500;
+    const Coverage coverage = CheckAll(in);
+    if (HasFatalFailure()) return;
+    // At k = 2 the in-queue head after a dequeue is the second message.
+    EXPECT_EQ(coverage.longest_queue, bound);
+  }
+}
+
+/// A generated composition of `regime` as an expansion input.
+std::optional<Input> GeneratedInput(gen::Regime regime, uint64_t seed) {
+  gen::GenOptions options;
+  options.seed = seed;
+  options.regime = regime;
+  auto scenario = gen::GenerateScenario(options);
+  EXPECT_TRUE(scenario.ok()) << scenario.status();
+  if (!scenario.ok()) return std::nullopt;
+  auto comp = spec::ParseComposition(scenario->spec_text);
+  EXPECT_TRUE(comp.ok()) << comp.status();
+  if (!comp.ok()) return std::nullopt;
+  Input in(scenario->name, std::move(*comp));
+  in.run = scenario->run;
+  for (const auto& [channel, rows] : scenario->env_messages) {
+    in.run.env_message_candidates[channel] = rows;
+    for (const auto& row : rows) in.constants.insert(row.begin(), row.end());
+  }
+  if (!scenario->property.empty()) {
+    auto property = ltl::Property::Parse(scenario->property);
+    EXPECT_TRUE(property.ok()) << property.status();
+    if (!property.ok()) return std::nullopt;
+    auto constants = property->Constants();
+    in.constants.insert(constants.begin(), constants.end());
+  }
+  return in;
+}
+
+TEST(FlatExpansion, GeneratedScenariosOfEveryRegime) {
+  for (gen::Regime regime : gen::AllRegimes()) {
+    for (uint64_t seed : {3, 11}) {
+      std::optional<Input> in = GeneratedInput(regime, seed);
+      if (!in.has_value()) return;
+      const Coverage coverage = CheckAll(*in);
+      if (HasFatalFailure()) return;
+      if (regime == gen::Regime::kExternal) {
+        EXPECT_GT(coverage.env_successors, 0u) << in->name;
+      }
+    }
+  }
+}
+
+/// Definition-faithful multi-queue environment moves, over every tuple of
+/// the domain (no configured candidates).
+TEST(FlatExpansion, MultiQueueEnvironmentMovesMatchReference) {
+  std::optional<Input> in = GeneratedInput(gen::Regime::kExternal, 5);
+  ASSERT_TRUE(in.has_value());
+  in->name += " multi-queue env";
+  in->run.env_single_action = false;
+  in->run.env_message_candidates.clear();
+  const Coverage coverage = CheckAll(*in);
+  EXPECT_GT(coverage.env_successors, 0u);
+}
+
+}  // namespace
+}  // namespace wsv::verifier

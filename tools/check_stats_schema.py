@@ -12,7 +12,11 @@ searched or served by the search memo, so engine.prefiltered +
 engine.searches + engine.search_memo_hits = engine.valuations_checked,
 per document and on the shard roll-up. Verdicts that
 report 'leaves' must also satisfy the leaf-cache accounting
-footprint_hits + leaf_evals = leaf_cache_misses * leaves.
+footprint_hits + leaf_evals = leaf_cache_misses * leaves. The snapshot
+graph's move memo does one lookup per expanded snapshot and peer, so a
+document that reports its peer count ("peers") must satisfy
+graph.move_lookups = graph.successor_calls * peers; evaluations never
+exceed lookups, for moves and input choices alike.
 With a trace argument, also checks that the trace file is a well-formed
 Chrome trace-event document. --require-counter (repeatable) additionally
 fails unless the named counter is present, so perf-smoke ctest entries can
@@ -63,6 +67,7 @@ def check_stats(path):
                f"counter '{name}' must be a non-negative integer")
     check_fault_counters(doc["counters"], "counters")
     check_valuation_counters(doc["counters"], "counters")
+    check_memo_counters(doc["counters"], doc.get("peers"))
     for name, timer in doc["timers_ns"].items():
         expect(isinstance(timer, dict), f"timer '{name}' must be an object")
         for field in ("total_ns", "count"):
@@ -280,6 +285,29 @@ def check_leaf_counters(stats, counters):
            f"'counters': leafcache.footprint_hits {hits} + "
            f"leafcache.leaf_evals {evals} != leafcache.misses {misses} * "
            f"leaves {leaves}")
+
+
+def check_memo_counters(counters, peers):
+    """Validates the graph expansion memo accounting: evaluations never
+    exceed lookups (graph.move_* and graph.input_*), and with the peer
+    count known, graph.move_lookups = graph.successor_calls * peers (one
+    move lookup per expanded snapshot and peer). Absent counters count as
+    0."""
+    for memo in ("move", "input"):
+        lookups = counters.get(f"graph.{memo}_lookups", 0)
+        evals = counters.get(f"graph.{memo}_evals", 0)
+        expect(evals <= lookups,
+               f"'counters': graph.{memo}_evals {evals} > "
+               f"graph.{memo}_lookups {lookups}")
+    if peers is None:
+        return
+    expect(isinstance(peers, int) and peers >= 1,
+           "'peers' must be a positive integer")
+    calls = counters.get("graph.successor_calls", 0)
+    lookups = counters.get("graph.move_lookups", 0)
+    expect(lookups == calls * peers,
+           f"'counters': graph.move_lookups {lookups} != "
+           f"graph.successor_calls {calls} * peers {peers}")
 
 
 def check_supervisor(sup):

@@ -808,6 +808,7 @@ int main(int argc, char** argv) {
     std::vector<std::pair<std::string, std::string>> extra;
     extra.emplace_back("command", "\"" + obs::JsonEscape(args.command) + "\"");
     extra.emplace_back("spec", "\"" + obs::JsonEscape(args.spec_file) + "\"");
+    extra.emplace_back("peers", std::to_string(comp->peers().size()));
     extra.emplace_back("verdict", RenderVerdictJson(report, rc));
     Status written = obs::WriteStatsJson(obs::Registry::Global(), "wsvc",
                                          stats_path->second, extra);
