@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -18,6 +17,7 @@
 #include "runtime/transition.h"
 #include "verifier/checkpoint.h"
 #include "verifier/db_enum.h"
+#include "verifier/first_witness.h"
 #include "verifier/parallel_sweep.h"
 
 namespace wsv::verifier {
@@ -258,7 +258,7 @@ using SearchMemo = ShardedMemo<SearchEntry, kSearchMemoSite>;
 /// Per-lane accumulators and scratch buffers of the valuation fan-out. A
 /// lane is touched by exactly one thread at a time (lane 0 = the
 /// dispatching caller, others = pool drainers), so nothing here is locked;
-/// lanes are merged in index order when the fan-out completes.
+/// lanes are merged when the fan-out completes.
 struct VerificationEngine::ValuationLane {
   struct Candidate {
     size_t index;
@@ -270,9 +270,6 @@ struct VerificationEngine::ValuationLane {
   size_t memo_misses = 0;
   size_t memo_hits = 0;
   SearchStats stats;
-  /// (valuation index, status) of searches cut by the state budget,
-  /// replayed in serial order at merge time (mirrors ParallelSweep).
-  std::vector<std::pair<size_t, Status>> budget_events;
   /// Lowest-index witness this lane found.
   std::optional<Candidate> candidate;
 
@@ -293,6 +290,8 @@ struct VerificationEngine::ValuationContext {
   PrefilterMemo* memo;
   /// Null on an incomplete graph, where searches grow the graph.
   SearchMemo* search_memo;
+  /// Collects the budget cuts of the searches.
+  FirstWitness* race;
   const std::vector<bool>* rigid;
   SnapshotId init_sid;
   const std::vector<const data::Relation*>* ever_sat;
@@ -446,7 +445,7 @@ Result<bool> VerificationEngine::CheckOneValuation(const ValuationContext& ctx,
   }
 
   if (!budget.ok()) {
-    lane.budget_events.emplace_back(index, budget);
+    ctx.race->BudgetCut(index, std::move(budget));
     return false;
   }
   if (!found.has_value()) return false;
@@ -536,9 +535,9 @@ Result<bool> VerificationEngine::CheckDatabases(
   } guard{graph, cache, outcome};
 
   // Exhaustively explore the configuration graph once: every instance
-  // shares it, and full coverage enables the ever-satisfied prefilter. With
-  // a scheduler attached (pool_), each BFS level's successor computation
-  // runs on all lanes; ids stay identical to a serial exploration.
+  // shares it, and full coverage enables the ever-satisfied prefilter. Each
+  // BFS level's successor computation runs on all lanes of the scheduler
+  // (pool_); ids do not depend on the lane count.
   WSV_ASSIGN_OR_RETURN(bool complete_graph,
                        graph.ExploreAll(options_.budget.max_states,
                                         options_.budget.control, pool_,
@@ -603,11 +602,13 @@ Result<bool> VerificationEngine::CheckDatabases(
 
   PrefilterMemo prefilter_memo;
   SearchMemo search_memo;
+  FirstWitness race("engine.fanout_stop");
   const ValuationContext ctx{&task,
                              &graph,
                              &cache,
                              &prefilter_memo,
                              complete_graph ? &search_memo : nullptr,
+                             &race,
                              &rigid,
                              init_sid,
                              &ever_sat,
@@ -620,167 +621,82 @@ Result<bool> VerificationEngine::CheckDatabases(
   const size_t v_lo = std::min(options_.valuation_range_lo, total);
   const size_t v_hi = std::min(options_.valuation_range_hi, total);
 
-  auto merge_lane = [&](const ValuationLane& lane) {
+  // The valuation sweep, in chunks claimed in increasing index order. On
+  // an incomplete graph the searches grow the graph, so they run on the
+  // caller alone, in index order.
+  obs::PhaseTimer fanout_phase("valuation_fanout");
+  const size_t lanes = complete_graph ? lanes_ : 1;
+  std::vector<ValuationLane> valuation_lanes(lanes);
+  const size_t work = v_hi - v_lo;
+  const size_t per_chunk =
+      std::max<size_t>(1, std::min<size_t>(256, work / (lanes * 8) + 1));
+  const size_t num_chunks = (work + per_chunk - 1) / per_chunk;
+  static obs::Counter& chunk_counter =
+      obs::Registry::Global().counter("engine.valuation_chunks");
+  ThreadPool::ParallelChunks(
+      pool_, lanes - 1, num_chunks, [&](size_t lane_id, size_t chunk) {
+        ValuationLane& lane = valuation_lanes[lane_id];
+        chunk_counter.Add(1);
+        const size_t begin = v_lo + chunk * per_chunk;
+        const size_t end = std::min(v_hi, begin + per_chunk);
+        for (size_t vi = begin; vi < end && race.Open(vi); ++vi) {
+          Result<bool> one = CheckOneValuation(ctx, vi, lane);
+          if (!one.ok()) {
+            if (RunControl::IsStopStatus(one.status())) {
+              race.Stop(one.status());
+            } else {
+              race.Error(vi, one.status());
+            }
+            return;
+          }
+          if (*one) {
+            race.Witness(vi);
+            return;
+          }
+        }
+      });
+
+  for (const ValuationLane& lane : valuation_lanes) {
     outcome.searches += lane.searches;
     outcome.prefiltered += lane.prefiltered;
     outcome.prefilter_memo_misses += lane.memo_misses;
     outcome.prefilter_memo_hits += lane.memo_hits;
     outcome.search_stats.Add(lane.stats);
-  };
-  // Replays budget events the way the serial loop would have: it overwrites
-  // its stop status per event in index order, so the survivor is the
-  // highest-index event at or below the cutoff (events past a witness come
-  // from instances a serial run never reaches).
-  auto replay_budget_events = [&](const std::vector<ValuationLane>& lanes,
-                                  size_t cutoff) {
-    const std::pair<size_t, Status>* last = nullptr;
-    for (const ValuationLane& lane : lanes) {
-      for (const auto& event : lane.budget_events) {
-        if (event.first > cutoff) continue;
-        if (last == nullptr || event.first > last->first) last = &event;
-      }
-    }
-    if (last != nullptr) outcome.stop_status = last->second;
-  };
-
-  // A shard cut short by its upper bound reports range-end — unless a
-  // bounded search inside the range already set a budget status, which must
-  // survive (range-end would let a merge attest full coverage of a range
-  // whose valuations were only partially searched).
-  auto apply_range_end = [&] {
+  }
+  if (std::optional<Status> error = race.error()) return *error;
+  const size_t witness = race.witness();
+  if (race.stop().has_value()) {
+    // A witness that raced with a deadline/cancel stop is still a sound
+    // violation; without one the stop ends the check.
+    if (witness == FirstWitness::kNone) return *race.stop();
+    outcome.stop_status = *race.stop();
+  } else if (std::optional<Status> budget_cut = race.budget_cut()) {
+    outcome.stop_status = *budget_cut;
+  }
+  if (witness == FirstWitness::kNone) {
+    // A shard cut short by its upper bound reports range-end — unless a
+    // bounded search set a budget status, which must survive (range-end
+    // would let a merge attest full coverage of a range whose valuations
+    // were only partially searched).
     if (v_hi < total && outcome.stop_status.ok()) {
       outcome.stop_status = Status::RangeEnd(
           "valuation sweep stopped at the end of the assigned range; the "
           "verdict covers exactly this shard's valuations");
     }
-  };
-
-  // Fan the valuation sweep out only when the graph is complete (searches
-  // on a partial graph grow it on the fly, which is inherently serial) and
-  // there is real work to split.
-  const bool fan_out =
-      pool_ != nullptr && lanes_ > 1 && complete_graph && v_hi - v_lo > 1;
-
-  if (!fan_out) {
-    std::vector<ValuationLane> lanes(1);
-    ValuationLane& lane = lanes[0];
-    for (size_t vi = v_lo; vi < v_hi; ++vi) {
-      Result<bool> one = CheckOneValuation(ctx, vi, lane);
-      if (!one.ok()) {
-        merge_lane(lane);
-        replay_budget_events(lanes, static_cast<size_t>(-1));
-        return one.status();
-      }
-      if (*one) {
-        // The engine.violations counter is bumped by Run() once the winning
-        // witness is selected — a parallel sweep may record candidates in
-        // several workers but reports exactly one.
-        merge_lane(lane);
-        replay_budget_events(lanes, vi);
-        outcome.violation_found = true;
-        outcome.databases = dbs;
-        outcome.label = task.valuations.DecodeSpellings(vi);
-        outcome.lasso = std::move(lane.candidate->lasso);
-        outcome.violation_valuation_index = vi;
-        return true;
-      }
-    }
-    merge_lane(lane);
-    replay_budget_events(lanes, static_cast<size_t>(-1));
-    apply_range_end();
     return false;
   }
-
-  // Parallel valuation fan-out on the shared scheduler, with
-  // ParallelSweep's deterministic merge semantics: chunks are claimed in
-  // increasing index order, dispatch stops below the best witness index, so
-  // every valuation preceding the winner is fully checked and the reported
-  // witness is bit-for-bit the serial one.
-  obs::PhaseTimer fanout_phase("valuation_fanout");
-  std::vector<ValuationLane> lanes(lanes_);
-  std::atomic<size_t> stop_before{static_cast<size_t>(-1)};
-  std::atomic<bool> abort{false};
-  obs::TimedMutex stop_mu{"engine.fanout_stop"};
-  std::optional<Status> stop_event;
-  std::optional<std::pair<size_t, Status>> hard_error;
-  const size_t work = v_hi - v_lo;
-  const size_t per_chunk = std::max<size_t>(
-      1, std::min<size_t>(256, work / (lanes_ * 8) + 1));
-  const size_t num_chunks = (work + per_chunk - 1) / per_chunk;
-  static obs::Counter& chunk_counter =
-      obs::Registry::Global().counter("engine.valuation_chunks");
-  ThreadPool::ParallelChunks(
-      pool_, lanes_ - 1, num_chunks, [&](size_t lane_id, size_t chunk) {
-        ValuationLane& lane = lanes[lane_id];
-        chunk_counter.Add(1);
-        const size_t begin = v_lo + chunk * per_chunk;
-        const size_t end = std::min(v_hi, begin + per_chunk);
-        for (size_t vi = begin; vi < end; ++vi) {
-          if (abort.load(std::memory_order_acquire)) return;
-          if (vi >= stop_before.load(std::memory_order_acquire)) break;
-          Result<bool> one = CheckOneValuation(ctx, vi, lane);
-          if (!one.ok()) {
-            std::lock_guard<obs::TimedMutex> lock(stop_mu);
-            if (RunControl::IsStopStatus(one.status())) {
-              if (!stop_event.has_value()) stop_event = one.status();
-            } else if (!hard_error.has_value() || vi < hard_error->first) {
-              hard_error = {vi, one.status()};
-            }
-            abort.store(true, std::memory_order_release);
-            return;
-          }
-          if (*one) {
-            // Lower the dispatch fence; CAS-min since another lane may have
-            // found an earlier witness concurrently. Chunks this lane
-            // claims later start above the fence and are skipped on entry.
-            size_t cur = stop_before.load(std::memory_order_acquire);
-            while (vi < cur &&
-                   !stop_before.compare_exchange_weak(
-                       cur, vi, std::memory_order_acq_rel)) {
-            }
-            break;
-          }
-        }
-      });
-
-  obs::PhaseTimer merge_phase("merge");
-  for (const ValuationLane& lane : lanes) merge_lane(lane);
-
-  // Lowest-index witness across lanes; then the serial-order precedence
-  // between it and a hard error (whichever the serial loop hits first).
-  const ValuationLane::Candidate* best = nullptr;
-  for (ValuationLane& lane : lanes) {
-    if (lane.candidate.has_value() &&
-        (best == nullptr || lane.candidate->index < best->index)) {
-      best = &*lane.candidate;
+  // The engine.violations counter is bumped by Run() once the winning
+  // witness is selected, so it counts exactly one per run.
+  for (ValuationLane& lane : valuation_lanes) {
+    if (lane.candidate.has_value() && lane.candidate->index == witness) {
+      outcome.lasso = std::move(lane.candidate->lasso);
     }
   }
-  if (hard_error.has_value() &&
-      (best == nullptr || hard_error->first < best->index)) {
-    return hard_error->second;
-  }
-  if (stop_event.has_value() && best == nullptr) {
-    return *stop_event;
-  }
-  if (best != nullptr) {
-    // A witness that raced with a deadline/cancel stop is still a sound
-    // violation (mirrors ParallelSweep); the stop supersedes budget events
-    // as the recorded stop status.
-    if (stop_event.has_value()) {
-      outcome.stop_status = *stop_event;
-    } else {
-      replay_budget_events(lanes, best->index);
-    }
-    outcome.violation_found = true;
-    outcome.databases = dbs;
-    outcome.label = task.valuations.DecodeSpellings(best->index);
-    outcome.lasso = std::move(const_cast<ValuationLane::Candidate*>(best)->lasso);
-    outcome.violation_valuation_index = best->index;
-    return true;
-  }
-  replay_budget_events(lanes, static_cast<size_t>(-1));
-  apply_range_end();
-  return false;
+  outcome.violation_found = true;
+  outcome.databases = dbs;
+  outcome.label = task.valuations.DecodeSpellings(witness);
+  outcome.violation_valuation_index = witness;
+  return true;
 }
 
 namespace {
@@ -954,19 +870,16 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
   SweepOptions sweep_options;
   sweep_options.jobs = jobs;
   sweep_options.max_databases = options_.max_databases;
-  // The dispatch origin: the range start, or — when resuming — the end of
-  // the covered run containing it. Indices stay absolute throughout.
-  const size_t sweep_start =
-      std::max(options_.resume_prefix, options_.db_range_lo);
-  sweep_options.start_index = sweep_start;
-  // Coverage inherited from a resume. Legacy callers pass only a prefix
-  // (no intervals); that prefix attests [0, prefix), so lift it — otherwise
-  // the witness cap below would erase resumed coverage from checkpoints.
-  std::vector<IndexInterval> resume_base =
+  // Coverage inherited from a resume, and the dispatch origin: the range
+  // start, or the end of the covered run containing it. Indices stay
+  // absolute throughout.
+  const std::vector<IndexInterval> resume_base =
       NormalizeIntervals(options_.resume_covered);
-  if (resume_base.empty() && options_.resume_prefix > 0) {
-    AddInterval(&resume_base, 0, options_.resume_prefix);
-  }
+  const size_t sweep_start =
+      static_cast<size_t>(ResumeStart(resume_base, options_.db_range_lo));
+  // Databases of this work unit that earlier legs completed.
+  const size_t resumed_databases = sweep_start - options_.db_range_lo;
+  sweep_options.start_index = sweep_start;
   sweep_options.end_index = options_.db_range_hi;
   // A bounded sweep (range upper bound or --max-databases) has a known
   // database total; the heartbeat derives an ETA from it. Unbounded sweeps
@@ -993,14 +906,15 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
   }
   if (!options_.checkpoint_path.empty()) {
     sweep_options.checkpoint_every = options_.checkpoint_every;
-    sweep_options.checkpoint_fn = [this, sweep_start, resume_base](
+    sweep_options.checkpoint_fn = [this, sweep_start, resume_base,
+                                   resumed_databases](
                                       size_t completed_prefix,
                                       const std::vector<size_t>& failed,
                                       size_t databases_completed) {
       std::vector<IndexInterval> covered = resume_base;
       AddInterval(&covered, sweep_start, completed_prefix);
       PersistCheckpoint(options_, covered, failed,
-                        options_.resume_prefix + databases_completed,
+                        resumed_databases + databases_completed,
                         "in-progress");
     };
   }
@@ -1012,7 +926,7 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
   // (the fanning worker drains its own chunks) when the pool is saturated.
   ThreadPool pool(jobs);
   sweep_options.pool = &pool;
-  SchedulerBinding binding(this, jobs > 1 ? &pool : nullptr, jobs);
+  SchedulerBinding binding(this, &pool, jobs);
   ParallelSweep sweep(&enumerator, sweep_options);
   WSV_ASSIGN_OR_RETURN(
       EngineOutcome swept,
@@ -1042,7 +956,7 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
     // Final checkpoint carries the real stop reason — "complete" marks the
     // sweep as finished so a --resume of it is a no-op fast path.
     PersistCheckpoint(options_, covered, swept.failed_db_indices,
-                      options_.resume_prefix + swept.databases_checked,
+                      resumed_databases + swept.databases_checked,
                       StopReasonName(swept.stop_reason));
   }
   return swept;

@@ -156,14 +156,15 @@ struct EngineOptions {
   bool count_only = false;
   /// Per-search state cap.
   SearchBudget budget;
-  /// Global worker budget for the two-level scheduler. 1 = serial
-  /// (default); 0 = hardware concurrency. One shared ThreadPool feeds both
-  /// levels — whole databases in the across-database sweep AND, within each
-  /// database, the parallel graph exploration plus chunked valuation
-  /// fan-out — so N is a cap with no oversubscription. Every parallel path
-  /// is deterministic: the verdict, witness database/valuation indices,
-  /// label and lasso always match the serial run's (aggregate statistics
-  /// such as databases_checked may exceed them — see ParallelSweep).
+  /// Global worker budget for the two-level scheduler: the calling thread
+  /// plus jobs - 1 helpers (default 1: no helpers); 0 = hardware
+  /// concurrency. One shared ThreadPool feeds both levels — whole
+  /// databases in the across-database sweep AND, within each database, the
+  /// graph exploration, leaf sealing and valuation fan-out — so N is a cap
+  /// with no oversubscription. Every level runs one code path at every job
+  /// count, so the verdict, witness database/valuation indices, label and
+  /// lasso never depend on it (aggregate statistics such as
+  /// databases_checked may exceed the jobs-1 ones — see ParallelSweep).
   size_t jobs = 1;
 
   /// Deadline/cancellation token polled by every pipeline loop (not owned;
@@ -181,18 +182,16 @@ struct EngineOptions {
   std::string checkpoint_path;
   std::string checkpoint_fingerprint;
   size_t checkpoint_every = 64;
-  /// Resume support: skip checking databases [0, resume_prefix) — the
-  /// enumerator still walks them so indices stay aligned with an
-  /// uninterrupted run — and carry `resume_failed` (indices inside that
-  /// prefix that a previous run skipped) into the outcome's failed list.
-  size_t resume_prefix = 0;
-  std::vector<size_t> resume_failed;
-  /// Coverage intervals inherited from a resumed checkpoint (absolute
-  /// indices, normalized); unioned into the outcome's covered set and into
-  /// persisted checkpoints. Callers set resume_prefix to
-  /// ResumeStart(resume_covered, db_range_lo) so dispatch skips the covered
-  /// run containing the range start.
+  /// Resume support: coverage intervals inherited from a resumed
+  /// checkpoint (absolute indices); unioned into the outcome's covered set
+  /// and into persisted checkpoints. Dispatch starts at
+  /// ResumeStart(resume_covered, db_range_lo), skipping the covered run
+  /// containing the range start (the enumerator still walks it so indices
+  /// stay aligned with an uninterrupted run).
   std::vector<IndexInterval> resume_covered;
+  /// Indices inside the skipped run that a previous run failed and
+  /// skipped; carried into the outcome's failed list.
+  std::vector<size_t> resume_failed;
 };
 
 /// Outcome of an engine run; the caller wraps it into the public
@@ -204,11 +203,11 @@ struct EngineOutcome {
   std::vector<std::string> label;
   LassoWitness lasso;
   /// Position of the witness database in enumeration order (SIZE_MAX when
-  /// no violation). Identical across serial and parallel sweeps.
+  /// no violation). The same at every job count.
   size_t violation_db_index = static_cast<size_t>(-1);
   /// Index of the witness valuation in ValuationSpace order (SIZE_MAX when
-  /// no violation). Identical across serial and parallel valuation
-  /// fan-outs: the reported witness is always the lowest-index one.
+  /// no violation). The same at every job count: the reported witness is
+  /// always the lowest-index one.
   size_t violation_valuation_index = static_cast<size_t>(-1);
 
   /// Worker threads the sweep actually ran with (EngineOptions::jobs after
@@ -290,8 +289,7 @@ class VerificationEngine {
                               size_t db_index, EngineOutcome& outcome);
 
  private:
-  /// One valuation instance of the fan-out, shared by the serial loop and
-  /// the chunked parallel dispatch (see engine.cc).
+  /// One valuation instance of the chunked fan-out (see engine.cc).
   struct ValuationLane;
   struct ValuationContext;
   Result<bool> CheckOneValuation(const ValuationContext& ctx, size_t index,

@@ -1,7 +1,6 @@
 #include "verifier/parallel_sweep.h"
 
 #include <algorithm>
-#include <atomic>
 #include <mutex>
 #include <new>
 #include <optional>
@@ -14,6 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/timer.h"
+#include "verifier/first_witness.h"
 
 namespace wsv::verifier {
 
@@ -34,10 +34,6 @@ struct Candidate {
 struct Worker {
   EngineOutcome outcome;
   std::optional<Candidate> candidate;
-  /// (database index, status) per database whose check ended with a
-  /// non-OK budget status — replayed in serial order at merge time.
-  std::vector<std::pair<size_t, Status>> budget_events;
-  std::optional<std::pair<size_t, Status>> error;
 };
 
 /// Shared completion bookkeeping: the contiguous completed prefix of the
@@ -102,17 +98,10 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
   bool max_databases_hit = false;
   bool range_end_hit = false;
 
-  // Lowest witness index found so far; dispatch stops at or above it. Only
-  // ever lowered, so every index below the final value was dispatched (in
-  // order) and fully checked — the basis of the determinism guarantee.
-  std::atomic<size_t> stop_before{static_cast<size_t>(-1)};
-  // A hard (non-budget) error anywhere aborts all dispatch.
-  std::atomic<bool> abort{false};
-  // A deadline/cancel stop winds dispatch down; checks already running
-  // observe the same token and stop from within.
-  std::atomic<bool> stopped{false};
-  obs::TimedMutex stop_mu{"sweep.stop"};
-  std::optional<Status> stop_event;
+  // Dispatch is monotone in the index and stops at the lowest witness so
+  // far, at a hard error and at a deadline/cancel stop (checks already
+  // running observe the same token and stop from within).
+  FirstWitness race("sweep.stop");
 
   Progress progress;
   progress.next_expected = options_.start_index;
@@ -127,12 +116,6 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
   static obs::Counter& failures_counter =
       registry.counter("sweep.db_failures");
   static obs::Counter& retries_counter = registry.counter("sweep.retries");
-
-  auto record_stop = [&](const Status& status) {
-    std::lock_guard<obs::TimedMutex> lock(stop_mu);
-    if (!stop_event.has_value()) stop_event = status;
-    stopped.store(true, std::memory_order_release);
-  };
 
   auto mark_done = [&](size_t index) {
     std::lock_guard<obs::TimedMutex> lock(progress.mu);
@@ -169,19 +152,18 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
   auto worker_fn = [&](size_t w) {
     Worker& me = workers[w];
     std::vector<data::Instance> dbs;
-    while (!abort.load(std::memory_order_acquire) &&
-           !stopped.load(std::memory_order_acquire)) {
+    for (;;) {
       size_t index;
       {
         std::lock_guard<obs::TimedMutex> lock(producer_mu);
+        if (!race.Open(next_index)) break;
         if (options_.control != nullptr) {
           Status token = options_.control->Check();
           if (!token.ok()) {
-            record_stop(token);
+            race.Stop(std::move(token));
             break;
           }
         }
-        if (next_index >= stop_before.load(std::memory_order_acquire)) break;
         bool more = [&] {
           obs::PhaseTimer enum_phase("db_enum");
           return enumerator_->Next(&dbs);
@@ -207,7 +189,7 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
 
       Result<bool> found = GuardedCheck(check, index, dbs, me.outcome);
       if (!found.ok() && RunControl::IsStopStatus(found.status())) {
-        record_stop(found.status());
+        race.Stop(found.status());
         break;
       }
       if (!found.ok()) {
@@ -220,7 +202,7 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
         retries_counter.Add(1);
         found = GuardedCheck(check, index, dbs, me.outcome);
         if (!found.ok() && RunControl::IsStopStatus(found.status())) {
-          record_stop(found.status());
+          race.Stop(found.status());
           break;
         }
         if (!found.ok()) {
@@ -229,15 +211,12 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
             mark_failed(index);
             continue;
           }
-          if (!me.error.has_value() || index < me.error->first) {
-            me.error = {index, found.status()};
-          }
-          abort.store(true, std::memory_order_release);
+          race.Error(index, found.status());
           break;
         }
       }
       if (!me.outcome.stop_status.ok()) {
-        me.budget_events.emplace_back(index, me.outcome.stop_status);
+        race.BudgetCut(index, std::move(me.outcome.stop_status));
         me.outcome.stop_status = Status::Ok();
       }
       mark_done(index);
@@ -252,13 +231,7 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
         me.outcome.databases.clear();
         me.outcome.label.clear();
         me.outcome.lasso = LassoWitness{};
-        // Lower the dispatch fence; CAS-min since another worker may have
-        // found an earlier witness concurrently.
-        size_t cur = stop_before.load(std::memory_order_acquire);
-        while (index < cur &&
-               !stop_before.compare_exchange_weak(
-                   cur, index, std::memory_order_acq_rel)) {
-        }
+        race.Witness(index);
         // This worker's future pulls would all have higher indices than its
         // own witness — nothing left for it to decide.
         break;
@@ -296,28 +269,12 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
   }
   merged.completed_prefix = progress.next_expected;
 
-  // Lowest-index witness and lowest-index hard error across workers.
+  if (std::optional<Status> error = race.error()) return *error;
   Candidate* best = nullptr;
   for (Worker& w : workers) {
-    if (w.candidate.has_value() &&
-        (best == nullptr || w.candidate->index < best->index)) {
+    if (w.candidate.has_value() && w.candidate->index == race.witness()) {
       best = &*w.candidate;
     }
-  }
-  std::optional<std::pair<size_t, Status>> first_error;
-  for (const Worker& w : workers) {
-    if (w.error.has_value() &&
-        (!first_error.has_value() || w.error->first < first_error->first)) {
-      first_error = w.error;
-    }
-  }
-
-  // The serial sweep processes indices in order, so whichever of
-  // {first witness, first hard error} has the lower index is what it would
-  // have reported; the other is unreachable.
-  if (first_error.has_value() &&
-      (best == nullptr || first_error->first < best->index)) {
-    return first_error->second;
   }
 
   if (best != nullptr) {
@@ -340,33 +297,18 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
 
   // Stop status, serial-equivalent. Precedence: a deadline/cancel stop is
   // the reason the sweep ended; otherwise skipped failures bound the
-  // verdict; otherwise replay budget events — the serial sweep overwrites
-  // its budget status per database, so it ends with the event of the
-  // highest index it processed, which is at most the witness index (it
-  // stops there). Events beyond the witness come from in-flight databases
-  // the serial sweep never reaches; drop them.
-  if (stop_event.has_value()) {
-    merged.stop_status = *stop_event;
+  // verdict; otherwise the replayed budget cut.
+  if (race.stop().has_value()) {
+    merged.stop_status = *race.stop();
   } else if (!merged.failed_db_indices.empty()) {
     merged.stop_status = Status::PartialFailure(
         std::to_string(merged.failed_db_indices.size()) +
         " database check(s) failed and were skipped; verdict is bounded to "
         "the databases that completed");
   } else {
-    size_t cutoff = best != nullptr ? best->index : static_cast<size_t>(-1);
-    std::optional<std::pair<size_t, Status>> last_budget;
-    for (const Worker& w : workers) {
-      for (const auto& event : w.budget_events) {
-        if (event.first > cutoff) continue;
-        if (!last_budget.has_value() || event.first > last_budget->first) {
-          last_budget = event;
-        }
-      }
-    }
-    if (last_budget.has_value()) {
-      merged.stop_status = last_budget->second;
-    }
-    if (best == nullptr && range_end_hit && !last_budget.has_value()) {
+    const std::optional<Status> budget_cut = race.budget_cut();
+    if (budget_cut.has_value()) merged.stop_status = *budget_cut;
+    if (best == nullptr && range_end_hit && !budget_cut.has_value()) {
       // A bounded per-database search keeps its budget status: reporting
       // range-end over it would let a merge attest full coverage of a range
       // whose databases were only partially searched.

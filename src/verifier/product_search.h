@@ -15,7 +15,8 @@
 namespace wsv::verifier {
 
 struct SearchBudget {
-  /// Cap on distinct product states explored (per search).
+  /// Cap on distinct product states explored (per search), and on the
+  /// snapshots of each database's configuration graph.
   size_t max_states = 1000000;
   /// Optional deadline/cancellation token, polled every ~1k product-state
   /// expansions; a stop aborts the search with the token's stop status

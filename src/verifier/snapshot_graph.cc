@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <unordered_map>
 #include <utility>
 
-#include "obs/lock_profile.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/timer.h"
@@ -37,7 +35,8 @@ SnapshotGraph::SnapshotGraph(const runtime::TransitionGenerator* generator,
     : generator_(generator),
       codec_(&generator->composition()),
       expander_(generator, &codec_, std::move(normalization)),
-      lanes_(1) {}
+      lanes_(1),
+      expansions_(1) {}
 
 SnapshotId SnapshotGraph::InternSpan(const uint32_t* words, uint32_t count,
                                      size_t hash, size_t* hits) {
@@ -86,43 +85,89 @@ Result<const std::vector<SnapshotId>*> SnapshotGraph::Initials() {
   return &*initials_;
 }
 
+void SnapshotGraph::Expansion::Clear() {
+  nodes.clear();
+  fresh.Clear();
+  fresh_hashes.clear();
+  status = Status::Ok();
+}
+
+Status SnapshotGraph::Expand(SnapshotId sid, Lane& lane,
+                             Expansion* out) const {
+  SpanList& spans = lane.node;
+  spans.Clear();
+  MemoCounts memo;
+  WSV_RETURN_IF_ERROR(expander_.Expand(flats_[sid], &lane.memo, &spans, &memo));
+  Expansion::Node& node = out->nodes.emplace_back();
+  node.memo = memo;
+  node.ids.reserve(spans.size());
+  for (size_t i = 0; i < spans.size(); ++i) {
+    const runtime::FlatSnapshot span = spans.span(i);
+    const size_t hash = runtime::HashFlatSnapshot(span.data, span.size);
+    const SnapshotId id = intern_.Find(
+        hash, [&](uint32_t known) { return flats_[known] == span; });
+    node.ids.push_back(id);
+    if (id == FlatIdSet::kEmpty) {
+      SpanList& fresh = out->fresh;
+      fresh.words.insert(fresh.words.end(), span.data, span.data + span.size);
+      fresh.begin.push_back(static_cast<uint32_t>(fresh.words.size()));
+      out->fresh_hashes.push_back(hash);
+    }
+  }
+  return Status::Ok();
+}
+
+void SnapshotGraph::Merge(SnapshotId sid, Expansion& exp, size_t node,
+                          size_t* fresh, MergeTally* tally) {
+  std::vector<SnapshotId>& ids = exp.nodes[node].ids;
+  // Candidates missing before the expansion re-probe the (now growing)
+  // table, which both dedups within a batch and copies each winner's span
+  // into the persistent arena exactly once.
+  for (SnapshotId& id : ids) {
+    if (id != FlatIdSet::kEmpty) {
+      ++tally->hits;
+      continue;
+    }
+    const runtime::FlatSnapshot span = exp.fresh.span(*fresh);
+    id = InternSpan(span.data, span.size, exp.fresh_hashes[(*fresh)++],
+                    &tally->hits);
+  }
+  tally->candidates += ids.size();
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  transitions_ += ids.size();
+  ++tally->nodes;
+  tally->edges += ids.size();
+  tally->memo += exp.nodes[node].memo;
+  static obs::Histogram& fanout =
+      obs::Registry::Global().histogram("graph.successors_per_snapshot");
+  fanout.Record(ids.size());
+  successors_[sid] = std::move(ids);
+}
+
+void SnapshotGraph::Book(const MergeTally& tally) {
+  obs::Registry& registry = obs::Registry::Global();
+  static obs::Counter& encodes = registry.counter("graph.encode");
+  static obs::Counter& intern_hits = registry.counter("graph.intern_hits");
+  static obs::Counter& calls = registry.counter("graph.successor_calls");
+  static obs::Counter& edges = registry.counter("graph.transitions");
+  encodes.Add(tally.candidates);
+  intern_hits.Add(tally.hits);
+  calls.Add(tally.nodes);
+  edges.Add(tally.edges);
+  CountMemo(tally.memo);
+}
+
 Result<const std::vector<SnapshotId>*> SnapshotGraph::Successors(
     SnapshotId sid) {
   if (!successors_[sid].has_value()) {
-    Lane& lane = lanes_[0];
-    SpanList& spans = lane.node;
-    spans.Clear();
-    MemoCounts counts;
-    WSV_RETURN_IF_ERROR(
-        expander_.Expand(flats_[sid], &lane.memo, &spans, &counts));
-    // The spans stay in the lane while InternSpan copies new ones into the
-    // persistent arena.
-    std::vector<SnapshotId> ids;
-    ids.reserve(spans.size());
-    size_t hits = 0;
-    for (size_t i = 0; i < spans.size(); ++i) {
-      const runtime::FlatSnapshot span = spans.span(i);
-      ids.push_back(InternSpan(span.data, span.size,
-                               runtime::HashFlatSnapshot(span.data, span.size),
-                               &hits));
-    }
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    transitions_ += ids.size();
-    obs::Registry& registry = obs::Registry::Global();
-    static obs::Counter& encodes = registry.counter("graph.encode");
-    static obs::Counter& intern_hits = registry.counter("graph.intern_hits");
-    static obs::Counter& calls = registry.counter("graph.successor_calls");
-    static obs::Counter& edges = registry.counter("graph.transitions");
-    static obs::Histogram& fanout =
-        registry.histogram("graph.successors_per_snapshot");
-    encodes.Add(spans.size());
-    intern_hits.Add(hits);
-    calls.Add(1);
-    edges.Add(ids.size());
-    fanout.Record(ids.size());
-    CountMemo(counts);
-    successors_[sid] = std::move(ids);
+    Expansion& exp = expansions_[0];
+    exp.Clear();
+    WSV_RETURN_IF_ERROR(Expand(sid, lanes_[0], &exp));
+    MergeTally tally;
+    size_t fresh = 0;
+    Merge(sid, exp, 0, &fresh, &tally);
+    Book(tally);
   }
   return &*successors_[sid];
 }
@@ -131,182 +176,96 @@ Result<bool> SnapshotGraph::ExploreAll(size_t max_snapshots,
                                        RunControl* control, ThreadPool* pool,
                                        size_t lanes) {
   obs::PhaseTimer phase("graph_expand");
-  Result<bool> complete = pool == nullptr || lanes <= 1
-                              ? ExploreAllSerial(max_snapshots, control)
-                              : ExploreAllParallel(max_snapshots, control,
-                                                   pool, lanes);
+  const size_t helpers = lanes > 1 ? lanes - 1 : 0;
+  if (lanes_.size() <= helpers) lanes_.resize(helpers + 1);
+  Result<bool> complete =
+      ExploreBatches(max_snapshots, control, pool, helpers);
   // Helper lanes are done; a complete graph needs no lane at all, while a
   // partial one keeps lane 0's memos for lazy expansion.
-  if (complete.ok() && *complete) lanes_.clear();
+  if (complete.ok() && *complete) {
+    lanes_.clear();
+    expansions_.clear();
+  }
   lanes_.resize(1);
+  expansions_.resize(1);
   return complete;
 }
 
-Result<bool> SnapshotGraph::ExploreAllSerial(size_t max_snapshots,
-                                             RunControl* control) {
-  WSV_ASSIGN_OR_RETURN(const std::vector<SnapshotId>* inits, Initials());
-  std::deque<SnapshotId> frontier(inits->begin(), inits->end());
-  std::vector<bool> expanded;
-  size_t expansions = 0;
-  while (!frontier.empty()) {
-    SnapshotId sid = frontier.front();
-    frontier.pop_front();
-    if (sid >= expanded.size()) expanded.resize(flats_.size(), false);
-    if (expanded[sid]) continue;
-    expanded[sid] = true;
-    if ((++expansions & 0x3FF) == 0) {
-      obs::ProgressMeter::Global().MaybeBeat();
-      if (control != nullptr) WSV_RETURN_IF_ERROR(control->Check());
-    }
-    WSV_ASSIGN_OR_RETURN(const std::vector<SnapshotId>* succ, Successors(sid));
-    for (SnapshotId next : *succ) {
-      if (next >= expanded.size() || !expanded[next]) frontier.push_back(next);
-    }
-    if (flats_.size() > max_snapshots) return false;
-  }
-  fully_explored_ = true;
-  return true;
-}
+Result<bool> SnapshotGraph::ExploreBatches(size_t max_snapshots,
+                                           RunControl* control,
+                                           ThreadPool* pool, size_t helpers) {
+  WSV_RETURN_IF_ERROR(Initials().status());
+  // BFS expands snapshots in id order (ids are handed out in discovery
+  // order), a batch of the next unexpanded ids at a time: the rest of the
+  // current level, capped so the candidates held for the merge stay small.
+  // Where a batch ends changes only which candidates the merge finds
+  // already interned, never an id or a counter.
+  constexpr size_t kBatchPerLane = 256;
+  for (size_t batch_begin = 0; batch_begin < flats_.size();) {
+    const size_t n = std::min(flats_.size() - batch_begin,
+                              kBatchPerLane * (helpers + 1));
 
-Result<bool> SnapshotGraph::ExploreAllParallel(size_t max_snapshots,
-                                               RunControl* control,
-                                               ThreadPool* pool,
-                                               size_t lanes) {
-  WSV_ASSIGN_OR_RETURN(const std::vector<SnapshotId>* inits, Initials());
-  std::vector<SnapshotId> frontier(inits->begin(), inits->end());
-  if (lanes_.size() < lanes) lanes_.resize(lanes);
-
-  /// One frontier node's expansion, or its error: per candidate its id
-  /// if it was interned before this level, else FlatIdSet::kEmpty and its
-  /// span (in the expanding lane's arena) and hash in `fresh`.
-  struct NodeExpansion {
-    Status status = Status::Ok();
-    std::vector<SnapshotId> ids;
-    std::vector<std::pair<runtime::FlatSnapshot, size_t>> fresh;
-    MemoCounts memo;
-  };
-
-  while (!frontier.empty()) {
-    const size_t n = frontier.size();
-
-    // Compute phase: expand every frontier node concurrently and probe each
-    // candidate against the interned set as it stood before this level.
-    // The graph is not mutated here, so hits are final; only the misses'
-    // spans are kept (in the lane's arena) for the sequential merge below,
-    // the only place ids are assigned.
-    std::vector<NodeExpansion> expansions(n);
-    std::atomic<bool> stop_requested{false};
-    obs::TimedMutex stop_mu{"graph.stop"};
-    Status stop_status = Status::Ok();
-    for (Lane& lane : lanes_) lane.arena.Reset();
-    const size_t per_chunk =
-        std::max<size_t>(1, std::min<size_t>(64, n / (lanes * 4) + 1));
+    // Compute phase: expand the batch chunk by chunk, probing each
+    // candidate against the graph as it stood before this batch. The graph
+    // is not mutated here, so hits are final; only the misses' spans are
+    // kept for the sequential merge below, the only place ids are assigned.
+    const size_t per_chunk = std::min<size_t>(64, n / ((helpers + 1) * 16) + 1);
     const size_t num_chunks = (n + per_chunk - 1) / per_chunk;
+    if (expansions_.size() < num_chunks) expansions_.resize(num_chunks);
+    std::atomic<bool> stopped{false};
     ThreadPool::ParallelChunks(
-        pool, lanes - 1, num_chunks, [&](size_t lane, size_t chunk) {
-          const size_t begin = chunk * per_chunk;
-          const size_t end = std::min(n, begin + per_chunk);
-          for (size_t p = begin; p < end; ++p) {
-            if (stop_requested.load(std::memory_order_relaxed)) return;
-            if (control != nullptr && (p - begin) % 64 == 0) {
-              if (lane == 0) obs::ProgressMeter::Global().MaybeBeat();
-              Status status = control->Check();
-              if (!status.ok()) {
-                std::lock_guard<obs::TimedMutex> lock(stop_mu);
-                if (stop_status.ok()) stop_status = std::move(status);
-                stop_requested.store(true, std::memory_order_relaxed);
-                return;
-              }
-            }
-            NodeExpansion& out = expansions[p];
-            Lane& scratch = lanes_[lane];
-            SpanList& spans = scratch.node;
-            spans.Clear();
-            out.status = expander_.Expand(flats_[frontier[p]], &scratch.memo,
-                                          &spans, &out.memo);
-            if (!out.status.ok()) continue;
-            out.ids.reserve(spans.size());
-            for (size_t i = 0; i < spans.size(); ++i) {
-              const runtime::FlatSnapshot span = spans.span(i);
-              const size_t hash =
-                  runtime::HashFlatSnapshot(span.data, span.size);
-              const SnapshotId id = intern_.Find(
-                  hash, [&](uint32_t known) { return flats_[known] == span; });
-              out.ids.push_back(id);
-              if (id == FlatIdSet::kEmpty) {
-                out.fresh.push_back(
-                    {{scratch.arena.CopyWords(span.data, span.size), span.size},
-                     hash});
-              }
+        pool, helpers, num_chunks, [&](size_t lane, size_t chunk) {
+          Expansion& out = expansions_[chunk];
+          out.Clear();
+          if (control != nullptr) {
+            if (lane == 0) obs::ProgressMeter::Global().MaybeBeat();
+            out.status = control->Check();
+            if (!out.status.ok()) {
+              stopped.store(true, std::memory_order_relaxed);
+              return;
             }
           }
+          const size_t end = std::min(n, (chunk + 1) * per_chunk);
+          for (size_t p = chunk * per_chunk; p < end; ++p) {
+            if (stopped.load(std::memory_order_relaxed)) return;
+            out.status = Expand(static_cast<SnapshotId>(batch_begin + p),
+                                lanes_[lane], &out);
+            if (!out.status.ok()) return;
+          }
         });
-    if (!stop_status.ok()) return stop_status;
-
-    // Merge pass (sequential): assign ids in exact frontier order — the
-    // same order the serial BFS interns in — so ids, counters, transitions,
-    // and the budget cut-off are bit-for-bit identical to a serial run.
-    // Unresolved candidates re-probe the (now growing) table, which both
-    // dedups within the level and copies each winner's span into the
-    // persistent arena exactly once. Counters are summed over the merged
-    // nodes and booked once per level.
-    obs::Registry& registry = obs::Registry::Global();
-    static obs::Counter& encodes = registry.counter("graph.encode");
-    static obs::Counter& intern_hits = registry.counter("graph.intern_hits");
-    static obs::Counter& calls = registry.counter("graph.successor_calls");
-    static obs::Counter& edges = registry.counter("graph.transitions");
-    static obs::Histogram& fanout =
-        registry.histogram("graph.successors_per_snapshot");
-    size_t merged = 0, merged_candidates = 0, hits = 0, level_edges = 0;
-    MemoCounts memo;
-    auto book = [&] {
-      encodes.Add(merged_candidates);
-      intern_hits.Add(hits);
-      calls.Add(merged);
-      edges.Add(level_edges);
-      CountMemo(memo);
-    };
-    std::vector<SnapshotId> next_frontier;
-    const size_t before_level = flats_.size();
-    for (size_t p = 0; p < n; ++p) {
-      NodeExpansion& exp = expansions[p];
-      if (!exp.status.ok()) {
-        book();
-        return exp.status;
-      }
-      std::vector<SnapshotId>& ids = exp.ids;
-      const size_t candidates = ids.size();
-      for (size_t j = 0, k = 0; j < candidates; ++j) {
-        if (ids[j] != FlatIdSet::kEmpty) {
-          ++hits;
-        } else {
-          const auto& [span, hash] = exp.fresh[k++];
-          ids[j] = InternSpan(span.data, span.size, hash, &hits);
+    if (stopped.load(std::memory_order_relaxed)) {
+      for (size_t c = 0; c < num_chunks; ++c) {
+        if (RunControl::IsStopStatus(expansions_[c].status)) {
+          return expansions_[c].status;
         }
       }
-      std::sort(ids.begin(), ids.end());
-      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-      transitions_ += ids.size();
-      ++merged;
-      merged_candidates += candidates;
-      level_edges += ids.size();
-      memo += exp.memo;
-      fanout.Record(ids.size());
-      successors_[frontier[p]] = std::move(ids);
-      if (flats_.size() > max_snapshots) {
-        book();
-        return false;
+    }
+
+    // Merge pass (sequential): assign ids in exact BFS order, so ids,
+    // counters, transitions, and the budget cut-off do not depend on how
+    // the batch was chunked. Counters are booked once per batch.
+    MergeTally tally;
+    size_t sid = batch_begin;
+    for (size_t c = 0; c < num_chunks; ++c) {
+      Expansion& exp = expansions_[c];
+      size_t fresh = 0;
+      for (size_t node = 0; node < exp.nodes.size(); ++node) {
+        Merge(static_cast<SnapshotId>(sid++), exp, node, &fresh, &tally);
+        if (flats_.size() > max_snapshots) {
+          Book(tally);
+          return false;
+        }
+      }
+      if (!exp.status.ok()) {
+        Book(tally);
+        return exp.status;
       }
     }
-    book();
-    next_frontier.reserve(flats_.size() - before_level);
-    for (size_t id = before_level; id < flats_.size(); ++id) {
-      next_frontier.push_back(static_cast<SnapshotId>(id));
-    }
+    Book(tally);
+    batch_begin += n;
 
     obs::ProgressMeter::Global().MaybeBeat();
     if (control != nullptr) WSV_RETURN_IF_ERROR(control->Check());
-    frontier = std::move(next_frontier);
   }
   fully_explored_ = true;
   return true;
@@ -378,35 +337,6 @@ bool LeafCache::Evaluated(SnapshotId sid) const {
   return first < cells_.size() && cells_[first] != nullptr;
 }
 
-Status LeafCache::EvaluateSnapshot(SnapshotId sid) {
-  obs::PhaseTimer phase("leaf_eval");
-  const runtime::FlatSnapshot flat = graph_->flat(sid);
-  graph_->codec().Locate(flat, &layout_);
-  // Built only if some leaf meets a footprint without a result.
-  std::optional<fo::MapStructure> structure;
-  std::vector<const fo::ValuationSet*> row(leaves_.size());
-  size_t evals = 0;
-  for (size_t i = 0; i < leaves_.size(); ++i) {
-    Memo& memo = memos_[i];
-    key_.clear();
-    AppendKey(i, flat, layout_, &key_);
-    const size_t hash = runtime::HashFlatSnapshot(key_.data(), key_.size());
-    uint32_t id = memo.Find(key_.data(), key_.size(), hash);
-    if (id == FlatIdSet::kEmpty) id = memo.Add(key_.data(), key_.size(), hash);
-    if (memo.results[id] == nullptr) {
-      if (!structure.has_value()) structure = graph_->Structure(sid);
-      WSV_ASSIGN_OR_RETURN(fo::ValuationSet result,
-                           evaluator_.Evaluate(leaves_[i], *structure));
-      memo.results[id] = std::make_unique<fo::ValuationSet>(std::move(result));
-      ++evals;
-    }
-    row[i] = memo.results[id].get();
-  }
-  std::copy(row.begin(), row.end(), cells_.begin() + sid * leaves_.size());
-  CountMisses(1, evals);
-  return Status::Ok();
-}
-
 Result<const fo::ValuationSet*> LeafCache::Get(SnapshotId sid, size_t leaf) {
   WSV_ASSIGN_OR_RETURN(const fo::ValuationSet* const* row, GetAll(sid));
   return row[leaf];
@@ -418,7 +348,8 @@ Result<const fo::ValuationSet* const*> LeafCache::GetAll(SnapshotId sid) {
     cells_.resize(first + leaves_.size(), nullptr);
   }
   if (!leaves_.empty() && cells_[first] == nullptr) {
-    WSV_RETURN_IF_ERROR(EvaluateSnapshot(sid));
+    obs::PhaseTimer phase("leaf_eval");
+    WSV_RETURN_IF_ERROR(SealBatch(&sid, 1, nullptr, 1));
   } else {
     hits_.fetch_add(1, std::memory_order_relaxed);
     static obs::Counter& hits =

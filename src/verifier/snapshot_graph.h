@@ -40,11 +40,11 @@ using SnapshotId = uint32_t;
 /// span hash. Equality on the intern path is a single memcmp. Expansion
 /// runs on the spans too (FlatExpander): successor spans are spliced from
 /// the parent, and a Snapshot object is only rebuilt when a witness is
-/// rendered or a property structure is built. ExploreAll can run the
-/// successor computation level-parallel on a borrowed ThreadPool; ids are
-/// assigned by an ordered per-level merge, so the id sequence (and every
-/// derived witness and statistic) is bit-for-bit identical to the serial
-/// exploration at any job count.
+/// rendered or a property structure is built. ExploreAll expands the BFS
+/// frontier a batch at a time, fanned out over a borrowed ThreadPool when
+/// one is given; ids are assigned by an ordered per-batch merge, so the id
+/// sequence (and every derived witness and statistic) is the same at any
+/// job count.
 class SnapshotGraph {
  public:
   SnapshotGraph(const runtime::TransitionGenerator* generator,
@@ -88,14 +88,16 @@ class SnapshotGraph {
   /// Exhaustively explores the reachable configuration graph (BFS), up to
   /// `max_snapshots`. Returns true iff exploration completed; on false the
   /// graph is partial and callers must fall back to on-the-fly search
-  /// semantics (bounded verdicts). `control` (optional) is polled every ~1k
-  /// expansions; a stop aborts with its stop status.
+  /// semantics (bounded verdicts). `control` (optional) is polled every 64
+  /// expansions at most; a stop aborts with its stop status.
   ///
-  /// With a non-null `pool` and `lanes > 1`, each BFS level's successor
-  /// computation is fanned out over the calling thread plus up to
-  /// `lanes - 1` pool workers (see ThreadPool::ParallelChunks); the
-  /// sequential per-level merge then interns in frontier order, so ids,
-  /// counters, and the budget cut-off point are identical to a serial run.
+  /// The BFS runs in batches of the frontier (a level, capped at 1024
+  /// snapshots per lane). Each batch's successor computation is fanned out
+  /// over the calling thread plus up to `lanes - 1` workers of `pool`
+  /// (none when `pool` is null; see ThreadPool::ParallelChunks); the
+  /// sequential per-batch merge then interns in BFS order, so ids,
+  /// counters, and the budget cut-off point do not depend on the lane
+  /// count.
   Result<bool> ExploreAll(size_t max_snapshots, RunControl* control = nullptr,
                           ThreadPool* pool = nullptr, size_t lanes = 1);
 
@@ -103,13 +105,40 @@ class SnapshotGraph {
   bool fully_explored() const { return fully_explored_; }
 
  private:
-  /// One expansion lane: its memos, the candidate spans of the node it is
-  /// expanding, and the arena that keeps a parallel level's candidates
-  /// until the merge (reset per level, so its chunks are recycled).
+  /// One expansion lane: its memos and the candidate spans of the node it
+  /// is expanding.
   struct Lane {
     FlatExpander::Lane memo;
     SpanList node;
-    Arena arena;
+  };
+
+  /// The expansions of consecutive nodes by one lane, in node order: each
+  /// candidate is its id if it was interned before the expansion, else
+  /// FlatIdSet::kEmpty with its span and hash kept in `fresh` for the merge.
+  /// A BFS batch keeps one per chunk, reused batch after batch so the
+  /// buffers of fresh spans are allocated once per graph.
+  struct Expansion {
+    struct Node {
+      std::vector<SnapshotId> ids;  // moved to the node's successors
+      MemoCounts memo;
+    };
+    std::vector<Node> nodes;
+    SpanList fresh;
+    std::vector<size_t> fresh_hashes;
+    /// Set when the chunk ended before its last node: the node's error or
+    /// a stop.
+    Status status = Status::Ok();
+
+    void Clear();
+  };
+
+  /// Counters of merged nodes, booked into the registry once per batch.
+  struct MergeTally {
+    size_t nodes = 0;
+    size_t candidates = 0;
+    size_t hits = 0;
+    size_t edges = 0;
+    MemoCounts memo;
   };
 
   /// Interns an already-encoded span: returns the existing id (counting
@@ -118,9 +147,22 @@ class SnapshotGraph {
   SnapshotId InternSpan(const uint32_t* words, uint32_t count, size_t hash,
                         size_t* hits);
 
-  Result<bool> ExploreAllSerial(size_t max_snapshots, RunControl* control);
-  Result<bool> ExploreAllParallel(size_t max_snapshots, RunControl* control,
-                                  ThreadPool* pool, size_t lanes);
+  /// Expands `sid` on `lane` and appends it to `out`, probing candidates
+  /// against the graph as it stands. Reads the graph only, so lanes may
+  /// expand concurrently while nothing is interned.
+  Status Expand(SnapshotId sid, Lane& lane, Expansion* out) const;
+
+  /// Interns node `node` of `exp` (its fresh spans start at `*fresh`,
+  /// advanced past them) and caches the result as the successors of `sid`.
+  void Merge(SnapshotId sid, Expansion& exp, size_t node, size_t* fresh,
+             MergeTally* tally);
+
+  static void Book(const MergeTally& tally);
+
+  /// The BFS of ExploreAll, one batch at a time, over `helpers` pool
+  /// workers besides the caller.
+  Result<bool> ExploreBatches(size_t max_snapshots, RunControl* control,
+                              ThreadPool* pool, size_t helpers);
 
   const runtime::TransitionGenerator* generator_;
   runtime::FlatSnapshotCodec codec_;
@@ -133,9 +175,11 @@ class SnapshotGraph {
   std::vector<size_t> hashes_;
   FlatIdSet intern_;
 
-  /// Expansion lanes (lane 0 serves the serial paths). A finished
-  /// exploration drops them: every successor list is then cached.
+  /// Expansion lanes and per-chunk expansions (lane 0 and expansion 0
+  /// also serve lazy Successors calls). A finished exploration drops them:
+  /// every successor list is then cached.
   std::vector<Lane> lanes_;
+  std::vector<Expansion> expansions_;
 
   std::vector<std::optional<std::vector<SnapshotId>>> successors_;
   std::optional<std::vector<SnapshotId>> initials_;
@@ -254,11 +298,8 @@ class LeafCache {
   /// Whether every cell of `sid` is filled.
   bool Evaluated(SnapshotId sid) const;
 
-  /// The lazy miss path: fills the cells of `sid` (which must exist)
-  /// through the memo, evaluating only footprints without a result.
-  Status EvaluateSnapshot(SnapshotId sid);
-
-  /// SealAndPopulate on one batch of unevaluated snapshots, in id order.
+  /// Fills the cells of one batch of unevaluated snapshots, in id order,
+  /// through the memo: SealAndPopulate's step, and GetAll's on a miss.
   Status SealBatch(const SnapshotId* sids, size_t count, ThreadPool* pool,
                    size_t lanes);
 
@@ -283,9 +324,6 @@ class LeafCache {
   std::atomic<size_t> misses_{0};
   size_t leaf_evals_ = 0;
   size_t footprint_hits_ = 0;
-  /// Lazy-path scratch.
-  runtime::FlatLayout layout_;
-  std::vector<uint32_t> key_;
 };
 
 }  // namespace wsv::verifier

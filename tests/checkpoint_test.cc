@@ -390,7 +390,7 @@ TEST(CheckpointResume, ResumedRunMatchesUninterruptedBitForBit) {
   VerifierOptions resumed = base;
   resumed.checkpoint_path = ckpt;
   resumed.checkpoint_fingerprint = fingerprint;
-  resumed.resume_prefix = static_cast<size_t>(loaded->completed_prefix);
+  resumed.resume_covered = loaded->covered;
   for (uint64_t index : loaded->failed_indices) {
     resumed.resume_failed.push_back(static_cast<size_t>(index));
   }
@@ -415,7 +415,7 @@ TEST(CheckpointResume, ResumedRunMatchesUninterruptedBitForBit) {
 
   // Resume of the completed VIOLATED checkpoint reproduces the verdict.
   VerifierOptions again = resumed;
-  again.resume_prefix = static_cast<size_t>(final_ckpt->completed_prefix);
+  again.resume_covered = final_ckpt->covered;
   RunOutput rerun2 = RunVerifier(*comp, property, again);
   ASSERT_FALSE(rerun2.result.holds);
   ASSERT_TRUE(rerun2.result.counterexample.has_value());
@@ -448,7 +448,7 @@ TEST(CheckpointResume, CanceledRunLeavesResumableCheckpoint) {
   EXPECT_EQ(loaded->stop_reason, "canceled");
 
   control.Reset();
-  options.resume_prefix = static_cast<size_t>(loaded->completed_prefix);
+  options.resume_covered = loaded->covered;
   RunOutput resumed = RunVerifier(*comp, property, options);
   EXPECT_TRUE(resumed.result.holds);
   EXPECT_EQ(resumed.result.coverage.stop_reason, StopReason::kComplete);

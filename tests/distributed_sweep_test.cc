@@ -287,8 +287,6 @@ TEST(DistributedSweep, MaxDatabasesCountsAbsoluteIndicesAcrossResume) {
   second.max_databases = 3;  // absolute: one more database, not 2+3
   second.checkpoint_path = ckpt;
   second.resume_covered = loaded->covered;
-  second.resume_prefix =
-      static_cast<size_t>(ResumeStart(loaded->covered, 0));
   const VerificationResult leg2 = RunVerifier(*comp, property, second);
   EXPECT_EQ(leg2.coverage.completed_prefix, 3u);
   EXPECT_EQ(leg2.coverage.covered,

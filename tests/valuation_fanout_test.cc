@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,30 @@ peer Store {
 }
 )";
 
+// Request/response pair (specs/pingpong.wsv): with items pinned or swept,
+// its configuration graphs outgrow a small state budget.
+constexpr char kPingPong[] = R"(
+peer Requester {
+  database { item(x); }
+  input    { ask(x); }
+  state    { got(x); }
+  inqueue flat  { resp(x); }
+  outqueue flat { req(x); }
+  rules {
+    options ask(x) :- item(x);
+    send req(x) :- ask(x);
+    insert got(x) :- ?resp(x);
+  }
+}
+peer Responder {
+  inqueue flat  { req(x); }
+  outqueue flat { resp(x); }
+  rules {
+    send resp(x) :- ?req(x);
+  }
+}
+)";
+
 struct RunResult {
   VerificationResult result;
   std::string counterexample_text;  // empty when holds
@@ -46,6 +71,11 @@ struct PinnedRun {
   size_t fresh = 2;
   size_t v_lo = 0;
   size_t v_hi = static_cast<size_t>(-1);
+  size_t max_states = SearchBudget{}.max_states;
+  /// One database per peer (kPipeline's by default); none sweeps every
+  /// database instead.
+  std::optional<std::vector<NamedDatabase>> databases =
+      std::vector<NamedDatabase>{{{"r", {{"a"}, {"b"}, {"c"}}}}};
 };
 
 RunResult VerifyPinned(const spec::Composition& comp,
@@ -60,9 +90,8 @@ RunResult VerifyPinned(const spec::Composition& comp,
   options.control = run_options.control;
   options.valuation_range_lo = run_options.v_lo;
   options.valuation_range_hi = run_options.v_hi;
-  NamedDatabase db;
-  db["r"] = {{"a"}, {"b"}, {"c"}};
-  options.fixed_databases = std::vector<NamedDatabase>{db};
+  options.budget.max_states = run_options.max_states;
+  options.fixed_databases = run_options.databases;
   Verifier verifier(&comp, options);
   auto result = verifier.Verify(*property);
   EXPECT_TRUE(result.ok()) << result.status();
@@ -121,10 +150,11 @@ TEST(ValuationFanout, ViolationIsDeterministicAcrossJobCounts) {
 
 /// When the property holds every valuation is checked exactly once at any
 /// job count, so all aggregate statistics — graph size, searches,
-/// prefilter and memo totals, leaf-cache hits/misses — match the serial
-/// run's exactly. This pins down the sharded interning (ids bit-for-bit),
-/// the sealed leaf cache (one miss per snapshot) and the exactly-once
-/// prefilter memo.
+/// prefilter and memo totals, leaf-cache hits/misses — match the jobs-1
+/// run's exactly. This pins down the level-merged interning (ids
+/// bit-for-bit), the sealed leaf cache (one miss per snapshot) and the
+/// exactly-once prefilter memo. One chunked fan-out serves every job
+/// count, jobs 1 included.
 TEST(ValuationFanout, HoldsVerdictHasIdenticalStatistics) {
   auto comp = spec::ParseComposition(kPipeline);
   ASSERT_TRUE(comp.ok()) << comp.status();
@@ -137,14 +167,13 @@ TEST(ValuationFanout, HoldsVerdictHasIdenticalStatistics) {
   ASSERT_TRUE(serial.result.holds) << serial.counterexample_text;
   EXPECT_EQ(serial.violations_counter, 0u);
   EXPECT_GT(serial.result.stats.valuations_checked, 1u);
-  EXPECT_EQ(serial.chunks_counter, 0u);  // serial path: no chunk dispatch
+  EXPECT_GT(serial.chunks_counter, 0u);
 
   for (size_t jobs : {2u, 4u}) {
     SCOPED_TRACE("jobs=" + std::to_string(jobs));
     RunResult parallel = VerifyPinned(*comp, property, jobs);
     EXPECT_TRUE(parallel.result.holds) << parallel.counterexample_text;
     EXPECT_EQ(parallel.violations_counter, 0u);
-    // Proof the fan-out actually engaged: the chunked dispatcher ran.
     EXPECT_GT(parallel.chunks_counter, 0u);
     EXPECT_EQ(parallel.result.stats.valuations_checked,
               serial.result.stats.valuations_checked);
@@ -165,6 +194,66 @@ TEST(ValuationFanout, HoldsVerdictHasIdenticalStatistics) {
               serial.result.stats.search.leaf_cache_hits);
     EXPECT_EQ(parallel.result.stats.search.leaf_cache_misses,
               serial.result.stats.search.leaf_cache_misses);
+  }
+}
+
+/// A configuration graph cut by the state budget is grown by the searches,
+/// so they run on the caller alone, in index order, at every job count:
+/// pinned (a violation found among budget-cut searches) and swept (every
+/// database checked, bounded), the verdict, stop reason, witness indices,
+/// searches and snapshots match at jobs 1, 2 and 4.
+TEST(ValuationFanout, BudgetCutGraphRunsTheSameAtEveryJobCount) {
+  auto comp = spec::ParseComposition(kPingPong);
+  ASSERT_TRUE(comp.ok()) << comp.status();
+  struct Case {
+    const char* name;
+    std::string property;
+    PinnedRun run;
+    bool holds;
+  };
+  const Case cases[] = {
+      {"pinned", "forall x, y: G(not (Requester.ask(x) and Requester.ask(y)))",
+       {.fresh = 1,
+        .max_states = 100,  // of 224 snapshots
+        .databases = std::vector<NamedDatabase>{
+            {{"item", {{"a"}, {"b"}, {"c"}}}}, {}}},
+       false},
+      {"swept",
+       "forall x, y: G((Requester.got(x) and Requester.got(y)) -> "
+       "(Requester.item(x) and Requester.item(y)))",
+       {.fresh = 2, .max_states = 30, .databases = std::nullopt},
+       true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    RunResult serial = VerifyPinned(*comp, c.property, 1, c.run);
+    ASSERT_EQ(serial.result.holds, c.holds) << serial.counterexample_text;
+    EXPECT_EQ(serial.result.coverage.stop_reason, StopReason::kBudget);
+    EXPECT_GT(serial.result.stats.searches, 1u);
+    PinnedRun uncut_run = c.run;
+    uncut_run.max_states = PinnedRun{}.max_states;
+    RunResult uncut = VerifyPinned(*comp, c.property, 1, uncut_run);
+    EXPECT_LT(serial.result.stats.search.snapshots,
+              uncut.result.stats.search.snapshots);  // graphs were cut
+    auto witness = [](const RunResult& run) {
+      const auto& cex = run.result.counterexample;
+      return cex.has_value() ? std::make_pair(cex->database_index,
+                                              cex->valuation_index)
+                             : std::make_pair(static_cast<size_t>(-1),
+                                              static_cast<size_t>(-1));
+    };
+    for (size_t jobs : {2u, 4u}) {
+      SCOPED_TRACE("jobs=" + std::to_string(jobs));
+      RunResult parallel = VerifyPinned(*comp, c.property, jobs, c.run);
+      EXPECT_EQ(parallel.result.holds, serial.result.holds);
+      EXPECT_EQ(parallel.result.coverage.stop_reason,
+                serial.result.coverage.stop_reason);
+      EXPECT_EQ(witness(parallel), witness(serial));
+      EXPECT_EQ(parallel.counterexample_text, serial.counterexample_text);
+      EXPECT_EQ(parallel.result.stats.searches, serial.result.stats.searches);
+      EXPECT_EQ(parallel.result.stats.search.snapshots,
+                serial.result.stats.search.snapshots);
+    }
   }
 }
 

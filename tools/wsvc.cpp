@@ -99,8 +99,9 @@ int Usage() {
       "  --fresh <n>              fresh pseudo-domain elements (default 1;\n"
       "                           0 = the sufficient bound for a complete\n"
       "                           verdict)\n"
-      "  --max-states <n>         product-state budget per search\n"
-      "                           (default 4000000)\n"
+      "  --max-states <n>         state budget: caps each database's\n"
+      "                           configuration graph (snapshots) and each\n"
+      "                           product search (default 4000000)\n"
       "  --steps <n> / --seed <s> simulation length / RNG seed (simulate)\n"
       "  --trace                  print the counterexample run\n"
       "\n"
@@ -412,8 +413,6 @@ int OptionsFromFlags(const Args& args, const std::string& spec_source,
     // A range shard resumes from the end of the covered interval containing
     // its own range start, not from the global prefix.
     out->resume_covered = cp.covered;
-    out->resume_prefix = static_cast<size_t>(
-        verifier::ResumeStart(cp.covered, out->db_range_lo));
     out->resume_failed.assign(cp.failed_indices.begin(),
                               cp.failed_indices.end());
     std::fprintf(stderr,
