@@ -19,8 +19,7 @@ namespace wsv::fault {
 ///
 /// `:every` repeats: the site fails at hit N, 2N, 3N, ... instead of once.
 /// Hit counting is per-process and thread-safe. Unarmed processes pay one
-/// relaxed atomic load per fault point; with WSV_FAULTS=OFF at configure
-/// time every point compiles to `false`.
+/// relaxed atomic load per fault point.
 ///
 /// Sites wired into the pipeline:
 ///   checkpoint.write.io   checkpoint writer (fail -> write error status;
@@ -31,7 +30,8 @@ namespace wsv::fault {
 ///   arena.alloc           Arena chunk growth (fail -> MemoryBudgetError,
 ///                         surfacing as the `memory-budget` stop reason)
 ///   pool.task             ThreadPool task boundary (fail -> the task
-///                         throws, exercising worker fault isolation)
+///                         throws before it runs: the drainer is abandoned
+///                         and the ParallelChunks caller drains its chunks)
 
 /// How an armed site misbehaves when its hit count is reached.
 enum class Mode {
@@ -92,13 +92,9 @@ class MemoryBudgetError : public std::bad_alloc {
 
 }  // namespace wsv::fault
 
-#if defined(WSV_FAULTS)
 /// True exactly when the named fault site fires this hit. Usable in any
 /// expression: `if (WSV_FAULT_POINT("checkpoint.write.io")) ...`.
 #define WSV_FAULT_POINT(site) \
   (::wsv::fault::Enabled() && ::wsv::fault::ShouldTrigger(site))
-#else
-#define WSV_FAULT_POINT(site) (false)
-#endif
 
 #endif  // WSVERIFY_COMMON_FAULT_H_

@@ -15,7 +15,8 @@ namespace wsv {
 /// `drain` time spent inside a pool task is also part of that task's `exec`
 /// time, and `lock_wait` overlaps whichever bucket the waiting code ran
 /// under. Utilization is exec / wall, where wall runs from registration to
-/// the snapshot.
+/// the snapshot. Nested drains (a chunk that fans out again on the same
+/// thread) are booked once, so drain and exec each stay within wall.
 struct WorkerLedger {
   std::string name;
   int64_t registered_nanos = 0;
@@ -29,6 +30,10 @@ struct WorkerLedger {
   /// only, never exported): lets nested drains know their time is already
   /// covered by the surrounding task's exec bucket.
   bool in_task = false;
+  /// True while the owning thread is inside a ParallelChunks drain
+  /// (owner-thread only): a drain nested in it books nothing, so only the
+  /// outermost interval counts toward drain and exec.
+  bool in_drain = false;
 };
 
 /// Value snapshot of one ledger, taken at export time.

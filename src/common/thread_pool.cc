@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -39,17 +42,24 @@ struct ChunkRun {
 
   void DrainFrom(size_t lane) {
     WorkerLedger* ledger = LedgerRegistry::Current();
-    int64_t start = ledger != nullptr ? LedgerRegistry::WallNanos() : 0;
+    // Only the outermost drain on a thread books time: a chunk that fans
+    // out again (a sweep lane checking one database) runs its inner drains
+    // inside the outer interval, which already covers them.
+    if (ledger == nullptr || ledger->in_drain) {
+      DrainLoop(lane);
+      return;
+    }
+    ledger->in_drain = true;
+    int64_t start = LedgerRegistry::WallNanos();
     DrainLoop(lane);
-    if (ledger != nullptr) {
-      uint64_t dur = static_cast<uint64_t>(LedgerRegistry::WallNanos() - start);
-      ledger->drain_ns.fetch_add(dur, std::memory_order_relaxed);
-      // A pool worker's drain runs inside a drainer task whose exec bucket
-      // already covers it; the caller thread (lane 0, outside any task)
-      // books its drain as exec so utilization sees caller participation.
-      if (!ledger->in_task) {
-        ledger->exec_ns.fetch_add(dur, std::memory_order_relaxed);
-      }
+    ledger->in_drain = false;
+    uint64_t dur = static_cast<uint64_t>(LedgerRegistry::WallNanos() - start);
+    ledger->drain_ns.fetch_add(dur, std::memory_order_relaxed);
+    // A pool worker's drain runs inside a drainer task whose exec bucket
+    // already covers it; the caller thread (lane 0, outside any task)
+    // books its drain as exec so utilization sees caller participation.
+    if (!ledger->in_task) {
+      ledger->exec_ns.fetch_add(dur, std::memory_order_relaxed);
     }
   }
 
@@ -84,46 +94,19 @@ ThreadPool::ThreadPool(size_t threads) {
 
 ThreadPool::~ThreadPool() {
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
+    std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
   work_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task, Completion done) {
+void ThreadPool::Submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(Task{std::move(task), std::move(done)});
+    queue_.push_back(std::move(task));
   }
   work_cv_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
-void ThreadPool::Shutdown() {
-  std::deque<Task> dropped;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    dropped.swap(queue_);
-    if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-  }
-  if (dropped.empty()) return;
-  std::exception_ptr canceled = std::make_exception_ptr(
-      std::runtime_error("task canceled: ThreadPool::Shutdown dropped it "
-                         "before it started"));
-  for (Task& task : dropped) {
-    if (task.done) task.done(canceled);
-  }
-}
-
-std::exception_ptr ThreadPool::first_exception() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return first_exception_;
 }
 
 void ThreadPool::WorkerLoop() {
@@ -146,16 +129,18 @@ void ThreadPool::WorkerLoop() {
     } else {
       work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
     }
-    if (stop_ && queue_.empty()) return;
-    Task task = std::move(queue_.front());
+    // Queued tasks run even after stop_: the destructor drains the queue.
+    if (queue_.empty()) return;
+    std::function<void()> task = std::move(queue_.front());
     queue_.pop_front();
-    ++active_;
     lock.unlock();
-    // The exception boundary: a throw here would otherwise escape the
-    // thread and std::terminate the whole process.
-    std::exception_ptr error;
     int64_t exec_start = ledger != nullptr ? LedgerRegistry::WallNanos() : 0;
     if (ledger != nullptr) ledger->in_task = true;
+    // The safety net: a throw here would otherwise escape the thread and
+    // std::terminate the whole process. Drainers catch their chunks'
+    // exceptions themselves, so only a throw before a drainer claims its
+    // lane lands here; that drainer is abandoned and the caller drains its
+    // chunks.
     try {
       // The task boundary doubles as a fault site: an injected throw here
       // exercises exactly the isolation a misbehaving task would.
@@ -163,9 +148,8 @@ void ThreadPool::WorkerLoop() {
         throw std::runtime_error(
             "pool task failed (injected fault 'pool.task')");
       }
-      task.fn();
+      task();
     } catch (...) {
-      error = std::current_exception();
     }
     if (ledger != nullptr) {
       ledger->in_task = false;
@@ -174,11 +158,7 @@ void ThreadPool::WorkerLoop() {
           std::memory_order_relaxed);
       ledger->tasks.fetch_add(1, std::memory_order_relaxed);
     }
-    if (task.done) task.done(error);
     lock.lock();
-    if (error && !task.done && !first_exception_) first_exception_ = error;
-    --active_;
-    if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
   }
 }
 

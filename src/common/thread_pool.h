@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -12,53 +11,27 @@
 
 namespace wsv {
 
-/// A fixed-size worker pool over a FIFO task queue. Built for the parallel
-/// database sweep (long-running worker loops that pull shared work), but
-/// generic: any () -> void task can be submitted.
+/// A fixed set of helper threads for ThreadPool::ParallelChunks, the one
+/// fan-out primitive: the database sweep, graph exploration, leaf sealing
+/// and the valuation fan-out all run their lanes through it. The pool's
+/// own queue is private; ParallelChunks submits its drainer tasks there.
 ///
-/// Exceptions: a throwing task never escapes its worker thread (that would
-/// std::terminate the process). The worker catches everything and hands the
-/// std::exception_ptr to the task's completion callback when one was
-/// submitted; otherwise the pool retains the first such exception, exposed
-/// via first_exception() after Wait().
+/// Failures have one channel: an exception from a chunk is rethrown on the
+/// ParallelChunks caller. The worker loop still catches everything at the
+/// task boundary (a throw escaping a thread would std::terminate the
+/// process) and drops it: a drainer that throws before it claims its lane
+/// is simply abandoned, and the caller drains its chunks instead.
 ///
-/// Lifecycle: Submit() enqueues; Wait() blocks until the queue is drained
-/// and every worker is idle (tasks submitted from within tasks are
-/// honored); Shutdown() drops queued-but-unstarted tasks (their completions
-/// fire with a cancellation exception) so Wait() and the destructor only
-/// wait for tasks already running; the destructor Wait()s and joins. The
-/// pool is not reentrant from its own workers' Wait() calls.
+/// The destructor runs every queued task (abandoned drainers no-op) and
+/// joins the threads.
 class ThreadPool {
  public:
-  /// Called when the task finishes: nullptr on success, the captured
-  /// exception on throw, a std::runtime_error("task canceled: ...") pointer
-  /// when Shutdown() dropped the task before it started.
-  using Completion = std::function<void(std::exception_ptr)>;
-
   /// Spawns `threads` workers (at least 1).
   explicit ThreadPool(size_t threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  void Submit(std::function<void()> task, Completion done = nullptr);
-
-  /// Blocks until all submitted tasks have finished.
-  void Wait();
-
-  /// Stop-draining shutdown: discards queued tasks that have not started
-  /// (invoking their completions with a cancellation exception_ptr) without
-  /// touching tasks already running. After this, Wait() and the destructor
-  /// block only behind in-flight work. The pool remains usable: new
-  /// Submit() calls are accepted.
-  void Shutdown();
-
-  /// The first exception thrown by a completion-less task since
-  /// construction, or nullptr. Stable only after Wait().
-  std::exception_ptr first_exception() const;
-
-  size_t size() const { return workers_.size(); }
 
   /// Resolves a user-facing jobs value: 0 selects the hardware concurrency
   /// (at least 1); anything else passes through.
@@ -72,11 +45,12 @@ class ThreadPool {
   ///
   /// The caller always participates, so the call completes even when every
   /// pool worker is pinned by long-running tasks (no deadlock on a shared
-  /// pool); idle workers pick up drainer tasks and join in. At most
-  /// `helpers` drainer tasks are submitted to `pool`. Drainers still queued
-  /// when the caller exhausts the cursor are abandoned (they no-op when the
-  /// pool eventually runs them), so a saturated pool costs nothing beyond
-  /// the caller's own serial pass.
+  /// pool, and calls nest: a chunk may fan out on the same pool); idle
+  /// workers pick up drainer tasks and join in. At most `helpers` drainer
+  /// tasks are submitted to `pool`. Drainers still queued when the caller
+  /// exhausts the cursor are abandoned (they no-op when the pool eventually
+  /// runs them), so a saturated pool costs nothing beyond the caller's own
+  /// serial pass.
   ///
   /// If `fn` throws, the first exception (lowest chunk index) is rethrown
   /// on the calling thread after all started lanes finish; remaining chunks
@@ -87,20 +61,13 @@ class ThreadPool {
       const std::function<void(size_t lane, size_t chunk)>& fn);
 
  private:
-  struct Task {
-    std::function<void()> fn;
-    Completion done;
-  };
-
+  void Submit(std::function<void()> task);
   void WorkerLoop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable work_cv_;  // workers: queue non-empty or stopping
-  std::condition_variable idle_cv_;  // Wait(): queue empty and none active
-  std::deque<Task> queue_;
-  size_t active_ = 0;
+  std::deque<std::function<void()>> queue_;
   bool stop_ = false;
-  std::exception_ptr first_exception_;
   std::vector<std::thread> workers_;
 };
 

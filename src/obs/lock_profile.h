@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <mutex>
-#include <shared_mutex>
 
 #include "common/ledger.h"
 #include "obs/metrics.h"
@@ -45,26 +44,18 @@ class LockSite {
 
 /// A std::mutex that counts acquisitions and contended waits against a
 /// named LockSite. Satisfies Lockable, so std::lock_guard / unique_lock /
-/// condition_variable_any work unchanged. Compiled with WSV_PROFILE off it
-/// is a plain mutex: the site is never resolved, no counters are
-/// registered, and lock() is a direct passthrough.
+/// condition_variable_any work unchanged.
 ///
 /// The fast path is a try_lock: an uncontended acquisition costs one
 /// relaxed counter increment and reads no clock.
 class TimedMutex {
  public:
-  explicit TimedMutex([[maybe_unused]] const char* site)
-#ifdef WSV_PROFILE
-      : site_(&LockSite::ForName(site))
-#endif
-  {
-  }
+  explicit TimedMutex(const char* site) : site_(&LockSite::ForName(site)) {}
 
   TimedMutex(const TimedMutex&) = delete;
   TimedMutex& operator=(const TimedMutex&) = delete;
 
   void lock() {
-#ifdef WSV_PROFILE
     if (mu_.try_lock()) {
       site_->RecordUncontended();
       return;
@@ -72,16 +63,11 @@ class TimedMutex {
     int64_t start = NowNanos();
     mu_.lock();
     site_->RecordContended(static_cast<uint64_t>(NowNanos() - start));
-#else
-    mu_.lock();
-#endif
   }
 
   bool try_lock() {
     bool acquired = mu_.try_lock();
-#ifdef WSV_PROFILE
     if (acquired) site_->RecordUncontended();
-#endif
     return acquired;
   }
 
@@ -89,79 +75,7 @@ class TimedMutex {
 
  private:
   std::mutex mu_;
-#ifdef WSV_PROFILE
   LockSite* site_;
-#endif
-};
-
-/// shared_mutex counterpart: exclusive and shared acquisitions both count
-/// toward the same site (a contended lock_shared is a writer holding the
-/// lock, which is exactly the contention worth seeing).
-class TimedSharedMutex {
- public:
-  explicit TimedSharedMutex([[maybe_unused]] const char* site)
-#ifdef WSV_PROFILE
-      : site_(&LockSite::ForName(site))
-#endif
-  {
-  }
-
-  TimedSharedMutex(const TimedSharedMutex&) = delete;
-  TimedSharedMutex& operator=(const TimedSharedMutex&) = delete;
-
-  void lock() {
-#ifdef WSV_PROFILE
-    if (mu_.try_lock()) {
-      site_->RecordUncontended();
-      return;
-    }
-    int64_t start = NowNanos();
-    mu_.lock();
-    site_->RecordContended(static_cast<uint64_t>(NowNanos() - start));
-#else
-    mu_.lock();
-#endif
-  }
-
-  bool try_lock() {
-    bool acquired = mu_.try_lock();
-#ifdef WSV_PROFILE
-    if (acquired) site_->RecordUncontended();
-#endif
-    return acquired;
-  }
-
-  void unlock() { mu_.unlock(); }
-
-  void lock_shared() {
-#ifdef WSV_PROFILE
-    if (mu_.try_lock_shared()) {
-      site_->RecordUncontended();
-      return;
-    }
-    int64_t start = NowNanos();
-    mu_.lock_shared();
-    site_->RecordContended(static_cast<uint64_t>(NowNanos() - start));
-#else
-    mu_.lock_shared();
-#endif
-  }
-
-  bool try_lock_shared() {
-    bool acquired = mu_.try_lock_shared();
-#ifdef WSV_PROFILE
-    if (acquired) site_->RecordUncontended();
-#endif
-    return acquired;
-  }
-
-  void unlock_shared() { mu_.unlock_shared(); }
-
- private:
-  std::shared_mutex mu_;
-#ifdef WSV_PROFILE
-  LockSite* site_;
-#endif
 };
 
 }  // namespace wsv::obs

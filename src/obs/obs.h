@@ -10,14 +10,13 @@
 //   progress.h     — periodic stderr heartbeat (rates + ETA)
 //   stats_json.h   — versioned stats-JSON document (schema v2)
 //   json_util.h    — streaming JSON writer + DOM parser
-//   lock_profile.h — TimedMutex / TimedSharedMutex contention accounting
+//   lock_profile.h — TimedMutex contention accounting
 //
 // Conventions: counters and histograms are dot-namespaced by pipeline stage
 // ("engine.", "dbenum.", "graph.", "leafcache.", "ndfs.", "sim."); phase
 // timers live under "phase.", lock sites under "lock.<site>.". Counters are
 // always collected (an increment each); phase timing, tracing, and the
-// heartbeat are opt-in and cost one branch when off. Lock accounting
-// compiles to a plain mutex when WSV_PROFILE is off; per-worker time
+// heartbeat are opt-in and cost one branch when off. Per-worker time
 // ledgers live in common/ledger.h so the thread pool can record without a
 // dependency on this library.
 

@@ -57,6 +57,52 @@ void SyncParentDir(const std::string& path) {
 
 }  // namespace
 
+Status PublishDurably(const std::string& path, std::string_view doc,
+                      const std::string& what, bool keep_backup,
+                      const char* fault_site) {
+  const std::string tmp = path + ".tmp";
+  // A previous writer may have crashed between opening and renaming; its
+  // stale temp must not shadow this write or linger forever.
+  std::remove(tmp.c_str());
+  std::FILE* out = std::fopen(tmp.c_str(), "wb");
+  if (out == nullptr) {
+    return Status::NotFound("cannot open " + what + " for writing: " + tmp);
+  }
+  // Write in two halves with the fault site between them: in crash mode the
+  // process dies with a torn temp file flushed to disk (what a power cut
+  // mid-write leaves); in fail mode this simulates a plain IO error.
+  const size_t half = doc.size() / 2;
+  bool write_ok = std::fwrite(doc.data(), 1, half, out) == half &&
+                  std::fflush(out) == 0;
+  if (write_ok && fault_site != nullptr && WSV_FAULT_POINT(fault_site)) {
+    std::fclose(out);
+    std::remove(tmp.c_str());
+    return Status::Internal(what + " write failed (injected fault '" +
+                            fault_site + "'): " + tmp);
+  }
+  write_ok = write_ok &&
+             std::fwrite(doc.data() + half, 1, doc.size() - half, out) ==
+                 doc.size() - half &&
+             FlushAndSync(out);
+  if (std::fclose(out) != 0) write_ok = false;
+  if (!write_ok) {
+    std::remove(tmp.c_str());
+    return Status::Internal("failed writing " + what + ": " + tmp);
+  }
+  // Best effort: the first write has nothing to back up. A crash between
+  // the two renames leaves only the .bak, which checkpoint recovery also
+  // handles.
+  if (keep_backup) std::rename(path.c_str(), (path + ".bak").c_str());
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::Internal("failed renaming " + what + " '" + tmp +
+                            "' over '" + path + "'");
+  }
+  // The rename is only durable once the directory entry is, too.
+  SyncParentDir(path);
+  return Status::Ok();
+}
+
 uint32_t Crc32(std::string_view data) {
   static const std::array<uint32_t, 256> table = [] {
     std::array<uint32_t, 256> t{};
@@ -224,49 +270,8 @@ Status WriteCheckpoint(const std::string& path, const Checkpoint& cp) {
   doc += crc_line;
   doc += "end\n";
 
-  const std::string tmp = path + ".tmp";
-  // A previous writer may have crashed between opening and renaming; its
-  // stale temp must not shadow this write or linger forever.
-  std::remove(tmp.c_str());
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) {
-    return Status::NotFound("cannot open checkpoint file for writing: " +
-                            tmp);
-  }
-  // Write in two halves with the fault site between them: in crash mode the
-  // process dies with a torn temp file flushed to disk (what a power cut
-  // mid-write leaves); in fail mode this simulates a plain IO error.
-  const size_t half = doc.size() / 2;
-  bool write_ok = std::fwrite(doc.data(), 1, half, out) == half &&
-                  std::fflush(out) == 0;
-  if (write_ok && WSV_FAULT_POINT("checkpoint.write.io")) {
-    std::fclose(out);
-    std::remove(tmp.c_str());
-    return Status::Internal(
-        "checkpoint write failed (injected fault 'checkpoint.write.io'): " +
-        tmp);
-  }
-  write_ok = write_ok &&
-             std::fwrite(doc.data() + half, 1, doc.size() - half, out) ==
-                 doc.size() - half &&
-             FlushAndSync(out);
-  if (std::fclose(out) != 0) write_ok = false;
-  if (!write_ok) {
-    std::remove(tmp.c_str());
-    return Status::Internal("failed writing checkpoint file: " + tmp);
-  }
-  // Keep the previous good checkpoint as the recovery fallback. Best
-  // effort: the first write has nothing to back up. A crash between the
-  // two renames leaves only the .bak, which recovery also handles.
-  std::rename(path.c_str(), (path + ".bak").c_str());
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("failed renaming checkpoint '" + tmp +
-                            "' over '" + path + "'");
-  }
-  // The rename is only durable once the directory entry is, too.
-  SyncParentDir(path);
-  return Status::Ok();
+  return PublishDurably(path, doc, "checkpoint", /*keep_backup=*/true,
+                        "checkpoint.write.io");
 }
 
 Result<Checkpoint> ReadCheckpoint(const std::string& path,

@@ -57,13 +57,11 @@ Result<std::vector<IndexInterval>> ParseIntervals(const std::string& text);
 /// Persistent progress of a database (or valuation) sweep, keyed to the
 /// deterministic enumeration order. `covered` is a normalized set of
 /// disjoint [lo, hi) intervals: every index inside it was either fully
-/// checked (no violation) or recorded in `failed_indices`. A v1 checkpoint
-/// recorded only the contiguous prefix [0, completed_prefix); the reader
-/// lifts such files into the interval form, so prefix-style checkpoints
-/// round-trip losslessly. Resuming fast-forwards the enumerator past the
-/// covered run containing the shard's range start, so the resumed run's
-/// verdict, witness index and lasso are bit-for-bit what an uninterrupted
-/// run over the same range would have produced.
+/// checked (no violation) or recorded in `failed_indices`. Only format
+/// version 3 is read and written. Resuming fast-forwards the enumerator
+/// past the covered run containing the shard's range start, so the resumed
+/// run's verdict, witness index and lasso are bit-for-bit what an
+/// uninterrupted run over the same range would have produced.
 struct Checkpoint {
   /// Guards against resuming with a different spec/property/options; the
   /// reader rejects a mismatch. Empty disables the check.
@@ -72,7 +70,7 @@ struct Checkpoint {
   /// this empty and set completed_prefix; WriteCheckpoint then persists
   /// [0, completed_prefix).
   std::vector<IndexInterval> covered;
-  /// Derived v1 view: the contiguous covered run starting at index 0.
+  /// Derived view: the contiguous covered run starting at index 0.
   /// Maintained by WriteCheckpoint/ReadCheckpoint; prefer `covered`.
   uint64_t completed_prefix = 0;
   /// Enumeration indices (inside `covered`) whose checks failed hard and
@@ -89,11 +87,19 @@ struct Checkpoint {
   std::string unit = "database";
 };
 
-/// Atomically and durably persists `cp` to `path`. The document is written
-/// to "<path>.tmp" (any stale temp from a crashed writer is removed first),
-/// fsynced, renamed over the target, and the containing directory is
-/// fsynced so the publish survives power loss. The previous good checkpoint
-/// is kept as "<path>.bak" for recovery. Writes format version 3: the
+/// Atomically and durably publishes `doc` at `path`: writes "<path>.tmp"
+/// (removing any stale temp from a crashed writer first), fsyncs it,
+/// renames it over the target and fsyncs the containing directory, so a
+/// crash leaves the old file or the new one, never a torn one, and the
+/// publish survives power loss. `keep_backup` keeps the previous file as
+/// "<path>.bak". `fault_site` (may be null) is a WSV_FAULT site checked
+/// halfway through the write. `what` names the document in errors.
+Status PublishDurably(const std::string& path, std::string_view doc,
+                      const std::string& what, bool keep_backup,
+                      const char* fault_site);
+
+/// Persists `cp` to `path` with PublishDurably, keeping the previous good
+/// checkpoint as "<path>.bak" for recovery. Writes format version 3: the
 /// covered intervals plus a CRC32 content trailer, so a torn or bit-flipped
 /// file is detected on read instead of being trusted.
 Status WriteCheckpoint(const std::string& path, const Checkpoint& cp);

@@ -805,14 +805,20 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
     }
   };
 
+  // One scheduler for both paths. The caller is lane 0 of every fan-out,
+  // so the pool holds jobs - 1 helper threads and --jobs caps the threads
+  // in use. A sweep runs its database lanes on it and each lane's
+  // CheckDatabases fans out on the same pool: within-database helper tasks
+  // queue behind busy database lanes and are simply abandoned (the fanning
+  // lane drains its own chunks) when the pool is saturated.
+  std::optional<ThreadPool> pool;
+  if (jobs > 1) pool.emplace(jobs - 1);
+  SchedulerBinding binding(this, pool.has_value() ? &*pool : nullptr, jobs);
+
   if (fixed_databases_.has_value()) {
     // A single pinned database: all parallelism is within-database (graph
-    // exploration, leaf sealing, valuation fan-out). The caller is lane 0,
-    // so the pool only needs jobs - 1 helper threads.
+    // exploration, leaf sealing, valuation fan-out).
     outcome.jobs = jobs;
-    std::optional<ThreadPool> pool;
-    if (jobs > 1) pool.emplace(jobs - 1);
-    SchedulerBinding binding(this, pool.has_value() ? &*pool : nullptr, jobs);
     {
       // Pinned runs know their work total up front: the assigned valuation
       // slice. The heartbeat turns it into an ETA.
@@ -823,8 +829,11 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
           obs::ProgressMeter::GoalUnit::kValuations, v_hi - v_lo);
     }
     CountDatabase(outcome);
-    Result<bool> found = CheckDatabases(task, *fixed_databases_,
-                                        /*db_index=*/0, outcome);
+    // The sweep lanes' exception boundary: a memory-budget throw becomes
+    // the memory-budget stop below instead of escaping the run.
+    Result<bool> found = GuardedCheck([&] {
+      return CheckDatabases(task, *fixed_databases_, /*db_index=*/0, outcome);
+    });
     if (!found.ok()) {
       if (!RunControl::IsStopStatus(found.status())) return found.status();
       // A deadline/cancel stop still yields a partial outcome: the caller
@@ -864,9 +873,9 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
                                 options_.iso_reduction);
   WSV_RETURN_IF_ERROR(enumerator.status());
 
-  // Serial and parallel sweeps share one code path (jobs == 1 runs the
-  // sweep on a single worker): fault isolation, deadline/cancel winding and
-  // checkpointing behave identically at every job count.
+  // Every job count runs one sweep code path (jobs == 1 is the same
+  // fan-out with no helper lanes): fault isolation, deadline/cancel
+  // winding and checkpointing behave identically at every job count.
   SweepOptions sweep_options;
   sweep_options.jobs = jobs;
   sweep_options.max_databases = options_.max_databases;
@@ -918,15 +927,7 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
                         "in-progress");
     };
   }
-  // One shared pool feeds both scheduler levels: ParallelSweep runs its
-  // database workers on it, and each worker's CheckDatabases borrows it
-  // (pool_/lanes_) for within-database fan-out. Total threads = jobs, so
-  // --jobs is a global cap with no oversubscription: within-database
-  // helper tasks queue behind database workers and are simply abandoned
-  // (the fanning worker drains its own chunks) when the pool is saturated.
-  ThreadPool pool(jobs);
-  sweep_options.pool = &pool;
-  SchedulerBinding binding(this, &pool, jobs);
+  sweep_options.pool = pool_;
   ParallelSweep sweep(&enumerator, sweep_options);
   WSV_ASSIGN_OR_RETURN(
       EngineOutcome swept,

@@ -117,7 +117,8 @@ PseudoDomain BuildPseudoDomain(const spec::Composition& comp,
 /// How the sweep treats a database whose check fails hard (an exception
 /// such as std::bad_alloc, or a non-budget error status).
 enum class OnDbError {
-  /// Abort the whole sweep and surface the error (legacy behavior).
+  /// Retry the database once; if it fails again, abort the whole sweep
+  /// and surface the error.
   kAbort,
   /// Retry the database once; if it fails again, record its index in the
   /// outcome's failed list and keep sweeping. A clean pass then degrades to
@@ -301,10 +302,10 @@ class VerificationEngine {
   std::vector<data::Value> fresh_;
   EngineOptions options_;
   std::optional<std::vector<data::Instance>> fixed_databases_;
-  /// The shared two-level scheduler: set by Run() for the duration of a
-  /// sweep (borrowed, never owned here), consumed by CheckDatabases for
+  /// The run's scheduler: set by Run() for the duration of a pinned run or
+  /// a sweep (borrowed, never owned here), consumed by CheckDatabases for
   /// graph exploration, leaf sealing and valuation fan-out. lanes_ is the
-  /// global --jobs budget (callers + pool helpers).
+  /// global --jobs budget (the caller + jobs - 1 pool helpers).
   ThreadPool* pool_ = nullptr;
   size_t lanes_ = 1;
 };

@@ -1,7 +1,6 @@
 #include "verifier/merge.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -197,27 +196,10 @@ Status SaveMergeState(const std::string& path,
   w.EndArray();
   w.EndObject();
 
-  // Same publish discipline as the checkpoint writer: temp + rename so a
-  // crashed merge never leaves a torn state file for the next fold.
-  const std::string tmp = path + ".tmp";
-  std::remove(tmp.c_str());
-  {
-    std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-    if (!out) {
-      return Status::NotFound("cannot open merge state for writing: " + tmp);
-    }
-    out << w.str() << "\n";
-    out.flush();
-    if (!out) {
-      return Status::Internal("failed writing merge state: " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("failed renaming merge state '" + tmp +
-                            "' over '" + path + "'");
-  }
-  return Status::Ok();
+  // The checkpoint writer's publish: a crashed merge never leaves a torn
+  // state file for the next fold.
+  return PublishDurably(path, w.str() + "\n", "merge state",
+                        /*keep_backup=*/false, /*fault_site=*/nullptr);
 }
 
 Result<IncrementalMergeState> LoadMergeState(const std::string& path) {

@@ -51,17 +51,14 @@ struct Progress {
   size_t since_checkpoint = 0;
 };
 
-/// The fault-isolation boundary: a check that throws (std::bad_alloc from a
-/// huge product search, most importantly) is converted to a hard error
-/// status instead of escaping the worker thread.
-Result<bool> GuardedCheck(const ParallelSweep::CheckFn& check, size_t index,
-                          const std::vector<data::Instance>& dbs,
-                          EngineOutcome& outcome) {
+}  // namespace
+
+Result<bool> GuardedCheck(const std::function<Result<bool>()>& check) {
   try {
-    return check(index, dbs, outcome);
+    return check();
   } catch (const fault::MemoryBudgetError& e) {
     // A memory-budget hit is a wind-down stop like a deadline, not a hard
-    // per-database failure: the sweep reports the covered prefix and the
+    // per-database failure: the run reports the covered prefix and the
     // `memory-budget` stop reason instead of retrying or crashing.
     return Status::MemoryBudget(e.what());
   } catch (const std::bad_alloc&) {
@@ -72,8 +69,6 @@ Result<bool> GuardedCheck(const ParallelSweep::CheckFn& check, size_t index,
     return Status::Internal("database check threw a non-standard exception");
   }
 }
-
-}  // namespace
 
 ParallelSweep::ParallelSweep(DatabaseEnumerator* enumerator,
                              SweepOptions options)
@@ -149,13 +144,15 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
     mark_done(index);  // failed databases count toward the resumable prefix
   };
 
-  auto worker_fn = [&](size_t w) {
-    Worker& me = workers[w];
+  // One worker loop; `at` tracks the database it is on, so a throw outside
+  // the check itself is ordered like a failure of that database.
+  auto worker_loop = [&](Worker& me, size_t& at) {
     std::vector<data::Instance> dbs;
     for (;;) {
       size_t index;
       {
         std::lock_guard<obs::TimedMutex> lock(producer_mu);
+        at = next_index;
         if (!race.Open(next_index)) break;
         if (options_.control != nullptr) {
           Status token = options_.control->Check();
@@ -187,7 +184,8 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
       dbs_counter.Add(1);
       obs::ProgressMeter::Global().MaybeBeat();
 
-      Result<bool> found = GuardedCheck(check, index, dbs, me.outcome);
+      auto check_one = [&] { return check(index, dbs, me.outcome); };
+      Result<bool> found = GuardedCheck(check_one);
       if (!found.ok() && RunControl::IsStopStatus(found.status())) {
         race.Stop(found.status());
         break;
@@ -200,7 +198,7 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
         me.outcome.stop_status = Status::Ok();
         ++me.outcome.db_retries;
         retries_counter.Add(1);
-        found = GuardedCheck(check, index, dbs, me.outcome);
+        found = GuardedCheck(check_one);
         if (!found.ok() && RunControl::IsStopStatus(found.status())) {
           race.Stop(found.status());
           break;
@@ -239,21 +237,32 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
     }
   };
 
-  {
-    // Run on the borrowed scheduler when one is attached, else on a private
-    // pool. Wait() returns once the workers AND any within-database helper
-    // tasks they spawned onto the same pool have drained.
-    std::optional<ThreadPool> own_pool;
-    ThreadPool* pool = options_.pool;
-    if (pool == nullptr) {
-      own_pool.emplace(options_.jobs);
-      pool = &*own_pool;
-    }
-    for (size_t w = 0; w < options_.jobs; ++w) {
-      pool->Submit([&worker_fn, w] { worker_fn(w); });
-    }
-    pool->Wait();
+  // The worker loops are the chunks of one fan-out: the caller runs as
+  // lane 0, the scheduler's threads as the other lanes, and a loop whose
+  // lane never starts is run by a lane that finished its own. A throw that
+  // escapes a loop (enumerator, progress bookkeeping, checkpoint_fn) gets
+  // the check's exception boundary: it ends the sweep as a memory-budget
+  // stop or a hard error at the database the loop was on.
+  std::optional<ThreadPool> own_pool;
+  ThreadPool* pool = options_.pool;
+  if (pool == nullptr && options_.jobs > 1) {
+    own_pool.emplace(options_.jobs - 1);
+    pool = &*own_pool;
   }
+  ThreadPool::ParallelChunks(
+      pool, options_.jobs - 1, options_.jobs, [&](size_t, size_t w) {
+        size_t at = options_.start_index;
+        Result<bool> ended = GuardedCheck([&]() -> Result<bool> {
+          worker_loop(workers[w], at);
+          return false;
+        });
+        if (ended.ok()) return;
+        if (RunControl::IsStopStatus(ended.status())) {
+          race.Stop(ended.status());
+        } else {
+          race.Error(at, ended.status());
+        }
+      });
 
   // --- Merge: sums first, then the deterministic winner selection. ---
   obs::PhaseTimer merge_phase("merge");

@@ -13,15 +13,17 @@
 
 namespace wsv::verifier {
 
-/// Configuration of one database sweep (serial and parallel runs share the
-/// same machinery: jobs == 1 is the serial sweep).
+/// Configuration of one database sweep (every job count runs the same
+/// code: jobs == 1 is the same fan-out with no helper lanes).
 struct SweepOptions {
-  /// Worker count; must be >= 1 (resolve 0 before constructing).
+  /// Lane count, the caller included; must be >= 1 (resolve 0 before
+  /// constructing).
   size_t jobs = 1;
-  /// Scheduler to run the workers on (borrowed, not owned; must have at
-  /// least `jobs` threads). Null = the sweep creates a private pool. The
-  /// engine passes its shared two-level pool here so database workers and
-  /// within-database fan-out draw from one global --jobs budget.
+  /// Scheduler for the helper lanes (borrowed, not owned; must have at
+  /// least `jobs - 1` threads). Null = the sweep creates a private pool of
+  /// `jobs - 1` threads (none at jobs 1). The engine passes its shared pool
+  /// here so database lanes and within-database fan-out draw from one
+  /// global --jobs budget.
   ThreadPool* pool = nullptr;
   size_t max_databases = static_cast<size_t>(-1);
   /// Resume offset: databases [0, start_index) are fast-forwarded without
@@ -38,8 +40,8 @@ struct SweepOptions {
   /// Deadline/cancellation token, polled at dispatch and inside checks (via
   /// SearchBudget::control). Not owned; may be null.
   RunControl* control = nullptr;
-  /// Fault isolation: true retries a hard-failing database once and then
-  /// skips it (recording its index); false aborts the sweep (legacy).
+  /// Fault isolation: a hard-failing database is retried once; then true
+  /// skips it (recording its index) and false aborts the sweep.
   bool skip_failed_databases = false;
   /// Failed indices inherited from a resumed checkpoint (all <
   /// start_index); carried into the merged outcome and checkpoints.
@@ -55,11 +57,19 @@ struct SweepOptions {
       checkpoint_fn;
 };
 
+/// The fault-isolation boundary of a database check, shared by sweep lanes
+/// and pinned runs: a throw (std::bad_alloc from a huge product search,
+/// most importantly) becomes a status instead of escaping the thread. A
+/// fault::MemoryBudgetError is the memory-budget stop (a wind-down like a
+/// deadline); any other exception is a hard error.
+Result<bool> GuardedCheck(const std::function<Result<bool>()>& check);
+
 /// Multi-threaded database sweep with deterministic first-violation
-/// semantics: `jobs` workers pull databases from the enumerator under a
-/// producer lock (enumeration is cheap; checking is expensive) and run the
-/// check callback on worker-local EngineOutcome accumulators, merged when
-/// all workers have drained.
+/// semantics: `jobs` worker loops, the chunks of one
+/// ThreadPool::ParallelChunks call, pull databases from the enumerator
+/// under a producer lock (enumeration is cheap; checking is expensive) and
+/// run the check callback on worker-local EngineOutcome accumulators,
+/// merged when all loops have drained.
 ///
 /// Determinism guarantee (uninterrupted runs): the reported witness is
 /// always the one with the LOWEST database index in enumeration order,
@@ -72,9 +82,11 @@ struct SweepOptions {
 /// never differ).
 ///
 /// Robustness: exceptions and hard error statuses from a database's check
-/// are caught at the worker boundary, retried once, and — under
-/// skip_failed_databases — recorded as per-database failures while the
-/// sweep continues. A deadline or cancellation stop (RunControl) winds the
+/// are caught at the worker boundary (GuardedCheck), retried once, and —
+/// under skip_failed_databases — recorded as per-database failures while
+/// the sweep continues. A throw from the loop around the check (enumerator,
+/// progress bookkeeping, checkpoint_fn) is classified the same way and ends
+/// the sweep. A deadline or cancellation stop (RunControl) winds the
 /// sweep down cooperatively; the merged outcome then covers the completed
 /// prefix (stop_reason kDeadline / kCanceled) and a witness found before
 /// the stop is still a sound violation (its index may exceed the

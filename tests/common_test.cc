@@ -2,10 +2,11 @@
 
 #include <array>
 #include <atomic>
-#include <exception>
-#include <mutex>
+#include <chrono>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "automata/buchi.h"
@@ -13,6 +14,7 @@
 #include "common/arena.h"
 #include "common/flat_hash.h"
 #include "common/interner.h"
+#include "common/ledger.h"
 #include "common/status.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
@@ -222,30 +224,46 @@ TEST(BuchiUtil, DeterminismAndCompletenessChecks) {
   EXPECT_FALSE(nondet.IsComplete());  // n1 has no outgoing transitions
 }
 
-TEST(ThreadPool, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&done] { done.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(done.load(), 100);
-  // The pool is reusable after Wait().
-  pool.Submit([&done] { done.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(done.load(), 101);
+/// Runs `body` on the caller while the pool's only worker is held inside a
+/// drainer of an outer ParallelChunks call, so every drainer `body` queues
+/// waits behind it.
+void WithPinnedWorker(ThreadPool& pool, const std::function<void()>& body) {
+  std::atomic<bool> pinned{false};
+  std::atomic<bool> release{false};
+  // Two chunks, two lanes: the caller cannot finish its chunk before the
+  // worker pins itself on the other one.
+  ThreadPool::ParallelChunks(&pool, /*helpers=*/1, /*count=*/2,
+                             [&](size_t lane, size_t /*chunk*/) {
+                               if (lane == 1) {
+                                 pinned.store(true);
+                                 while (!release.load()) {
+                                   std::this_thread::yield();
+                                 }
+                                 return;
+                               }
+                               while (!pinned.load()) {
+                                 std::this_thread::yield();
+                               }
+                               body();
+                               release.store(true);
+                             });
 }
 
 TEST(ThreadPool, DestructorDrainsPendingWork) {
+  // Drainers queued behind a pinned worker are abandoned by their calls;
+  // the destructor still runs them (as no-ops on state the calls released)
+  // before it joins.
   std::atomic<int> done{0};
   {
-    ThreadPool pool(2);
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit([&done] { done.fetch_add(1); });
-    }
+    ThreadPool pool(1);
+    WithPinnedWorker(pool, [&] {
+      for (int i = 0; i < 20; ++i) {
+        ThreadPool::ParallelChunks(&pool, /*helpers=*/1, /*count=*/2,
+                                   [&](size_t, size_t) { done.fetch_add(1); });
+      }
+    });
   }
-  EXPECT_EQ(done.load(), 20);
+  EXPECT_EQ(done.load(), 40);
 }
 
 TEST(ThreadPool, ResolveJobs) {
@@ -253,72 +271,26 @@ TEST(ThreadPool, ResolveJobs) {
   EXPECT_GE(ThreadPool::ResolveJobs(0), 1u);  // 0 = hardware concurrency
 }
 
-TEST(ThreadPool, ThrowingTaskReachesItsCompletion) {
-  ThreadPool pool(2);
-  std::exception_ptr seen;
-  std::atomic<bool> fired{false};
-  pool.Submit([] { throw std::runtime_error("boom"); },
-              [&](std::exception_ptr error) {
-                seen = error;
-                fired.store(true);
-              });
-  pool.Wait();
-  ASSERT_TRUE(fired.load());
-  ASSERT_TRUE(seen != nullptr);
-  try {
-    std::rethrow_exception(seen);
-    FAIL() << "expected rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "boom");
+TEST(Ledger, NestedDrainsBookOnlyTheOutermostInterval) {
+  // A chunk that fans out again on the same thread (a sweep lane checking
+  // one database) must not book its inner drains on top of the outer one.
+  LedgerRegistry& ledgers = LedgerRegistry::Global();
+  ledgers.set_enabled(true);
+  {
+    ThreadPool pool(2);  // its workers register ledgers at birth
+    ledgers.RegisterCurrentThread("nested-drain-test");
+    ledgers.Reset();
+    ThreadPool::ParallelChunks(&pool, 2, /*count=*/3, [&](size_t, size_t) {
+      ThreadPool::ParallelChunks(&pool, 2, /*count=*/4, [](size_t, size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      });
+    });
+    for (const WorkerLedgerSnapshot& snap : ledgers.Snapshot()) {
+      EXPECT_LE(snap.drain_ns, snap.wall_ns) << snap.name;
+      EXPECT_LE(snap.exec_ns, snap.wall_ns) << snap.name;
+    }
   }
-  // A completion-handled exception is not retained by the pool.
-  EXPECT_TRUE(pool.first_exception() == nullptr);
-}
-
-TEST(ThreadPool, CompletionlessExceptionRetainedAfterWait) {
-  ThreadPool pool(2);
-  pool.Submit([] { throw std::runtime_error("first"); });
-  pool.Wait();
-  std::exception_ptr retained = pool.first_exception();
-  ASSERT_TRUE(retained != nullptr);
-  try {
-    std::rethrow_exception(retained);
-    FAIL() << "expected rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "first");
-  }
-  // The pool survived the throw and still runs work.
-  std::atomic<int> done{0};
-  pool.Submit([&done] { done.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(done.load(), 1);
-}
-
-TEST(ThreadPool, ShutdownDropsQueuedTasksButKeepsPoolUsable) {
-  ThreadPool pool(1);
-  std::mutex gate;
-  gate.lock();  // hold the single worker inside the first task
-  std::atomic<int> ran{0};
-  std::atomic<int> canceled{0};
-  pool.Submit([&gate] { std::lock_guard<std::mutex> wait(gate); });
-  // These queue behind the blocked worker and are dropped by Shutdown();
-  // each completion fires with the cancellation exception.
-  for (int i = 0; i < 5; ++i) {
-    pool.Submit([&ran] { ran.fetch_add(1); },
-                [&](std::exception_ptr error) {
-                  if (error != nullptr) canceled.fetch_add(1);
-                });
-  }
-  pool.Shutdown();
-  gate.unlock();
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 0);
-  EXPECT_EQ(canceled.load(), 5);
-  // The pool accepts and runs new work after a shutdown.
-  std::atomic<int> after{0};
-  pool.Submit([&after] { after.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(after.load(), 1);
+  ledgers.set_enabled(false);
 }
 
 TEST(ParallelChunks, RunsEveryChunkExactlyOnce) {
@@ -346,22 +318,19 @@ TEST(ParallelChunks, SerialFallbackOnNullPoolPreservesOrder) {
 }
 
 TEST(ParallelChunks, CallerDrainsOnSaturatedPool) {
-  // The single pool thread is pinned by an unrelated long task, so every
-  // drainer is queued behind it: the caller must complete all chunks itself
+  // The single pool thread is pinned by another fan-out, so every drainer
+  // is queued behind it: the caller must complete all chunks itself
   // without waiting for the queued drainers (which are abandoned).
   ThreadPool pool(1);
-  std::mutex gate;
-  gate.lock();
-  pool.Submit([&gate] { std::lock_guard<std::mutex> wait(gate); });
   std::atomic<int> done{0};
-  ThreadPool::ParallelChunks(&pool, /*helpers=*/1, /*count=*/50,
-                             [&](size_t lane, size_t /*chunk*/) {
-                               EXPECT_EQ(lane, 0u);  // no drainer ever ran
-                               done.fetch_add(1);
-                             });
+  WithPinnedWorker(pool, [&] {
+    ThreadPool::ParallelChunks(&pool, /*helpers=*/1, /*count=*/50,
+                               [&](size_t lane, size_t /*chunk*/) {
+                                 EXPECT_EQ(lane, 0u);  // no drainer ran
+                                 done.fetch_add(1);
+                               });
+  });
   EXPECT_EQ(done.load(), 50);
-  gate.unlock();
-  pool.Wait();
 }
 
 TEST(ParallelChunks, LanesAreDisjoint) {
@@ -401,9 +370,9 @@ TEST(ParallelChunks, LowestChunkExceptionRethrownOnCaller) {
   }
   // The pool survives and is reusable.
   std::atomic<int> after{0};
-  pool.Submit([&after] { after.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(after.load(), 1);
+  ThreadPool::ParallelChunks(&pool, /*helpers=*/2, /*count=*/10,
+                             [&](size_t, size_t) { after.fetch_add(1); });
+  EXPECT_EQ(after.load(), 10);
 }
 
 }  // namespace

@@ -114,8 +114,8 @@ TEST_F(FaultInjectionTest, TransientFailureSucceedsOnRetry) {
   EXPECT_EQ(outcome->stop_reason, StopReason::kComplete);
 }
 
-/// Without skip_failed_databases the legacy contract holds: the sweep
-/// aborts and the error surfaces (after the one retry).
+/// Without skip_failed_databases the sweep aborts and the error surfaces
+/// (after the one retry).
 TEST_F(FaultInjectionTest, AbortModeSurfacesTheError) {
   SweepOptions options;
   options.skip_failed_databases = false;
@@ -128,6 +128,42 @@ TEST_F(FaultInjectionTest, AbortModeSurfacesTheError) {
   });
   ASSERT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.status().code(), StatusCode::kInternal);
+}
+
+/// A throw from the sweep loop around the check (here the checkpoint
+/// callback) gets the check's exception boundary at every job count: a
+/// memory-budget throw is the memory-budget stop, anything else ends the
+/// sweep with a hard error, and neither escapes Run.
+TEST_F(FaultInjectionTest, ThrowOutsideTheCheckEndsTheSweep) {
+  for (size_t jobs : {1u, 2u, 4u}) {
+    for (bool budget : {true, false}) {
+      SCOPED_TRACE("jobs=" + std::to_string(jobs) +
+                   " budget=" + std::to_string(budget));
+      SweepOptions options;
+      options.jobs = jobs;
+      options.checkpoint_every = 1;
+      options.checkpoint_fn = [budget](size_t, const std::vector<size_t>&,
+                                       size_t) {
+        if (budget) throw fault::MemoryBudgetError("checkpoint buffer");
+        throw std::runtime_error("checkpoint writer broke");
+      };
+      DatabaseEnumerator enumerator = MakeEnumerator();
+      ParallelSweep sweep(&enumerator, options);
+      auto outcome = sweep.Run([](size_t, const std::vector<data::Instance>&,
+                                  EngineOutcome&) -> Result<bool> {
+        return false;
+      });
+      if (budget) {
+        ASSERT_TRUE(outcome.ok()) << outcome.status();
+        EXPECT_EQ(outcome->stop_reason, StopReason::kMemoryBudget);
+      } else {
+        ASSERT_FALSE(outcome.ok());
+        EXPECT_EQ(outcome.status().code(), StatusCode::kInternal);
+        EXPECT_NE(outcome.status().ToString().find("checkpoint writer broke"),
+                  std::string::npos);
+      }
+    }
+  }
 }
 
 /// A violation stays a sound VIOLATION even when other databases failed:
@@ -371,8 +407,6 @@ TEST_F(FaultSubsystemTest, InjectedCountsBreakDownPerSite) {
   EXPECT_TRUE(fault::InjectedCounts().empty());
 }
 
-#if defined(WSV_FAULTS)
-
 TEST_F(FaultSubsystemTest, ArenaGrowthFaultThrowsMemoryBudget) {
   ASSERT_TRUE(fault::ArmFromSpec("arena.alloc:1"));
   Arena arena;
@@ -390,28 +424,25 @@ TEST_F(FaultSubsystemTest, ArenaGrowthFaultThrowsMemoryBudget) {
 }
 
 TEST_F(FaultSubsystemTest, PoolTaskFaultIsIsolatedToOneTask) {
+  // The first drainer task throws at the pool boundary before it claims
+  // its lane: that drainer is abandoned, the caller and the other drainer
+  // run every chunk exactly once, and no exception reaches the caller.
   ASSERT_TRUE(fault::ArmFromSpec("pool.task:1"));
-  ThreadPool pool(2);
-  std::exception_ptr first_error;
-  std::atomic<int> ran{0};
-  pool.Submit([&] { ++ran; },
-              [&](std::exception_ptr e) { first_error = e; });
-  pool.Wait();
-  ASSERT_TRUE(first_error != nullptr);
-  try {
-    std::rethrow_exception(first_error);
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("pool.task"), std::string::npos);
+  std::vector<std::atomic<int>> runs(64);
+  for (auto& r : runs) r.store(0);
+  {
+    ThreadPool pool(2);
+    for (int round = 0; round < 2; ++round) {
+      EXPECT_NO_THROW(ThreadPool::ParallelChunks(
+          &pool, /*helpers=*/2, runs.size(),
+          [&](size_t /*lane*/, size_t chunk) { runs[chunk].fetch_add(1); }));
+    }
+  }  // The destructor runs every queued drainer, so the site was hit.
+  for (size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].load(), 2) << "chunk " << i;
   }
-  EXPECT_EQ(ran.load(), 0);  // the injected throw preempted the task body
-  // The pool survives: later tasks run normally.
-  pool.Submit([&] { ++ran; });
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 1);
-  pool.Shutdown();
+  EXPECT_EQ(fault::InjectedTotal(), 1u);
 }
-
-#endif  // defined(WSV_FAULTS)
 
 /// The memory-budget stop contract: an allocation-budget fault inside a
 /// check degrades the sweep to a graceful `memory-budget` stop covering

@@ -149,8 +149,8 @@ def render(path):
         if part:
             sections.append(part)
     if len(sections) == 1:
-        sections.append("(no phases/workers/locks sections — run with "
-                        "--stats-json on a WSV_PROFILE build)")
+        sections.append("(no phases/workers/locks sections — write the "
+                        "document with wsvc --stats-json)")
     print("\n\n".join(sections))
 
 
