@@ -62,6 +62,37 @@ TransitionGenerator::TransitionGenerator(const spec::Composition* comp,
       if (mentioned.count(peer.in_queues()[q].name) > 0) w.consumes[q] = true;
     }
   }
+  // Index each peer's move rules once (MoveRules order).
+  move_rules_.resize(comp_->peers().size());
+  for (size_t p = 0; p < comp_->peers().size(); ++p) {
+    const spec::Peer& peer = comp_->peers()[p];
+    MoveRules& m = move_rules_[p];
+    auto slot = [&](spec::RuleKind kind, const std::string& name) {
+      const spec::Rule* rule = peer.FindRule(kind, name);
+      if (rule == nullptr) return -1;
+      m.rules.push_back(rule);
+      return static_cast<int>(m.rules.size() - 1);
+    };
+    for (size_t s = 0; s < peer.declared_state_schema().size(); ++s) {
+      const std::string& name = peer.declared_state_schema().relation(s).name;
+      m.insert.push_back(slot(spec::RuleKind::kStateInsert, name));
+      m.remove.push_back(slot(spec::RuleKind::kStateDelete, name));
+    }
+    for (size_t a = 0; a < peer.action_schema().size(); ++a) {
+      m.action.push_back(
+          slot(spec::RuleKind::kAction, peer.action_schema().relation(a).name));
+    }
+    for (const spec::QueueDecl& decl : peer.out_queues()) {
+      m.send.push_back(slot(spec::RuleKind::kSend, decl.name));
+    }
+    for (size_t i = 0; i < peer.input_schema().size(); ++i) {
+      std::vector<size_t>& window = m.window.emplace_back();
+      for (int k = 1; k <= peer.lookback(); ++k) {
+        window.push_back(peer.prev_input_schema().IndexOf(
+            spec::PrevInputName(peer.input_schema().relation(i).name, k)));
+      }
+    }
+  }
 }
 
 bool TransitionGenerator::ChannelIsLossy(spec::QueueKind kind) const {
@@ -180,57 +211,71 @@ void TransitionGenerator::DeliverMessages(
 
 Result<PeerMove> TransitionGenerator::EvaluateMove(
     size_t peer_index, const LocalView& view) const {
-  const spec::Peer& peer = comp_->peers()[peer_index];
-  const PeerWiring& wiring = wiring_[peer_index];
+  std::vector<data::Relation> results(move_rules_[peer_index].rules.size());
+  WSV_RETURN_IF_ERROR(
+      EvaluateMoveRules(peer_index, view, /*only=*/nullptr, &results));
+  return AssembleMove(peer_index, view, std::move(results));
+}
 
+Status TransitionGenerator::EvaluateMoveRules(
+    size_t peer_index, const LocalView& view, const std::vector<bool>* only,
+    std::vector<data::Relation>* results) const {
   // Definition 2.4: the transition consumes the input *stored in the
   // current configuration* (Definition 2.3 requires it to be
   // options-consistent there); the successor's input is re-chosen by the
-  // caller against the successor configuration.
+  // caller against the successor configuration. All rules read the same
+  // structure: snapshot semantics.
   WSV_ASSIGN_OR_RETURN(fo::MapStructure structure,
                        BuildRuleStructure(peer_index, view,
                                           /*include_input=*/true));
+  const std::vector<const spec::Rule*>& rules = move_rules_[peer_index].rules;
+  for (size_t i = 0; i < rules.size(); ++i) {
+    if (only != nullptr && !(*only)[i]) continue;
+    WSV_ASSIGN_OR_RETURN(
+        (*results)[i],
+        evaluator_.EvaluateQuery(rules[i]->body, rules[i]->head_vars,
+                                 structure));
+  }
+  return Status::Ok();
+}
+
+PeerMove TransitionGenerator::AssembleMove(
+    size_t peer_index, LocalView view,
+    std::vector<data::Relation> results) const {
+  const spec::Peer& peer = comp_->peers()[peer_index];
+  const PeerWiring& wiring = wiring_[peer_index];
+  const MoveRules& rules = move_rules_[peer_index];
   PeerMove move;
 
-  // --- State updates (snapshot semantics: all rules read `structure`,
-  // which reflects the *current* configuration). ---
-  move.state = view.state;
-  for (size_t s = 0; s < peer.declared_state_schema().size(); ++s) {
-    const std::string& name = peer.declared_state_schema().relation(s).name;
-    const spec::Rule* ins = peer.FindRule(spec::RuleKind::kStateInsert, name);
-    const spec::Rule* del = peer.FindRule(spec::RuleKind::kStateDelete, name);
-    if (ins == nullptr && del == nullptr) continue;  // state unchanged
-    data::Relation plus(view.state.relation(s).arity());
-    data::Relation minus(view.state.relation(s).arity());
-    if (ins != nullptr) {
-      WSV_ASSIGN_OR_RETURN(
-          plus,
-          evaluator_.EvaluateQuery(ins->body, ins->head_vars, structure));
+  // --- State updates. ---
+  move.state = std::move(view.state);
+  for (size_t s = 0; s < rules.insert.size(); ++s) {
+    const int ins = rules.insert[s];
+    const int del = rules.remove[s];
+    data::Relation& current = move.state.relation(s);
+    if (del < 0) {
+      if (ins >= 0) current = current.Union(results[ins]);
+      continue;  // no rule: state unchanged
     }
-    if (del != nullptr) {
-      WSV_ASSIGN_OR_RETURN(
-          minus,
-          evaluator_.EvaluateQuery(del->body, del->head_vars, structure));
+    const data::Relation& minus = results[del];
+    if (ins < 0) {
+      current = current.Difference(minus);
+      continue;
     }
     // (phi+ and not phi-) or (S and phi+ and phi-) or (S and not phi+ and
     // not phi-)  — conflicting insert+delete is a no-op (Definition 2.4).
-    const data::Relation& current = view.state.relation(s);
+    const data::Relation& plus = results[ins];
     data::Relation result = plus.Difference(minus);
     result = result.Union(current.Intersection(plus.Intersection(minus)));
-    result = result.Union(current.Difference(plus.Union(minus)));
-    move.state.SetRelation(s, std::move(result));
+    current = result.Union(current.Difference(plus.Union(minus)));
   }
 
   // --- Actions. ---
   move.action = data::Instance(&peer.action_schema());
-  for (size_t a = 0; a < peer.action_schema().size(); ++a) {
-    const std::string& name = peer.action_schema().relation(a).name;
-    const spec::Rule* rule = peer.FindRule(spec::RuleKind::kAction, name);
-    if (rule == nullptr) continue;
-    WSV_ASSIGN_OR_RETURN(
-        data::Relation result,
-        evaluator_.EvaluateQuery(rule->body, rule->head_vars, structure));
-    move.action.SetRelation(a, std::move(result));
+  for (size_t a = 0; a < rules.action.size(); ++a) {
+    if (rules.action[a] >= 0) {
+      move.action.SetRelation(a, std::move(results[rules.action[a]]));
+    }
   }
 
   // --- Sends. ---
@@ -239,11 +284,8 @@ Result<PeerMove> TransitionGenerator::EvaluateMove(
   move.send_errors.assign(peer.out_queues().size(), false);
   for (size_t q = 0; q < peer.out_queues().size(); ++q) {
     const spec::QueueDecl& decl = peer.out_queues()[q];
-    const spec::Rule* rule = peer.FindRule(spec::RuleKind::kSend, decl.name);
-    if (rule == nullptr) continue;
-    WSV_ASSIGN_OR_RETURN(
-        data::Relation result,
-        evaluator_.EvaluateQuery(rule->body, rule->head_vars, structure));
+    if (rules.send[q] < 0) continue;
+    const data::Relation& result = results[rules.send[q]];
     size_t channel = wiring.out_channel[q];
     if (decl.kind == spec::QueueKind::kNested) {
       if (result.empty() && options_.skip_empty_nested_sends) continue;
@@ -281,15 +323,16 @@ Result<PeerMove> TransitionGenerator::EvaluateMove(
 
   // --- Previous-input window update (shift the lookback window with the
   // input this transition consumed). ---
-  move.prev = view.prev;
-  for (size_t i = 0; i < peer.input_schema().size(); ++i) {
-    const std::string& iname = peer.input_schema().relation(i).name;
-    if (view.input.relation(i).empty()) continue;  // window unchanged
-    for (int k = peer.lookback(); k >= 2; --k) {
-      move.prev.relation(spec::PrevInputName(iname, k)) =
-          move.prev.relation(spec::PrevInputName(iname, k - 1));
+  move.prev = std::move(view.prev);
+  for (size_t i = 0; i < rules.window.size(); ++i) {
+    data::Relation& input = view.input.relation(i);
+    if (input.empty()) continue;  // window unchanged
+    const std::vector<size_t>& window = rules.window[i];
+    for (size_t k = window.size(); k > 1; --k) {
+      move.prev.relation(window[k - 1]) =
+          std::move(move.prev.relation(window[k - 2]));
     }
-    move.prev.relation(spec::PrevInputName(iname, 1)) = view.input.relation(i);
+    move.prev.relation(window.front()) = std::move(input);
   }
   return move;
 }

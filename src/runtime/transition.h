@@ -51,6 +51,20 @@ struct PeerMove {
   std::vector<std::vector<OutgoingMessage>> sends;
 };
 
+/// The rules of one peer's move (Definition 2.4) in evaluation order: per
+/// declared state relation its insert then its delete rule, then per action
+/// relation its rule, then per out-queue its send rule. The slot vectors
+/// give each relation's rule index in `rules`, or -1 where it has none.
+struct MoveRules {
+  std::vector<const spec::Rule*> rules;
+  std::vector<int> insert, remove;  // per declared state relation
+  std::vector<int> action;          // per action relation
+  std::vector<int> send;            // per out-queue
+  /// Per input relation: the prev-schema indices of prev_<I>, prev2_<I>,
+  /// ... up to the lookback, newest first.
+  std::vector<std::vector<size_t>> window;
+};
+
 /// Generates the legal successor snapshots of a composition configuration
 /// (Definition 2.4 lifted to serialized runs, Definition 2.6).
 ///
@@ -64,7 +78,7 @@ struct PeerMove {
 /// environment; within a peer move, send alternatives, then per message
 /// the drop branch before the deliver branch, then input choices.
 /// verifier::FlatExpander reproduces this order on flat encodings from the
-/// same EvaluateMove / InputChoices / EnvCandidates.
+/// same EvaluateMoveRules / AssembleMove / InputChoices / EnvCandidates.
 class TransitionGenerator {
  public:
   /// Channel wiring of one peer.
@@ -93,6 +107,7 @@ class TransitionGenerator {
   const data::Domain& domain() const { return domain_; }
   const RunOptions& options() const { return options_; }
   const PeerWiring& wiring(size_t peer) const { return wiring_[peer]; }
+  const MoveRules& move_rules(size_t peer) const { return move_rules_[peer]; }
 
   /// All legal initial snapshots (Definition 2.6): states, previous inputs,
   /// actions and queues empty; every peer's current input is any
@@ -115,8 +130,22 @@ class TransitionGenerator {
   LocalView View(const Snapshot& snap, size_t peer) const;
 
   /// Evaluates every rule of `peer` on `view` (Definition 2.4: all rules
-  /// read the current configuration, including its stored input).
+  /// read the current configuration, including its stored input):
+  /// EvaluateMoveRules, then AssembleMove.
   Result<PeerMove> EvaluateMove(size_t peer, const LocalView& view) const;
+
+  /// Evaluates rule i of move_rules(peer) on `view` into (*results)[i], for
+  /// every i with `only` null or (*only)[i] set, in rule order; the first
+  /// failure is returned. `results` holds one relation per move rule.
+  Status EvaluateMoveRules(size_t peer, const LocalView& view,
+                           const std::vector<bool>* only,
+                           std::vector<data::Relation>* results) const;
+
+  /// The move of `peer` at `view` (Definition 2.4) from the results of its
+  /// move rules, aligned with move_rules(peer).rules: the state update, the
+  /// actions, the send alternatives and the shifted lookback window.
+  PeerMove AssembleMove(size_t peer, LocalView view,
+                        std::vector<data::Relation> results) const;
 
   /// The options-consistent input instances of `peer` at the configuration
   /// whose local view is `view` (Definition 2.3: at most one option tuple
@@ -154,6 +183,7 @@ class TransitionGenerator {
   RunOptions options_;
   fo::Evaluator evaluator_;
   std::vector<PeerWiring> wiring_;
+  std::vector<MoveRules> move_rules_;
 };
 
 }  // namespace wsv::runtime

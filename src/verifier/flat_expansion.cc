@@ -1,137 +1,27 @@
+// The splice side of FlatExpander: successor spans built from the parent
+// span and the memoized moves and input choices (flat_expansion_memo.cc).
+
 #include "verifier/flat_expansion.h"
 
 #include <cassert>
-#include <set>
-#include <string>
 
 namespace wsv::verifier {
 
 namespace {
 
 using runtime::FlatSnapshot;
-using runtime::SnapshotPart;
-
-/// Header words of an encoded PeerMove (see Move()): the word counts of
-/// its state, raw prev and normalized tail sections and its error-flag
-/// count. The sections follow in that order, then the send alternatives:
-/// [alternatives, per alternative: [messages, per message: channel,
-/// relation block]].
-constexpr size_t kMoveHeader = 4;
 
 }  // namespace
-
-template <typename Encode>
-Result<const uint32_t*> FlatExpander::Memoized(
-    Lane::Memo* memo, const std::vector<uint32_t>& key, size_t* evals,
-    Encode encode) {
-  const size_t hash = runtime::HashFlatSnapshot(key.data(), key.size());
-  uint32_t id = memo->keys.Find(key.data(), key.size(), hash);
-  if (id == FlatIdSet::kEmpty) {
-    ++*evals;
-    WSV_RETURN_IF_ERROR(encode(&memo->values));
-    memo->value_begin.push_back(static_cast<uint32_t>(memo->values.size()));
-    id = memo->keys.Add(key.data(), key.size(), hash);
-  }
-  return memo->values.data() + memo->value_begin[id];
-}
-
-FlatExpander::FlatExpander(const runtime::TransitionGenerator* generator,
-                           const runtime::FlatSnapshotCodec* codec,
-                           SnapshotNormalization normalization)
-    : generator_(generator),
-      codec_(codec),
-      normalization_(std::move(normalization)) {
-  const spec::Composition& comp = generator_->composition();
-  using Kind = SnapshotPart::Kind;
-  auto all = [](size_t n) {
-    std::vector<uint32_t> indices(n);
-    for (uint32_t i = 0; i < n; ++i) indices[i] = i;
-    return indices;
-  };
-  for (size_t p = 0; p < comp.peers().size(); ++p) {
-    const spec::Peer& peer = comp.peers()[p];
-    ViewSelection& move = move_view_.emplace_back();
-    move.state = all(peer.declared_state_schema().size());
-    move.input = all(peer.input_schema().size());
-    move.prev = all(peer.prev_input_schema().size());
-    move.heads = all(peer.in_queues().size());
-    move.errors = all(peer.out_queues().size());
-
-    const int32_t pi = static_cast<int32_t>(p);
-    std::vector<SnapshotPart>& parts = move_parts_.emplace_back();
-    for (uint32_t part = 0; part < 3; ++part) {
-      const std::vector<uint32_t>& relations =
-          part == 0 ? move.state : part == 1 ? move.input : move.prev;
-      for (uint32_t r : relations) {
-        parts.push_back({Kind::kRelation, pi, part, r});
-      }
-    }
-    for (uint32_t q : move.heads) {
-      const uint32_t c =
-          static_cast<uint32_t>(generator_->wiring(p).in_channel[q]);
-      parts.push_back({Kind::kQueueEmpty, 0, 0, c});
-      parts.push_back({Kind::kQueueFirst, 0, 0, c});
-    }
-    for (uint32_t q : move.errors) {
-      parts.push_back({Kind::kSendError, pi, 0, q});
-    }
-
-    // The options rules read only what they name (the database is fixed).
-    std::set<std::string> named;
-    for (const spec::Rule& rule : peer.rules()) {
-      if (rule.kind != spec::RuleKind::kInputOptions) continue;
-      auto names = rule.body->RelationNames();
-      named.insert(names.begin(), names.end());
-    }
-    auto names_any = [&](std::initializer_list<std::string> names) {
-      for (const std::string& name : names) {
-        if (named.count(name) > 0) return true;
-      }
-      return false;
-    };
-    ViewSelection& input = input_view_.emplace_back();
-    for (uint32_t r : move.state) {
-      if (names_any({peer.declared_state_schema().relation(r).name})) {
-        input.state.push_back(r);
-      }
-    }
-    for (uint32_t r : move.prev) {
-      if (names_any({peer.prev_input_schema().relation(r).name})) {
-        input.prev.push_back(r);
-      }
-    }
-    for (uint32_t q : move.heads) {
-      const std::string& name = peer.in_queues()[q].name;
-      if (names_any({name, spec::QueueEmptyStateName(name)})) {
-        input.heads.push_back(q);
-      }
-    }
-    for (uint32_t q : move.errors) {
-      if (names_any({"error_" + peer.out_queues()[q].name})) {
-        input.errors.push_back(q);
-      }
-    }
-  }
-  const bool env = generator_->options().allow_env_moves;
-  env_candidates_.resize(comp.channels().size());
-  for (size_t c = 0; c < comp.channels().size(); ++c) {
-    const spec::Channel& channel = comp.channels()[c];
-    lossy_.push_back(generator_->ChannelIsLossy(channel.kind));
-    if (env && channel.ToEnvironment()) env_consume_.push_back(c);
-    if (env && channel.FromEnvironment()) {
-      env_feed_.push_back(c);
-      for (const data::Relation& msg : generator_->EnvCandidates(c)) {
-        runtime::AppendRelationWords(msg, &env_candidates_[c].emplace_back());
-      }
-    }
-  }
-}
 
 Status FlatExpander::Expand(FlatSnapshot parent, Lane* lane, SpanList* out,
                             MemoCounts* counts) const {
   const size_t peers = move_view_.size();
   if (lane->moves.size() != peers) {
     lane->moves.resize(peers);
+    lane->rules.resize(peers);
+    for (size_t p = 0; p < peers; ++p) {
+      lane->rules[p].resize(rule_parts_[p].size());
+    }
     lane->inputs.resize(peers);
     lane->edits.assign(codec_->composition().channels().size(), {});
   }
@@ -141,122 +31,6 @@ Status FlatExpander::Expand(FlatSnapshot parent, Lane* lane, SpanList* out,
   }
   ExpandEnv(parent, lane, out);
   return Status::Ok();
-}
-
-runtime::LocalView FlatExpander::DecodeView(size_t p,
-                                            const ViewSelection& selection,
-                                            const uint32_t* key) const {
-  const spec::Peer& peer = generator_->composition().peers()[p];
-  runtime::LocalView view{data::Instance(&peer.declared_state_schema()),
-                          data::Instance(&peer.input_schema()),
-                          data::Instance(&peer.prev_input_schema()),
-                          std::vector<std::optional<data::Relation>>(
-                              peer.in_queues().size()),
-                          std::vector<bool>(peer.out_queues().size(), false)};
-  const uint32_t* at = key;
-  auto read = [&](const std::vector<uint32_t>& relations,
-                  data::Instance& inst) {
-    for (uint32_t r : relations) {
-      data::Relation& rel = inst.relation(r);
-      at = runtime::ReadRelationWords(at, static_cast<uint32_t>(rel.arity()),
-                                      &rel);
-    }
-  };
-  read(selection.state, view.state);
-  read(selection.input, view.input);
-  read(selection.prev, view.prev);
-  for (uint32_t q : selection.heads) {
-    if (*at++ != 0) {  // empty: the first-message block is [0]
-      ++at;
-    } else {
-      const uint32_t arity =
-          static_cast<uint32_t>(peer.in_queues()[q].arity());
-      data::Relation msg(arity);
-      at = runtime::ReadRelationWords(at, arity, &msg);
-      view.heads[q] = std::move(msg);
-    }
-  }
-  for (uint32_t q : selection.errors) view.send_errors[q] = *at++ != 0;
-  return view;
-}
-
-Result<const uint32_t*> FlatExpander::Move(FlatSnapshot parent, size_t p,
-                                           Lane* lane,
-                                           MemoCounts* counts) const {
-  std::vector<uint32_t>& key = lane->key;
-  key.clear();
-  for (const SnapshotPart& part : move_parts_[p]) {
-    codec_->AppendPart(parent, lane->layout, part, &key);
-  }
-  ++counts->move_lookups;
-  return Memoized(&lane->moves[p], key, &counts->move_evals,
-                  [&](std::vector<uint32_t>* out) -> Status {
-    WSV_ASSIGN_OR_RETURN(
-        runtime::PeerMove move,
-        generator_->EvaluateMove(p, DecodeView(p, move_view_[p], key.data())));
-    std::vector<uint32_t>& v = *out;
-    const size_t start = v.size();
-    v.resize(start + kMoveHeader);
-    auto append_all = [&](const data::Instance& inst,
-                          const std::vector<bool>* keep, bool keep_all) {
-      for (size_t r = 0; r < inst.size(); ++r) {
-        if (keep_all && (keep == nullptr || r >= keep->size() || (*keep)[r])) {
-          runtime::AppendRelationWords(inst.relation(r), &v);
-        } else {
-          v.push_back(0);  // normalized away: the empty relation
-        }
-      }
-    };
-    append_all(move.state, nullptr, true);
-    const size_t state_end = v.size();
-    append_all(move.prev, nullptr, true);
-    const size_t prev_end = v.size();
-    const std::vector<bool>* keep_prev =
-        normalization_.keep_prev.empty() ? nullptr
-                                         : &normalization_.keep_prev[p];
-    append_all(move.prev, keep_prev, true);
-    append_all(move.action, nullptr, normalization_.keep_actions);
-    const size_t tail_end = v.size();
-    for (bool error : move.send_errors) v.push_back(error ? 1 : 0);
-    v.push_back(static_cast<uint32_t>(move.sends.size()));
-    for (const std::vector<runtime::OutgoingMessage>& alt : move.sends) {
-      v.push_back(static_cast<uint32_t>(alt.size()));
-      for (const runtime::OutgoingMessage& msg : alt) {
-        v.push_back(static_cast<uint32_t>(msg.channel));
-        runtime::AppendRelationWords(msg.content, &v);
-      }
-    }
-    v[start] = static_cast<uint32_t>(state_end - start - kMoveHeader);
-    v[start + 1] = static_cast<uint32_t>(prev_end - state_end);
-    v[start + 2] = static_cast<uint32_t>(tail_end - prev_end);
-    v[start + 3] = static_cast<uint32_t>(move.send_errors.size());
-    return Status::Ok();
-  });
-}
-
-Result<const uint32_t*> FlatExpander::InputChoices(size_t p, Lane* lane,
-                                                   MemoCounts* counts) const {
-  const std::vector<uint32_t>& key = lane->key;
-  ++counts->input_lookups;
-  return Memoized(&lane->inputs[p], key, &counts->input_evals,
-                  [&](std::vector<uint32_t>* out) -> Status {
-    WSV_ASSIGN_OR_RETURN(
-        std::vector<data::Instance> choices,
-        generator_->InputChoices(p,
-                                 DecodeView(p, input_view_[p], key.data())));
-    // [choices, per choice: [words, the input block]].
-    std::vector<uint32_t>& v = *out;
-    v.push_back(static_cast<uint32_t>(choices.size()));
-    for (const data::Instance& input : choices) {
-      const size_t at = v.size();
-      v.push_back(0);
-      for (size_t r = 0; r < input.size(); ++r) {
-        runtime::AppendRelationWords(input.relation(r), &v);
-      }
-      v[at] = static_cast<uint32_t>(v.size() - at - 1);
-    }
-    return Status::Ok();
-  });
 }
 
 void FlatExpander::AppendHeader(FlatSnapshot parent, uint32_t mover_word,

@@ -45,17 +45,22 @@ struct SpanList {
 };
 
 /// Memo traffic of some expansions: one move lookup per (node, peer), one
-/// input lookup per delivered peer successor; evals are the lookups that
-/// missed and ran the rules.
+/// rule lookup per move rule of each move lookup that missed, one input
+/// lookup per delivered peer successor; evals are the lookups that missed
+/// and ran the rules.
 struct MemoCounts {
   size_t move_lookups = 0;
   size_t move_evals = 0;
+  size_t rule_lookups = 0;
+  size_t rule_evals = 0;
   size_t input_lookups = 0;
   size_t input_evals = 0;
 
   MemoCounts& operator+=(const MemoCounts& o) {
     move_lookups += o.move_lookups;
     move_evals += o.move_evals;
+    rule_lookups += o.rule_lookups;
+    rule_evals += o.rule_evals;
     input_lookups += o.input_lookups;
     input_evals += o.input_evals;
     return *this;
@@ -71,7 +76,12 @@ struct MemoCounts {
 /// 2.6). So the rules run once per distinct view: the move memo maps the
 /// view's words, sliced from the parent span, to the encoded PeerMove, and
 /// the input memo maps the part of the successor's view that the options
-/// rules read to the encoded input choices. Each successor span is then
+/// rules read to the encoded input choices. Under the move memo, each move
+/// rule (runtime::MoveRules) reads only the view parts its body names, its
+/// footprint: on a move miss the rule memo maps each rule's footprint,
+/// sliced from the move key, to the rule's encoded result, and only the
+/// rules that miss there are evaluated before TransitionGenerator::
+/// AssembleMove builds the move. Each successor span is then
 /// spliced from the parent: a new header, the mover's block replaced,
 /// consumed in-queues dequeued and delivered messages appended.
 /// Environment moves splice the same way. No runtime::Snapshot is built;
@@ -102,10 +112,22 @@ class FlatExpander {
       bool received = false;
     };
 
-    std::vector<Memo> moves;   // per peer
-    std::vector<Memo> inputs;  // per peer
+    /// A move rule whose footprint missed the rule memo: its key is
+    /// rule_keys[begin, end).
+    struct RuleMiss {
+      uint32_t rule, begin, end;
+      size_t hash;
+    };
+
+    std::vector<Memo> moves;               // per peer
+    std::vector<std::vector<Memo>> rules;  // per peer, per move rule
+    std::vector<Memo> inputs;              // per peer
     runtime::FlatLayout layout;
     std::vector<uint32_t> key;
+    std::vector<uint32_t> part_begin;  // per move part: its key offset
+    std::vector<uint32_t> rule_keys;
+    std::vector<RuleMiss> rule_misses;
+    std::vector<bool> rule_missed;  // per move rule
     std::vector<uint32_t> input_key;  // a move's input-key prefix
     std::vector<uint32_t> head;  // the mover's successor span up to its input
     std::vector<uint32_t> tail;  // ... and after it
@@ -130,10 +152,23 @@ class FlatExpander {
                 MemoCounts* counts) const;
 
  private:
+  /// Header words of an encoded PeerMove (see Move()): the word counts of
+  /// its state, raw prev and normalized tail sections and its error-flag
+  /// count. The sections follow in that order, then the send alternatives:
+  /// [alternatives, per alternative: [messages, per message: channel,
+  /// relation block]].
+  static constexpr size_t kMoveHeader = 4;
+
   /// The move of peer `p` from `parent` (located in lane->layout): its
   /// encoded PeerMove, from the lane's memo or freshly evaluated.
   Result<const uint32_t*> Move(runtime::FlatSnapshot parent, size_t p,
                                Lane* lane, MemoCounts* counts) const;
+
+  /// The move of peer `p` for the move key in lane->key: each rule's
+  /// result from the rule memo (its key sliced from the move key), the
+  /// missed rules evaluated on the decoded view.
+  Result<runtime::PeerMove> EvaluateMove(size_t p, Lane* lane,
+                                         MemoCounts* counts) const;
 
   /// Encoded input choices of peer `p` for the input key in lane->key.
   Result<const uint32_t*> InputChoices(size_t p, Lane* lane,
@@ -190,6 +225,12 @@ class FlatExpander {
   /// holds what the peer's options rules name, never the input itself.
   std::vector<ViewSelection> move_view_, input_view_;
   std::vector<std::vector<runtime::SnapshotPart>> move_parts_;
+  /// Per peer, per move part: the arity of its relation block, or a
+  /// one-word flag marker; locates the parts inside a move key.
+  std::vector<std::vector<uint32_t>> move_part_arities_;
+  /// Per peer, per move rule: its footprint, the indices into move_parts_
+  /// of the parts its body names (the database is fixed per graph).
+  std::vector<std::vector<std::vector<uint32_t>>> rule_parts_;
   std::vector<bool> lossy_;  // per channel
   std::vector<size_t> env_consume_, env_feed_;
   /// Per channel: the encoded environment-message candidates.

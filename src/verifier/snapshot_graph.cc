@@ -19,11 +19,15 @@ void CountMemo(const MemoCounts& counts) {
   obs::Registry& registry = obs::Registry::Global();
   static obs::Counter& move_lookups = registry.counter("graph.move_lookups");
   static obs::Counter& move_evals = registry.counter("graph.move_evals");
+  static obs::Counter& rule_lookups = registry.counter("graph.rule_lookups");
+  static obs::Counter& rule_evals = registry.counter("graph.rule_evals");
   static obs::Counter& input_lookups =
       registry.counter("graph.input_lookups");
   static obs::Counter& input_evals = registry.counter("graph.input_evals");
   move_lookups.Add(counts.move_lookups);
   move_evals.Add(counts.move_evals);
+  rule_lookups.Add(counts.rule_lookups);
+  rule_evals.Add(counts.rule_evals);
   input_lookups.Add(counts.input_lookups);
   input_evals.Add(counts.input_evals);
 }
@@ -506,12 +510,13 @@ Result<const data::Relation*> LeafCache::EverSatisfied(size_t leaf) {
   if (ever_.size() < leaves_.size()) ever_.resize(leaves_.size());
   if (!ever_[leaf].has_value()) {
     WSV_RETURN_IF_ERROR(EnsureComplete());
-    // Every snapshot's result is one of the leaf's distinct results.
-    data::Relation all(leaf_vars_[leaf].size());
+    // Every snapshot's result is one of the leaf's distinct results: gather
+    // their rows, then sort and deduplicate once.
+    std::vector<data::Tuple> rows;
     for (const std::unique_ptr<fo::ValuationSet>& sat : memos_[leaf].results) {
-      all = all.Union(sat->rows());
+      rows.insert(rows.end(), sat->rows().begin(), sat->rows().end());
     }
-    ever_[leaf] = std::move(all);
+    ever_[leaf] = data::Relation(leaf_vars_[leaf].size(), std::move(rows));
   }
   return &*ever_[leaf];
 }

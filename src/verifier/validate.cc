@@ -1,5 +1,7 @@
 #include "verifier/validate.h"
 
+#include <algorithm>
+
 namespace wsv::verifier {
 
 namespace {
@@ -46,7 +48,17 @@ Status ValidateLtlSchema(const spec::Composition& comp,
 
 Status ValidateProperty(const spec::Composition& comp,
                         const ltl::Property& property) {
-  return ValidateLtlSchema(comp, property.formula());
+  WSV_RETURN_IF_ERROR(ValidateLtlSchema(comp, property.formula()));
+  const std::vector<std::string>& closure = property.closure_variables();
+  for (const std::string& var : property.formula()->FreeVariables()) {
+    if (std::find(closure.begin(), closure.end(), var) == closure.end()) {
+      return Status::InvalidSpec(
+          "property variable '" + var +
+          "' is not bound by any quantifier; close the property over it "
+          "with 'forall " + var + ": ...'");
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace wsv::verifier

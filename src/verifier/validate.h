@@ -20,7 +20,9 @@ Status ValidateFormulaSchema(const spec::Composition& comp,
 Status ValidateLtlSchema(const spec::Composition& comp,
                          const ltl::LtlPtr& formula);
 
-/// ValidateLtlSchema for a property.
+/// ValidateLtlSchema for a property, and every free variable of its
+/// formula must be a closure variable (`forall x: ...`): the engine grounds
+/// leaves over closure valuations only.
 Status ValidateProperty(const spec::Composition& comp,
                         const ltl::Property& property);
 

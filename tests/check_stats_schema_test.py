@@ -218,9 +218,10 @@ def main(argv):
                                 DELETE)
 
     # Graph expansion memos: 3 peers x 10 expanded snapshots = 30 move
-    # lookups, 4 of them evaluated.
+    # lookups, 4 of them evaluated, each looking up its 3 move rules.
     move_counters = {"sweep.databases": 4, "graph.successor_calls": 10,
                      "graph.move_lookups": 30, "graph.move_evals": 4,
+                     "graph.rule_lookups": 12, "graph.rule_evals": 5,
                      "graph.input_lookups": 50, "graph.input_evals": 6}
     move_memo = mutate(mutate(base_doc(), "counters", move_counters),
                        "peers", 3)
@@ -230,6 +231,16 @@ def main(argv):
     input_evals_over = mutate(move_memo, "counters",
                               dict(move_counters,
                                    **{"graph.input_evals": 51}))
+    rule_evals_over = mutate(move_memo, "counters",
+                             dict(move_counters,
+                                  **{"graph.rule_evals": 13}))
+    rule_lookups_without_move_evals = mutate(
+        move_memo, "counters",
+        dict(move_counters, **{"graph.move_evals": 0}))
+    rule_evals_without_lookups = mutate(
+        move_memo, "counters",
+        {k: v for k, v in move_counters.items()
+         if k != "graph.rule_lookups"})
 
     # (name, document, expect_ok)
     cases = [
@@ -352,6 +363,11 @@ def main(argv):
         ("valid move memo accounting", move_memo, True),
         ("move_lookups != successor_calls * peers", move_lookups_off, False),
         ("input_evals over input_lookups", input_evals_over, False),
+        ("rule_evals over rule_lookups", rule_evals_over, False),
+        ("rule_lookups without move_evals", rule_lookups_without_move_evals,
+         False),
+        ("rule_evals without rule_lookups", rule_evals_without_lookups,
+         False),
         ("peers not a positive integer", mutate(move_memo, "peers", 0),
          False),
         # Supervisor roll-up of a supervised shard_sweep run.

@@ -5,13 +5,17 @@
 // path that Simulator uses. Inputs cover every spec file, the loan
 // composition at k = 1 and 2, and generated compositions of all six
 // regimes (environment moves, perfect channels, deterministic flat sends,
-// lookback, nested queues), under each normalization, serially and on
-// four lanes.
+// lookback, nested queues) and E-T3.4's synthetic peer, under each
+// normalization, serially and on four lanes. Every expansion's memo
+// traffic is checked too: rules are looked up only when their move missed.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -40,12 +44,18 @@ struct Input {
   std::string name;
   spec::Composition comp;
   std::set<std::string> constants;
-  /// Pinned databases; empty takes the third canonical database of the
+  size_t fresh = 1;
+  /// Pinned databases; empty takes canonical database `db_index` of the
   /// enumeration (or the last, if there are fewer; see CheckInput when the
   /// enumeration is out of reach).
   std::vector<NamedDatabase> pinned;
+  size_t db_index = 2;
   runtime::RunOptions run;
   size_t max_snapshots = 400;
+  /// Extra checks on the explored graph and each lane's memo traffic.
+  std::function<void(const SnapshotGraph&, const SnapshotNormalization&,
+                     const std::vector<MemoCounts>&)>
+      check_memo;
 };
 
 /// The normalization SnapshotGraph applied to Snapshot objects before
@@ -105,8 +115,25 @@ std::string CompareSuccessors(const runtime::TransitionGenerator& generator,
                               FlatExpander::Lane* lane, MemoCounts* counts,
                               SnapshotId sid) {
   SpanList spans;
-  Status status = expander.Expand(graph.flat(sid), lane, &spans, counts);
+  MemoCounts memo;
+  Status status = expander.Expand(graph.flat(sid), lane, &spans, &memo);
   if (!status.ok()) return "flat expansion failed: " + status.ToString();
+  *counts += memo;
+  // One rule lookup per move rule of each peer whose move missed.
+  size_t min_rules = SIZE_MAX;
+  size_t max_rules = 0;
+  for (size_t p = 0; p < generator.composition().peers().size(); ++p) {
+    const size_t rules = generator.move_rules(p).rules.size();
+    min_rules = std::min(min_rules, rules);
+    max_rules = std::max(max_rules, rules);
+  }
+  if (memo.rule_evals > memo.rule_lookups ||
+      memo.rule_lookups < memo.move_evals * min_rules ||
+      memo.rule_lookups > memo.move_evals * max_rules) {
+    return "rule memo traffic " + std::to_string(memo.rule_evals) + "/" +
+           std::to_string(memo.rule_lookups) + " (evals/lookups) after " +
+           std::to_string(memo.move_evals) + " move evals";
+  }
   auto reference = generator.Successors(graph.snapshot(sid));
   if (!reference.ok()) {
     return "reference expansion failed: " + reference.status().ToString();
@@ -139,7 +166,7 @@ std::string CompareSuccessors(const runtime::TransitionGenerator& generator,
 void CheckInput(const Input& in, const SnapshotNormalization& norm,
                 size_t lanes, Coverage* coverage) {
   SCOPED_TRACE(in.name + " at " + std::to_string(lanes) + " lanes");
-  PseudoDomain pd = BuildPseudoDomain(in.comp, in.constants, 1);
+  PseudoDomain pd = BuildPseudoDomain(in.comp, in.constants, in.fresh);
   std::vector<data::Instance> dbs;
   if (!in.pinned.empty()) {
     auto materialized =
@@ -150,7 +177,9 @@ void CheckInput(const Input& in, const SnapshotNormalization& norm,
     DatabaseEnumerator enumerator(&in.comp, pd.domain, pd.fresh,
                                   /*iso_reduce=*/true);
     std::vector<data::Instance> db;
-    for (int i = 0; i < 3 && enumerator.Next(&db); ++i) dbs = db;
+    for (size_t i = 0; i <= in.db_index && enumerator.Next(&db); ++i) {
+      dbs = db;
+    }
   }
   if (dbs.empty()) {
     // Too many databases to enumerate: every relation holds the diagonal
@@ -196,7 +225,10 @@ void CheckInput(const Input& in, const SnapshotNormalization& norm,
   for (const MemoCounts& c : counts) total += c;
   EXPECT_EQ(total.move_lookups, n * in.comp.peers().size());
   EXPECT_LE(total.move_evals, total.move_lookups);
+  EXPECT_LE(total.rule_evals, total.rule_lookups);
+  EXPECT_EQ(total.rule_lookups == 0, total.move_evals == 0);
   EXPECT_LE(total.input_evals, total.input_lookups);
+  if (in.check_memo) in.check_memo(graph, norm, counts);
 
   coverage->snapshots += n;
   for (size_t sid = 0; sid < n; ++sid) {
@@ -306,6 +338,65 @@ TEST(FlatExpansion, GeneratedScenariosOfEveryRegime) {
       }
     }
   }
+}
+
+/// E-T3.4's synthetic peer (the db_sweep benchmark's): `relations` unary
+/// database/input/state triples with `options in_i <- r_i; insert s_i <-
+/// in_i`. Its local view is its whole snapshot, so the move memo misses on
+/// every snapshot, but each insert rule reads one input relation.
+std::string SyntheticPeerSpec(size_t relations) {
+  std::string db, in, st, rules;
+  for (size_t i = 0; i < relations; ++i) {
+    const std::string n = std::to_string(i);
+    db += " r" + n + "(x);";
+    in += " in" + n + "(x);";
+    st += " s" + n + "(x);";
+    rules += "    options in" + n + "(x) :- r" + n + "(x);\n";
+    rules += "    insert s" + n + "(x) :- in" + n + "(x);\n";
+  }
+  return "peer P {\n  database {" + db + " }\n  input {" + in +
+         " }\n  state {" + st + " }\n  rules {\n" + rules + "  }\n}\n";
+}
+
+TEST(FlatExpansion, SyntheticPeerRunsEachRuleOncePerFootprint) {
+  auto comp = spec::ParseComposition(SyntheticPeerSpec(4));
+  ASSERT_TRUE(comp.ok()) << comp.status();
+  Input in("E-T3.4 synthetic peer", std::move(*comp));
+  in.fresh = 2;
+  in.db_index = SIZE_MAX;  // the last canonical database
+  in.max_snapshots = 1500;
+  size_t checked = 0;
+  in.check_memo = [&](const SnapshotGraph& graph,
+                      const SnapshotNormalization& norm,
+                      const std::vector<MemoCounts>& lanes) {
+    // Rule i (insert s_i) reads only in_i: count its distinct contents.
+    const size_t rules = graph.generator().move_rules(0).rules.size();
+    ASSERT_EQ(rules, 4u);
+    std::vector<std::set<data::Relation>> footprints(rules);
+    for (size_t sid = 0; sid < graph.size(); ++sid) {
+      const runtime::Snapshot snap =
+          graph.snapshot(static_cast<SnapshotId>(sid));
+      for (size_t i = 0; i < rules; ++i) {
+        footprints[i].insert(snap.peers[0].input.relation(i));
+      }
+    }
+    size_t distinct = 0;
+    for (const auto& f : footprints) distinct += f.size();
+    size_t move_evals = 0;
+    for (const MemoCounts& lane : lanes) {
+      EXPECT_LE(lane.rule_evals, distinct);
+      EXPECT_EQ(lane.rule_lookups, lane.move_evals * rules);
+      move_evals += lane.move_evals;
+    }
+    // Without the mover tag a snapshot is its local view: no move hits.
+    if (!norm.keep_mover) {
+      EXPECT_EQ(move_evals, graph.size());
+    }
+    EXPECT_GT(graph.size(), 10 * distinct);
+    ++checked;
+  };
+  CheckAll(in);
+  EXPECT_EQ(checked, 10u);
 }
 
 /// Definition-faithful multi-queue environment moves, over every tuple of

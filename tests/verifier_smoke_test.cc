@@ -2,6 +2,7 @@
 
 #include "ltl/property.h"
 #include "spec/parser.h"
+#include "verifier/validate.h"
 #include "verifier/verifier.h"
 
 namespace wsv::verifier {
@@ -84,6 +85,26 @@ TEST_F(ShopVerifyTest, NoLivenessWithoutUserCooperation) {
   VerificationResult r = Check("forall x: G(Shop.item(x) -> F Shop.pick(x))");
   EXPECT_FALSE(r.holds);
   ASSERT_TRUE(r.counterexample.has_value());
+}
+
+TEST_F(ShopVerifyTest, UnboundPropertyVariableIsRejectedUpFront) {
+  // `x` is free in the leaf but not a closure variable: rejected by the
+  // property check, before any database is enumerated.
+  auto unbound = ltl::Property::Parse("G(not Shop.chosen(x))");
+  ASSERT_TRUE(unbound.ok()) << unbound.status();
+  Status status = ValidateProperty(*comp_, *unbound);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidSpec) << status;
+  EXPECT_NE(status.message().find("'x'"), std::string::npos) << status;
+  EXPECT_NE(status.message().find("forall x: "), std::string::npos) << status;
+
+  Verifier verifier(comp_.get());
+  auto result = verifier.Verify(*unbound);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidSpec);
+
+  auto closed = ltl::Property::Parse("forall x: G(not Shop.chosen(x))");
+  ASSERT_TRUE(closed.ok()) << closed.status();
+  EXPECT_TRUE(ValidateProperty(*comp_, *closed).ok());
 }
 
 TEST_F(ShopVerifyTest, ShipHappensExactlyAfterPick) {

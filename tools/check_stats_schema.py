@@ -16,7 +16,9 @@ footprint_hits + leaf_evals = leaf_cache_misses * leaves. The snapshot
 graph's move memo does one lookup per expanded snapshot and peer, so a
 document that reports its peer count ("peers") must satisfy
 graph.move_lookups = graph.successor_calls * peers; evaluations never
-exceed lookups, for moves and input choices alike.
+exceed lookups, for moves, move rules and input choices alike. Move rules
+are looked up only when their move missed, so graph.rule_lookups is 0
+when graph.move_evals is.
 With a trace argument, also checks that the trace file is a well-formed
 Chrome trace-event document. --require-counter (repeatable) additionally
 fails unless the named counter is present, so perf-smoke ctest entries can
@@ -289,16 +291,21 @@ def check_leaf_counters(stats, counters):
 
 def check_memo_counters(counters, peers):
     """Validates the graph expansion memo accounting: evaluations never
-    exceed lookups (graph.move_* and graph.input_*), and with the peer
-    count known, graph.move_lookups = graph.successor_calls * peers (one
-    move lookup per expanded snapshot and peer). Absent counters count as
-    0."""
-    for memo in ("move", "input"):
+    exceed lookups (graph.move_*, graph.rule_* and graph.input_*), move
+    rules are looked up only on move misses (graph.rule_lookups is 0 when
+    graph.move_evals is), and with the peer count known,
+    graph.move_lookups = graph.successor_calls * peers (one move lookup
+    per expanded snapshot and peer). Absent counters count as 0."""
+    for memo in ("move", "rule", "input"):
         lookups = counters.get(f"graph.{memo}_lookups", 0)
         evals = counters.get(f"graph.{memo}_evals", 0)
         expect(evals <= lookups,
                f"'counters': graph.{memo}_evals {evals} > "
                f"graph.{memo}_lookups {lookups}")
+    rule_lookups = counters.get("graph.rule_lookups", 0)
+    expect(rule_lookups == 0 or counters.get("graph.move_evals", 0) > 0,
+           f"'counters': graph.rule_lookups {rule_lookups} without any "
+           f"graph.move_evals")
     if peers is None:
         return
     expect(isinstance(peers, int) and peers >= 1,
