@@ -20,8 +20,8 @@
 
 namespace wsv::bench {
 
-/// Zeroes the global observability state — counter/timer registry, worker
-/// time ledgers, and the phase tree — so the exported counters reflect this
+/// Zeroes the global observability state — counter registry, worker time
+/// ledgers, and the phase tree — so the exported counters reflect this
 /// benchmark's timing loop only. Call before `for (auto _ : state)`.
 inline void ResetObs() {
   obs::Registry::Global().Reset();
@@ -37,12 +37,6 @@ inline void ExportObsCounters(benchmark::State& state) {
   for (const auto& [name, value] : obs::Registry::Global().CounterValues()) {
     state.counters[name] = benchmark::Counter(
         static_cast<double>(value), benchmark::Counter::kAvgIterations);
-  }
-  for (const auto& [name, timer] : obs::Registry::Global().TimerValues()) {
-    if (timer.count() == 0) continue;
-    state.counters[name + "_ns"] =
-        benchmark::Counter(static_cast<double>(timer.total_nanos()),
-                           benchmark::Counter::kAvgIterations);
   }
   // Peak RSS is a process-lifetime high-water mark, not a per-iteration
   // quantity — exported unaveraged so run_bench/bench_diff can compare

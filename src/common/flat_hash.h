@@ -58,12 +58,6 @@ class FlatIdSet {
 
   size_t size() const { return size_; }
 
-  void Reserve(size_t n) {
-    size_t want = kMinSlots;
-    while (n * 8 > want * 7) want *= 2;
-    if (want > slots_.size()) Rehash(want);
-  }
-
  private:
   static constexpr size_t kMinSlots = 64;
 

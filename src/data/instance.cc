@@ -34,13 +34,6 @@ void Instance::Clear() {
   for (Relation& r : relations_) r.Clear();
 }
 
-bool Instance::AllEmpty() const {
-  for (const Relation& r : relations_) {
-    if (!r.empty()) return false;
-  }
-  return true;
-}
-
 void Instance::CollectActiveDomain(Domain& domain) const {
   for (const Relation& r : relations_) r.CollectActiveDomain(domain);
 }

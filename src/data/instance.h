@@ -42,9 +42,6 @@ class Instance {
   /// Empties every relation.
   void Clear();
 
-  /// True iff every relation is empty.
-  bool AllEmpty() const;
-
   /// Adds all elements appearing anywhere in the instance to `domain`.
   void CollectActiveDomain(Domain& domain) const;
 

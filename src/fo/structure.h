@@ -4,9 +4,7 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
-#include "data/instance.h"
 #include "data/relation.h"
 #include "data/value.h"
 
@@ -53,36 +51,6 @@ class MapStructure : public StructureView {
 
  private:
   std::unordered_map<std::string, data::Relation> relations_;
-  data::Domain domain_;
-};
-
-/// A structure that exposes several instances, each under a name prefix
-/// (e.g. "Officer." for peer qualification, "" for peer-local access),
-/// without copying relations. Later layers shadow earlier ones.
-class LayeredStructure : public StructureView {
- public:
-  /// Adds `instance` whose relations are visible as `prefix` + name.
-  /// `instance` must outlive this view.
-  void AddLayer(std::string prefix, const data::Instance* instance) {
-    layers_.emplace_back(std::move(prefix), instance);
-  }
-
-  /// Adds a single named relation (e.g. a queue view). `relation` must
-  /// outlive this view.
-  void AddRelation(std::string name, const data::Relation* relation) {
-    extra_[std::move(name)] = relation;
-  }
-
-  void SetDomain(data::Domain domain) { domain_ = std::move(domain); }
-  data::Domain& mutable_domain() { return domain_; }
-
-  const data::Relation* Find(const std::string& name) const override;
-
-  const data::Domain& EvaluationDomain() const override { return domain_; }
-
- private:
-  std::vector<std::pair<std::string, const data::Instance*>> layers_;
-  std::unordered_map<std::string, const data::Relation*> extra_;
   data::Domain domain_;
 };
 

@@ -54,14 +54,6 @@ void Histogram::Reset() {
   for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
 }
 
-TimerStat::TimerStat(const TimerStat& other) { *this = other; }
-
-TimerStat& TimerStat::operator=(const TimerStat& other) {
-  total_nanos_.store(other.total_nanos(), std::memory_order_relaxed);
-  count_.store(other.count(), std::memory_order_relaxed);
-  return *this;
-}
-
 Counter& Registry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[name];
@@ -76,18 +68,10 @@ Histogram& Registry::histogram(const std::string& name) {
   return *slot;
 }
 
-TimerStat& Registry::timer(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = timers_[name];
-  if (slot == nullptr) slot = std::make_unique<TimerStat>();
-  return *slot;
-}
-
 void Registry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c->Reset();
   for (auto& [name, h] : histograms_) h->Reset();
-  for (auto& [name, t] : timers_) t->Reset();
 }
 
 std::vector<std::pair<std::string, uint64_t>> Registry::CounterValues() const {
@@ -95,14 +79,6 @@ std::vector<std::pair<std::string, uint64_t>> Registry::CounterValues() const {
   std::vector<std::pair<std::string, uint64_t>> out;
   out.reserve(counters_.size());
   for (const auto& [name, c] : counters_) out.emplace_back(name, c->value());
-  return out;
-}
-
-std::vector<std::pair<std::string, TimerStat>> Registry::TimerValues() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, TimerStat>> out;
-  out.reserve(timers_.size());
-  for (const auto& [name, t] : timers_) out.emplace_back(name, *t);
   return out;
 }
 

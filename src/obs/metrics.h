@@ -65,37 +65,7 @@ class Histogram {
   std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
 };
 
-/// Accumulated wall time of one named phase: total nanoseconds and the
-/// number of timed intervals folded in. Accumulation is relaxed-atomic so
-/// worker threads can time phases concurrently; total and count advance
-/// independently (a reader may see one interval's nanos before its count).
-class TimerStat {
- public:
-  TimerStat() = default;
-  /// Snapshot copy (relaxed loads); safe concurrently with Add().
-  TimerStat(const TimerStat& other);
-  TimerStat& operator=(const TimerStat& other);
-
-  void Add(int64_t nanos) {
-    total_nanos_.fetch_add(nanos < 0 ? 0 : static_cast<uint64_t>(nanos),
-                           std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-  }
-  uint64_t total_nanos() const {
-    return total_nanos_.load(std::memory_order_relaxed);
-  }
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  void Reset() {
-    total_nanos_.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<uint64_t> total_nanos_{0};
-  std::atomic<uint64_t> count_{0};
-};
-
-/// Named registry of counters, histograms and phase timers. Instruments are
+/// Named registry of counters and histograms. Instruments are
 /// created on first use and never destroyed, so call sites may cache the
 /// returned references across Reset() (which zeroes values but keeps
 /// identities) — the hot path then pays one pointer chase per event.
@@ -107,16 +77,6 @@ class Registry {
  public:
   Counter& counter(const std::string& name);
   Histogram& histogram(const std::string& name);
-  TimerStat& timer(const std::string& name);
-
-  /// Phase timing is opt-in: PhaseTimer reads this flag and skips its two
-  /// clock calls entirely when off, keeping disabled overhead to one branch.
-  bool timing_enabled() const {
-    return timing_enabled_.load(std::memory_order_relaxed);
-  }
-  void set_timing_enabled(bool enabled) {
-    timing_enabled_.store(enabled, std::memory_order_relaxed);
-  }
 
   /// Zeroes every instrument, preserving identities (cached references in
   /// instrumented code stay valid).
@@ -124,7 +84,6 @@ class Registry {
 
   /// Sorted-by-name value snapshots, for export.
   std::vector<std::pair<std::string, uint64_t>> CounterValues() const;
-  std::vector<std::pair<std::string, TimerStat>> TimerValues() const;
   std::vector<std::pair<std::string, Histogram>> HistogramValues() const;
 
   /// The process-wide registry every instrumented pipeline stage reports to.
@@ -132,10 +91,8 @@ class Registry {
 
  private:
   mutable std::mutex mu_;
-  std::atomic<bool> timing_enabled_{false};
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::map<std::string, std::unique_ptr<TimerStat>> timers_;
 };
 
 }  // namespace wsv::obs

@@ -72,9 +72,18 @@ void RenderLocks(JsonWriter& w, const Registry& registry) {
   w.EndObject();
 }
 
-void RenderPhases(JsonWriter& w) {
-  w.Key("phases").BeginArray();
-  for (const PhaseTreeEntry& entry : PhaseTreeSnapshot()) {
+void RenderProcess(JsonWriter& w) {
+  w.Key("process").BeginObject();
+  w.Key("max_rss_kb").Uint(ProcessMaxRssKb());
+  w.EndObject();
+}
+
+}  // namespace
+
+void WritePhaseEntries(JsonWriter& w,
+                       const std::vector<PhaseTreeEntry>& entries) {
+  w.BeginArray();
+  for (const PhaseTreeEntry& entry : entries) {
     w.BeginObject();
     w.Key("path").String(entry.path);
     w.Key("total_ns").Uint(entry.total_ns);
@@ -84,14 +93,6 @@ void RenderPhases(JsonWriter& w) {
   }
   w.EndArray();
 }
-
-void RenderProcess(JsonWriter& w) {
-  w.Key("process").BeginObject();
-  w.Key("max_rss_kb").Uint(ProcessMaxRssKb());
-  w.EndObject();
-}
-
-}  // namespace
 
 size_t ProcessMaxRssKb() {
 #if defined(__unix__) || defined(__APPLE__)
@@ -132,15 +133,6 @@ std::string RenderStatsJson(
   }
   w.EndObject();
 
-  w.Key("timers_ns").BeginObject();
-  for (const auto& [name, timer] : registry.TimerValues()) {
-    w.Key(name).BeginObject();
-    w.Key("total_ns").Uint(timer.total_nanos());
-    w.Key("count").Uint(timer.count());
-    w.EndObject();
-  }
-  w.EndObject();
-
   w.Key("histograms").BeginObject();
   for (const auto& [name, histogram] : registry.HistogramValues()) {
     w.Key(name).BeginObject();
@@ -163,7 +155,8 @@ std::string RenderStatsJson(
 
   RenderWorkers(w);
   RenderLocks(w, registry);
-  RenderPhases(w);
+  w.Key("phases");
+  WritePhaseEntries(w, PhaseTreeSnapshot());
   RenderProcess(w);
 
   for (const auto& [key, json] : extra) {
@@ -191,10 +184,13 @@ Status WriteStatsJson(
 std::string RenderTextSummary(const Registry& registry) {
   std::string out;
   char line[160];
-  for (const auto& [name, timer] : registry.TimerValues()) {
-    std::snprintf(line, sizeof(line), "  %-34s %10.3f ms  (x%llu)\n",
-                  name.c_str(), static_cast<double>(timer.total_nanos()) / 1e6,
-                  static_cast<unsigned long long>(timer.count()));
+  for (const PhaseTreeEntry& entry : PhaseTreeSnapshot()) {
+    std::snprintf(line, sizeof(line),
+                  "  %-44s %10.3f ms  self %10.3f ms  (x%llu)\n",
+                  entry.path.c_str(),
+                  static_cast<double>(entry.total_ns) / 1e6,
+                  static_cast<double>(entry.self_ns) / 1e6,
+                  static_cast<unsigned long long>(entry.count));
     out += line;
   }
   for (const auto& [name, value] : registry.CounterValues()) {

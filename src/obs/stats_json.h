@@ -6,7 +6,9 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/json_util.h"
 #include "obs/metrics.h"
+#include "obs/timer.h"
 
 namespace wsv::obs {
 
@@ -14,14 +16,16 @@ namespace wsv::obs {
 /// changes meaning or disappears; adding keys is backward compatible.
 /// v2 added the profiling sections: workers, locks, phases.
 /// v3 added the process section (peak memory).
-inline constexpr int kStatsSchemaVersion = 4;
+/// v4 added the valuation accounting (checked by the schema tool).
+/// v5 dropped the flat timer map: the phase tree ("phases") is the one
+/// record of phase time.
+inline constexpr int kStatsSchemaVersion = 5;
 
 /// The stats document always contains these top-level keys
 /// (tools/check_stats_schema.py enforces the same list):
 ///   schema_version : int   — kStatsSchemaVersion
 ///   generator      : str   — producing tool ("wsvc", test binaries, ...)
 ///   counters       : {name: int}
-///   timers_ns      : {name: {total_ns: int, count: int}}
 ///   histograms     : {name: {count, sum, min, max, buckets: [int]}}
 ///   workers        : {name: {wall_ns, exec_ns, idle_ns, lock_wait_ns,
 ///                            drain_ns, tasks, utilization}}
@@ -52,8 +56,15 @@ Status WriteStatsJson(
     const std::string& path,
     const std::vector<std::pair<std::string, std::string>>& extra = {});
 
-/// Renders a human-readable summary of the registry (counters and phase
-/// timers) for `wsvc -v` — one aligned "name value" line each.
+/// Writes `entries` as the array value of a "phases" section, one
+/// {path, total_ns, self_ns, count} object each. The stats document and
+/// the wsvc-merge shard roll-up both write their phase trees through it.
+void WritePhaseEntries(JsonWriter& w,
+                       const std::vector<PhaseTreeEntry>& entries);
+
+/// Renders a human-readable summary for `wsvc -v`: one line per phase-tree
+/// path (total and self milliseconds, entry count), then one aligned
+/// "name value" line per counter and histogram of the registry.
 std::string RenderTextSummary(const Registry& registry);
 
 }  // namespace wsv::obs

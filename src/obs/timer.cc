@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace wsv::obs {
@@ -59,6 +58,8 @@ struct CachedEdge {
   PhaseNode* node;
 };
 
+std::atomic<bool> g_timing_enabled{false};
+
 thread_local PhaseNode* t_phase_current = nullptr;
 thread_local std::vector<CachedEdge> t_edge_cache;
 
@@ -82,7 +83,13 @@ int64_t NowNanos() {
       .count();
 }
 
-bool TimingEnabled() { return Registry::Global().timing_enabled(); }
+void SetTimingEnabled(bool enabled) {
+  g_timing_enabled.store(enabled, std::memory_order_relaxed);
+}
+
+bool TimingEnabled() {
+  return g_timing_enabled.load(std::memory_order_relaxed);
+}
 
 bool TracingEnabled() { return TraceRecorder::Global().enabled(); }
 
@@ -101,7 +108,6 @@ PhaseTimer::~PhaseTimer() {
   if (start_ < 0) return;
   int64_t end = NowNanos();
   int64_t dur = end - start_;
-  Registry::Global().timer(std::string("phase.") + name_).Add(dur);
   if (node_ != nullptr) {
     uint64_t udur = dur < 0 ? 0 : static_cast<uint64_t>(dur);
     node_->total_ns.fetch_add(udur, std::memory_order_relaxed);

@@ -12,23 +12,23 @@ struct PhaseNode;
 /// Monotonic wall clock, nanoseconds since an arbitrary epoch.
 int64_t NowNanos();
 
-/// RAII phase timer: accumulates the enclosed scope's wall time into the
-/// global registry under "phase.<name>" and, when tracing is on, emits a
-/// matching trace span. When both timing and tracing are disabled the
-/// constructor is one branch and no clock is read.
+/// RAII phase timer: while timing is enabled, accumulates the enclosed
+/// scope's wall time into the process-wide phase tree (the stats-JSON
+/// "phases" section), and while tracing is enabled, emits a matching trace
+/// span. When both are disabled the constructor is one branch and no clock
+/// is read.
 ///
-///   { obs::PhaseTimer timer("ndfs"); ... }   // -> timer "phase.ndfs"
+///   { obs::PhaseTimer timer("ndfs"); ... }   // -> e.g. "total/.../ndfs"
 ///
 /// Phases measure code regions, not a partition of the run: lazily-computed
 /// work (leaf evaluation under NDFS, graph expansion under a successor
 /// call) accumulates into its own phase while nested inside another.
 ///
-/// While timing is enabled, nested timers additionally build the per-path
-/// phase tree exported as the stats-JSON "phases" section: each thread keeps
-/// its own phase stack, so a phase started on a worker thread roots at that
-/// thread's top level (e.g. "check_db/ndfs" for a sweep worker) while the
-/// calling thread's phases nest under "total". Tree accounting costs one
-/// cached node lookup per timer and is contention-free after warm-up.
+/// Each thread keeps its own phase stack, so a phase started on a worker
+/// thread roots at that thread's top level (e.g. "check_db/ndfs" for a
+/// sweep worker) while the calling thread's phases nest under "total". Tree
+/// accounting costs one cached node lookup per timer and is contention-free
+/// after warm-up.
 class PhaseTimer {
  public:
   /// `name` must outlive the timer (string literals in practice).
@@ -65,7 +65,10 @@ std::vector<PhaseTreeEntry> PhaseTreeSnapshot();
 /// test reruns; per-thread node caches stay valid).
 void PhaseTreeReset();
 
-/// True when phase timing is collecting (Registry::Global() flag).
+/// Phase timing is opt-in: PhaseTimer reads this process-wide flag and
+/// skips its clock calls entirely when it is off (and tracing is too).
+void SetTimingEnabled(bool enabled);
+/// True when phase timing is collecting into the phase tree.
 bool TimingEnabled();
 /// True when the global trace recorder is collecting.
 bool TracingEnabled();

@@ -25,12 +25,6 @@ void TraceRecorder::Enable() {
   enabled_.store(true, std::memory_order_relaxed);
 }
 
-void TraceRecorder::Clear() {
-  std::lock_guard<TimedMutex> lock(mu_);
-  events_.clear();
-  dropped_ = 0;
-}
-
 size_t TraceRecorder::size() const {
   std::lock_guard<TimedMutex> lock(mu_);
   return events_.size();
@@ -56,28 +50,8 @@ void TraceRecorder::Complete(std::string name, const char* category,
   std::lock_guard<TimedMutex> lock(mu_);
   if (!Admit()) return;
   events_.push_back(Event{std::move(name), category, 'X',
-                          start_nanos - origin_nanos_, dur_nanos, 0,
-                          CurrentTid(), std::move(args_json)});
-}
-
-void TraceRecorder::Instant(std::string name, const char* category,
-                            std::string args_json) {
-  if (!enabled()) return;
-  std::lock_guard<TimedMutex> lock(mu_);
-  if (!Admit()) return;
-  events_.push_back(Event{std::move(name), category, 'i',
-                          NowNanos() - origin_nanos_, 0, 0, CurrentTid(),
+                          start_nanos - origin_nanos_, dur_nanos, CurrentTid(),
                           std::move(args_json)});
-}
-
-void TraceRecorder::CounterSample(std::string name, const char* category,
-                                  uint64_t value) {
-  if (!enabled()) return;
-  std::lock_guard<TimedMutex> lock(mu_);
-  if (!Admit()) return;
-  events_.push_back(Event{std::move(name), category, 'C',
-                          NowNanos() - origin_nanos_, 0, value, CurrentTid(),
-                          {}});
 }
 
 std::string TraceRecorder::ToJson() const {
@@ -98,19 +72,13 @@ std::string TraceRecorder::ToJson() const {
     }
     w.Key("pid").Uint(0);
     w.Key("tid").Uint(e.tid);
-    if (e.phase == 'C') {
-      w.Key("args").BeginObject().Key("value").Uint(e.value).EndObject();
-    } else if (e.phase == 'i') {
-      w.Key("s").String("g");  // global-scope instant
-      if (!e.args_json.empty()) w.Key("args").Raw(e.args_json);
-    } else if (!e.args_json.empty()) {
-      w.Key("args").Raw(e.args_json);
-    }
+    if (e.phase == 'i') w.Key("s").String("g");  // global-scope instant
+    if (!e.args_json.empty()) w.Key("args").Raw(e.args_json);
     w.EndObject();
   };
   for (const Event& e : events_) emit(e);
   if (dropped_ > 0) {
-    Event note{"trace_truncated", "obs", 'i', NowNanos() - origin_nanos_, 0, 0,
+    Event note{"trace_truncated", "obs", 'i', NowNanos() - origin_nanos_, 0,
                CurrentTid(), "{\"dropped\":" + std::to_string(dropped_) + "}"};
     emit(note);
   }

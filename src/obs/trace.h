@@ -12,10 +12,9 @@
 
 namespace wsv::obs {
 
-/// Records scoped spans and instant markers in the Chrome trace-event JSON
-/// format (the "Trace Event Format" consumed by chrome://tracing and
-/// Perfetto). Disabled by default; when disabled every record call is a
-/// single branch.
+/// Records phase spans in the Chrome trace-event JSON format (the "Trace
+/// Event Format" consumed by chrome://tracing and Perfetto). Disabled by
+/// default; when disabled every record call is a single branch.
 ///
 /// Events are buffered in memory and serialized on demand. The buffer is
 /// capped (SetMaxEvents) so a pathological run cannot exhaust memory; on
@@ -29,7 +28,6 @@ class TraceRecorder {
  public:
   /// Starts recording; timestamps are reported relative to this call.
   void Enable();
-  void Disable() { enabled_.store(false, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Caps the buffer (default 1M events).
@@ -40,16 +38,8 @@ class TraceRecorder {
   void Complete(std::string name, const char* category, int64_t start_nanos,
                 int64_t dur_nanos, std::string args_json = {});
 
-  /// An instant marker ("ph":"i").
-  void Instant(std::string name, const char* category,
-               std::string args_json = {});
-
-  /// A counter sample ("ph":"C") — Perfetto renders these as value tracks.
-  void CounterSample(std::string name, const char* category, uint64_t value);
-
   size_t size() const;
   uint64_t dropped() const;
-  void Clear();
 
   /// {"traceEvents":[...],"displayTimeUnit":"ms"}.
   std::string ToJson() const;
@@ -62,10 +52,9 @@ class TraceRecorder {
   struct Event {
     std::string name;
     const char* category;
-    char phase;          // 'X', 'i', 'C'
+    char phase;          // 'X' span; 'i' only for the trace_truncated note
     int64_t ts_nanos;    // relative to Enable()
     int64_t dur_nanos;   // 'X' only
-    uint64_t value;      // 'C' only
     uint32_t tid;        // recording thread's stable lane id
     std::string args_json;
   };

@@ -234,14 +234,7 @@ Result<std::vector<IndexInterval>> ParseIntervals(const std::string& text) {
 }
 
 Status WriteCheckpoint(const std::string& path, const Checkpoint& cp) {
-  // Lift prefix-only writers into interval form, then keep the derived
-  // prefix consistent with what is persisted.
-  std::vector<IndexInterval> covered = cp.covered;
-  if (covered.empty() && cp.completed_prefix > 0) {
-    covered.emplace_back(0, cp.completed_prefix);
-  }
-  covered = NormalizeIntervals(std::move(covered));
-  const uint64_t prefix = ContiguousPrefix(covered);
+  const std::vector<IndexInterval> covered = NormalizeIntervals(cp.covered);
 
   // The whole document is built in memory first: the CRC trailer covers
   // every byte before it, and the fault site below needs a well-defined
@@ -250,7 +243,7 @@ Status WriteCheckpoint(const std::string& path, const Checkpoint& cp) {
   body << kMagic << ' ' << kVersion << '\n';
   body << "fingerprint "
        << (cp.fingerprint.empty() ? "-" : cp.fingerprint) << '\n';
-  body << "completed_prefix " << prefix << '\n';
+  body << "completed_prefix " << ContiguousPrefix(covered) << '\n';
   body << "covered " << IntervalsToString(covered) << '\n';
   body << "unit " << (cp.unit.empty() ? "database" : cp.unit) << '\n';
   body << "failed";
@@ -337,7 +330,9 @@ Result<Checkpoint> ReadCheckpoint(const std::string& path,
       fields >> cp.fingerprint;
       if (cp.fingerprint == "-") cp.fingerprint.clear();
     } else if (key == "completed_prefix") {
-      if (!(fields >> cp.completed_prefix)) {
+      // Derived from `covered`; read only to validate the field.
+      uint64_t prefix = 0;
+      if (!(fields >> prefix)) {
         return Corrupt(path, "non-numeric completed_prefix");
       }
       saw_prefix = true;
@@ -406,8 +401,6 @@ Result<Checkpoint> ReadCheckpoint(const std::string& path,
   if (!saw_prefix) return Corrupt(path, "missing completed_prefix");
   if (!saw_covered) return Corrupt(path, "missing covered intervals");
   if (!saw_crc) return Corrupt(path, "missing crc32 trailer");
-  // Keep the derived prefix authoritative regardless of what was written.
-  cp.completed_prefix = ContiguousPrefix(cp.covered);
   for (uint64_t index : cp.failed_indices) {
     if (!IntervalsContain(cp.covered, index)) {
       return Corrupt(path, "failed index beyond the completed prefix");

@@ -66,13 +66,10 @@ struct Checkpoint {
   /// Guards against resuming with a different spec/property/options; the
   /// reader rejects a mismatch. Empty disables the check.
   std::string fingerprint;
-  /// Disjoint covered intervals (normalized). Writers may instead leave
-  /// this empty and set completed_prefix; WriteCheckpoint then persists
-  /// [0, completed_prefix).
+  /// Disjoint covered intervals. WriteCheckpoint normalizes them and also
+  /// writes their contiguous run from index 0 as the v3 format's
+  /// "completed_prefix" line, which the reader requires but ignores.
   std::vector<IndexInterval> covered;
-  /// Derived view: the contiguous covered run starting at index 0.
-  /// Maintained by WriteCheckpoint/ReadCheckpoint; prefer `covered`.
-  uint64_t completed_prefix = 0;
   /// Enumeration indices (inside `covered`) whose checks failed hard and
   /// were skipped under --on-db-error skip.
   std::vector<uint64_t> failed_indices;

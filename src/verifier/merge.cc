@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "obs/json_util.h"
+#include "obs/stats_json.h"
 
 namespace wsv::verifier {
 
@@ -445,8 +446,8 @@ struct HistAccum {
 };
 
 /// Per-shard digest for the straggler table. Wall is the shard's "total"
-/// phase (every wsvc document has one when timing was on); utilization and
-/// exec/lock-wait come from its worker ledgers.
+/// phase (the main thread's root, present whenever timing was on);
+/// utilization and exec/lock-wait come from its worker ledgers.
 struct ShardDigest {
   std::string source;
   uint64_t wall_ns = 0;
@@ -456,35 +457,13 @@ struct ShardDigest {
   uint64_t workers = 0;
 };
 
-uint64_t PhaseTotalNanos(const obs::JsonValue& doc) {
-  // Schema v2: phases is a list of {path, total_ns, ...}; the root phase of
-  // the main thread is "total". Fall back to the flat phase.total timer for
-  // older shard documents.
-  const obs::JsonValue* phases = doc.Find("phases");
-  if (phases != nullptr && phases->IsArray()) {
-    for (const obs::JsonValue& entry : phases->array) {
-      const obs::JsonValue* path = entry.Find("path");
-      if (path != nullptr && path->AsString("") == "total") {
-        const obs::JsonValue* total = entry.Find("total_ns");
-        if (total != nullptr) return total->AsUint(0);
-      }
-    }
-  }
-  const obs::JsonValue* timer = doc.FindPath({"timers_ns", "phase.total"});
-  if (timer != nullptr) {
-    const obs::JsonValue* total = timer->Find("total_ns");
-    if (total != nullptr) return total->AsUint(0);
-  }
-  return 0;
-}
-
 }  // namespace
 
 std::string RenderShardStatsRollup(
     const std::vector<std::string>& stats_texts,
     const std::vector<std::string>& sources) {
   std::map<std::string, uint64_t> counters;
-  std::map<std::string, std::pair<uint64_t, uint64_t>> timers;  // total, count
+  std::map<std::string, obs::PhaseTreeEntry> phases;  // summed per path
   std::map<std::string, HistAccum> histograms;
   std::vector<ShardDigest> digests;
   std::vector<double> worker_utilizations;
@@ -498,7 +477,6 @@ std::string RenderShardStatsRollup(
 
     ShardDigest digest;
     digest.source = i < sources.size() ? sources[i] : "shard." + std::to_string(i);
-    digest.wall_ns = PhaseTotalNanos(doc);
 
     const obs::JsonValue* shard_counters = doc.Find("counters");
     if (shard_counters != nullptr && shard_counters->IsObject()) {
@@ -506,14 +484,27 @@ std::string RenderShardStatsRollup(
         counters[name] += value.AsUint(0);
       }
     }
-    const obs::JsonValue* shard_timers = doc.Find("timers_ns");
-    if (shard_timers != nullptr && shard_timers->IsObject()) {
-      for (const auto& [name, value] : shard_timers->object) {
-        const obs::JsonValue* total = value.Find("total_ns");
-        const obs::JsonValue* count = value.Find("count");
-        auto& slot = timers[name];
-        slot.first += total != nullptr ? total->AsUint(0) : 0;
-        slot.second += count != nullptr ? count->AsUint(0) : 0;
+    const obs::JsonValue* shard_phases = doc.Find("phases");
+    if (shard_phases != nullptr && shard_phases->IsArray()) {
+      for (const obs::JsonValue& entry : shard_phases->array) {
+        const obs::JsonValue* path = entry.Find("path");
+        if (path == nullptr || path->kind != obs::JsonValue::Kind::kString) {
+          continue;
+        }
+        uint64_t total = 0;
+        if (const obs::JsonValue* v = entry.Find("total_ns")) {
+          total = v->AsUint(0);
+        }
+        if (path->string == "total") digest.wall_ns = total;
+        obs::PhaseTreeEntry& accum = phases[path->string];
+        accum.path = path->string;
+        accum.total_ns += total;
+        if (const obs::JsonValue* v = entry.Find("self_ns")) {
+          accum.self_ns += v->AsUint(0);
+        }
+        if (const obs::JsonValue* v = entry.Find("count")) {
+          accum.count += v->AsUint(0);
+        }
       }
     }
     const obs::JsonValue* shard_hists = doc.Find("histograms");
@@ -579,14 +570,10 @@ std::string RenderShardStatsRollup(
   for (const auto& [name, value] : counters) w.Key(name).Uint(value);
   w.EndObject();
 
-  w.Key("timers_ns").BeginObject();
-  for (const auto& [name, slot] : timers) {
-    w.Key(name).BeginObject();
-    w.Key("total_ns").Uint(slot.first);
-    w.Key("count").Uint(slot.second);
-    w.EndObject();
-  }
-  w.EndObject();
+  std::vector<obs::PhaseTreeEntry> phase_rows;
+  for (const auto& [path, entry] : phases) phase_rows.push_back(entry);
+  w.Key("phases");
+  obs::WritePhaseEntries(w, phase_rows);
 
   w.Key("histograms").BeginObject();
   for (const auto& [name, accum] : histograms) {

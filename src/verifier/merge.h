@@ -143,7 +143,8 @@ int MergeExitCode(const MergeReport& report);
 
 /// Aggregates the observability sections of per-shard stats documents into
 /// one roll-up (the "shards" section of a wsvc-merge stats document):
-/// counters and timers summed, histograms merged bucket-wise, worker
+/// counters summed, phase-tree entries summed per path into "phases" (the
+/// shape of the top-level section), histograms merged bucket-wise, worker
 /// utilization folded to mean/min/max across every worker of every shard,
 /// plus a per-shard table (wall, exec, lock wait, utilization) and the
 /// straggler — the shard whose wall clock bounds the sweep. `stats_texts`

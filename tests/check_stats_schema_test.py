@@ -19,10 +19,9 @@ import tempfile
 def base_doc():
     """A minimal valid stats document with a sweep verdict."""
     return {
-        "schema_version": 4,
+        "schema_version": 5,
         "generator": "wsvc",
         "counters": {"sweep.databases": 4, "sweep.range_lo": 0},
-        "timers_ns": {"verify": {"total_ns": 1000, "count": 1}},
         "histograms": {
             "db.size": {"count": 4, "sum": 10, "min": 1, "max": 4,
                         "buckets": [1, 2, 1]},
@@ -73,10 +72,9 @@ def base_doc():
 def merge_doc():
     """A minimal valid stats document with a wsvc-merge verdict."""
     return {
-        "schema_version": 4,
+        "schema_version": 5,
         "generator": "wsvc-merge",
         "counters": {"merge.shards": 3, "merge.gaps": 0},
-        "timers_ns": {},
         "histograms": {},
         "workers": {},
         "locks": {},
@@ -87,7 +85,12 @@ def merge_doc():
         "shards": {
             "count": 2,
             "counters": {"engine.databases_checked": 4},
-            "timers_ns": {},
+            "phases": [
+                {"path": "total", "total_ns": 1600, "self_ns": 100,
+                 "count": 2},
+                {"path": "total/check_db", "total_ns": 1500,
+                 "self_ns": 1500, "count": 2},
+            ],
             "histograms": {},
             "utilization": {"workers": 4, "mean": 0.5, "min": 0.2,
                             "max": 0.9},
@@ -242,6 +245,14 @@ def main(argv):
         {k: v for k, v in move_counters.items()
          if k != "graph.rule_lookups"})
 
+    # Phase tree closure: every "a/b" path needs an "a" entry.
+    deeper = mutate(base_doc(), "phases", base_doc()["phases"] + [
+        {"path": "total/check_db/ndfs", "total_ns": 300, "self_ns": 300,
+         "count": 2}])
+    orphan = mutate(base_doc(), "phases", base_doc()["phases"] + [
+        {"path": "total/graph_expand/leaf_eval", "total_ns": 30,
+         "self_ns": 30, "count": 1}])
+
     # (name, document, expect_ok)
     cases = [
         ("valid sweep verdict", base_doc(), True),
@@ -254,8 +265,6 @@ def main(argv):
          mutate(base_doc(), "schema_version", 99), False),
         ("counter wrong type",
          mutate(base_doc(), "counters", {"sweep.databases": "four"}), False),
-        ("timer missing count",
-         mutate(base_doc(), "timers_ns", {"verify": {"total_ns": 1}}), False),
         ("exit_code wrong type",
          mutate(base_doc(), "verdict.exit_code", "zero"), False),
         ("fingerprint wrong type",
@@ -324,6 +333,12 @@ def main(argv):
          mutate(base_doc(), "phases.1.count", DELETE), False),
         ("duplicate phase path",
          mutate(base_doc(), "phases.1.path", "total"), False),
+        ("valid nested phase tree", deeper, True),
+        ("phase path without its parent entry", orphan, False),
+        ("rollup phase path without its parent entry",
+         mutate(merge_doc(), "shards.phases.0.path", "check_db"), False),
+        ("rollup missing phases",
+         mutate(merge_doc(), "shards.phases", DELETE), False),
         ("rollup straggler not the max wall",
          mutate(merge_doc(), "shards.straggler",
                 {"source": "shard1.json", "wall_ns": 700}), False),
@@ -346,6 +361,14 @@ def main(argv):
         # Schema-v4 valuation accounting.
         ("old schema_version 3",
          mutate(base_doc(), "schema_version", 3), False),
+        # Schema v5: the phase tree is the one record of phase time.
+        ("old schema_version 4",
+         mutate(base_doc(), "schema_version", 4), False),
+        ("unknown top-level section (a flat timer map)",
+         mutate(base_doc(), "timers",
+                {"phase.total": {"total_ns": 1000, "count": 1}}), False),
+        ("unknown rollup key", mutate(merge_doc(), "shards.timers", {}),
+         False),
         ("valid search memo accounting", memo, True),
         ("search_memo_hits left out of the sum", memo_hits_uncounted, False),
         ("searches without valuations_checked", searches_without_checked,

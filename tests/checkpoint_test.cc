@@ -23,7 +23,7 @@ TEST(CheckpointIo, RoundTripPreservesEveryField) {
   const std::string path = TempPath("roundtrip.ckpt");
   Checkpoint cp;
   cp.fingerprint = FingerprintParts({"spec", "property"});
-  cp.completed_prefix = 42;
+  cp.covered = {{0, 42}};
   cp.failed_indices = {3, 17, 40};
   cp.databases_completed = 45;
   cp.stop_reason = "deadline";
@@ -32,7 +32,7 @@ TEST(CheckpointIo, RoundTripPreservesEveryField) {
   auto loaded = ReadCheckpoint(path, cp.fingerprint);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->fingerprint, cp.fingerprint);
-  EXPECT_EQ(loaded->completed_prefix, 42u);
+  EXPECT_EQ(loaded->covered, cp.covered);
   EXPECT_EQ(loaded->failed_indices, cp.failed_indices);
   EXPECT_EQ(loaded->databases_completed, 45u);
   EXPECT_EQ(loaded->stop_reason, "deadline");
@@ -41,15 +41,15 @@ TEST(CheckpointIo, RoundTripPreservesEveryField) {
 TEST(CheckpointIo, WriteReplacesExistingFileAtomically) {
   const std::string path = TempPath("replace.ckpt");
   Checkpoint first;
-  first.completed_prefix = 1;
+  first.covered = {{0, 1}};
   ASSERT_TRUE(WriteCheckpoint(path, first).ok());
   Checkpoint second;
-  second.completed_prefix = 2;
+  second.covered = {{0, 2}};
   ASSERT_TRUE(WriteCheckpoint(path, second).ok());
 
   auto loaded = ReadCheckpoint(path, "");
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->completed_prefix, 2u);
+  EXPECT_EQ(ContiguousPrefix(loaded->covered), 2u);
   // The temp file of the atomic write must not linger.
   std::ifstream tmp(path + ".tmp");
   EXPECT_FALSE(tmp.good());
@@ -121,7 +121,7 @@ TEST(CheckpointIo, RejectsFingerprintMismatch) {
   const std::string path = TempPath("fingerprint.ckpt");
   Checkpoint cp;
   cp.fingerprint = FingerprintParts({"original spec"});
-  cp.completed_prefix = 5;
+  cp.covered = {{0, 5}};
   ASSERT_TRUE(WriteCheckpoint(path, cp).ok());
 
   auto loaded = ReadCheckpoint(path, FingerprintParts({"edited spec"}));
@@ -138,6 +138,17 @@ std::string Slurp(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+TEST(CheckpointIo, WritesTheContiguousPrefixOfCoveredAsCompletedPrefix) {
+  // The v3 format keeps its completed_prefix line, derived from `covered`.
+  const std::string path = TempPath("prefix-line.ckpt");
+  Checkpoint cp;
+  cp.covered = {{12, 20}, {0, 9}};
+  ASSERT_TRUE(WriteCheckpoint(path, cp).ok());
+  EXPECT_NE(Slurp(path).find("completed_prefix 9\ncovered 0:9,12:20\n"),
+            std::string::npos)
+      << Slurp(path);
 }
 
 TEST(CheckpointCrc, MatchesTheIeeeCheckValue) {
@@ -204,24 +215,24 @@ TEST(CheckpointCrc, V3RequiresTheCrcTrailer) {
 TEST(CheckpointRecovery, WriterKeepsTheLastGoodBackup) {
   const std::string path = TempPath("backup.ckpt");
   Checkpoint first;
-  first.completed_prefix = 10;
+  first.covered = {{0, 10}};
   ASSERT_TRUE(WriteCheckpoint(path, first).ok());
   Checkpoint second;
-  second.completed_prefix = 20;
+  second.covered = {{0, 20}};
   ASSERT_TRUE(WriteCheckpoint(path, second).ok());
 
   auto backup = ReadCheckpoint(path + ".bak", "");
   ASSERT_TRUE(backup.ok()) << backup.status();
-  EXPECT_EQ(backup->completed_prefix, 10u);
+  EXPECT_EQ(ContiguousPrefix(backup->covered), 10u);
 }
 
 TEST(CheckpointRecovery, CorruptPrimaryFallsBackToBak) {
   const std::string path = TempPath("recover.ckpt");
   Checkpoint first;
-  first.completed_prefix = 10;
+  first.covered = {{0, 10}};
   ASSERT_TRUE(WriteCheckpoint(path, first).ok());
   Checkpoint second;
-  second.completed_prefix = 20;
+  second.covered = {{0, 20}};
   ASSERT_TRUE(WriteCheckpoint(path, second).ok());
 
   // Damage the primary under its CRC.
@@ -233,18 +244,18 @@ TEST(CheckpointRecovery, CorruptPrimaryFallsBackToBak) {
   auto recovered = ReadCheckpointWithRecovery(path, "");
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_TRUE(recovered->recovered_from_backup);
-  EXPECT_EQ(recovered->checkpoint.completed_prefix, 10u);
+  EXPECT_EQ(ContiguousPrefix(recovered->checkpoint.covered), 10u);
 }
 
 TEST(CheckpointRecovery, HealthyPrimaryDoesNotTouchTheBak) {
   const std::string path = TempPath("healthy.ckpt");
   Checkpoint cp;
-  cp.completed_prefix = 7;
+  cp.covered = {{0, 7}};
   ASSERT_TRUE(WriteCheckpoint(path, cp).ok());
   auto recovered = ReadCheckpointWithRecovery(path, "");
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_FALSE(recovered->recovered_from_backup);
-  EXPECT_EQ(recovered->checkpoint.completed_prefix, 7u);
+  EXPECT_EQ(ContiguousPrefix(recovered->checkpoint.covered), 7u);
 }
 
 TEST(CheckpointRecovery, BothFilesBadReportsTheChain) {
@@ -262,12 +273,12 @@ TEST(CheckpointRecovery, BothFilesBadReportsTheChain) {
 TEST(CheckpointRecovery, MissingPrimaryUsesBak) {
   const std::string path = TempPath("missing-primary.ckpt");
   Checkpoint cp;
-  cp.completed_prefix = 3;
+  cp.covered = {{0, 3}};
   ASSERT_TRUE(WriteCheckpoint(path + ".bak", cp).ok());
   auto recovered = ReadCheckpointWithRecovery(path, "");
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_TRUE(recovered->recovered_from_backup);
-  EXPECT_EQ(recovered->checkpoint.completed_prefix, 3u);
+  EXPECT_EQ(ContiguousPrefix(recovered->checkpoint.covered), 3u);
 }
 
 TEST(CheckpointRecovery, FingerprintMismatchIsNeverRecovered) {
@@ -277,7 +288,7 @@ TEST(CheckpointRecovery, FingerprintMismatchIsNeverRecovered) {
   const std::string path = TempPath("wrongfp.ckpt");
   Checkpoint cp;
   cp.fingerprint = FingerprintParts({"problem A"});
-  cp.completed_prefix = 5;
+  cp.covered = {{0, 5}};
   ASSERT_TRUE(WriteCheckpoint(path, cp).ok());
   ASSERT_TRUE(WriteCheckpoint(path, cp).ok());  // rotates a .bak into place
 
@@ -291,11 +302,11 @@ TEST(CheckpointRecovery, StaleTmpFromACrashedWriterIsReplaced) {
   const std::string path = TempPath("staletmp.ckpt");
   std::ofstream(path + ".tmp") << "half-written torn garbage";
   Checkpoint cp;
-  cp.completed_prefix = 9;
+  cp.covered = {{0, 9}};
   ASSERT_TRUE(WriteCheckpoint(path, cp).ok());
   auto loaded = ReadCheckpoint(path, "");
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->completed_prefix, 9u);
+  EXPECT_EQ(ContiguousPrefix(loaded->covered), 9u);
   EXPECT_FALSE(std::ifstream(path + ".tmp").good());
 }
 
@@ -383,7 +394,7 @@ TEST(CheckpointResume, ResumedRunMatchesUninterruptedBitForBit) {
 
   auto loaded = ReadCheckpoint(ckpt, fingerprint);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->completed_prefix,
+  EXPECT_EQ(ContiguousPrefix(loaded->covered),
             full.result.counterexample->database_index);
 
   // Resumed leg: fast-forward past the checkpointed prefix.
@@ -410,7 +421,7 @@ TEST(CheckpointResume, ResumedRunMatchesUninterruptedBitForBit) {
   auto final_ckpt = ReadCheckpoint(ckpt, fingerprint);
   ASSERT_TRUE(final_ckpt.ok()) << final_ckpt.status();
   EXPECT_EQ(final_ckpt->stop_reason, "complete");
-  EXPECT_EQ(final_ckpt->completed_prefix,
+  EXPECT_EQ(ContiguousPrefix(final_ckpt->covered),
             full.result.counterexample->database_index);
 
   // Resume of the completed VIOLATED checkpoint reproduces the verdict.

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "obs/json_util.h"
@@ -92,7 +93,7 @@ TEST(CheckpointIntervals, V2RoundTripPreservesCoveredAndUnit) {
   auto loaded = ReadCheckpoint(path, cp.fingerprint);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->covered, cp.covered);
-  EXPECT_EQ(loaded->completed_prefix, 10u);  // derived v1 view
+  EXPECT_EQ(ContiguousPrefix(loaded->covered), 10u);
   EXPECT_EQ(loaded->failed_indices, cp.failed_indices);
   EXPECT_EQ(loaded->unit, "valuation");
   EXPECT_EQ(loaded->stop_reason, "range-end");
@@ -294,6 +295,59 @@ TEST(RenderMergeJson, EmitsWellFormedJson) {
   ASSERT_TRUE(doc.ok()) << doc.status() << json;
   EXPECT_EQ(doc->Find("verdict")->AsString(""), "holds");
   EXPECT_EQ(doc->Find("coverage")->Find("overlap")->AsUint(0), 2u);
+}
+
+TEST(RenderShardStatsRollup, SumsPhasesPerPathAndNamesTheStraggler) {
+  // "total" and "total/check_db" appear in both shards; the worker-rooted
+  // "check_db" subtree only in the second.
+  const std::string fast = R"({
+    "counters": {"engine.databases_checked": 2},
+    "phases": [
+      {"path": "total", "total_ns": 100, "self_ns": 10, "count": 1},
+      {"path": "total/check_db", "total_ns": 90, "self_ns": 90, "count": 2}
+    ]
+  })";
+  const std::string slow = R"({
+    "counters": {"engine.databases_checked": 3},
+    "phases": [
+      {"path": "check_db", "total_ns": 40, "self_ns": 15, "count": 1},
+      {"path": "check_db/ndfs", "total_ns": 25, "self_ns": 25, "count": 1},
+      {"path": "total", "total_ns": 300, "self_ns": 20, "count": 1},
+      {"path": "total/check_db", "total_ns": 280, "self_ns": 280, "count": 3}
+    ]
+  })";
+  const std::string json =
+      RenderShardStatsRollup({fast, slow}, {"fast.json", "slow.json"});
+  auto doc = obs::JsonParse(json);
+  ASSERT_TRUE(doc.ok()) << doc.status() << json;
+  EXPECT_EQ(doc->Find("count")->AsUint(0), 2u);
+  EXPECT_EQ(
+      doc->FindPath({"counters", "engine.databases_checked"})->AsUint(0), 5u);
+
+  using Row = std::tuple<std::string, uint64_t, uint64_t, uint64_t>;
+  std::vector<Row> rows;
+  const obs::JsonValue* phases = doc->Find("phases");
+  ASSERT_NE(phases, nullptr);
+  ASSERT_TRUE(phases->IsArray()) << json;
+  for (const obs::JsonValue& entry : phases->array) {
+    rows.emplace_back(entry.Find("path")->AsString(""),
+                      entry.Find("total_ns")->AsUint(0),
+                      entry.Find("self_ns")->AsUint(0),
+                      entry.Find("count")->AsUint(0));
+  }
+  EXPECT_EQ(rows, (std::vector<Row>{{"check_db", 40, 15, 1},
+                                    {"check_db/ndfs", 25, 25, 1},
+                                    {"total", 400, 30, 2},
+                                    {"total/check_db", 370, 370, 5}}));
+
+  // The straggler is the shard whose "total" phase is longest.
+  EXPECT_EQ(doc->FindPath({"straggler", "source"})->AsString(""),
+            "slow.json");
+  EXPECT_EQ(doc->FindPath({"straggler", "wall_ns"})->AsUint(0), 300u);
+  const obs::JsonValue* per_shard = doc->Find("per_shard");
+  ASSERT_NE(per_shard, nullptr);
+  ASSERT_EQ(per_shard->array.size(), 2u);
+  EXPECT_EQ(per_shard->array[0].Find("wall_ns")->AsUint(0), 100u);
 }
 
 TEST(ApplyCheckpointToShard, UnionsCoverageAndValidatesFingerprint) {

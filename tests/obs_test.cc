@@ -1,7 +1,7 @@
 // Tests for the observability subsystem (src/obs/): registry semantics,
-// histogram bucketing, JSON writer/validator, the stats document schema,
-// trace-event well-formedness, and end-to-end counter collection through a
-// Verifier run.
+// histogram bucketing, the phase tree, JSON writer/validator, the stats
+// document schema, trace-event well-formedness, and end-to-end counter and
+// phase collection through a Verifier run.
 
 #include <gtest/gtest.h>
 
@@ -37,6 +37,23 @@ peer Responder {
   }
 }
 )";
+
+/// Sums the phase-tree entries whose last path segment is `name`: the
+/// same phase may root on several threads ("total/.../ndfs", "check_db/ndfs").
+obs::PhaseTreeEntry PhaseByName(const std::string& name) {
+  obs::PhaseTreeEntry sum;
+  sum.path = name;
+  for (const obs::PhaseTreeEntry& entry : obs::PhaseTreeSnapshot()) {
+    size_t slash = entry.path.rfind('/');
+    std::string last =
+        slash == std::string::npos ? entry.path : entry.path.substr(slash + 1);
+    if (last != name) continue;
+    sum.total_ns += entry.total_ns;
+    sum.self_ns += entry.self_ns;
+    sum.count += entry.count;
+  }
+  return sum;
+}
 
 TEST(Registry, CounterAccumulatesAndResetsInPlace) {
   obs::Registry registry;
@@ -86,16 +103,38 @@ TEST(Histogram, PowerOfTwoBuckets) {
 }
 
 TEST(PhaseTimer, RecordsOnlyWhenTimingEnabled) {
-  obs::Registry& registry = obs::Registry::Global();
-  registry.Reset();
-  registry.set_timing_enabled(false);
+  obs::PhaseTreeReset();
+  obs::SetTimingEnabled(false);
   { obs::PhaseTimer t("obs_test_disabled"); }
-  EXPECT_EQ(registry.timer("phase.obs_test_disabled").count(), 0u);
+  EXPECT_EQ(PhaseByName("obs_test_disabled").count, 0u);
 
-  registry.set_timing_enabled(true);
+  obs::SetTimingEnabled(true);
   { obs::PhaseTimer t("obs_test_enabled"); }
-  registry.set_timing_enabled(false);
-  EXPECT_EQ(registry.timer("phase.obs_test_enabled").count(), 1u);
+  obs::SetTimingEnabled(false);
+  EXPECT_EQ(PhaseByName("obs_test_enabled").count, 1u);
+}
+
+TEST(PhaseTimer, NestedTimersBuildOnePathPerPhase) {
+  obs::PhaseTreeReset();
+  obs::SetTimingEnabled(true);
+  {
+    obs::PhaseTimer outer("obs_test_outer");
+    for (int i = 0; i < 2; ++i) obs::PhaseTimer inner("obs_test_inner");
+  }
+  obs::SetTimingEnabled(false);
+  bool saw_outer = false, saw_inner = false;
+  for (const obs::PhaseTreeEntry& entry : obs::PhaseTreeSnapshot()) {
+    if (entry.path == "obs_test_outer") {
+      saw_outer = true;
+      EXPECT_EQ(entry.count, 1u);
+    } else if (entry.path == "obs_test_outer/obs_test_inner") {
+      saw_inner = true;
+      EXPECT_EQ(entry.count, 2u);
+      EXPECT_EQ(entry.self_ns, entry.total_ns);  // a leaf phase
+    }
+  }
+  EXPECT_TRUE(saw_outer);
+  EXPECT_TRUE(saw_inner);
 }
 
 TEST(JsonWriter, CommasAndEscapes) {
@@ -133,16 +172,14 @@ TEST(JsonParse, AcceptsValidRejectsMalformed) {
 TEST(StatsJson, ContainsSchemaRequiredKeysAndValidates) {
   obs::Registry registry;
   registry.counter("engine.searches").Add(3);
-  registry.timer("phase.ndfs").Add(1000);
   registry.histogram("graph.successors_per_snapshot").Record(4);
   std::string json = obs::RenderStatsJson(
       registry, "obs_test", {{"verdict", "{\"holds\":true}"}});
   EXPECT_TRUE(obs::JsonParse(json).ok()) << json;
   for (const char* key :
        {"\"schema_version\"", "\"generator\"", "\"counters\"",
-        "\"timers_ns\"", "\"histograms\"", "\"verdict\"",
-        "\"process\"", "\"max_rss_kb\"",
-        "\"engine.searches\"", "\"phase.ndfs\""}) {
+        "\"histograms\"", "\"phases\"", "\"verdict\"", "\"process\"",
+        "\"max_rss_kb\"", "\"engine.searches\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
   }
 }
@@ -152,21 +189,24 @@ TEST(Trace, EventsSerializeToValidChromeTraceJson) {
   recorder.Enable();
   recorder.Complete("span \"quoted\"", "phase", obs::NowNanos(), 1500,
                     "{\"db\":1}");
-  recorder.Instant("marker", "engine");
-  recorder.CounterSample("states", "ndfs", 42);
+  recorder.Complete("plain", "phase", obs::NowNanos(), 0);
   std::string json = recorder.ToJson();
   EXPECT_TRUE(obs::JsonParse(json).ok()) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
+  EXPECT_NE(json.find("\"dur\":1.5"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"args\":{\"db\":1}"), std::string::npos) << json;
+  // No truncation note while the buffer has room.
+  EXPECT_EQ(json.find("\"ph\":\"i\""), std::string::npos) << json;
 }
 
 TEST(Trace, BufferCapDropsAndReportsOverflow) {
   obs::TraceRecorder recorder;
   recorder.Enable();
   recorder.SetMaxEvents(2);
-  for (int i = 0; i < 5; ++i) recorder.Instant("e", "t");
+  for (int i = 0; i < 5; ++i) {
+    recorder.Complete("e", "t", obs::NowNanos(), 10);
+  }
   EXPECT_EQ(recorder.size(), 2u);
   EXPECT_EQ(recorder.dropped(), 3u);
   std::string json = recorder.ToJson();
@@ -177,7 +217,8 @@ TEST(Trace, BufferCapDropsAndReportsOverflow) {
 TEST(Observability, VerifierRunPopulatesCountersAndTimings) {
   obs::Registry& registry = obs::Registry::Global();
   registry.Reset();
-  registry.set_timing_enabled(true);
+  obs::PhaseTreeReset();
+  obs::SetTimingEnabled(true);
 
   auto comp = spec::ParseComposition(kPingPongSpec);
   ASSERT_TRUE(comp.ok()) << comp.status().ToString();
@@ -188,7 +229,7 @@ TEST(Observability, VerifierRunPopulatesCountersAndTimings) {
   options.fresh_domain_size = 1;
   verifier::Verifier verifier(&*comp, options);
   auto result = verifier.Verify(*property);
-  registry.set_timing_enabled(false);
+  obs::SetTimingEnabled(false);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   // got(a) is reachable: the property is violated and the refuting search
@@ -199,8 +240,8 @@ TEST(Observability, VerifierRunPopulatesCountersAndTimings) {
   EXPECT_GT(result->stats.search.product_states, 0u);
   EXPECT_GT(result->stats.search.inner_searches, 0u);
   EXPECT_GT(result->stats.search.leaf_cache_misses, 0u);
-  EXPECT_GT(registry.timer("phase.graph_expand").total_nanos(), 0u);
-  EXPECT_GT(registry.timer("phase.ndfs").total_nanos(), 0u);
+  EXPECT_GT(PhaseByName("graph_expand").total_ns, 0u);
+  EXPECT_GT(PhaseByName("ndfs").total_ns, 0u);
 
   // The same numbers are mirrored into the global registry.
   EXPECT_GE(registry.counter("engine.databases_checked").value(),
@@ -209,7 +250,6 @@ TEST(Observability, VerifierRunPopulatesCountersAndTimings) {
             result->stats.search.snapshots);
   EXPECT_GE(registry.counter("ndfs.product_states").value(),
             result->stats.search.product_states);
-  EXPECT_GT(registry.timer("phase.ndfs").total_nanos(), 0u);
 }
 
 }  // namespace

@@ -61,8 +61,8 @@ def check_stats_doc(doc, what):
     for key in ("schema_version", "counters", "workers", "locks", "phases",
                 "process"):
         expect(key in doc, f"{what} missing '{key}'")
-    expect(doc["schema_version"] == 4,
-           f"{what} schema_version is {doc['schema_version']}, want 4")
+    expect(doc["schema_version"] == 5,
+           f"{what} schema_version is {doc['schema_version']}, want 5")
     rss = doc["process"].get("max_rss_kb")
     expect(isinstance(rss, int) and rss >= 0,
            f"{what} process.max_rss_kb must be a non-negative int")

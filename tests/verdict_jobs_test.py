@@ -7,8 +7,8 @@ Usage: verdict_jobs_test.py --wsvc BIN --workdir DIR [--fault SPEC]
 
 Runs `wsvc COMMAND ARGS... --jobs J --stats-json DIR/jobsJ.json` for J in
 1 and 4 and compares the two `verdict` objects. They must be equal apart
-from `stats.jobs` (the job count itself) and `phase_ns` (wall-clock phase
-times). Prints the shared verdict's stop reason and witness on success.
+from `stats.jobs` (the job count itself). Prints the shared verdict's stop
+reason and witness on success.
 With --fault, both runs get WSV_FAULT=SPEC (deterministic fault injection).
 """
 
@@ -38,7 +38,6 @@ def verdict(wsvc, args, jobs, workdir, fault):
     with open(path) as f:
         doc = json.load(f)["verdict"]
     doc["stats"].pop("jobs")
-    doc.pop("phase_ns")
     return doc
 
 

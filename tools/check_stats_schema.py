@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validates a `wsvc --stats-json` document against schema v4.
+"""Validates a `wsvc --stats-json` document against schema v5.
 
 Usage: check_stats_schema.py [--require-counter NAME]... STATS_JSON [TRACE_JSON]
 
@@ -10,7 +10,11 @@ phase tree ("phases"); v3 added the "process" section (peak memory); v4
 checks the valuation accounting: every checked valuation is prefiltered,
 searched or served by the search memo, so engine.prefiltered +
 engine.searches + engine.search_memo_hits = engine.valuations_checked,
-per document and on the shard roll-up. Verdicts that
+per document and on the shard roll-up; v5 dropped the flat timer map, so
+the phase tree is the one record of phase time (its paths must be closed
+under parents: "a/b" needs an "a" entry). A document carries no top-level
+section and a roll-up no key beyond the known ones, so a stale section
+fails loudly instead of riding along. Verdicts that
 report 'leaves' must also satisfy the leaf-cache accounting
 footprint_hits + leaf_evals = leaf_cache_misses * leaves. The snapshot
 graph's move memo does one lookup per expanded snapshot and peer, so a
@@ -41,6 +45,16 @@ def expect(cond, msg):
         fail(msg)
 
 
+# Sections beyond the required ones: wsvc appends command/spec/peers/verdict,
+# wsvc-merge verdict/shards, and a supervised shard_sweep.py merge
+# supervisor.
+OPTIONAL_SECTIONS = {"command", "spec", "peers", "verdict", "shards",
+                     "supervisor"}
+# Keys of the wsvc-merge cross-shard roll-up (verifier/merge.cc).
+ROLLUP_KEYS = {"count", "counters", "phases", "histograms", "utilization",
+               "per_shard", "straggler"}
+
+
 def check_stats(path):
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
@@ -50,7 +64,6 @@ def check_stats(path):
         "schema_version": int,
         "generator": str,
         "counters": dict,
-        "timers_ns": dict,
         "histograms": dict,
         "workers": dict,
         "locks": dict,
@@ -61,8 +74,10 @@ def check_stats(path):
         expect(key in doc, f"missing required key '{key}'")
         expect(isinstance(doc[key], ty),
                f"'{key}' must be {ty.__name__}, got {type(doc[key]).__name__}")
-    expect(doc["schema_version"] == 4,
+    expect(doc["schema_version"] == 5,
            f"unknown schema_version {doc['schema_version']}")
+    unknown = set(doc) - set(required) - OPTIONAL_SECTIONS
+    expect(not unknown, f"unknown top-level section(s) {sorted(unknown)}")
 
     for name, value in doc["counters"].items():
         expect(isinstance(value, int) and value >= 0,
@@ -70,11 +85,6 @@ def check_stats(path):
     check_fault_counters(doc["counters"], "counters")
     check_valuation_counters(doc["counters"], "counters")
     check_memo_counters(doc["counters"], doc.get("peers"))
-    for name, timer in doc["timers_ns"].items():
-        expect(isinstance(timer, dict), f"timer '{name}' must be an object")
-        for field in ("total_ns", "count"):
-            expect(isinstance(timer.get(field), int),
-                   f"timer '{name}' missing integer '{field}'")
     for name, hist in doc["histograms"].items():
         expect(isinstance(hist, dict), f"histogram '{name}' must be an object")
         for field in ("count", "sum", "min", "max"):
@@ -118,10 +128,6 @@ def check_stats(path):
             expect(isinstance(jobs, int) and jobs >= 1,
                    "'verdict.stats.jobs' must be a positive integer")
             check_leaf_counters(verdict["stats"], doc["counters"])
-        if "phase_ns" in verdict:
-            for phase in ("db_enum", "graph_expand", "leaf_eval", "ndfs"):
-                expect(isinstance(verdict["phase_ns"].get(phase), int),
-                       f"'verdict.phase_ns.{phase}' must be an integer")
         if "coverage" in verdict:
             check_coverage(verdict["coverage"])
     return doc
@@ -166,14 +172,17 @@ def check_locks(locks):
                f"lock site '{site}': wait_ns without contended acquisitions")
 
 
-def check_phases(phases):
-    """Validates the phase-tree section (schema v2)."""
+def check_phases(phases, where="phases"):
+    """Validates a phase-tree section (schema v2): unique paths with
+    non-negative totals, and closed under parents (a child phase only
+    runs inside its parent, so "a/b" needs an "a" entry)."""
+    expect(isinstance(phases, list), f"'{where}' must be a list")
     paths = set()
     for i, entry in enumerate(phases):
-        expect(isinstance(entry, dict), f"phases[{i}] must be an object")
+        expect(isinstance(entry, dict), f"{where}[{i}] must be an object")
         path = entry.get("path")
         expect(isinstance(path, str) and path,
-               f"phases[{i}] needs a non-empty string 'path'")
+               f"{where}[{i}] needs a non-empty string 'path'")
         expect(path not in paths, f"duplicate phase path '{path}'")
         paths.add(path)
         for field in ("total_ns", "self_ns", "count"):
@@ -181,6 +190,10 @@ def check_phases(phases):
                    f"phase '{path}' needs non-negative integer '{field}'")
         expect(entry["self_ns"] <= entry["total_ns"],
                f"phase '{path}': self_ns exceeds total_ns")
+    for path in paths:
+        parent = path.rpartition("/")[0]
+        expect(not parent or parent in paths,
+               f"'{where}': phase '{path}' has no '{parent}' entry")
 
 
 def check_process(process):
@@ -195,9 +208,12 @@ def check_shards_rollup(shards):
     expect(isinstance(shards, dict), "'shards' must be an object")
     expect(isinstance(shards.get("count"), int) and shards["count"] >= 0,
            "'shards.count' must be a non-negative integer")
-    for section in ("counters", "timers_ns", "histograms"):
+    for section in ("counters", "histograms"):
         expect(isinstance(shards.get(section), dict),
                f"'shards.{section}' must be an object")
+    unknown = set(shards) - ROLLUP_KEYS
+    expect(not unknown, f"unknown 'shards' key(s) {sorted(unknown)}")
+    check_phases(shards.get("phases"), "shards.phases")
     check_fault_counters(shards["counters"], "shards.counters")
     check_valuation_counters(shards["counters"], "shards.counters")
     util = shards.get("utilization")
@@ -426,7 +442,7 @@ def check_trace(path):
 def main(argv):
     parser = argparse.ArgumentParser(
         prog="check_stats_schema.py",
-        description="Validate a wsvc --stats-json document (schema v4).")
+        description="Validate a wsvc --stats-json document (schema v5).")
     parser.add_argument("stats", help="stats JSON file")
     parser.add_argument("trace", nargs="?", default=None,
                         help="optional Chrome trace-event JSON file")
@@ -440,7 +456,6 @@ def main(argv):
         expect(name in doc["counters"],
                f"required counter '{name}' missing from stats document")
     summary = (f"stats OK: {len(doc['counters'])} counters, "
-               f"{len(doc['timers_ns'])} timers, "
                f"{len(doc['histograms'])} histograms, "
                f"{len(doc['workers'])} workers, "
                f"{len(doc['locks'])} lock sites, "

@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
   }
 
   obs::Registry& registry = obs::Registry::Global();
-  if (!out_path.empty()) registry.set_timing_enabled(true);
+  if (!out_path.empty()) obs::SetTimingEnabled(true);
 
   // Resume the persisted fold state in incremental mode (a missing file is
   // a fresh state, anything else torn is a hard error — silently dropping

@@ -143,13 +143,14 @@ int Usage() {
       "                           witness bit-for-bit\n"
       "\n"
       "observability options:\n"
-      "  --stats-json <file>      write all counters, phase timers and the\n"
+      "  --stats-json <file>      write all counters, the phase tree and the\n"
       "                           verdict as versioned JSON (schema v%d)\n"
       "  --trace-json <file>      write a Chrome trace-event file (open in\n"
       "                           chrome://tracing or ui.perfetto.dev)\n"
       "  --progress               heartbeat on stderr (dbs / states / rate)\n"
       "  --progress-ms <ms>       heartbeat period (default 1000)\n"
-      "  -v, --verbose            print a counter/timer summary on stderr\n",
+      "  -v, --verbose            print a counter and phase-tree summary on\n"
+      "                           stderr\n",
       obs::kStatsSchemaVersion);
   return 2;
 }
@@ -702,16 +703,6 @@ std::string RenderVerdictJson(const CliReport& report, int exit_code) {
     w.Key("inner_searches").Uint(r.stats.search.inner_searches);
     w.Key("budget_hits").Uint(r.stats.search.budget_hits);
     w.EndObject();
-    // One verification per process, so the registry's phase timers are
-    // this run's.
-    w.Key("phase_ns").BeginObject();
-    for (const char* phase :
-         {"db_enum", "graph_expand", "leaf_eval", "prefilter", "ndfs"}) {
-      w.Key(phase).Uint(obs::Registry::Global()
-                            .timer(std::string("phase.") + phase)
-                            .total_nanos());
-    }
-    w.EndObject();
   }
   w.EndObject();
   return w.Take();
@@ -750,7 +741,7 @@ int main(int argc, char** argv) {
   auto stats_path = args.flags.find("--stats-json");
   auto trace_path = args.flags.find("--trace-json");
   if (verbose || stats_path != args.flags.end()) {
-    obs::Registry::Global().set_timing_enabled(true);
+    obs::SetTimingEnabled(true);
     // Worker time ledgers ride along with timing: pool workers register
     // theirs at thread birth, and the main thread's ledger catches the
     // caller-drains share of ParallelChunks fan-outs.
