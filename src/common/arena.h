@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -11,10 +10,9 @@ namespace wsv {
 
 /// A bump-pointer arena for trivially-destructible data. Allocation is a
 /// pointer increment into the current chunk; chunks are never moved, so
-/// returned pointers stay valid until Reset() or destruction. There is no
-/// per-object free — the intended use is append-mostly storage whose
-/// lifetime is a whole verification phase (interned snapshot encodings) or
-/// one BFS level (per-lane scratch pools, recycled with Reset()).
+/// returned pointers stay valid until the arena is destroyed. There is no
+/// per-object free: the intended use is append-only storage whose lifetime
+/// is a whole verification phase (the part vectors of interned snapshots).
 class Arena {
  public:
   /// `chunk_bytes` is the granularity fresh chunks are carved in;
@@ -33,58 +31,18 @@ class Arena {
     if (top_ + count > end_) Grow(count);
     uint32_t* out = top_;
     top_ += count;
-    used_words_ += count;
     return out;
   }
-
-  /// Copies `count` words of `src` into the arena and returns the copy.
-  const uint32_t* CopyWords(const uint32_t* src, size_t count) {
-    uint32_t* dst = AllocWords(count);
-    if (count > 0) std::memcpy(dst, src, count * sizeof(uint32_t));
-    return dst;
-  }
-
-  /// Recycles every chunk: allocation restarts at the front of the first
-  /// chunk, keeping the capacity. All previously returned pointers become
-  /// invalid. This is the per-BFS-level scratch-pool operation — a lane
-  /// resets its arena each level instead of reallocating buffers.
-  void Reset() {
-    chunk_index_ = 0;
-    used_words_ = 0;
-    if (chunks_.empty()) {
-      top_ = end_ = nullptr;
-    } else {
-      top_ = chunks_[0].data.get();
-      end_ = top_ + chunks_[0].words;
-    }
-  }
-
-  /// Words handed out since construction / the last Reset().
-  size_t used_words() const { return used_words_; }
-  size_t used_bytes() const { return used_words_ * sizeof(uint32_t); }
-
-  /// Total capacity held (survives Reset()).
-  size_t capacity_bytes() const { return capacity_words_ * sizeof(uint32_t); }
 
  private:
   static constexpr size_t kDefaultChunkBytes = 256 * 1024;
 
-  struct Chunk {
-    std::unique_ptr<uint32_t[]> data;
-    size_t words;
-  };
-
   void Grow(size_t min_words);
 
   size_t chunk_bytes_;
-  std::vector<Chunk> chunks_;
-  /// Next chunk to recycle after a Reset(); chunks_[0..chunk_index_] are in
-  /// use, later ones are free capacity.
-  size_t chunk_index_ = 0;
+  std::vector<std::unique_ptr<uint32_t[]>> chunks_;
   uint32_t* top_ = nullptr;
   uint32_t* end_ = nullptr;
-  size_t used_words_ = 0;
-  size_t capacity_words_ = 0;
 };
 
 }  // namespace wsv

@@ -91,8 +91,9 @@ class FlatIdSet {
 /// keys are stored back to back in one word array and found through a
 /// FlatIdSet on a caller-supplied hash (HashFlatSnapshot of the key
 /// words). Callers keep per-id payloads in a parallel array; the footprint
-/// memo of verifier::LeafCache and the move and input-choice memos of
-/// verifier::FlatExpander are built this way.
+/// memo of verifier::LeafCache, the move and input-choice memos of
+/// verifier::FlatExpander and the part table of verifier::SnapshotStore are
+/// built this way.
 ///
 /// Concurrency: as FlatIdSet (Find is safe against concurrent Find).
 class WordKeySet {
@@ -117,6 +118,13 @@ class WordKeySet {
   }
 
   size_t size() const { return begin_.size() - 1; }
+
+  /// Key `id`: key_size(id) words from key(id), valid until the next Add.
+  const uint32_t* key(uint32_t id) const { return words_.data() + begin_[id]; }
+  uint32_t key_size(uint32_t id) const { return begin_[id + 1] - begin_[id]; }
+
+  /// Words of all keys together.
+  size_t words() const { return words_.size(); }
 
  private:
   std::vector<uint32_t> words_;

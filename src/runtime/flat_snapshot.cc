@@ -214,15 +214,18 @@ void FlatSnapshotCodec::Locate(FlatSnapshot flat, FlatLayout* layout) const {
   assert(at == flat.size && "flat snapshot span length mismatch");
 }
 
-std::pair<uint32_t, uint32_t> FlatSnapshotCodec::PeerBlock(
-    const FlatLayout& layout, size_t peer) const {
-  auto offset = [&](size_t r) {
-    return r < layout.relation.size() ? layout.relation[r] : layout.queues;
-  };
-  return {offset(part_bases_[peer * 4]),
-          offset(peer + 1 < send_error_counts_.size()
-                     ? part_bases_[(peer + 1) * 4]
-                     : part_arities_.size())};
+void FlatSnapshotCodec::Sections(FlatSnapshot flat, const FlatLayout& layout,
+                                 std::vector<uint32_t>* bounds) const {
+  bounds->clear();
+  for (size_t peer = 0; peer < send_error_counts_.size(); ++peer) {
+    for (size_t part = 0; part < 3; ++part) {
+      const uint32_t r = part_bases_[peer * 4 + part];
+      bounds->push_back(r < layout.relation.size() ? layout.relation[r]
+                                                   : layout.queues);
+    }
+  }
+  for (uint32_t first : layout.queue_first) bounds->push_back(first - 1);
+  bounds->push_back(flat.size);
 }
 
 void FlatSnapshotCodec::AppendPart(FlatSnapshot flat, const FlatLayout& layout,

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <utility>
 #include <vector>
 
 #include "runtime/snapshot.h"
@@ -158,13 +157,22 @@ class FlatSnapshotCodec {
 
   uint32_t channel_arity(size_t c) const { return channel_arities_[c]; }
 
-  /// Word range [first, second) of `peer`'s block (its state, input, prev
-  /// and action relations) in the span `layout` was located on.
-  std::pair<uint32_t, uint32_t> PeerBlock(const FlatLayout& layout,
-                                          size_t peer) const;
-
   /// Records where every relation and queue of `flat` starts.
   void Locate(FlatSnapshot flat, FlatLayout* layout) const;
+
+  /// Number of sections of an encoding: per peer its state, input and
+  /// tail (prev and action) relations, then per channel its contents
+  /// ([message_count, messages...]). With the header (the mover word and
+  /// the event words) they tile the span.
+  size_t sections() const {
+    return 3 * send_error_counts_.size() + channel_arities_.size();
+  }
+
+  /// Writes to `bounds` the offset of each section of `flat` (located by
+  /// `layout`), in the order above, then flat.size: section k is
+  /// [bounds[k], bounds[k + 1]).
+  void Sections(FlatSnapshot flat, const FlatLayout& layout,
+                std::vector<uint32_t>* bounds) const;
 
   /// Appends to `out` the words of `part` as stored in `flat` (located by
   /// `layout`): a relation as [tuple_count, values...], a flag as one 0/1

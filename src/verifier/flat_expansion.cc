@@ -1,19 +1,385 @@
-// The splice side of FlatExpander: successor spans built from the parent
-// span and the memoized moves and input choices (flat_expansion_memo.cc).
+// FlatExpander: which view parts each memo key holds, the move, rule and
+// input-choice memos, decoding a key back into a view for the rules that
+// miss, and the successor vectors built from the parent's.
 
 #include "verifier/flat_expansion.h"
 
+#include <algorithm>
 #include <cassert>
+#include <set>
+#include <string>
 
 namespace wsv::verifier {
 
 namespace {
 
 using runtime::FlatSnapshot;
+using runtime::SnapshotPart;
+
+/// The move_part_arities_ entry of a one-word flag part.
+constexpr uint32_t kFlagPart = UINT32_MAX;
+
+bool Unseen(uint32_t id) { return (id & Candidates::kUnseenPart) != 0; }
+
+/// The id of the section `words[0, count)` in the store's part table, or,
+/// for a section the table lacks, an unseen-part id for a copy appended to
+/// `out`.
+uint32_t PartId(const SnapshotStore& store, const uint32_t* words,
+                size_t count, Candidates* out) {
+  const size_t hash = runtime::HashFlatSnapshot(words, count);
+  const uint32_t id = store.FindPart(words, count, hash);
+  if (id != FlatIdSet::kEmpty) return id;
+  out->parts.Add(words, count);
+  out->part_hashes.push_back(hash);
+  return Candidates::kUnseenPart |
+         static_cast<uint32_t>(out->parts.size() - 1);
+}
+
+/// PartId through `*cache`, which keeps the id once the table has it.
+uint32_t CachedPartId(const SnapshotStore& store, const uint32_t* words,
+                      size_t count, uint32_t* cache, Candidates* out) {
+  if (*cache != FlatIdSet::kEmpty) return *cache;
+  const uint32_t id = PartId(store, words, count, out);
+  if (!Unseen(id)) *cache = id;
+  return id;
+}
+
+/// Appends the candidate `vec`: its id if the store has it, else the
+/// vector itself for the merge. A vector with an unseen part is fresh.
+void Emit(const SnapshotStore& store, const uint32_t* vec, bool unseen,
+          Candidates* out) {
+  SnapshotId id = FlatIdSet::kEmpty;
+  size_t hash = 0;
+  if (!unseen) {
+    hash = store.Hash(vec);
+    id = store.Find(vec, hash);
+  }
+  out->ids.push_back(id);
+  if (id == FlatIdSet::kEmpty) {
+    out->fresh.insert(out->fresh.end(), vec, vec + store.width());
+    out->fresh_hashes.push_back(hash);
+  }
+}
 
 }  // namespace
 
-Status FlatExpander::Expand(FlatSnapshot parent, Lane* lane, SpanList* out,
+template <typename Encode>
+Result<uint32_t*> FlatExpander::Memoized(
+    Lane::Memo* memo, const std::vector<uint32_t>& key, size_t* evals,
+    Encode encode) {
+  const size_t hash = runtime::HashFlatSnapshot(key.data(), key.size());
+  uint32_t id = memo->keys.Find(key.data(), key.size(), hash);
+  if (id == FlatIdSet::kEmpty) {
+    ++*evals;
+    WSV_RETURN_IF_ERROR(encode(&memo->values));
+    memo->value_begin.push_back(static_cast<uint32_t>(memo->values.size()));
+    id = memo->keys.Add(key.data(), key.size(), hash);
+  }
+  return memo->values.data() + memo->value_begin[id];
+}
+
+FlatExpander::FlatExpander(const runtime::TransitionGenerator* generator,
+                           const runtime::FlatSnapshotCodec* codec,
+                           SnapshotNormalization normalization)
+    : generator_(generator),
+      codec_(codec),
+      normalization_(std::move(normalization)) {
+  const spec::Composition& comp = generator_->composition();
+  using Kind = SnapshotPart::Kind;
+  auto all = [](size_t n) {
+    std::vector<uint32_t> indices(n);
+    for (uint32_t i = 0; i < n; ++i) indices[i] = i;
+    return indices;
+  };
+  for (size_t p = 0; p < comp.peers().size(); ++p) {
+    const spec::Peer& peer = comp.peers()[p];
+    ViewSelection& move = move_view_.emplace_back();
+    move.state = all(peer.declared_state_schema().size());
+    move.input = all(peer.input_schema().size());
+    move.prev = all(peer.prev_input_schema().size());
+    move.heads = all(peer.in_queues().size());
+    move.errors = all(peer.out_queues().size());
+
+    const int32_t pi = static_cast<int32_t>(p);
+    std::vector<SnapshotPart>& parts = move_parts_.emplace_back();
+    std::vector<uint32_t>& arities = move_part_arities_.emplace_back();
+    for (uint32_t part = 0; part < 3; ++part) {
+      const data::Schema& schema = part == 0   ? peer.declared_state_schema()
+                                   : part == 1 ? peer.input_schema()
+                                               : peer.prev_input_schema();
+      for (uint32_t r = 0; r < schema.size(); ++r) {
+        parts.push_back({Kind::kRelation, pi, part, r});
+        arities.push_back(static_cast<uint32_t>(schema.relation(r).arity()));
+      }
+    }
+    for (uint32_t q : move.heads) {
+      const uint32_t c =
+          static_cast<uint32_t>(generator_->wiring(p).in_channel[q]);
+      parts.push_back({Kind::kQueueEmpty, 0, 0, c});
+      parts.push_back({Kind::kQueueFirst, 0, 0, c});
+      arities.push_back(kFlagPart);
+      arities.push_back(codec_->channel_arity(c));
+    }
+    for (uint32_t q : move.errors) {
+      parts.push_back({Kind::kSendError, pi, 0, q});
+      arities.push_back(kFlagPart);
+    }
+
+    // A rule body reads only the view parts it names (the database is
+    // fixed): the options rules never the input, the move rules anything.
+    auto select = [&](const std::set<std::string>& named, bool with_input) {
+      auto named_in = [&](const data::Schema& schema, uint32_t r) {
+        return named.count(schema.relation(r).name) > 0;
+      };
+      ViewSelection view;
+      for (uint32_t r : move.state) {
+        if (named_in(peer.declared_state_schema(), r)) view.state.push_back(r);
+      }
+      for (uint32_t r : move.input) {
+        if (with_input && named_in(peer.input_schema(), r)) {
+          view.input.push_back(r);
+        }
+      }
+      for (uint32_t r : move.prev) {
+        if (named_in(peer.prev_input_schema(), r)) view.prev.push_back(r);
+      }
+      for (uint32_t q : move.heads) {
+        const std::string& name = peer.in_queues()[q].name;
+        if (named.count(name) > 0 ||
+            named.count(spec::QueueEmptyStateName(name)) > 0) {
+          view.heads.push_back(q);
+        }
+      }
+      for (uint32_t q : move.errors) {
+        if (named.count("error_" + peer.out_queues()[q].name) > 0) {
+          view.errors.push_back(q);
+        }
+      }
+      return view;
+    };
+    std::set<std::string> options_named;
+    for (const spec::Rule& rule : peer.rules()) {
+      if (rule.kind != spec::RuleKind::kInputOptions) continue;
+      auto names = rule.body->RelationNames();
+      options_named.insert(names.begin(), names.end());
+    }
+    input_view_.push_back(select(options_named, /*with_input=*/false));
+
+    // A move rule's footprint as indices into move_parts_, whose order is
+    // state, input, prev, [empty, first] per head, then errors.
+    const uint32_t input_base = static_cast<uint32_t>(move.state.size());
+    const uint32_t prev_base =
+        input_base + static_cast<uint32_t>(move.input.size());
+    const uint32_t heads_base =
+        prev_base + static_cast<uint32_t>(move.prev.size());
+    const uint32_t errors_base =
+        heads_base + 2 * static_cast<uint32_t>(move.heads.size());
+    std::vector<std::vector<uint32_t>>& footprints = rule_parts_.emplace_back();
+    for (const spec::Rule* rule : generator_->move_rules(p).rules) {
+      const ViewSelection view = select(rule->body->RelationNames(), true);
+      std::vector<uint32_t>& footprint = footprints.emplace_back();
+      for (uint32_t r : view.state) footprint.push_back(r);
+      for (uint32_t r : view.input) footprint.push_back(input_base + r);
+      for (uint32_t r : view.prev) footprint.push_back(prev_base + r);
+      for (uint32_t q : view.heads) {
+        footprint.push_back(heads_base + 2 * q);
+        footprint.push_back(heads_base + 2 * q + 1);
+      }
+      for (uint32_t q : view.errors) footprint.push_back(errors_base + q);
+    }
+  }
+  const bool env = generator_->options().allow_env_moves;
+  env_candidates_.resize(comp.channels().size());
+  for (size_t c = 0; c < comp.channels().size(); ++c) {
+    const spec::Channel& channel = comp.channels()[c];
+    lossy_.push_back(generator_->ChannelIsLossy(channel.kind));
+    if (env && channel.ToEnvironment()) env_consume_.push_back(c);
+    if (env && channel.FromEnvironment()) {
+      env_feed_.push_back(c);
+      for (const data::Relation& msg : generator_->EnvCandidates(c)) {
+        runtime::AppendRelationWords(msg, &env_candidates_[c].emplace_back());
+      }
+    }
+  }
+}
+
+runtime::LocalView FlatExpander::DecodeView(size_t p,
+                                            const ViewSelection& selection,
+                                            const uint32_t* key) const {
+  const spec::Peer& peer = generator_->composition().peers()[p];
+  runtime::LocalView view{data::Instance(&peer.declared_state_schema()),
+                          data::Instance(&peer.input_schema()),
+                          data::Instance(&peer.prev_input_schema()),
+                          std::vector<std::optional<data::Relation>>(
+                              peer.in_queues().size()),
+                          std::vector<bool>(peer.out_queues().size(), false)};
+  const uint32_t* at = key;
+  auto read = [&](const std::vector<uint32_t>& relations,
+                  data::Instance& inst) {
+    for (uint32_t r : relations) {
+      data::Relation& rel = inst.relation(r);
+      at = runtime::ReadRelationWords(at, static_cast<uint32_t>(rel.arity()),
+                                      &rel);
+    }
+  };
+  read(selection.state, view.state);
+  read(selection.input, view.input);
+  read(selection.prev, view.prev);
+  for (uint32_t q : selection.heads) {
+    if (*at++ != 0) {  // empty: the first-message block is [0]
+      ++at;
+    } else {
+      const uint32_t arity =
+          static_cast<uint32_t>(peer.in_queues()[q].arity());
+      data::Relation msg(arity);
+      at = runtime::ReadRelationWords(at, arity, &msg);
+      view.heads[q] = std::move(msg);
+    }
+  }
+  for (uint32_t q : selection.errors) view.send_errors[q] = *at++ != 0;
+  return view;
+}
+
+Result<uint32_t*> FlatExpander::Move(FlatSnapshot parent, size_t p,
+                                     Lane* lane, MemoCounts* counts) const {
+  std::vector<uint32_t>& key = lane->key;
+  key.clear();
+  for (const SnapshotPart& part : move_parts_[p]) {
+    codec_->AppendPart(parent, lane->layout, part, &key);
+  }
+  ++counts->move_lookups;
+  return Memoized(&lane->moves[p], key, &counts->move_evals,
+                  [&](std::vector<uint32_t>* out) -> Status {
+    WSV_ASSIGN_OR_RETURN(runtime::PeerMove move,
+                         EvaluateMove(p, lane, counts));
+    std::vector<uint32_t>& v = *out;
+    const size_t start = v.size();
+    v.resize(start + kMoveHeader);
+    auto append_all = [&](const data::Instance& inst,
+                          const std::vector<bool>* keep, bool keep_all) {
+      for (size_t r = 0; r < inst.size(); ++r) {
+        if (keep_all && (keep == nullptr || r >= keep->size() || (*keep)[r])) {
+          runtime::AppendRelationWords(inst.relation(r), &v);
+        } else {
+          v.push_back(0);  // normalized away: the empty relation
+        }
+      }
+    };
+    append_all(move.state, nullptr, true);
+    const size_t state_end = v.size();
+    append_all(move.prev, nullptr, true);
+    const size_t prev_end = v.size();
+    const std::vector<bool>* keep_prev =
+        normalization_.keep_prev.empty() ? nullptr
+                                         : &normalization_.keep_prev[p];
+    append_all(move.prev, keep_prev, true);
+    append_all(move.action, nullptr, normalization_.keep_actions);
+    const size_t tail_end = v.size();
+    for (bool error : move.send_errors) v.push_back(error ? 1 : 0);
+    v.push_back(static_cast<uint32_t>(move.sends.size()));
+    for (const std::vector<runtime::OutgoingMessage>& alt : move.sends) {
+      v.push_back(static_cast<uint32_t>(alt.size()));
+      for (const runtime::OutgoingMessage& msg : alt) {
+        v.push_back(static_cast<uint32_t>(msg.channel));
+        runtime::AppendRelationWords(msg.content, &v);
+      }
+    }
+    v[start] = static_cast<uint32_t>(state_end - start - kMoveHeader);
+    v[start + 1] = static_cast<uint32_t>(prev_end - state_end);
+    v[start + 2] = static_cast<uint32_t>(tail_end - prev_end);
+    v[start + 3] = static_cast<uint32_t>(move.send_errors.size());
+    v[start + 4] = v[start + 5] = FlatIdSet::kEmpty;
+    return Status::Ok();
+  });
+}
+
+Result<runtime::PeerMove> FlatExpander::EvaluateMove(
+    size_t p, Lane* lane, MemoCounts* counts) const {
+  const std::vector<uint32_t>& key = lane->key;
+  std::vector<uint32_t>& part_begin = lane->part_begin;
+  part_begin.clear();
+  uint32_t at = 0;
+  for (uint32_t arity : move_part_arities_[p]) {
+    part_begin.push_back(at);
+    at += arity == kFlagPart ? 1 : runtime::RelationBlockWords(&key[at], arity);
+  }
+  part_begin.push_back(at);
+  const std::vector<const spec::Rule*>& rules =
+      generator_->move_rules(p).rules;
+  std::vector<Lane::Memo>& memos = lane->rules[p];
+  std::vector<uint32_t>& rule_keys = lane->rule_keys;
+  std::vector<Lane::RuleMiss>& misses = lane->rule_misses;
+  rule_keys.clear();
+  misses.clear();
+  lane->rule_missed.assign(rules.size(), false);
+  std::vector<data::Relation> results;
+  results.reserve(rules.size());
+  for (uint32_t i = 0; i < rules.size(); ++i) {
+    const uint32_t begin = static_cast<uint32_t>(rule_keys.size());
+    for (uint32_t part : rule_parts_[p][i]) {
+      rule_keys.insert(rule_keys.end(), key.begin() + part_begin[part],
+                       key.begin() + part_begin[part + 1]);
+    }
+    const uint32_t end = static_cast<uint32_t>(rule_keys.size());
+    const size_t hash =
+        runtime::HashFlatSnapshot(rule_keys.data() + begin, end - begin);
+    const uint32_t id =
+        memos[i].keys.Find(rule_keys.data() + begin, end - begin, hash);
+    data::Relation& result = results.emplace_back(rules[i]->head_vars.size());
+    if (id == FlatIdSet::kEmpty) {
+      misses.push_back({i, begin, end, hash});
+      lane->rule_missed[i] = true;
+    } else {
+      runtime::ReadRelationWords(
+          memos[i].values.data() + memos[i].value_begin[id],
+          static_cast<uint32_t>(result.arity()), &result);
+    }
+  }
+  counts->rule_lookups += rules.size();
+  counts->rule_evals += misses.size();
+
+  runtime::LocalView view = DecodeView(p, move_view_[p], key.data());
+  if (!misses.empty()) {
+    WSV_RETURN_IF_ERROR(generator_->EvaluateMoveRules(
+        p, view, &lane->rule_missed, &results));
+    for (const Lane::RuleMiss& miss : misses) {
+      Lane::Memo& memo = memos[miss.rule];
+      runtime::AppendRelationWords(results[miss.rule], &memo.values);
+      memo.value_begin.push_back(static_cast<uint32_t>(memo.values.size()));
+      memo.keys.Add(rule_keys.data() + miss.begin, miss.end - miss.begin,
+                    miss.hash);
+    }
+  }
+  return generator_->AssembleMove(p, std::move(view), std::move(results));
+}
+
+Result<uint32_t*> FlatExpander::InputChoices(size_t p, Lane* lane,
+                                             MemoCounts* counts) const {
+  const std::vector<uint32_t>& key = lane->key;
+  ++counts->input_lookups;
+  return Memoized(&lane->inputs[p], key, &counts->input_evals,
+                  [&](std::vector<uint32_t>* out) -> Status {
+    WSV_ASSIGN_OR_RETURN(
+        std::vector<data::Instance> choices,
+        generator_->InputChoices(p,
+                                 DecodeView(p, input_view_[p], key.data())));
+    std::vector<uint32_t>& v = *out;
+    v.push_back(static_cast<uint32_t>(choices.size()));
+    for (const data::Instance& input : choices) {
+      const size_t at = v.size();
+      v.push_back(0);
+      v.push_back(FlatIdSet::kEmpty);
+      for (size_t r = 0; r < input.size(); ++r) {
+        runtime::AppendRelationWords(input.relation(r), &v);
+      }
+      v[at] = static_cast<uint32_t>(v.size() - at - 2);
+    }
+    return Status::Ok();
+  });
+}
+
+Status FlatExpander::Expand(const SnapshotStore& store, SnapshotId sid,
+                            Lane* lane, Candidates* out,
                             MemoCounts* counts) const {
   const size_t peers = move_view_.size();
   if (lane->moves.size() != peers) {
@@ -25,23 +391,23 @@ Status FlatExpander::Expand(FlatSnapshot parent, Lane* lane, SpanList* out,
     lane->inputs.resize(peers);
     lane->edits.assign(codec_->composition().channels().size(), {});
   }
+  const FlatSnapshot parent = store.Span(sid, &lane->span);
+  const uint32_t* from = store.vector(sid);
   codec_->Locate(parent, &lane->layout);
   for (size_t p = 0; p < peers; ++p) {
-    WSV_RETURN_IF_ERROR(ExpandPeer(parent, p, lane, out, counts));
+    WSV_RETURN_IF_ERROR(
+        ExpandPeer(store, from, parent, p, lane, out, counts));
   }
-  ExpandEnv(parent, lane, out);
+  ExpandEnv(store, from, parent, lane, out);
   return Status::Ok();
 }
 
-void FlatExpander::AppendHeader(FlatSnapshot parent, uint32_t mover_word,
-                                const Lane::ChannelEdit* edits, int p,
-                                const uint32_t* errors,
-                                std::vector<uint32_t>* out) const {
-  out->push_back(mover_word);
-  const size_t at = out->size();
-  out->insert(out->end(), parent.data + 1,
-              parent.data + 1 + codec_->event_words());
-  uint32_t* events = out->data() + at;
+void FlatExpander::WriteHeader(const uint32_t* from, uint32_t mover_word,
+                               const Lane::ChannelEdit* edits, int p,
+                               const uint32_t* errors, uint32_t* out) const {
+  out[0] = mover_word;
+  uint32_t* events = out + 1;
+  std::copy(from + 1, from + 1 + codec_->event_words(), events);
   auto set = [&](uint32_t bit, bool value) {
     const uint32_t mask = 1u << (bit % 32);
     if (value) {
@@ -64,35 +430,36 @@ void FlatExpander::AppendHeader(FlatSnapshot parent, uint32_t mover_word,
   }
 }
 
-void FlatExpander::AppendChannels(FlatSnapshot parent,
-                                  const runtime::FlatLayout& layout,
-                                  const Lane::ChannelEdit* edits,
-                                  std::vector<uint32_t>* out) const {
-  const size_t channels = lossy_.size();
-  for (size_t c = 0; c < channels; ++c) {
-    const uint32_t arity = codec_->channel_arity(c);
-    const uint32_t* from = parent.data + layout.queue_first[c];
-    const uint32_t* end = c + 1 < channels
-                              ? parent.data + layout.queue_first[c + 1] - 1
-                              : parent.data + parent.size;
-    uint32_t count = layout.queue_len[c];
-    if (edits[c].dequeue && count > 0) {
-      from += runtime::RelationBlockWords(from, arity);
-      --count;
-    }
-    const uint32_t* append = edits[c].append;
-    out->push_back(count + (append != nullptr ? 1 : 0));
-    out->insert(out->end(), from, end);
-    if (append != nullptr) {
-      out->insert(out->end(), append,
-                  append + runtime::RelationBlockWords(append, arity));
-    }
+uint32_t FlatExpander::ChannelPart(const SnapshotStore& store,
+                                   FlatSnapshot parent, size_t c,
+                                   const Lane::ChannelEdit& edit, Lane* lane,
+                                   Candidates* out) const {
+  const runtime::FlatLayout& layout = lane->layout;
+  const uint32_t arity = codec_->channel_arity(c);
+  const uint32_t* begin = parent.data + layout.queue_first[c];
+  const uint32_t* end = c + 1 < lossy_.size()
+                            ? parent.data + layout.queue_first[c + 1] - 1
+                            : parent.data + parent.size;
+  uint32_t count = layout.queue_len[c];
+  if (edit.dequeue && count > 0) {
+    begin += runtime::RelationBlockWords(begin, arity);
+    --count;
   }
+  std::vector<uint32_t>& words = lane->part;
+  words.assign(1, count + (edit.append != nullptr ? 1 : 0));
+  words.insert(words.end(), begin, end);
+  if (edit.append != nullptr) {
+    words.insert(words.end(), edit.append,
+                 edit.append + runtime::RelationBlockWords(edit.append, arity));
+  }
+  return PartId(store, words.data(), words.size(), out);
 }
 
-Status FlatExpander::ExpandPeer(FlatSnapshot parent, size_t p, Lane* lane,
-                                SpanList* out, MemoCounts* counts) const {
-  WSV_ASSIGN_OR_RETURN(const uint32_t* move, Move(parent, p, lane, counts));
+Status FlatExpander::ExpandPeer(const SnapshotStore& store,
+                                const uint32_t* from, FlatSnapshot parent,
+                                size_t p, Lane* lane, Candidates* out,
+                                MemoCounts* counts) const {
+  WSV_ASSIGN_OR_RETURN(uint32_t* move, Move(parent, p, lane, counts));
   const uint32_t* state = move + kMoveHeader;
   const uint32_t* prev = state + move[0];
   const uint32_t* tail = prev + move[1];
@@ -106,10 +473,24 @@ Status FlatExpander::ExpandPeer(FlatSnapshot parent, size_t p, Lane* lane,
   for (size_t q = 0; q < wiring.in_channel.size(); ++q) {
     if (wiring.consumes[q]) edits[wiring.in_channel[q]].dequeue = true;
   }
-  const auto [block_begin, block_end] = codec_->PeerBlock(layout, p);
   const uint32_t mover_word =
       normalization_.keep_mover ? static_cast<uint32_t>(p + 2)
                                 : static_cast<uint32_t>(runtime::kNoMover + 2);
+
+  // The successor vector before delivery: the move's state and tail
+  // sections and the dequeued in-queues; the same for every delivery.
+  const uint32_t section = store.peer_section(p);
+  std::vector<uint32_t>& base = lane->base;
+  base.assign(from, from + store.width());
+  base[section] = CachedPartId(store, state, move[0], &move[4], out);
+  base[section + 2] = CachedPartId(store, tail, move[2], &move[5], out);
+  bool base_unseen = Unseen(base[section]) || Unseen(base[section + 2]);
+  for (size_t c : wiring.in_channel) {
+    if (!edits[c].dequeue || layout.queue_len[c] == 0) continue;
+    const uint32_t id = ChannelPart(store, parent, c, edits[c], lane, out);
+    base[store.channel_section(c)] = id;
+    base_unseen = base_unseen || Unseen(id);
+  }
 
   // The input key's selected state and prev relations: the same for every
   // delivery of this move.
@@ -167,15 +548,24 @@ Status FlatExpander::ExpandPeer(FlatSnapshot parent, size_t p, Lane* lane,
     branch(branch, 0, 0);
 
     for (uint64_t mask : deliveries) {
+      std::vector<uint32_t>& vec = lane->vec;
+      vec = base;
+      bool unseen = base_unseen;
       for (size_t m = 0; m < messages.size(); ++m) {
-        Lane::ChannelEdit& edit = edits[messages[m].first];
+        const uint32_t c = messages[m].first;
+        Lane::ChannelEdit& edit = edits[c];
         edit.sent = true;
         if ((mask >> m) & 1) {
           assert(edit.append == nullptr && "two messages on one channel");
           edit.append = messages[m].second;
           edit.received = true;
+          const uint32_t id = ChannelPart(store, parent, c, edit, lane, out);
+          vec[store.channel_section(c)] = id;
+          unseen = unseen || Unseen(id);
         }
       }
+      WriteHeader(from, mover_word, edits.data(), static_cast<int>(p), errors,
+                  vec.data());
 
       // What the options rules read of the successor's view: the new state
       // and window, the in-queue heads after dequeue and delivery, the new
@@ -202,30 +592,16 @@ Status FlatExpander::ExpandPeer(FlatSnapshot parent, size_t p, Lane* lane,
         }
       }
       for (uint32_t q : input_view.errors) key.push_back(errors[q]);
-      WSV_ASSIGN_OR_RETURN(const uint32_t* choices,
-                           InputChoices(p, lane, counts));
-
-      std::vector<uint32_t>& head = lane->head;
-      head.clear();
-      AppendHeader(parent, mover_word, edits.data(), static_cast<int>(p),
-                   errors, &head);
-      head.insert(head.end(), parent.data + 1 + codec_->event_words(),
-                  parent.data + block_begin);
-      head.insert(head.end(), state, prev);
-      std::vector<uint32_t>& rest = lane->tail;
-      rest.assign(tail, errors);
-      rest.insert(rest.end(), parent.data + block_end,
-                  parent.data + layout.queues);
-      AppendChannels(parent, layout, edits.data(), &rest);
+      WSV_ASSIGN_OR_RETURN(uint32_t* choices, InputChoices(p, lane, counts));
 
       const uint32_t num_choices = *choices++;
       for (uint32_t i = 0; i < num_choices; ++i) {
-        const uint32_t words = *choices++;
-        out->words.insert(out->words.end(), head.begin(), head.end());
-        out->words.insert(out->words.end(), choices, choices + words);
-        out->words.insert(out->words.end(), rest.begin(), rest.end());
-        out->begin.push_back(static_cast<uint32_t>(out->words.size()));
-        choices += words;
+        const uint32_t words = choices[0];
+        const uint32_t id =
+            CachedPartId(store, choices + 2, words, &choices[1], out);
+        vec[section + 1] = id;
+        Emit(store, vec.data(), unseen || Unseen(id), out);
+        choices += 2 + words;
       }
 
       for (const auto& [c, block] : messages) {
@@ -238,22 +614,32 @@ Status FlatExpander::ExpandPeer(FlatSnapshot parent, size_t p, Lane* lane,
   return Status::Ok();
 }
 
-void FlatExpander::EmitEnv(FlatSnapshot parent, const Lane& lane,
+void FlatExpander::EmitEnv(const SnapshotStore& store, const uint32_t* from,
+                           FlatSnapshot parent, Lane* lane,
                            const Lane::ChannelEdit* edits,
-                           SpanList* out) const {
+                           Candidates* out) const {
   const uint32_t mover_word = static_cast<uint32_t>(
       (normalization_.keep_mover ? runtime::kEnvMover : runtime::kNoMover) +
       2);
-  AppendHeader(parent, mover_word, edits, -1, nullptr, &out->words);
-  out->words.insert(out->words.end(),
-                    parent.data + 1 + codec_->event_words(),
-                    parent.data + lane.layout.queues);
-  AppendChannels(parent, lane.layout, edits, &out->words);
-  out->begin.push_back(static_cast<uint32_t>(out->words.size()));
+  std::vector<uint32_t>& vec = lane->vec;
+  vec.assign(from, from + store.width());
+  WriteHeader(from, mover_word, edits, -1, nullptr, vec.data());
+  bool unseen = false;
+  for (size_t c = 0; c < lossy_.size(); ++c) {
+    if (edits[c].append == nullptr &&
+        (!edits[c].dequeue || lane->layout.queue_len[c] == 0)) {
+      continue;
+    }
+    const uint32_t id = ChannelPart(store, parent, c, edits[c], lane, out);
+    vec[store.channel_section(c)] = id;
+    unseen = unseen || Unseen(id);
+  }
+  Emit(store, vec.data(), unseen, out);
 }
 
-void FlatExpander::ExpandEnv(FlatSnapshot parent, Lane* lane,
-                             SpanList* out) const {
+void FlatExpander::ExpandEnv(const SnapshotStore& store, const uint32_t* from,
+                             FlatSnapshot parent, Lane* lane,
+                             Candidates* out) const {
   if (!generator_->options().allow_env_moves) return;
   const runtime::FlatLayout& layout = lane->layout;
   const size_t bound = generator_->options().queue_bound;
@@ -263,11 +649,11 @@ void FlatExpander::ExpandEnv(FlatSnapshot parent, Lane* lane,
   // dropped" successor comes once, before its deliveries.
   if (generator_->options().env_single_action) {
     std::vector<Lane::ChannelEdit>& edits = lane->edits;
-    EmitEnv(parent, *lane, edits.data(), out);  // stutter
+    EmitEnv(store, from, parent, lane, edits.data(), out);  // stutter
     for (size_t c : env_consume_) {
       if (layout.queue_len[c] == 0) continue;
       edits[c].dequeue = true;
-      EmitEnv(parent, *lane, edits.data(), out);
+      EmitEnv(store, from, parent, lane, edits.data(), out);
       edits[c] = {};
     }
     for (size_t c : env_feed_) {
@@ -275,12 +661,12 @@ void FlatExpander::ExpandEnv(FlatSnapshot parent, Lane* lane,
       const auto& candidates = env_candidates_[c];
       if ((lossy_[c] || full) && !candidates.empty()) {
         edits[c].sent = true;
-        EmitEnv(parent, *lane, edits.data(), out);
+        EmitEnv(store, from, parent, lane, edits.data(), out);
       }
       for (const std::vector<uint32_t>& msg : candidates) {
         if (full) break;
         edits[c] = {false, msg.data(), true, true};
-        EmitEnv(parent, *lane, edits.data(), out);
+        EmitEnv(store, from, parent, lane, edits.data(), out);
       }
       edits[c] = {};
     }
@@ -317,7 +703,7 @@ void FlatExpander::ExpandEnv(FlatSnapshot parent, Lane* lane,
     bases = std::move(expanded);
   }
   for (const std::vector<Lane::ChannelEdit>& base : bases) {
-    EmitEnv(parent, *lane, base.data(), out);
+    EmitEnv(store, from, parent, lane, base.data(), out);
   }
 }
 

@@ -10,6 +10,7 @@
 #include "common/status.h"
 #include "runtime/flat_snapshot.h"
 #include "runtime/transition.h"
+#include "verifier/snapshot_store.h"
 
 namespace wsv::verifier {
 
@@ -26,22 +27,6 @@ struct SnapshotNormalization {
   /// keep_prev[peer][prev-relation index within the peer's
   /// prev_input_schema]; empty = keep everything.
   std::vector<std::vector<bool>> keep_prev;
-};
-
-/// A list of flat spans in one word buffer: span i is
-/// words[begin[i], begin[i + 1]).
-struct SpanList {
-  std::vector<uint32_t> words;
-  std::vector<uint32_t> begin{0};
-
-  size_t size() const { return begin.size() - 1; }
-  runtime::FlatSnapshot span(size_t i) const {
-    return {words.data() + begin[i], begin[i + 1] - begin[i]};
-  }
-  void Clear() {
-    words.clear();
-    begin.assign(1, 0);
-  }
 };
 
 /// Memo traffic of some expansions: one move lookup per (node, peer), one
@@ -67,30 +52,35 @@ struct MemoCounts {
   }
 };
 
-/// Computes a snapshot's successors on canonical flat encodings, with the
-/// same result and order as normalizing each snapshot of
+/// Computes a snapshot's successors on part vectors (SnapshotStore), with
+/// the same result and order as normalizing each snapshot of
 /// TransitionGenerator::Successors(Decode(span)) and encoding it.
 ///
 /// A peer's move reads only its local view (runtime::LocalView) and writes
 /// only its own configuration and the queues it uses (Definitions 2.4 and
 /// 2.6). So the rules run once per distinct view: the move memo maps the
-/// view's words, sliced from the parent span, to the encoded PeerMove, and
-/// the input memo maps the part of the successor's view that the options
-/// rules read to the encoded input choices. Under the move memo, each move
-/// rule (runtime::MoveRules) reads only the view parts its body names, its
-/// footprint: on a move miss the rule memo maps each rule's footprint,
-/// sliced from the move key, to the rule's encoded result, and only the
-/// rules that miss there are evaluated before TransitionGenerator::
-/// AssembleMove builds the move. Each successor span is then
-/// spliced from the parent: a new header, the mover's block replaced,
-/// consumed in-queues dequeued and delivered messages appended.
-/// Environment moves splice the same way. No runtime::Snapshot is built;
-/// memo misses decode just the view from its key. Errors are never
-/// memoized.
+/// view's words, sliced from the parent's rebuilt span, to the encoded
+/// PeerMove, and the input memo maps the part of the successor's view that
+/// the options rules read to the encoded input choices. Under the move
+/// memo, each move rule (runtime::MoveRules) reads only the view parts its
+/// body names, its footprint: on a move miss the rule memo maps each rule's
+/// footprint, sliced from the move key, to the rule's encoded result, and
+/// only the rules that miss there are evaluated before
+/// TransitionGenerator::AssembleMove builds the move. Each successor is
+/// then the parent's vector with a new header, the mover's state, input and
+/// tail section ids and the ids of the channels it edits (consumed
+/// in-queues dequeued, delivered messages appended). A section id is looked
+/// up read-only in the store's part table, and the mover's section ids are
+/// cached next to the move and input memo entries once found, so a
+/// successor that is already interned costs one hash and one compare over
+/// its vector. Environment moves replace the header and channel ids the
+/// same way. No runtime::Snapshot is built; memo misses decode just the
+/// view from its key. Errors are never memoized.
 class FlatExpander {
  public:
   /// One lane's memos and scratch. Not thread-safe: each concurrent
-  /// expansion needs its own lane.
+  /// expansion needs its own lane. The memos cache part ids, so a lane
+  /// serves one store.
   class Lane {
    public:
     Lane() = default;
@@ -129,8 +119,10 @@ class FlatExpander {
     std::vector<RuleMiss> rule_misses;
     std::vector<bool> rule_missed;  // per move rule
     std::vector<uint32_t> input_key;  // a move's input-key prefix
-    std::vector<uint32_t> head;  // the mover's successor span up to its input
-    std::vector<uint32_t> tail;  // ... and after it
+    std::vector<uint32_t> span;  // the parent's rebuilt span
+    std::vector<uint32_t> base;  // a move's successor vector before delivery
+    std::vector<uint32_t> vec;   // the successor vector being emitted
+    std::vector<uint32_t> part;  // a channel section being built
     std::vector<ChannelEdit> edits;
     std::vector<std::vector<ChannelEdit>> env_bases;
     /// One send alternative: (channel, message block) in out-queue order,
@@ -144,25 +136,26 @@ class FlatExpander {
                const runtime::FlatSnapshotCodec* codec,
                SnapshotNormalization normalization);
 
-  /// Appends every successor of `parent` (a normalized encoding) to `out`,
+  /// Appends every successor of snapshot `sid` of `store` to `out`,
   /// normalized, duplicates included, in TransitionGenerator::Successors
-  /// order. Adds the memo traffic to `counts`. On error `out` may hold a
-  /// partial expansion.
-  Status Expand(runtime::FlatSnapshot parent, Lane* lane, SpanList* out,
-                MemoCounts* counts) const;
+  /// order, each probed against the store. Adds the memo traffic to
+  /// `counts`. On error `out` may hold a partial expansion.
+  Status Expand(const SnapshotStore& store, SnapshotId sid, Lane* lane,
+                Candidates* out, MemoCounts* counts) const;
 
  private:
   /// Header words of an encoded PeerMove (see Move()): the word counts of
-  /// its state, raw prev and normalized tail sections and its error-flag
-  /// count. The sections follow in that order, then the send alternatives:
-  /// [alternatives, per alternative: [messages, per message: channel,
-  /// relation block]].
-  static constexpr size_t kMoveHeader = 4;
+  /// its state, raw prev and normalized tail sections, its error-flag
+  /// count, and the part ids of its state and tail sections (kEmpty until
+  /// found in the part table). The sections follow in that order, then the
+  /// send alternatives: [alternatives, per alternative: [messages, per
+  /// message: channel, relation block]].
+  static constexpr size_t kMoveHeader = 6;
 
   /// The move of peer `p` from `parent` (located in lane->layout): its
   /// encoded PeerMove, from the lane's memo or freshly evaluated.
-  Result<const uint32_t*> Move(runtime::FlatSnapshot parent, size_t p,
-                               Lane* lane, MemoCounts* counts) const;
+  Result<uint32_t*> Move(runtime::FlatSnapshot parent, size_t p, Lane* lane,
+                         MemoCounts* counts) const;
 
   /// The move of peer `p` for the move key in lane->key: each rule's
   /// result from the rule memo (its key sliced from the move key), the
@@ -170,18 +163,20 @@ class FlatExpander {
   Result<runtime::PeerMove> EvaluateMove(size_t p, Lane* lane,
                                          MemoCounts* counts) const;
 
-  /// Encoded input choices of peer `p` for the input key in lane->key.
-  Result<const uint32_t*> InputChoices(size_t p, Lane* lane,
-                                       MemoCounts* counts) const;
+  /// Encoded input choices of peer `p` for the input key in lane->key:
+  /// [choices, per choice: [words, part id (kEmpty until found), input
+  /// section]].
+  Result<uint32_t*> InputChoices(size_t p, Lane* lane,
+                                 MemoCounts* counts) const;
 
   /// The result memoized under `key`, or else `encode(out)`'s, which
   /// evaluates the view, appends the result's words to `out` and is
   /// counted in `evals`. A failed evaluation (which appends nothing) is not
   /// memoized. The result stays valid until the memo's next miss.
   template <typename Encode>
-  static Result<const uint32_t*> Memoized(Lane::Memo* memo,
-                                          const std::vector<uint32_t>& key,
-                                          size_t* evals, Encode encode);
+  static Result<uint32_t*> Memoized(Lane::Memo* memo,
+                                    const std::vector<uint32_t>& key,
+                                    size_t* evals, Encode encode);
 
   /// The parts of a peer's local view that a memo key holds, by index, in
   /// key order: state, input and prev relations as relation blocks, then
@@ -196,26 +191,30 @@ class FlatExpander {
   runtime::LocalView DecodeView(size_t p, const ViewSelection& selection,
                                 const uint32_t* key) const;
 
-  Status ExpandPeer(runtime::FlatSnapshot parent, size_t p, Lane* lane,
-                    SpanList* out, MemoCounts* counts) const;
-  void ExpandEnv(runtime::FlatSnapshot parent, Lane* lane,
-                 SpanList* out) const;
+  Status ExpandPeer(const SnapshotStore& store, const uint32_t* from,
+                    runtime::FlatSnapshot parent, size_t p, Lane* lane,
+                    Candidates* out, MemoCounts* counts) const;
+  void ExpandEnv(const SnapshotStore& store, const uint32_t* from,
+                 runtime::FlatSnapshot parent, Lane* lane,
+                 Candidates* out) const;
 
-  /// Appends the successor header: `mover_word`, then the parent's event
-  /// words with received/sent taken from `edits` (cleared unless
-  /// keep_flags) and, for a peer mover `p` >= 0, its send-error bits from
-  /// `errors`.
-  void AppendHeader(runtime::FlatSnapshot parent, uint32_t mover_word,
-                    const Lane::ChannelEdit* edits, int p,
-                    const uint32_t* errors, std::vector<uint32_t>* out) const;
-  /// Appends every channel of `parent` with `edits` applied.
-  void AppendChannels(runtime::FlatSnapshot parent,
-                      const runtime::FlatLayout& layout,
-                      const Lane::ChannelEdit* edits,
-                      std::vector<uint32_t>* out) const;
-  /// Appends an environment successor: header, unchanged peers, channels.
-  void EmitEnv(runtime::FlatSnapshot parent, const Lane& lane,
-               const Lane::ChannelEdit* edits, SpanList* out) const;
+  /// Writes the successor header to `out`: `mover_word`, then the parent's
+  /// event words (`from` + 1) with received/sent taken from `edits`
+  /// (cleared unless keep_flags) and, for a peer mover `p` >= 0, its
+  /// send-error bits from `errors`.
+  void WriteHeader(const uint32_t* from, uint32_t mover_word,
+                   const Lane::ChannelEdit* edits, int p,
+                   const uint32_t* errors, uint32_t* out) const;
+  /// The part id of channel `c` of `parent` with `edit` applied.
+  uint32_t ChannelPart(const SnapshotStore& store,
+                       runtime::FlatSnapshot parent, size_t c,
+                       const Lane::ChannelEdit& edit, Lane* lane,
+                       Candidates* out) const;
+  /// Appends an environment successor: the parent's vector with a new
+  /// header and the edited channels.
+  void EmitEnv(const SnapshotStore& store, const uint32_t* from,
+               runtime::FlatSnapshot parent, Lane* lane,
+               const Lane::ChannelEdit* edits, Candidates* out) const;
 
   const runtime::TransitionGenerator* generator_;
   const runtime::FlatSnapshotCodec* codec_;

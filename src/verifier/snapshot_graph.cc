@@ -39,28 +39,22 @@ SnapshotGraph::SnapshotGraph(const runtime::TransitionGenerator* generator,
     : generator_(generator),
       codec_(&generator->composition()),
       expander_(generator, &codec_, std::move(normalization)),
+      store_(&codec_),
       lanes_(1),
       expansions_(1) {}
 
-SnapshotId SnapshotGraph::InternSpan(const uint32_t* words, uint32_t count,
-                                     size_t hash, size_t* hits) {
-  SnapshotId found = intern_.Find(hash, [&](uint32_t id) {
-    return flats_[id] == runtime::FlatSnapshot{words, count};
-  });
-  if (found != FlatIdSet::kEmpty) {
+SnapshotId SnapshotGraph::Intern(const uint32_t* vec, size_t hash,
+                                 size_t* hits) {
+  SnapshotId id = store_.Find(vec, hash);
+  if (id != FlatIdSet::kEmpty) {
     ++*hits;
-    return found;
+    return id;
   }
-  SnapshotId id = static_cast<SnapshotId>(flats_.size());
-  flats_.push_back(runtime::FlatSnapshot{arena_.CopyWords(words, count), count});
-  hashes_.push_back(hash);
-  intern_.Insert(hash, id);
+  id = store_.Add(vec, hash);
   successors_.emplace_back();
-  obs::Registry& registry = obs::Registry::Global();
-  static obs::Counter& interned = registry.counter("graph.snapshots");
-  static obs::Counter& arena_bytes = registry.counter("graph.arena_bytes");
+  static obs::Counter& interned =
+      obs::Registry::Global().counter("graph.snapshots");
   interned.Add(1);
-  arena_bytes.Add(count * sizeof(uint32_t));
   return id;
 }
 
@@ -70,18 +64,17 @@ Result<const std::vector<SnapshotId>*> SnapshotGraph::Initials() {
                          generator_->InitialSnapshots());
     // Initial snapshots are already normalized: no mover, no events, empty
     // actions and previous inputs.
+    const size_t bytes = store_.bytes();
     std::vector<SnapshotId> ids;
-    std::vector<uint32_t> words;
-    size_t hits = 0;
+    std::vector<uint32_t> words, vec;
+    MergeTally tally;
     for (const runtime::Snapshot& s : snaps) {
       codec_.Encode(s, &words);
-      ids.push_back(InternSpan(
-          words.data(), static_cast<uint32_t>(words.size()),
-          runtime::HashFlatSnapshot(words.data(), words.size()), &hits));
+      store_.Split({words.data(), static_cast<uint32_t>(words.size())}, &vec);
+      ids.push_back(Intern(vec.data(), store_.Hash(vec.data()), &tally.hits));
     }
-    obs::Registry& registry = obs::Registry::Global();
-    registry.counter("graph.encode").Add(snaps.size());
-    registry.counter("graph.intern_hits").Add(hits);
+    tally.candidates = snaps.size();
+    Book(tally, bytes);
     std::sort(ids.begin(), ids.end());
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
     initials_ = std::move(ids);
@@ -91,50 +84,38 @@ Result<const std::vector<SnapshotId>*> SnapshotGraph::Initials() {
 
 void SnapshotGraph::Expansion::Clear() {
   nodes.clear();
-  fresh.Clear();
-  fresh_hashes.clear();
+  candidates.Clear();
   status = Status::Ok();
 }
 
-Status SnapshotGraph::Expand(SnapshotId sid, Lane& lane,
+Status SnapshotGraph::Expand(SnapshotId sid, FlatExpander::Lane& lane,
                              Expansion* out) const {
-  SpanList& spans = lane.node;
-  spans.Clear();
   MemoCounts memo;
-  WSV_RETURN_IF_ERROR(expander_.Expand(flats_[sid], &lane.memo, &spans, &memo));
-  Expansion::Node& node = out->nodes.emplace_back();
-  node.memo = memo;
-  node.ids.reserve(spans.size());
-  for (size_t i = 0; i < spans.size(); ++i) {
-    const runtime::FlatSnapshot span = spans.span(i);
-    const size_t hash = runtime::HashFlatSnapshot(span.data, span.size);
-    const SnapshotId id = intern_.Find(
-        hash, [&](uint32_t known) { return flats_[known] == span; });
-    node.ids.push_back(id);
-    if (id == FlatIdSet::kEmpty) {
-      SpanList& fresh = out->fresh;
-      fresh.words.insert(fresh.words.end(), span.data, span.data + span.size);
-      fresh.begin.push_back(static_cast<uint32_t>(fresh.words.size()));
-      out->fresh_hashes.push_back(hash);
-    }
-  }
+  WSV_RETURN_IF_ERROR(
+      expander_.Expand(store_, sid, &lane, &out->candidates, &memo));
+  out->nodes.push_back({out->candidates.ids.size(), memo});
   return Status::Ok();
 }
 
 void SnapshotGraph::Merge(SnapshotId sid, Expansion& exp, size_t node,
-                          size_t* fresh, MergeTally* tally) {
-  std::vector<SnapshotId>& ids = exp.nodes[node].ids;
+                          size_t* begin, size_t* fresh, MergeTally* tally) {
+  Candidates& candidates = exp.candidates;
+  const size_t end = exp.nodes[node].end;
+  std::vector<SnapshotId> ids(candidates.ids.begin() + *begin,
+                              candidates.ids.begin() + end);
+  *begin = end;
   // Candidates missing before the expansion re-probe the (now growing)
-  // table, which both dedups within a batch and copies each winner's span
-  // into the persistent arena exactly once.
+  // store, which both dedups within a batch and adds each winner exactly
+  // once; a section unseen at expansion is interned first.
   for (SnapshotId& id : ids) {
     if (id != FlatIdSet::kEmpty) {
       ++tally->hits;
       continue;
     }
-    const runtime::FlatSnapshot span = exp.fresh.span(*fresh);
-    id = InternSpan(span.data, span.size, exp.fresh_hashes[(*fresh)++],
-                    &tally->hits);
+    uint32_t* vec = candidates.fresh.data() + *fresh * store_.width();
+    size_t hash = candidates.fresh_hashes[(*fresh)++];
+    if (store_.InternUnseen(vec, candidates)) hash = store_.Hash(vec);
+    id = Intern(vec, hash, &tally->hits);
   }
   tally->candidates += ids.size();
   std::sort(ids.begin(), ids.end());
@@ -149,16 +130,18 @@ void SnapshotGraph::Merge(SnapshotId sid, Expansion& exp, size_t node,
   successors_[sid] = std::move(ids);
 }
 
-void SnapshotGraph::Book(const MergeTally& tally) {
+void SnapshotGraph::Book(const MergeTally& tally, size_t bytes) const {
   obs::Registry& registry = obs::Registry::Global();
   static obs::Counter& encodes = registry.counter("graph.encode");
   static obs::Counter& intern_hits = registry.counter("graph.intern_hits");
   static obs::Counter& calls = registry.counter("graph.successor_calls");
   static obs::Counter& edges = registry.counter("graph.transitions");
+  static obs::Counter& arena_bytes = registry.counter("graph.arena_bytes");
   encodes.Add(tally.candidates);
   intern_hits.Add(tally.hits);
   calls.Add(tally.nodes);
   edges.Add(tally.edges);
+  arena_bytes.Add(store_.bytes() - bytes);
   CountMemo(tally.memo);
 }
 
@@ -168,10 +151,12 @@ Result<const std::vector<SnapshotId>*> SnapshotGraph::Successors(
     Expansion& exp = expansions_[0];
     exp.Clear();
     WSV_RETURN_IF_ERROR(Expand(sid, lanes_[0], &exp));
+    const size_t bytes = store_.bytes();
     MergeTally tally;
+    size_t begin = 0;
     size_t fresh = 0;
-    Merge(sid, exp, 0, &fresh, &tally);
-    Book(tally);
+    Merge(sid, exp, 0, &begin, &fresh, &tally);
+    Book(tally, bytes);
   }
   return &*successors_[sid];
 }
@@ -205,13 +190,13 @@ Result<bool> SnapshotGraph::ExploreBatches(size_t max_snapshots,
   // Where a batch ends changes only which candidates the merge finds
   // already interned, never an id or a counter.
   constexpr size_t kBatchPerLane = 256;
-  for (size_t batch_begin = 0; batch_begin < flats_.size();) {
-    const size_t n = std::min(flats_.size() - batch_begin,
+  for (size_t batch_begin = 0; batch_begin < size();) {
+    const size_t n = std::min(size() - batch_begin,
                               kBatchPerLane * (helpers + 1));
 
     // Compute phase: expand the batch chunk by chunk, probing each
     // candidate against the graph as it stood before this batch. The graph
-    // is not mutated here, so hits are final; only the misses' spans are
+    // is not mutated here, so hits are final; only the misses' vectors are
     // kept for the sequential merge below, the only place ids are assigned.
     const size_t per_chunk = std::min<size_t>(64, n / ((helpers + 1) * 16) + 1);
     const size_t num_chunks = (n + per_chunk - 1) / per_chunk;
@@ -248,24 +233,27 @@ Result<bool> SnapshotGraph::ExploreBatches(size_t max_snapshots,
     // Merge pass (sequential): assign ids in exact BFS order, so ids,
     // counters, transitions, and the budget cut-off do not depend on how
     // the batch was chunked. Counters are booked once per batch.
+    const size_t bytes = store_.bytes();
     MergeTally tally;
     size_t sid = batch_begin;
     for (size_t c = 0; c < num_chunks; ++c) {
       Expansion& exp = expansions_[c];
+      size_t begin = 0;
       size_t fresh = 0;
       for (size_t node = 0; node < exp.nodes.size(); ++node) {
-        Merge(static_cast<SnapshotId>(sid++), exp, node, &fresh, &tally);
-        if (flats_.size() > max_snapshots) {
-          Book(tally);
+        Merge(static_cast<SnapshotId>(sid++), exp, node, &begin, &fresh,
+              &tally);
+        if (size() > max_snapshots) {
+          Book(tally, bytes);
           return false;
         }
       }
       if (!exp.status.ok()) {
-        Book(tally);
+        Book(tally, bytes);
         return exp.status;
       }
     }
-    Book(tally);
+    Book(tally, bytes);
     batch_begin += n;
 
     obs::ProgressMeter::Global().MaybeBeat();
@@ -275,10 +263,17 @@ Result<bool> SnapshotGraph::ExploreBatches(size_t max_snapshots,
   return true;
 }
 
+runtime::Snapshot SnapshotGraph::snapshot(SnapshotId sid) const {
+  std::vector<uint32_t> words;
+  return codec_.Decode(store_.Span(sid, &words));
+}
+
 fo::MapStructure SnapshotGraph::Structure(SnapshotId sid) const {
+  std::vector<uint32_t> words;
   return runtime::BuildPropertyStructure(generator_->composition(),
                                          generator_->databases(), codec_,
-                                         flats_[sid], generator_->domain());
+                                         store_.Span(sid, &words),
+                                         generator_->domain());
 }
 
 LeafCache::LeafCache(SnapshotGraph* graph, std::vector<fo::FormulaPtr> leaves,
@@ -404,13 +399,15 @@ Status LeafCache::SealBatch(const SnapshotId* sids, size_t count,
   std::vector<std::vector<uint32_t>> chunk_words(num_chunks);
   std::vector<KeyRef> refs(count * num_leaves);
   std::vector<runtime::FlatLayout> layouts(helpers + 1);
+  std::vector<std::vector<uint32_t>> spans(helpers + 1);
   ThreadPool::ParallelChunks(
       pool, helpers, num_chunks, [&](size_t lane, size_t chunk) {
         runtime::FlatLayout& layout = layouts[lane];
         std::vector<uint32_t>& words = chunk_words[chunk];
         const size_t end = std::min(count, (chunk + 1) * kPerChunk);
         for (size_t p = chunk * kPerChunk; p < end; ++p) {
-          const runtime::FlatSnapshot flat = graph_->flat(sids[p]);
+          const runtime::FlatSnapshot flat =
+              graph_->store().Span(sids[p], &spans[lane]);
           graph_->codec().Locate(flat, &layout);
           for (size_t leaf = 0; leaf < num_leaves; ++leaf) {
             KeyRef& ref = refs[p * num_leaves + leaf];

@@ -6,7 +6,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/flat_hash.h"
 #include "common/interner.h"
 #include "common/run_control.h"
@@ -17,10 +16,9 @@
 #include "runtime/flat_snapshot.h"
 #include "runtime/transition.h"
 #include "verifier/flat_expansion.h"
+#include "verifier/snapshot_store.h"
 
 namespace wsv::verifier {
-
-using SnapshotId = uint32_t;
 
 /// The composition's configuration graph for one database choice, explored
 /// lazily and shared across all property instances (valuations of the
@@ -34,17 +32,18 @@ using SnapshotId = uint32_t;
 /// `keep_flags` is set (because some proposition observes them), snapshots
 /// differing only there are collapsed.
 ///
-/// Interned snapshots are stored as canonical flat encodings
-/// (runtime::FlatSnapshot): one contiguous arena-backed uint32 span per
-/// snapshot, deduplicated through an open-addressing id table keyed by the
-/// span hash. Equality on the intern path is a single memcmp. Expansion
-/// runs on the spans too (FlatExpander): successor spans are spliced from
-/// the parent, and a Snapshot object is only rebuilt when a witness is
-/// rendered or a property structure is built. ExploreAll expands the BFS
-/// frontier a batch at a time, fanned out over a borrowed ThreadPool when
-/// one is given; ids are assigned by an ordered per-batch merge, so the id
-/// sequence (and every derived witness and statistic) is the same at any
-/// job count.
+/// Interned snapshots are part vectors in a SnapshotStore: a few words of
+/// header and section ids each, the sections interned once per graph.
+/// Expansion runs on the vectors (FlatExpander): a successor is the
+/// parent's vector with the changed section ids replaced, probed against
+/// the store read-only. Whatever reads a snapshot's words (memo and
+/// footprint keys, property structures, witnesses) rebuilds its flat
+/// encoding from the vector, and a Snapshot object is only decoded when a
+/// witness is rendered or a property structure is built. ExploreAll
+/// expands the BFS frontier a batch at a time, fanned out over a borrowed
+/// ThreadPool when one is given; ids are assigned by an ordered per-batch
+/// merge, so the id sequence (and every derived witness and statistic) is
+/// the same at any job count.
 class SnapshotGraph {
  public:
   SnapshotGraph(const runtime::TransitionGenerator* generator,
@@ -61,17 +60,15 @@ class SnapshotGraph {
   /// Successor snapshot ids (deduplicated), computed on first use.
   Result<const std::vector<SnapshotId>*> Successors(SnapshotId sid);
 
-  /// The canonical flat encoding of a snapshot (stable for the graph's
-  /// lifetime; spans live in the graph's arena).
-  runtime::FlatSnapshot flat(SnapshotId sid) const { return flats_[sid]; }
+  /// The interned snapshots; store().Span rebuilds a snapshot's canonical
+  /// flat encoding.
+  const SnapshotStore& store() const { return store_; }
 
   const runtime::FlatSnapshotCodec& codec() const { return codec_; }
 
   /// Decodes a snapshot into a fresh object (cold path — witness rendering
-  /// and debugging; the hot paths work on the flat encodings directly).
-  runtime::Snapshot snapshot(SnapshotId sid) const {
-    return codec_.Decode(flats_[sid]);
-  }
+  /// and debugging; the hot paths work on the vectors and spans directly).
+  runtime::Snapshot snapshot(SnapshotId sid) const;
 
   /// Builds the property-evaluation structure of a snapshot (transient —
   /// structures copy every relation, so they are never cached; LeafCache
@@ -79,11 +76,11 @@ class SnapshotGraph {
   /// Thread-safe: decodes into a local scratch snapshot.
   fo::MapStructure Structure(SnapshotId sid) const;
 
-  size_t size() const { return flats_.size(); }
+  size_t size() const { return store_.size(); }
   size_t transitions_computed() const { return transitions_; }
 
-  /// Bytes of canonical snapshot encodings held in the persistent arena.
-  size_t arena_bytes() const { return arena_.used_bytes(); }
+  /// Bytes of the interned snapshots: their vectors and section words.
+  size_t arena_bytes() const { return store_.bytes(); }
 
   /// Exhaustively explores the reachable configuration graph (BFS), up to
   /// `max_snapshots`. Returns true iff exploration completed; on false the
@@ -105,26 +102,17 @@ class SnapshotGraph {
   bool fully_explored() const { return fully_explored_; }
 
  private:
-  /// One expansion lane: its memos and the candidate spans of the node it
-  /// is expanding.
-  struct Lane {
-    FlatExpander::Lane memo;
-    SpanList node;
-  };
-
-  /// The expansions of consecutive nodes by one lane, in node order: each
-  /// candidate is its id if it was interned before the expansion, else
-  /// FlatIdSet::kEmpty with its span and hash kept in `fresh` for the merge.
-  /// A BFS batch keeps one per chunk, reused batch after batch so the
-  /// buffers of fresh spans are allocated once per graph.
+  /// The expansions of consecutive nodes by one lane, in node order: node
+  /// i's candidates end at candidates.ids[nodes[i].end]. A BFS batch keeps
+  /// one per chunk, reused batch after batch so the candidate buffers are
+  /// allocated once per graph.
   struct Expansion {
     struct Node {
-      std::vector<SnapshotId> ids;  // moved to the node's successors
+      size_t end;
       MemoCounts memo;
     };
     std::vector<Node> nodes;
-    SpanList fresh;
-    std::vector<size_t> fresh_hashes;
+    Candidates candidates;
     /// Set when the chunk ended before its last node: the node's error or
     /// a stop.
     Status status = Status::Ok();
@@ -141,23 +129,24 @@ class SnapshotGraph {
     MemoCounts memo;
   };
 
-  /// Interns an already-encoded span: returns the existing id (counting
-  /// it in `hits`) or copies the span into the persistent arena under a
-  /// fresh id.
-  SnapshotId InternSpan(const uint32_t* words, uint32_t count, size_t hash,
-                        size_t* hits);
+  /// Interns a vector: returns the existing id (counting it in `hits`) or
+  /// adds the vector under a fresh id.
+  SnapshotId Intern(const uint32_t* vec, size_t hash, size_t* hits);
 
   /// Expands `sid` on `lane` and appends it to `out`, probing candidates
   /// against the graph as it stands. Reads the graph only, so lanes may
   /// expand concurrently while nothing is interned.
-  Status Expand(SnapshotId sid, Lane& lane, Expansion* out) const;
+  Status Expand(SnapshotId sid, FlatExpander::Lane& lane,
+                Expansion* out) const;
 
-  /// Interns node `node` of `exp` (its fresh spans start at `*fresh`,
-  /// advanced past them) and caches the result as the successors of `sid`.
-  void Merge(SnapshotId sid, Expansion& exp, size_t node, size_t* fresh,
-             MergeTally* tally);
+  /// Interns node `node` of `exp` (its candidates start at `*begin` and
+  /// its fresh vectors at `*fresh`, both advanced past them) and caches the
+  /// result as the successors of `sid`.
+  void Merge(SnapshotId sid, Expansion& exp, size_t node, size_t* begin,
+             size_t* fresh, MergeTally* tally);
 
-  static void Book(const MergeTally& tally);
+  /// Books `tally` and the store's growth since `bytes` in the registry.
+  void Book(const MergeTally& tally, size_t bytes) const;
 
   /// The BFS of ExploreAll, one batch at a time, over `helpers` pool
   /// workers besides the caller.
@@ -168,17 +157,12 @@ class SnapshotGraph {
   runtime::FlatSnapshotCodec codec_;
   FlatExpander expander_;
 
-  /// Canonical encodings: flats_[id] points into arena_; hashes_[id] is its
-  /// span hash, kept so table growth never rehashes content.
-  Arena arena_;
-  std::vector<runtime::FlatSnapshot> flats_;
-  std::vector<size_t> hashes_;
-  FlatIdSet intern_;
+  SnapshotStore store_;
 
   /// Expansion lanes and per-chunk expansions (lane 0 and expansion 0
   /// also serve lazy Successors calls). A finished exploration drops them:
   /// every successor list is then cached.
-  std::vector<Lane> lanes_;
+  std::vector<FlatExpander::Lane> lanes_;
   std::vector<Expansion> expansions_;
 
   std::vector<std::optional<std::vector<SnapshotId>>> successors_;
@@ -195,7 +179,7 @@ class SnapshotGraph {
 /// A leaf's answer depends only on the relations its atoms name (the
 /// graph's database and domain are fixed), so the cache evaluates each leaf
 /// once per distinct *footprint*: the exact contents of those relations,
-/// sliced straight from the snapshot's flat encoding. Footprints are hashed
+/// sliced from the snapshot's rebuilt flat encoding. Footprints are hashed
 /// for lookup but always compared word for word. Snapshots with equal
 /// footprints share one ValuationSet, so a cell is a pointer into the
 /// leaf's memo rather than a copy.

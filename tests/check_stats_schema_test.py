@@ -245,6 +245,19 @@ def main(argv):
         {k: v for k, v in move_counters.items()
          if k != "graph.rule_lookups"})
 
+    # Snapshot interning: 110 encoded candidates, 95 found interned and 15
+    # interned as new snapshots. A probe that books a hit for a fresh
+    # snapshot counts it twice.
+    intern_counters = {"sweep.databases": 4, "graph.encode": 110,
+                       "graph.intern_hits": 95, "graph.snapshots": 15}
+    intern = mutate(base_doc(), "counters", intern_counters)
+    intern_fresh_hit = mutate(base_doc(), "counters",
+                              dict(intern_counters,
+                                   **{"graph.intern_hits": 96}))
+    rollup_intern_bad = mutate(merge_doc(), "shards.counters",
+                               dict(intern_counters,
+                                    **{"graph.snapshots": 14}))
+
     # Phase tree closure: every "a/b" path needs an "a" entry.
     deeper = mutate(base_doc(), "phases", base_doc()["phases"] + [
         {"path": "total/check_db/ndfs", "total_ns": 300, "self_ns": 300,
@@ -383,6 +396,9 @@ def main(argv):
          False),
         ("leaves without leaf_evals", leaf_missing_evals, False),
         # Graph expansion memo accounting.
+        ("valid intern accounting", intern, True),
+        ("intern hit booked for a fresh snapshot", intern_fresh_hit, False),
+        ("roll-up intern accounting off", rollup_intern_bad, False),
         ("valid move memo accounting", move_memo, True),
         ("move_lookups != successor_calls * peers", move_lookups_off, False),
         ("input_evals over input_lookups", input_evals_over, False),

@@ -1,13 +1,18 @@
-// Oracle test for verifier::FlatExpander: for every snapshot of a reachable
-// graph (explored up to a budget), the successor spans spliced from the
-// flat encoding must equal, in order, the normalized encodings of
-// TransitionGenerator::Successors on the decoded snapshot — the object
-// path that Simulator uses. Inputs cover every spec file, the loan
-// composition at k = 1 and 2, and generated compositions of all six
-// regimes (environment moves, perfect channels, deterministic flat sends,
-// lookback, nested queues) and E-T3.4's synthetic peer, under each
-// normalization, serially and on four lanes. Every expansion's memo
-// traffic is checked too: rules are looked up only when their move missed.
+// Oracle test for verifier::FlatExpander and verifier::SnapshotStore: for
+// every snapshot of a reachable graph (explored up to a budget), the
+// successors built on part vectors must rebuild, in order, to the
+// normalized encodings of TransitionGenerator::Successors on the decoded
+// snapshot — the object path that Simulator uses — and a candidate is
+// reported interned exactly when its span is in the graph. Inputs cover
+// every spec file, the loan composition at k = 1 and 2, and generated
+// compositions of all six regimes (environment moves, perfect channels,
+// deterministic flat sends, lookback, nested queues) and E-T3.4's synthetic
+// peer, under each normalization, serially and on four lanes. Every
+// expansion's memo traffic is checked too: rules are looked up only when
+// their move missed. The store itself is checked against plain word sets:
+// every snapshot's span round-trips through the codec, no two ids share a
+// span, ids mean the same span on one lane and on four, and equal sections
+// share one part id wherever they sit.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -103,20 +109,79 @@ struct Coverage {
   size_t snapshots = 0;
   size_t longest_queue = 0;
   size_t env_successors = 0;
+  /// Part ids that sit at positions of two section kinds (peer state,
+  /// input, tail, channel contents) in some graph.
+  size_t shared_parts = 0;
 };
 
-/// Empty when `sid`'s flat successors match the reference, else a
-/// description of the first difference.
+using Words = std::vector<uint32_t>;
+
+/// Each snapshot's span, indexed by id.
+using GraphSpans = std::vector<Words>;
+
+/// Checks the store of `graph` against plain word sets, and returns each
+/// snapshot's span: every span round-trips through the codec, no two ids
+/// share a span, and each part id stands for one section's words and those
+/// words for one id, whatever position (kind of section) they sit at.
+GraphSpans CheckStore(const SnapshotGraph& graph, Coverage* coverage) {
+  const SnapshotStore& store = graph.store();
+  const runtime::FlatSnapshotCodec& codec = graph.codec();
+  const size_t peers = codec.composition().peers().size();
+  GraphSpans spans(graph.size());
+  std::set<Words> distinct;
+  std::map<Words, uint32_t> part_of;
+  std::map<uint32_t, std::set<size_t>> kinds;  // 0-2 peer sections, 3 queue
+  runtime::FlatLayout layout;
+  std::vector<uint32_t> bounds;
+  Words words;
+  for (size_t sid = 0; sid < graph.size(); ++sid) {
+    const runtime::FlatSnapshot span =
+        store.Span(static_cast<SnapshotId>(sid), &spans[sid]);
+    codec.Encode(codec.Decode(span), &words);
+    EXPECT_EQ(words, spans[sid]) << "snapshot " << sid
+                                 << " does not round-trip";
+    EXPECT_TRUE(distinct.insert(spans[sid]).second)
+        << "snapshot " << sid << " repeats an earlier span";
+
+    const uint32_t* vec = store.vector(static_cast<SnapshotId>(sid));
+    EXPECT_TRUE(std::equal(vec, vec + store.header_words(), span.data));
+    codec.Locate(span, &layout);
+    codec.Sections(span, layout, &bounds);
+    EXPECT_EQ(bounds.size(), store.width() - store.header_words() + 1);
+    EXPECT_EQ(bounds[0], store.header_words());
+    for (size_t k = 0; k + 1 < bounds.size(); ++k) {
+      const Words section(span.data + bounds[k], span.data + bounds[k + 1]);
+      const uint32_t id = vec[store.header_words() + k];
+      const auto [it, added] = part_of.emplace(section, id);
+      EXPECT_EQ(it->second, id) << "snapshot " << sid << " section " << k;
+      kinds[id].insert(k < 3 * peers ? k % 3 : 3);
+    }
+  }
+  // Distinct sections have distinct ids.
+  std::set<uint32_t> ids;
+  for (const auto& [section, id] : part_of) {
+    EXPECT_TRUE(ids.insert(id).second) << "part " << id << " is two sections";
+  }
+  for (const auto& [id, at] : kinds) coverage->shared_parts += at.size() > 1;
+  return spans;
+}
+
+/// Empty when `sid`'s successors match the reference and are reported
+/// interned exactly when the graph holds them, else a description of the
+/// first difference.
 std::string CompareSuccessors(const runtime::TransitionGenerator& generator,
                               const SnapshotGraph& graph,
+                              const GraphSpans& spans,
+                              const std::map<Words, SnapshotId>& ids,
                               const FlatExpander& expander,
                               const SnapshotNormalization& norm,
                               const Interner& interner,
                               FlatExpander::Lane* lane, MemoCounts* counts,
                               SnapshotId sid) {
-  SpanList spans;
+  const SnapshotStore& store = graph.store();
+  Candidates candidates;
   MemoCounts memo;
-  Status status = expander.Expand(graph.flat(sid), lane, &spans, &memo);
+  Status status = expander.Expand(store, sid, lane, &candidates, &memo);
   if (!status.ok()) return "flat expansion failed: " + status.ToString();
   *counts += memo;
   // One rule lookup per move rule of each peer whose move missed.
@@ -138,40 +203,58 @@ std::string CompareSuccessors(const runtime::TransitionGenerator& generator,
   if (!reference.ok()) {
     return "reference expansion failed: " + reference.status().ToString();
   }
-  if (reference->size() != spans.size()) {
-    return "flat path has " + std::to_string(spans.size()) +
+  const std::vector<SnapshotId>& found = candidates.ids;
+  if (reference->size() != found.size()) {
+    return "flat path has " + std::to_string(found.size()) +
            " successors, reference " + std::to_string(reference->size());
   }
-  std::vector<uint32_t> words;
-  for (size_t i = 0; i < spans.size(); ++i) {
+  std::vector<uint32_t> words, rebuilt;
+  size_t fresh = 0;
+  for (size_t i = 0; i < found.size(); ++i) {
     runtime::Snapshot& expected = (*reference)[i];
     Normalize(norm, &expected);
     graph.codec().Encode(expected, &words);
     const runtime::FlatSnapshot want{words.data(),
                                      static_cast<uint32_t>(words.size())};
-    if (!(spans.span(i) == want)) {
+    const runtime::FlatSnapshot got =
+        found[i] != FlatIdSet::kEmpty
+            ? runtime::FlatSnapshot{spans[found[i]].data(),
+                                    static_cast<uint32_t>(
+                                        spans[found[i]].size())}
+            : store.Span(candidates.fresh.data() + fresh++ * store.width(),
+                         &rebuilt, &candidates.parts);
+    if (!(got == want)) {
       return "successor " + std::to_string(i) + " differs: flat path " +
-             graph.codec().Decode(spans.span(i)).ToString(
-                 generator.composition(), interner) +
+             graph.codec().Decode(got).ToString(generator.composition(),
+                                                interner) +
              "\nreference " +
              expected.ToString(generator.composition(), interner);
+    }
+    auto it = ids.find(words);
+    const SnapshotId interned = it == ids.end() ? FlatIdSet::kEmpty
+                                                : it->second;
+    if (found[i] != interned) {
+      return "successor " + std::to_string(i) + " is reported as " +
+             std::to_string(found[i]) + ", the graph has it as " +
+             std::to_string(interned);
     }
   }
   return "";
 }
 
-/// Explores `in` under `norm` on `lanes` lanes, then checks every
-/// snapshot's flat successors against the reference, again on `lanes`
-/// lanes with one memo lane each.
-void CheckInput(const Input& in, const SnapshotNormalization& norm,
-                size_t lanes, Coverage* coverage) {
+/// Explores `in` under `norm` on `lanes` lanes, checks its store, then
+/// checks every snapshot's successors against the reference, again on
+/// `lanes` lanes with one memo lane each. Returns each snapshot's span.
+GraphSpans CheckInput(const Input& in, const SnapshotNormalization& norm,
+                      size_t lanes, Coverage* coverage) {
   SCOPED_TRACE(in.name + " at " + std::to_string(lanes) + " lanes");
   PseudoDomain pd = BuildPseudoDomain(in.comp, in.constants, in.fresh);
   std::vector<data::Instance> dbs;
   if (!in.pinned.empty()) {
     auto materialized =
         MaterializeDatabases(in.comp, in.pinned, pd.interner, pd.domain);
-    ASSERT_TRUE(materialized.ok()) << materialized.status();
+    EXPECT_TRUE(materialized.ok()) << materialized.status();
+    if (!materialized.ok()) return {};
     dbs = std::move(*materialized);
   } else {
     DatabaseEnumerator enumerator(&in.comp, pd.domain, pd.fresh,
@@ -202,8 +285,14 @@ void CheckInput(const Input& in, const SnapshotNormalization& norm,
 
   SnapshotGraph graph(&generator, norm);
   auto explored = graph.ExploreAll(in.max_snapshots, nullptr, pool_ptr, lanes);
-  ASSERT_TRUE(explored.ok()) << explored.status();
+  EXPECT_TRUE(explored.ok()) << explored.status();
+  if (!explored.ok()) return {};
   const size_t n = graph.size();
+  GraphSpans spans = CheckStore(graph, coverage);
+  std::map<Words, SnapshotId> ids;
+  for (size_t sid = 0; sid < n; ++sid) {
+    ids.emplace(spans[sid], static_cast<SnapshotId>(sid));
+  }
 
   FlatExpander expander(&generator, &graph.codec(), norm);
   std::vector<FlatExpander::Lane> memo_lanes(lanes);
@@ -212,13 +301,14 @@ void CheckInput(const Input& in, const SnapshotNormalization& norm,
   ThreadPool::ParallelChunks(pool_ptr, lanes - 1, n,
                              [&](size_t lane, size_t sid) {
                                failures[sid] = CompareSuccessors(
-                                   generator, graph, expander, norm,
-                                   pd.interner, &memo_lanes[lane],
+                                   generator, graph, spans, ids, expander,
+                                   norm, pd.interner, &memo_lanes[lane],
                                    &counts[lane],
                                    static_cast<SnapshotId>(sid));
                              });
   for (size_t sid = 0; sid < n; ++sid) {
-    ASSERT_EQ(failures[sid], "") << "snapshot " << sid;
+    EXPECT_EQ(failures[sid], "") << "snapshot " << sid;
+    if (!failures[sid].empty()) return spans;
   }
 
   MemoCounts total;
@@ -238,15 +328,19 @@ void CheckInput(const Input& in, const SnapshotNormalization& norm,
     }
     if (snap.mover == runtime::kEnvMover) ++coverage->env_successors;
   }
+  return spans;
 }
 
+/// CheckInput under every normalization at 1 and 4 lanes; an id must mean
+/// the same snapshot at both lane counts.
 Coverage CheckAll(const Input& in) {
   Coverage coverage;
   for (const SnapshotNormalization& norm : Normalizations(in.comp)) {
-    for (size_t lanes : {1, 4}) {
-      CheckInput(in, norm, lanes, &coverage);
-      if (::testing::Test::HasFatalFailure()) return coverage;
-    }
+    const GraphSpans serial = CheckInput(in, norm, 1, &coverage);
+    if (::testing::Test::HasFailure()) return coverage;
+    const GraphSpans parallel = CheckInput(in, norm, 4, &coverage);
+    if (::testing::Test::HasFailure()) return coverage;
+    EXPECT_TRUE(serial == parallel) << in.name << ": ids differ by lanes";
   }
   return coverage;
 }
@@ -260,6 +354,7 @@ std::string ReadFile(const std::filesystem::path& path) {
 
 TEST(FlatExpansion, SpecFilesMatchReference) {
   size_t files = 0;
+  size_t shared_parts = 0;
   for (const auto& entry : std::filesystem::directory_iterator(WSV_SPECS_DIR)) {
     if (entry.path().extension() != ".wsv") continue;
     auto comp = spec::ParseComposition(ReadFile(entry.path()));
@@ -267,11 +362,15 @@ TEST(FlatExpansion, SpecFilesMatchReference) {
     Input in(entry.path().filename().string(), std::move(*comp));
     in.run.allow_env_moves = !in.comp.IsClosed();
     const Coverage coverage = CheckAll(in);
-    if (HasFatalFailure()) return;
+    if (HasFailure()) return;
     EXPECT_GT(coverage.snapshots, 0u);
+    shared_parts += coverage.shared_parts;
     ++files;
   }
   EXPECT_GE(files, 7u);
+  // Equal sections of different kinds (say an empty state and an empty
+  // queue) are one part.
+  EXPECT_GT(shared_parts, 0u);
 }
 
 std::vector<NamedDatabase> LoanDatabase() {
@@ -293,7 +392,7 @@ TEST(FlatExpansion, LoanAtQueueBounds1And2) {
     in.run.queue_bound = bound;
     in.max_snapshots = 1500;
     const Coverage coverage = CheckAll(in);
-    if (HasFatalFailure()) return;
+    if (HasFailure()) return;
     // At k = 2 the in-queue head after a dequeue is the second message.
     EXPECT_EQ(coverage.longest_queue, bound);
   }
@@ -332,7 +431,7 @@ TEST(FlatExpansion, GeneratedScenariosOfEveryRegime) {
       std::optional<Input> in = GeneratedInput(regime, seed);
       if (!in.has_value()) return;
       const Coverage coverage = CheckAll(*in);
-      if (HasFatalFailure()) return;
+      if (HasFailure()) return;
       if (regime == gen::Regime::kExternal) {
         EXPECT_GT(coverage.env_successors, 0u) << in->name;
       }

@@ -22,7 +22,10 @@ document that reports its peer count ("peers") must satisfy
 graph.move_lookups = graph.successor_calls * peers; evaluations never
 exceed lookups, for moves, move rules and input choices alike. Move rules
 are looked up only when their move missed, so graph.rule_lookups is 0
-when graph.move_evals is.
+when graph.move_evals is. Every successor candidate the graph encodes is
+either found interned or interned as a new snapshot, so
+graph.intern_hits + graph.snapshots = graph.encode, per document and on
+the shard roll-up.
 With a trace argument, also checks that the trace file is a well-formed
 Chrome trace-event document. --require-counter (repeatable) additionally
 fails unless the named counter is present, so perf-smoke ctest entries can
@@ -85,6 +88,7 @@ def check_stats(path):
     check_fault_counters(doc["counters"], "counters")
     check_valuation_counters(doc["counters"], "counters")
     check_memo_counters(doc["counters"], doc.get("peers"))
+    check_intern_counters(doc["counters"], "counters")
     for name, hist in doc["histograms"].items():
         expect(isinstance(hist, dict), f"histogram '{name}' must be an object")
         for field in ("count", "sum", "min", "max"):
@@ -216,6 +220,7 @@ def check_shards_rollup(shards):
     check_phases(shards.get("phases"), "shards.phases")
     check_fault_counters(shards["counters"], "shards.counters")
     check_valuation_counters(shards["counters"], "shards.counters")
+    check_intern_counters(shards["counters"], "shards.counters")
     util = shards.get("utilization")
     expect(isinstance(util, dict), "'shards.utilization' must be an object")
     for field in ("mean", "min", "max"):
@@ -273,6 +278,19 @@ def check_valuation_counters(counters, where):
            f"{parts['searches']} + search_memo_hits "
            f"{parts['search_memo_hits']} != engine.valuations_checked "
            f"{checked}")
+
+
+def check_intern_counters(counters, where):
+    """Validates the snapshot intern accounting: every encoded candidate
+    (initial snapshots included) is either a hit on an interned snapshot or
+    a new one, so graph.intern_hits + graph.snapshots = graph.encode
+    (absent counters count as 0)."""
+    hits, snapshots, encoded = (counters.get(f"graph.{name}", 0)
+                                for name in ("intern_hits", "snapshots",
+                                             "encode"))
+    expect(hits + snapshots == encoded,
+           f"'{where}': graph.intern_hits {hits} + graph.snapshots "
+           f"{snapshots} != graph.encode {encoded}")
 
 
 def check_leaf_counters(stats, counters):
