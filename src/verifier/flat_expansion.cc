@@ -1,6 +1,6 @@
-// FlatExpander: which view parts each memo key holds, the move, rule and
-// input-choice memos, decoding a key back into a view for the rules that
-// miss, and the successor vectors built from the parent's.
+// FlatExpander: which view parts each memo key holds, the move, rule,
+// input-choice and emitted-choice memos, decoding a key back into a view for
+// the rules that miss, and the successor vectors built from the parent's.
 
 #include "verifier/flat_expansion.h"
 
@@ -188,6 +188,12 @@ FlatExpander::FlatExpander(const runtime::TransitionGenerator* generator,
       for (uint32_t q : view.errors) footprint.push_back(errors_base + q);
     }
   }
+  // One peer and no channels leave a snapshot its header (no event bits),
+  // state, input and tail; without the mover tag and the actions, all of it
+  // follows from the move key (state, input and raw prev relations).
+  bypass_move_memo_ = comp.peers().size() == 1 && comp.channels().empty() &&
+                      !normalization_.keep_mover &&
+                      !normalization_.keep_actions;
   const bool env = generator_->options().allow_env_moves;
   env_candidates_.resize(comp.channels().size());
   for (size_t c = 0; c < comp.channels().size(); ++c) {
@@ -248,8 +254,7 @@ Result<uint32_t*> FlatExpander::Move(FlatSnapshot parent, size_t p,
     codec_->AppendPart(parent, lane->layout, part, &key);
   }
   ++counts->move_lookups;
-  return Memoized(&lane->moves[p], key, &counts->move_evals,
-                  [&](std::vector<uint32_t>* out) -> Status {
+  auto encode = [&](std::vector<uint32_t>* out) -> Status {
     WSV_ASSIGN_OR_RETURN(runtime::PeerMove move,
                          EvaluateMove(p, lane, counts));
     std::vector<uint32_t>& v = *out;
@@ -290,7 +295,16 @@ Result<uint32_t*> FlatExpander::Move(FlatSnapshot parent, size_t p,
     v[start + 3] = static_cast<uint32_t>(move.send_errors.size());
     v[start + 4] = v[start + 5] = FlatIdSet::kEmpty;
     return Status::Ok();
-  });
+  };
+  Lane::Memo& memo = lane->moves[p];
+  if (bypass_move_memo_) {
+    // Each snapshot is expanded once, so its move key never repeats.
+    ++counts->move_evals;
+    memo.values.clear();
+    WSV_RETURN_IF_ERROR(encode(&memo.values));
+    return memo.values.data();
+  }
+  return Memoized(&memo, key, &counts->move_evals, encode);
 }
 
 Result<runtime::PeerMove> FlatExpander::EvaluateMove(
@@ -389,6 +403,7 @@ Status FlatExpander::Expand(const SnapshotStore& store, SnapshotId sid,
       lane->rules[p].resize(rule_parts_[p].size());
     }
     lane->inputs.resize(peers);
+    lane->choices.resize(peers);
     lane->edits.assign(codec_->composition().channels().size(), {});
   }
   const FlatSnapshot parent = store.Span(sid, &lane->span);
@@ -593,16 +608,7 @@ Status FlatExpander::ExpandPeer(const SnapshotStore& store,
       }
       for (uint32_t q : input_view.errors) key.push_back(errors[q]);
       WSV_ASSIGN_OR_RETURN(uint32_t* choices, InputChoices(p, lane, counts));
-
-      const uint32_t num_choices = *choices++;
-      for (uint32_t i = 0; i < num_choices; ++i) {
-        const uint32_t words = choices[0];
-        const uint32_t id =
-            CachedPartId(store, choices + 2, words, &choices[1], out);
-        vec[section + 1] = id;
-        Emit(store, vec.data(), unseen || Unseen(id), out);
-        choices += 2 + words;
-      }
+      EmitChoices(store, p, choices, unseen, lane, out, counts);
 
       for (const auto& [c, block] : messages) {
         edits[c].sent = edits[c].received = false;
@@ -612,6 +618,54 @@ Status FlatExpander::ExpandPeer(const SnapshotStore& store,
   }
   for (size_t c : wiring.in_channel) edits[c].dequeue = false;
   return Status::Ok();
+}
+
+void FlatExpander::EmitChoices(const SnapshotStore& store, size_t p,
+                               uint32_t* choices, bool unseen, Lane* lane,
+                               Candidates* out, MemoCounts* counts) const {
+  std::vector<uint32_t>& vec = lane->vec;
+  const uint32_t slot = store.peer_section(p) + 1;
+  const uint32_t num_choices = *choices++;
+  // One choice costs what a probe does, and a vector with an unseen section
+  // is fresh whatever the choice: neither is memoized.
+  Lane::ChoiceMemo* memo = nullptr;
+  size_t hash = 0;
+  if (num_choices >= 2 && !unseen) {
+    memo = &lane->choices[p];
+    ++counts->choice_lookups;
+    vec[slot] = FlatIdSet::kEmpty;
+    hash = store.Hash(vec.data());
+    const uint32_t* key = vec.data();
+    const uint32_t* end = key + store.width();
+    const uint32_t entry = memo->index.Find(hash, [&](uint32_t e) {
+      const uint32_t* stored = store.vector(memo->ids[memo->begin[e]]);
+      return std::equal(key, key + slot, stored) &&
+             std::equal(key + slot + 1, end, stored + slot + 1);
+    });
+    if (entry != FlatIdSet::kEmpty) {
+      out->ids.insert(out->ids.end(), memo->ids.begin() + memo->begin[entry],
+                      memo->ids.begin() + memo->begin[entry + 1]);
+      return;
+    }
+    ++counts->choice_evals;
+  }
+  const size_t first = out->ids.size();
+  for (uint32_t i = 0; i < num_choices; ++i) {
+    const uint32_t words = choices[0];
+    const uint32_t id =
+        CachedPartId(store, choices + 2, words, &choices[1], out);
+    vec[slot] = id;
+    Emit(store, vec.data(), unseen || Unseen(id), out);
+    choices += 2 + words;
+  }
+  if (memo == nullptr ||
+      std::find(out->ids.begin() + first, out->ids.end(), FlatIdSet::kEmpty) !=
+          out->ids.end()) {
+    return;
+  }
+  memo->ids.insert(memo->ids.end(), out->ids.begin() + first, out->ids.end());
+  memo->index.Insert(hash, static_cast<uint32_t>(memo->begin.size() - 1));
+  memo->begin.push_back(static_cast<uint32_t>(memo->ids.size()));
 }
 
 void FlatExpander::EmitEnv(const SnapshotStore& store, const uint32_t* from,

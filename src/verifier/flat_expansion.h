@@ -31,8 +31,10 @@ struct SnapshotNormalization {
 
 /// Memo traffic of some expansions: one move lookup per (node, peer), one
 /// rule lookup per move rule of each move lookup that missed, one input
-/// lookup per delivered peer successor; evals are the lookups that missed
-/// and ran the rules.
+/// lookup per delivered peer successor, and one choice lookup per delivered
+/// peer successor with two or more input choices and no unseen section;
+/// evals are the lookups that missed and ran the rules (for choices: that
+/// emitted each choice).
 struct MemoCounts {
   size_t move_lookups = 0;
   size_t move_evals = 0;
@@ -40,6 +42,8 @@ struct MemoCounts {
   size_t rule_evals = 0;
   size_t input_lookups = 0;
   size_t input_evals = 0;
+  size_t choice_lookups = 0;
+  size_t choice_evals = 0;
 
   MemoCounts& operator+=(const MemoCounts& o) {
     move_lookups += o.move_lookups;
@@ -48,6 +52,8 @@ struct MemoCounts {
     rule_evals += o.rule_evals;
     input_lookups += o.input_lookups;
     input_evals += o.input_evals;
+    choice_lookups += o.choice_lookups;
+    choice_evals += o.choice_evals;
     return *this;
   }
 };
@@ -73,9 +79,15 @@ struct MemoCounts {
 /// up read-only in the store's part table, and the mover's section ids are
 /// cached next to the move and input memo entries once found, so a
 /// successor that is already interned costs one hash and one compare over
-/// its vector. Environment moves replace the header and channel ids the
-/// same way. No runtime::Snapshot is built; memo misses decode just the
-/// view from its key. Errors are never memoized.
+/// its vector. The input choices of a delivered successor are a function of
+/// the input key, which its vector holds everywhere but in the mover's input
+/// slot, so the choice memo maps that vector, slot left open, to the ids its
+/// choices emitted: a hit costs one hash and one compare, not one per
+/// choice. Environment moves replace the header and channel ids the same
+/// way. No runtime::Snapshot is built; memo misses decode just the view
+/// from its key. Errors are never memoized. Where a snapshot is a function
+/// of its move key (one peer, no channels, mover and actions normalized
+/// away), no two snapshots share a move key and the move memo is bypassed.
 class FlatExpander {
  public:
   /// One lane's memos and scratch. Not thread-safe: each concurrent
@@ -109,9 +121,21 @@ class FlatExpander {
       size_t hash;
     };
 
+    /// Delivered successors' emitted ids, keyed by the successor vector
+    /// with the mover's input slot open: entry i is ids[begin[i],
+    /// begin[i + 1]), one id per input choice in choice order, and its key
+    /// is store.vector(ids[begin[i]]) outside that slot, so no key words are
+    /// kept. Only entries whose every id is interned are stored.
+    struct ChoiceMemo {
+      FlatIdSet index;
+      std::vector<SnapshotId> ids;
+      std::vector<uint32_t> begin{0};
+    };
+
     std::vector<Memo> moves;               // per peer
     std::vector<std::vector<Memo>> rules;  // per peer, per move rule
     std::vector<Memo> inputs;              // per peer
+    std::vector<ChoiceMemo> choices;       // per peer
     runtime::FlatLayout layout;
     std::vector<uint32_t> key;
     std::vector<uint32_t> part_begin;  // per move part: its key offset
@@ -169,6 +193,14 @@ class FlatExpander {
   Result<uint32_t*> InputChoices(size_t p, Lane* lane,
                                  MemoCounts* counts) const;
 
+  /// Appends the successors of the delivered successor `lane->vec` (peer
+  /// `p`'s input slot open; `unseen` if some section of it is unseen), one
+  /// per encoded input choice of `choices` (see InputChoices), through the
+  /// lane's choice memo.
+  void EmitChoices(const SnapshotStore& store, size_t p,
+                   uint32_t* choices, bool unseen, Lane* lane,
+                   Candidates* out, MemoCounts* counts) const;
+
   /// The result memoized under `key`, or else `encode(out)`'s, which
   /// evaluates the view, appends the result's words to `out` and is
   /// counted in `evals`. A failed evaluation (which appends nothing) is not
@@ -219,6 +251,8 @@ class FlatExpander {
   const runtime::TransitionGenerator* generator_;
   const runtime::FlatSnapshotCodec* codec_;
   SnapshotNormalization normalization_;
+  /// A snapshot is a function of its move key, so the move memo never hits.
+  bool bypass_move_memo_ = false;
   /// Per peer: the move key holds the whole local view (move_parts_ is
   /// the same selection as snapshot parts, for AppendPart); the input key
   /// holds what the peer's options rules name, never the input itself.

@@ -24,12 +24,17 @@ void CountMemo(const MemoCounts& counts) {
   static obs::Counter& input_lookups =
       registry.counter("graph.input_lookups");
   static obs::Counter& input_evals = registry.counter("graph.input_evals");
+  static obs::Counter& choice_lookups =
+      registry.counter("graph.choice_lookups");
+  static obs::Counter& choice_evals = registry.counter("graph.choice_evals");
   move_lookups.Add(counts.move_lookups);
   move_evals.Add(counts.move_evals);
   rule_lookups.Add(counts.rule_lookups);
   rule_evals.Add(counts.rule_evals);
   input_lookups.Add(counts.input_lookups);
   input_evals.Add(counts.input_evals);
+  choice_lookups.Add(counts.choice_lookups);
+  choice_evals.Add(counts.choice_evals);
 }
 
 }  // namespace

@@ -244,6 +244,17 @@ def main(argv):
         move_memo, "counters",
         {k: v for k, v in move_counters.items()
          if k != "graph.rule_lookups"})
+    # Emitted-choice memo: 40 of the 50 input lookups had two or more
+    # choices and probed it, 7 of them missed.
+    choice_counters = dict(move_counters, **{"graph.choice_lookups": 40,
+                                             "graph.choice_evals": 7})
+    choice_memo = mutate(move_memo, "counters", choice_counters)
+    choice_evals_over = mutate(move_memo, "counters",
+                               dict(choice_counters,
+                                    **{"graph.choice_evals": 41}))
+    choice_lookups_over_input = mutate(move_memo, "counters",
+                                       dict(choice_counters,
+                                            **{"graph.choice_lookups": 51}))
 
     # Snapshot interning: 110 encoded candidates, 95 found interned and 15
     # interned as new snapshots. A probe that books a hit for a fresh
@@ -406,6 +417,10 @@ def main(argv):
         ("rule_lookups without move_evals", rule_lookups_without_move_evals,
          False),
         ("rule_evals without rule_lookups", rule_evals_without_lookups,
+         False),
+        ("valid choice memo accounting", choice_memo, True),
+        ("choice_evals over choice_lookups", choice_evals_over, False),
+        ("choice_lookups over input_lookups", choice_lookups_over_input,
          False),
         ("peers not a positive integer", mutate(move_memo, "peers", 0),
          False),

@@ -9,10 +9,11 @@
 // deterministic flat sends, lookback, nested queues) and E-T3.4's synthetic
 // peer, under each normalization, serially and on four lanes. Every
 // expansion's memo traffic is checked too: rules are looked up only when
-// their move missed. The store itself is checked against plain word sets:
-// every snapshot's span round-trips through the codec, no two ids share a
-// span, ids mean the same span on one lane and on four, and equal sections
-// share one part id wherever they sit.
+// their move missed, and the emitted-choice memo hits on the synthetic peer
+// (so its hits are compared with the reference too). The store itself is
+// checked against plain word sets: every snapshot's span round-trips
+// through the codec, no two ids share a span, ids mean the same span on one
+// lane and on four, and equal sections share one part id wherever they sit.
 
 #include <gtest/gtest.h>
 
@@ -318,6 +319,8 @@ GraphSpans CheckInput(const Input& in, const SnapshotNormalization& norm,
   EXPECT_LE(total.rule_evals, total.rule_lookups);
   EXPECT_EQ(total.rule_lookups == 0, total.move_evals == 0);
   EXPECT_LE(total.input_evals, total.input_lookups);
+  EXPECT_LE(total.choice_evals, total.choice_lookups);
+  EXPECT_LE(total.choice_lookups, total.input_lookups);
   if (in.check_memo) in.check_memo(graph, norm, counts);
 
   coverage->snapshots += n;
@@ -496,6 +499,35 @@ TEST(FlatExpansion, SyntheticPeerRunsEachRuleOncePerFootprint) {
   };
   CheckAll(in);
   EXPECT_EQ(checked, 10u);
+}
+
+/// The synthetic peer under db_sweep's normalization (no proposition reads
+/// the mover, flags or actions, so the move memo is bypassed): each move
+/// leads to one successor vector crossed with every input choice, and
+/// distinct parents share their post-move vector, so the emitted-choice
+/// memo hits on one lane and on four.
+TEST(FlatExpansion, SyntheticPeerEmitsChoicesOncePerSuccessorVector) {
+  auto comp = spec::ParseComposition(SyntheticPeerSpec(4));
+  ASSERT_TRUE(comp.ok()) << comp.status();
+  Input in("E-T3.4 synthetic peer", std::move(*comp));
+  in.fresh = 2;
+  in.db_index = SIZE_MAX;  // the last canonical database
+  in.max_snapshots = 1500;
+  SnapshotNormalization norm;
+  norm.keep_mover = norm.keep_flags = norm.keep_actions = false;
+  size_t checked = 0;
+  in.check_memo = [&](const SnapshotGraph&, const SnapshotNormalization&,
+                      const std::vector<MemoCounts>& lanes) {
+    MemoCounts total;
+    for (const MemoCounts& lane : lanes) total += lane;
+    EXPECT_EQ(total.move_evals, total.move_lookups);
+    EXPECT_GT(total.choice_lookups, 0u);
+    EXPECT_LT(total.choice_evals, total.choice_lookups);
+    ++checked;
+  };
+  Coverage coverage;
+  for (size_t lanes : {1, 4}) CheckInput(in, norm, lanes, &coverage);
+  EXPECT_EQ(checked, 2u);
 }
 
 /// Definition-faithful multi-queue environment moves, over every tuple of

@@ -20,9 +20,11 @@ footprint_hits + leaf_evals = leaf_cache_misses * leaves. The snapshot
 graph's move memo does one lookup per expanded snapshot and peer, so a
 document that reports its peer count ("peers") must satisfy
 graph.move_lookups = graph.successor_calls * peers; evaluations never
-exceed lookups, for moves, move rules and input choices alike. Move rules
-are looked up only when their move missed, so graph.rule_lookups is 0
-when graph.move_evals is. Every successor candidate the graph encodes is
+exceed lookups, for moves, move rules, input choices and emitted choices
+alike. Move rules are looked up only when their move missed, so
+graph.rule_lookups is 0 when graph.move_evals is; the emitted-choice memo
+is probed at most once per input lookup, so graph.choice_lookups <=
+graph.input_lookups. Every successor candidate the graph encodes is
 either found interned or interned as a new snapshot, so
 graph.intern_hits + graph.snapshots = graph.encode, per document and on
 the shard roll-up.
@@ -325,12 +327,14 @@ def check_leaf_counters(stats, counters):
 
 def check_memo_counters(counters, peers):
     """Validates the graph expansion memo accounting: evaluations never
-    exceed lookups (graph.move_*, graph.rule_* and graph.input_*), move
-    rules are looked up only on move misses (graph.rule_lookups is 0 when
-    graph.move_evals is), and with the peer count known,
+    exceed lookups (graph.move_*, graph.rule_*, graph.input_* and
+    graph.choice_*), move rules are looked up only on move misses
+    (graph.rule_lookups is 0 when graph.move_evals is), emitted choices
+    only after an input lookup (graph.choice_lookups <=
+    graph.input_lookups), and with the peer count known,
     graph.move_lookups = graph.successor_calls * peers (one move lookup
     per expanded snapshot and peer). Absent counters count as 0."""
-    for memo in ("move", "rule", "input"):
+    for memo in ("move", "rule", "input", "choice"):
         lookups = counters.get(f"graph.{memo}_lookups", 0)
         evals = counters.get(f"graph.{memo}_evals", 0)
         expect(evals <= lookups,
@@ -340,6 +344,11 @@ def check_memo_counters(counters, peers):
     expect(rule_lookups == 0 or counters.get("graph.move_evals", 0) > 0,
            f"'counters': graph.rule_lookups {rule_lookups} without any "
            f"graph.move_evals")
+    choice_lookups = counters.get("graph.choice_lookups", 0)
+    input_lookups = counters.get("graph.input_lookups", 0)
+    expect(choice_lookups <= input_lookups,
+           f"'counters': graph.choice_lookups {choice_lookups} > "
+           f"graph.input_lookups {input_lookups}")
     if peers is None:
         return
     expect(isinstance(peers, int) and peers >= 1,
