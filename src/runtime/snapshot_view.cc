@@ -1,5 +1,7 @@
 #include "runtime/snapshot_view.h"
 
+#include <algorithm>
+
 namespace wsv::runtime {
 
 namespace {
@@ -46,7 +48,7 @@ data::Relation PartRelation(const spec::Composition& comp,
 
 }  // namespace
 
-std::vector<PropertySymbol> PropertySymbols(const spec::Composition& comp) {
+PropertySymbolTable PropertySymbols(const spec::Composition& comp) {
   using Kind = SnapshotPart::Kind;
   // Bindings in shadowing order: a later binding of a name replaces an
   // earlier one.
@@ -116,7 +118,7 @@ std::vector<PropertySymbol> PropertySymbols(const spec::Composition& comp) {
                    [](const PropertySymbol& a, const PropertySymbol& b) {
                      return a.name < b.name;
                    });
-  std::vector<PropertySymbol> symbols;
+  PropertySymbolTable symbols;
   for (size_t i = 0; i < bindings.size(); ++i) {
     if (i + 1 < bindings.size() && bindings[i + 1].name == bindings[i].name) {
       continue;
@@ -126,14 +128,22 @@ std::vector<PropertySymbol> PropertySymbols(const spec::Composition& comp) {
   return symbols;
 }
 
+const PropertySymbol* FindPropertySymbol(const PropertySymbolTable& symbols,
+                                         const std::string& name) {
+  auto it = std::lower_bound(
+      symbols.begin(), symbols.end(), name,
+      [](const PropertySymbol& s, const std::string& n) { return s.name < n; });
+  return it != symbols.end() && it->name == name ? &*it : nullptr;
+}
+
 fo::MapStructure BuildPropertyStructure(
-    const spec::Composition& comp,
+    const spec::Composition& comp, const PropertySymbolTable& symbols,
     const std::vector<data::Instance>& databases, const Snapshot& snap,
     const data::Domain& domain) {
   fo::MapStructure structure;
   structure.SetDomain(domain);
-  for (PropertySymbol& symbol : PropertySymbols(comp)) {
-    structure.Set(std::move(symbol.name),
+  for (const PropertySymbol& symbol : symbols) {
+    structure.Set(symbol.name,
                   PartRelation(comp, databases, snap, symbol.part));
   }
   return structure;
@@ -141,12 +151,10 @@ fo::MapStructure BuildPropertyStructure(
 
 fo::MapStructure BuildPropertyStructure(
     const spec::Composition& comp,
-    const std::vector<data::Instance>& databases,
-    const FlatSnapshotCodec& codec, FlatSnapshot flat,
+    const std::vector<data::Instance>& databases, const Snapshot& snap,
     const data::Domain& domain) {
-  Snapshot snap;
-  codec.Decode(flat, &snap);
-  return BuildPropertyStructure(comp, databases, snap, domain);
+  return BuildPropertyStructure(comp, PropertySymbols(comp), databases, snap,
+                                domain);
 }
 
 }  // namespace wsv::runtime

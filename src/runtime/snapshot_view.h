@@ -22,12 +22,20 @@ struct PropertySymbol {
 /// Every symbol of the property structure (see BuildPropertyStructure),
 /// one entry per name, sorted by name. This table is the single source of
 /// the symbol naming: BuildPropertyStructure binds exactly these symbols,
-/// and footprint keys (verifier::LeafCache) read exactly these parts.
-std::vector<PropertySymbol> PropertySymbols(const spec::Composition& comp);
+/// and footprint keys (verifier::LeafCache) read exactly these parts. It
+/// depends on the composition alone, so a verification run builds it once
+/// and shares it across every database's graph.
+using PropertySymbolTable = std::vector<PropertySymbol>;
+PropertySymbolTable PropertySymbols(const spec::Composition& comp);
+
+/// The symbol of `symbols` named `name` (binary search), or null.
+const PropertySymbol* FindPropertySymbol(const PropertySymbolTable& symbols,
+                                         const std::string& name);
 
 /// Builds the relational structure over which composition-level LTL-FO
 /// properties are evaluated at a snapshot (Section 3, "Semantics of LTL-FO
-/// Properties"):
+/// Properties"), binding every symbol of `symbols` (the composition's
+/// PropertySymbols table, or a part of it). The full table binds:
 ///
 ///  * every peer relation under "Peer.name" (database, state, input,
 ///    previous input, action);
@@ -39,19 +47,17 @@ std::vector<PropertySymbol> PropertySymbols(const spec::Composition& comp);
 ///  * queue-state propositions "Peer.empty_<queue>";
 ///  * run propositions "move_<peer>", "move_env", "received_<queue>",
 ///    "sent_<queue>".
+///
+/// Reads only its arguments, so concurrent calls are safe.
 fo::MapStructure BuildPropertyStructure(
-    const spec::Composition& comp,
+    const spec::Composition& comp, const PropertySymbolTable& symbols,
     const std::vector<data::Instance>& databases, const Snapshot& snap,
     const data::Domain& domain);
 
-/// As above, but from a canonical flat encoding: decodes into a local
-/// scratch snapshot and builds the same structure. Thread-safe (no shared
-/// mutable state), so parallel leaf evaluation can call it concurrently on
-/// arena-backed spans.
+/// As above, with the composition's table built for this one call.
 fo::MapStructure BuildPropertyStructure(
     const spec::Composition& comp,
-    const std::vector<data::Instance>& databases,
-    const FlatSnapshotCodec& codec, FlatSnapshot flat,
+    const std::vector<data::Instance>& databases, const Snapshot& snap,
     const data::Domain& domain);
 
 }  // namespace wsv::runtime

@@ -14,6 +14,7 @@
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/timer.h"
+#include "runtime/snapshot_view.h"
 #include "runtime/transition.h"
 #include "verifier/checkpoint.h"
 #include "verifier/db_enum.h"
@@ -150,9 +151,7 @@ VerificationEngine::VerificationEngine(
 namespace {
 
 /// A leaf is database-rigid when every relation it mentions is a fixed
-/// database relation: its truth (per valuation) is then constant along any
-/// run with the same database, so it can be decided once and folded into
-/// the automaton before the state-space search.
+/// database relation.
 bool IsRigidLeaf(const fo::FormulaPtr& leaf, const spec::Composition& comp) {
   for (const std::string& rel : leaf->RelationNames()) {
     if (comp.Classify(rel) != fo::RelClass::kDatabase) return false;
@@ -186,6 +185,61 @@ automata::BuchiAutomaton RestrictAutomaton(
   }
   out.AddAcceptingSet(std::move(accepting));
   return out;
+}
+
+/// The snapshot normalization for a task's leaves: keeps exactly the
+/// snapshot parts some proposition (or, for previous inputs, some rule)
+/// observes.
+SnapshotNormalization NormalizationFor(
+    const spec::Composition& comp, const std::vector<fo::FormulaPtr>& leaves) {
+  SnapshotNormalization normalization;
+  normalization.keep_mover = AnyPropositionMentionsPrefix(leaves, "move_");
+  normalization.keep_flags =
+      AnyPropositionMentionsPrefix(leaves, "received_") ||
+      AnyPropositionMentionsPrefix(leaves, "sent_");
+  // Action relations are pure outputs; previous-input relations matter only
+  // to rules that read them. Keep each exactly when some proposition (or,
+  // for prev, some rule) observes it.
+  std::set<std::string> leaf_relations;
+  for (const fo::FormulaPtr& leaf : leaves) {
+    auto rels = leaf->RelationNames();
+    leaf_relations.insert(rels.begin(), rels.end());
+  }
+  normalization.keep_actions = false;
+  for (const std::string& rel : leaf_relations) {
+    if (comp.Classify(rel) == fo::RelClass::kAction) {
+      normalization.keep_actions = true;
+      break;
+    }
+  }
+  normalization.keep_prev.resize(comp.peers().size());
+  for (size_t p = 0; p < comp.peers().size(); ++p) {
+    const spec::Peer& peer = comp.peers()[p];
+    std::set<std::string> rule_relations;
+    for (const spec::Rule& rule : peer.rules()) {
+      auto rels = rule.body->RelationNames();
+      rule_relations.insert(rels.begin(), rels.end());
+    }
+    const data::Schema& prev = peer.prev_input_schema();
+    std::vector<bool>& keep = normalization.keep_prev[p];
+    keep.resize(prev.size(), false);
+    for (size_t r = 0; r < prev.size(); ++r) {
+      const std::string& name = prev.relation(r).name;
+      keep[r] = rule_relations.count(name) > 0 ||
+                leaf_relations.count(peer.name() + "." + name) > 0 ||
+                (comp.peers().size() == 1 && leaf_relations.count(name) > 0);
+    }
+    // The lookback window shifts prev_i into prev_{i+1}: keeping a deeper
+    // slot requires keeping every shallower slot of the same input. Slots
+    // are laid out consecutively per input (Peer::Validate).
+    size_t lookback = static_cast<size_t>(peer.lookback());
+    for (size_t base = 0; base + lookback <= keep.size(); base += lookback) {
+      for (size_t j = lookback; j-- > 1;) {
+        if (keep[base + j]) keep[base + j - 1] = true;
+      }
+    }
+  }
+  return normalization;
 }
 
 }  // namespace
@@ -255,6 +309,29 @@ struct SearchEntry {
 constexpr char kSearchMemoSite[] = "search_memo";
 using SearchMemo = ShardedMemo<SearchEntry, kSearchMemoSite>;
 
+/// Theorem 3.4's reduction (and Theorem 5.4's) checks every database
+/// against one automaton and one set of leaves, so only the snapshot graph
+/// depends on the database. Everything else a check needs is built here
+/// once per run and shared read-only by concurrent CheckDatabases calls;
+/// the prefilter memo locks internally.
+struct VerificationEngine::RunState {
+  const SymbolicTask* task = nullptr;
+  SnapshotNormalization normalization;
+  std::shared_ptr<const runtime::PropertySymbolTable> symbols;
+  /// rigid[i]: leaf i reads fixed database relations only, so its truth
+  /// (per valuation) is constant along every run over one database and can
+  /// be folded into the automaton before the search.
+  std::vector<bool> rigid;
+  bool any_rigid = false;
+  /// leaf_positions[i][k]: closure-variable position of leaf i's k-th free
+  /// variable (in LeafCache::LeafVariables order).
+  std::vector<std::vector<size_t>> leaf_positions;
+  /// Each entry is a pure function of the automaton and its truth-status
+  /// key, so one memo serves every database of the run. The search memo
+  /// depends on the graph and stays per database.
+  PrefilterMemo prefilter_memo;
+};
+
 /// Per-lane accumulators and scratch buffers of the valuation fan-out. A
 /// lane is touched by exactly one thread at a time (lane 0 = the
 /// dispatching caller, others = pool drainers), so nothing here is locked;
@@ -282,30 +359,26 @@ struct VerificationEngine::ValuationLane {
   std::string search_key;
 };
 
-/// Read-only per-database state shared by every valuation instance.
+/// Per-database state shared by every valuation instance.
 struct VerificationEngine::ValuationContext {
-  const SymbolicTask* task;
+  RunState* run;
   SnapshotGraph* graph;
   LeafCache* cache;
-  PrefilterMemo* memo;
   /// Null on an incomplete graph, where searches grow the graph.
   SearchMemo* search_memo;
   /// Collects the budget cuts of the searches.
   FirstWitness* race;
-  const std::vector<bool>* rigid;
+  /// A snapshot of the graph: rigid leaves read only the database, so any
+  /// snapshot decides them.
   SnapshotId init_sid;
   const std::vector<const data::Relation*>* ever_sat;
   const std::vector<const data::Relation*>* always_sat;
-  /// leaf_positions[i][k]: closure-variable position of leaf i's k-th free
-  /// variable — hoisted out of the per-valuation loop, which previously did
-  /// a string search per leaf variable per valuation.
-  const std::vector<std::vector<size_t>>* leaf_positions;
 };
 
 Result<bool> VerificationEngine::CheckOneValuation(const ValuationContext& ctx,
                                                    size_t index,
                                                    ValuationLane& lane) {
-  const SymbolicTask& task = *ctx.task;
+  const SymbolicTask& task = *ctx.run->task;
   // The valuation count is |domain|^#vars — a deadline must be able to cut
   // a sweep short between instances, not only inside a search.
   if (options_.budget.control != nullptr) {
@@ -319,12 +392,12 @@ Result<bool> VerificationEngine::CheckOneValuation(const ValuationContext& ctx,
   std::vector<data::Tuple> leaf_rows;
   leaf_rows.reserve(num_leaves);
   for (size_t i = 0; i < num_leaves; ++i) {
-    const std::vector<size_t>& positions = (*ctx.leaf_positions)[i];
+    const std::vector<size_t>& positions = ctx.run->leaf_positions[i];
     std::vector<data::Value> row;
     row.reserve(positions.size());
     for (size_t pos : positions) row.push_back(lane.values[pos]);
     leaf_rows.push_back(data::Tuple(std::move(row)));
-    if ((*ctx.rigid)[i]) {
+    if (ctx.run->rigid[i]) {
       WSV_ASSIGN_OR_RETURN(const fo::ValuationSet* sat,
                            ctx.cache->Get(ctx.init_sid, i));
       lane.rigid_truths[i] = sat->rows().Contains(leaf_rows[i]) ? 1 : 0;
@@ -340,13 +413,13 @@ Result<bool> VerificationEngine::CheckOneValuation(const ValuationContext& ctx,
   // Prefilter: with database-rigid and never/always-satisfied propositions
   // fixed, an automaton with empty language cannot accept any run — skip
   // the search. Restriction + emptiness depends only on the truth-status
-  // vector, so it is memoized across valuations.
+  // vector, so it is memoized across valuations and databases.
   bool any_fixed = false;
   for (int8_t t : lane.rigid_truths) any_fixed = any_fixed || t >= 0;
   lane.memo_key.assign(lane.rigid_truths.begin(), lane.rigid_truths.end());
   bool was_miss = false;
   const PrefilterEntry* entry =
-      ctx.memo->GetOrCompute(lane.memo_key, &was_miss, [&] {
+      ctx.run->prefilter_memo.GetOrCompute(lane.memo_key, &was_miss, [&] {
         obs::PhaseTimer prefilter_phase("prefilter");
         auto e = std::make_unique<PrefilterEntry>();
         e->automaton = any_fixed ? RestrictAutomaton(task.automaton,
@@ -456,8 +529,9 @@ Result<bool> VerificationEngine::CheckOneValuation(const ValuationContext& ctx,
 }
 
 Result<bool> VerificationEngine::CheckDatabases(
-    const SymbolicTask& task, const std::vector<data::Instance>& dbs,
-    size_t db_index, EngineOutcome& outcome) {
+    RunState& run, const std::vector<data::Instance>& dbs, size_t db_index,
+    EngineOutcome& outcome) {
+  const SymbolicTask& task = *run.task;
   // One trace span per database sweep iteration; args built only when the
   // recorder is on so the common path stays allocation-free.
   obs::PhaseTimer db_span(
@@ -467,56 +541,7 @@ Result<bool> VerificationEngine::CheckDatabases(
           : std::string());
   runtime::TransitionGenerator generator(comp_, dbs, domain_, interner_,
                                          options_.run);
-  SnapshotNormalization normalization;
-  normalization.keep_mover =
-      AnyPropositionMentionsPrefix(task.leaves, "move_");
-  normalization.keep_flags =
-      AnyPropositionMentionsPrefix(task.leaves, "received_") ||
-      AnyPropositionMentionsPrefix(task.leaves, "sent_");
-  // Action relations are pure outputs; previous-input relations matter only
-  // to rules that read them. Keep each exactly when some proposition (or,
-  // for prev, some rule) observes it.
-  std::set<std::string> leaf_relations;
-  for (const fo::FormulaPtr& leaf : task.leaves) {
-    auto rels = leaf->RelationNames();
-    leaf_relations.insert(rels.begin(), rels.end());
-  }
-  normalization.keep_actions = false;
-  for (const std::string& rel : leaf_relations) {
-    if (comp_->Classify(rel) == fo::RelClass::kAction) {
-      normalization.keep_actions = true;
-      break;
-    }
-  }
-  normalization.keep_prev.resize(comp_->peers().size());
-  for (size_t p = 0; p < comp_->peers().size(); ++p) {
-    const spec::Peer& peer = comp_->peers()[p];
-    std::set<std::string> rule_relations;
-    for (const spec::Rule& rule : peer.rules()) {
-      auto rels = rule.body->RelationNames();
-      rule_relations.insert(rels.begin(), rels.end());
-    }
-    const data::Schema& prev = peer.prev_input_schema();
-    std::vector<bool>& keep = normalization.keep_prev[p];
-    keep.resize(prev.size(), false);
-    for (size_t r = 0; r < prev.size(); ++r) {
-      const std::string& name = prev.relation(r).name;
-      keep[r] = rule_relations.count(name) > 0 ||
-                leaf_relations.count(peer.name() + "." + name) > 0 ||
-                (comp_->peers().size() == 1 &&
-                 leaf_relations.count(name) > 0);
-    }
-    // The lookback window shifts prev_i into prev_{i+1}: keeping a deeper
-    // slot requires keeping every shallower slot of the same input. Slots
-    // are laid out consecutively per input (Peer::Validate).
-    size_t lookback = static_cast<size_t>(peer.lookback());
-    for (size_t base = 0; base + lookback <= keep.size(); base += lookback) {
-      for (size_t j = lookback; j-- > 1;) {
-        if (keep[base + j]) keep[base + j - 1] = true;
-      }
-    }
-  }
-  SnapshotGraph graph(&generator, std::move(normalization));
+  SnapshotGraph graph(&generator, run.normalization, run.symbols);
   LeafCache cache(&graph, task.leaves, interner_);
   struct GraphStatsGuard {
     SnapshotGraph& graph;
@@ -556,16 +581,8 @@ Result<bool> VerificationEngine::CheckDatabases(
     WSV_RETURN_IF_ERROR(cache.SealAndPopulate(pool_, lanes_));
   }
 
-  // Rigid-leaf detection and their satisfying sets at the initial snapshot
-  // (any snapshot works: rigid leaves only read the fixed database).
-  std::vector<bool> rigid(task.leaves.size(), false);
-  bool any_rigid = false;
-  for (size_t i = 0; i < task.leaves.size(); ++i) {
-    rigid[i] = IsRigidLeaf(task.leaves[i], *comp_);
-    any_rigid = any_rigid || rigid[i];
-  }
   SnapshotId init_sid = 0;
-  if (any_rigid) {
+  if (run.any_rigid) {
     WSV_ASSIGN_OR_RETURN(const std::vector<SnapshotId>* initials,
                          graph.Initials());
     init_sid = initials->front();
@@ -583,37 +600,16 @@ Result<bool> VerificationEngine::CheckDatabases(
     }
   }
 
-  // Hoist the leaf-variable -> closure-position mapping out of the
-  // per-valuation loop (it only depends on the task).
-  std::vector<std::vector<size_t>> leaf_positions(task.leaves.size());
-  for (size_t i = 0; i < task.leaves.size(); ++i) {
-    for (const std::string& var : cache.LeafVariables(i)) {
-      size_t pos = 0;
-      for (; pos < task.closure_variables.size(); ++pos) {
-        if (task.closure_variables[pos] == var) break;
-      }
-      if (pos == task.closure_variables.size()) {
-        return Status::Internal("leaf variable '" + var +
-                                "' is not a closure variable");
-      }
-      leaf_positions[i].push_back(pos);
-    }
-  }
-
-  PrefilterMemo prefilter_memo;
   SearchMemo search_memo;
   FirstWitness race("engine.fanout_stop");
-  const ValuationContext ctx{&task,
+  const ValuationContext ctx{&run,
                              &graph,
                              &cache,
-                             &prefilter_memo,
                              complete_graph ? &search_memo : nullptr,
                              &race,
-                             &rigid,
                              init_sid,
                              &ever_sat,
-                             &always_sat,
-                             &leaf_positions};
+                             &always_sat};
   const size_t total = task.valuations.size();
   // Valuation shard bounds; the full space on database sweeps (Run()
   // rejects a valuation range there). Indices stay absolute, so a shard's
@@ -790,6 +786,29 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
       .counter("engine.instances")
       .Add(task.valuations.size());
 
+  RunState run;
+  run.task = &task;
+  run.normalization = NormalizationFor(*comp_, task.leaves);
+  run.symbols = std::make_shared<const runtime::PropertySymbolTable>(
+      runtime::PropertySymbols(*comp_));
+  run.rigid.resize(task.leaves.size());
+  run.leaf_positions.resize(task.leaves.size());
+  for (size_t i = 0; i < task.leaves.size(); ++i) {
+    run.rigid[i] = IsRigidLeaf(task.leaves[i], *comp_);
+    run.any_rigid = run.any_rigid || run.rigid[i];
+    // The sorted free variables: LeafCache's column order.
+    for (const std::string& var : task.leaves[i]->FreeVariables()) {
+      auto it = std::find(task.closure_variables.begin(),
+                          task.closure_variables.end(), var);
+      if (it == task.closure_variables.end()) {
+        return Status::Internal("leaf variable '" + var +
+                                "' is not a closure variable");
+      }
+      run.leaf_positions[i].push_back(
+          static_cast<size_t>(it - task.closure_variables.begin()));
+    }
+  }
+
   // Rebinds the engine's borrowed scheduler for the duration of this run;
   // cleared on every exit path so a later Run never sees a dangling pool.
   struct SchedulerBinding {
@@ -832,7 +851,7 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
     // The sweep lanes' exception boundary: a memory-budget throw becomes
     // the memory-budget stop below instead of escaping the run.
     Result<bool> found = GuardedCheck([&] {
-      return CheckDatabases(task, *fixed_databases_, /*db_index=*/0, outcome);
+      return CheckDatabases(run, *fixed_databases_, /*db_index=*/0, outcome);
     });
     if (!found.ok()) {
       if (!RunControl::IsStopStatus(found.status())) return found.status();
@@ -933,7 +952,7 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
       EngineOutcome swept,
       sweep.Run([&](size_t db_index, const std::vector<data::Instance>& dbs,
                     EngineOutcome& worker_outcome) {
-        return CheckDatabases(task, dbs, db_index, worker_outcome);
+        return CheckDatabases(run, dbs, db_index, worker_outcome);
       }));
   swept.jobs = jobs;
   if (swept.violation_found) {

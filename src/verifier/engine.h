@@ -220,8 +220,9 @@ struct EngineOutcome {
   /// Instances discharged by the rigid-proposition emptiness prefilter
   /// without a state-space search.
   size_t prefiltered = 0;
-  /// Prefilter memo lookups: distinct truth-status vectors computed versus
-  /// reused across valuations.
+  /// Prefilter memo lookups, one per checked valuation: distinct
+  /// truth-status vectors computed (once per run, shared by every database)
+  /// versus reused across valuations and databases.
   size_t prefilter_memo_misses = 0;
   size_t prefilter_memo_hits = 0;
   SearchStats search_stats;
@@ -279,20 +280,23 @@ class VerificationEngine {
 
   Result<EngineOutcome> Run(SymbolicTask& task);
 
+ private:
+  /// The task-invariant state of one run, built once by Run() and shared
+  /// by every CheckDatabases call (see engine.cc).
+  struct RunState;
+  /// One valuation instance of the chunked fan-out (see engine.cc).
+  struct ValuationLane;
+  struct ValuationContext;
+
   /// The per-database checking step of the sweep: explores the
   /// configuration graph for `dbs` and runs every task instance against it,
   /// accumulating into `outcome`. Returns true when a witness was recorded
   /// (outcome.databases/label/lasso; the caller assigns the index).
   /// `db_index` labels the trace span. Thread-safe for concurrent calls
   /// with distinct `outcome` objects.
-  Result<bool> CheckDatabases(const SymbolicTask& task,
+  Result<bool> CheckDatabases(RunState& run,
                               const std::vector<data::Instance>& dbs,
                               size_t db_index, EngineOutcome& outcome);
-
- private:
-  /// One valuation instance of the chunked fan-out (see engine.cc).
-  struct ValuationLane;
-  struct ValuationContext;
   Result<bool> CheckOneValuation(const ValuationContext& ctx, size_t index,
                                  ValuationLane& lane);
 

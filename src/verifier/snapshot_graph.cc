@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -39,9 +38,15 @@ void CountMemo(const MemoCounts& counts) {
 
 }  // namespace
 
-SnapshotGraph::SnapshotGraph(const runtime::TransitionGenerator* generator,
-                             SnapshotNormalization normalization)
+SnapshotGraph::SnapshotGraph(
+    const runtime::TransitionGenerator* generator,
+    SnapshotNormalization normalization,
+    std::shared_ptr<const runtime::PropertySymbolTable> symbols)
     : generator_(generator),
+      symbols_(symbols != nullptr
+                   ? std::move(symbols)
+                   : std::make_shared<const runtime::PropertySymbolTable>(
+                         runtime::PropertySymbols(generator->composition()))),
       codec_(&generator->composition()),
       expander_(generator, &codec_, std::move(normalization)),
       store_(&codec_),
@@ -274,11 +279,14 @@ runtime::Snapshot SnapshotGraph::snapshot(SnapshotId sid) const {
 }
 
 fo::MapStructure SnapshotGraph::Structure(SnapshotId sid) const {
-  std::vector<uint32_t> words;
-  return runtime::BuildPropertyStructure(generator_->composition(),
-                                         generator_->databases(), codec_,
-                                         store_.Span(sid, &words),
-                                         generator_->domain());
+  return Structure(sid, *symbols_);
+}
+
+fo::MapStructure SnapshotGraph::Structure(
+    SnapshotId sid, const runtime::PropertySymbolTable& symbols) const {
+  return runtime::BuildPropertyStructure(generator_->composition(), symbols,
+                                         generator_->databases(),
+                                         snapshot(sid), generator_->domain());
 }
 
 LeafCache::LeafCache(SnapshotGraph* graph, std::vector<fo::FormulaPtr> leaves,
@@ -287,11 +295,8 @@ LeafCache::LeafCache(SnapshotGraph* graph, std::vector<fo::FormulaPtr> leaves,
       leaves_(std::move(leaves)),
       evaluator_(interner),
       memos_(leaves_.size()) {
-  std::unordered_map<std::string, runtime::SnapshotPart> symbols;
-  for (runtime::PropertySymbol& symbol :
-       runtime::PropertySymbols(graph_->generator().composition())) {
-    symbols.emplace(std::move(symbol.name), symbol.part);
-  }
+  const runtime::PropertySymbolTable& symbols = graph_->property_symbols();
+  std::vector<const runtime::PropertySymbol*> named;
   leaf_vars_.reserve(leaves_.size());
   for (size_t i = 0; i < leaves_.size(); ++i) {
     auto frees = leaves_[i]->FreeVariables();
@@ -300,15 +305,22 @@ LeafCache::LeafCache(SnapshotGraph* graph, std::vector<fo::FormulaPtr> leaves,
     // it (the same error at every snapshot).
     std::vector<runtime::SnapshotPart>& parts = memos_[i].parts;
     for (const std::string& name : leaves_[i]->RelationNames()) {
-      auto it = symbols.find(name);
-      if (it == symbols.end() ||
-          it->second.kind == runtime::SnapshotPart::Kind::kDatabase) {
-        continue;
+      const runtime::PropertySymbol* symbol =
+          runtime::FindPropertySymbol(symbols, name);
+      if (symbol == nullptr) continue;
+      named.push_back(symbol);
+      if (symbol->part.kind != runtime::SnapshotPart::Kind::kDatabase) {
+        parts.push_back(symbol->part);
       }
-      parts.push_back(it->second);
     }
     std::sort(parts.begin(), parts.end());
     parts.erase(std::unique(parts.begin(), parts.end()), parts.end());
+  }
+  // The table is sorted by name, so entry order is name order.
+  std::sort(named.begin(), named.end());
+  named.erase(std::unique(named.begin(), named.end()), named.end());
+  for (const runtime::PropertySymbol* symbol : named) {
+    symbols_.push_back(*symbol);
   }
 }
 
@@ -476,7 +488,7 @@ Status LeafCache::SealBatch(const SnapshotId* sids, size_t count,
   ThreadPool::ParallelChunks(
       pool, helpers, groups.size() - 1, [&](size_t, size_t g) {
         const fo::MapStructure structure =
-            graph_->Structure(sids[todos[groups[g]].pos]);
+            graph_->Structure(sids[todos[groups[g]].pos], symbols_);
         for (size_t t = groups[g]; t < groups[g + 1]; ++t) {
           auto result = evaluator_.Evaluate(leaves_[todos[t].leaf], structure);
           if (!result.ok()) {

@@ -14,6 +14,7 @@
 #include "fo/eval.h"
 #include "fo/structure.h"
 #include "runtime/flat_snapshot.h"
+#include "runtime/snapshot_view.h"
 #include "runtime/transition.h"
 #include "verifier/flat_expansion.h"
 #include "verifier/snapshot_store.h"
@@ -46,8 +47,12 @@ namespace wsv::verifier {
 /// the same at any job count.
 class SnapshotGraph {
  public:
-  SnapshotGraph(const runtime::TransitionGenerator* generator,
-                SnapshotNormalization normalization);
+  /// `symbols` is the composition's property symbol table, shared by every
+  /// graph of a run; null builds one for this graph.
+  SnapshotGraph(
+      const runtime::TransitionGenerator* generator,
+      SnapshotNormalization normalization,
+      std::shared_ptr<const runtime::PropertySymbolTable> symbols = nullptr);
 
   SnapshotGraph(const SnapshotGraph&) = delete;
   SnapshotGraph& operator=(const SnapshotGraph&) = delete;
@@ -66,6 +71,11 @@ class SnapshotGraph {
 
   const runtime::FlatSnapshotCodec& codec() const { return codec_; }
 
+  /// The symbols Structure binds (runtime::PropertySymbols).
+  const runtime::PropertySymbolTable& property_symbols() const {
+    return *symbols_;
+  }
+
   /// Decodes a snapshot into a fresh object (cold path — witness rendering
   /// and debugging; the hot paths work on the vectors and spans directly).
   runtime::Snapshot snapshot(SnapshotId sid) const;
@@ -75,6 +85,11 @@ class SnapshotGraph {
   /// builds one only for a snapshot that brings a new footprint).
   /// Thread-safe: decodes into a local scratch snapshot.
   fo::MapStructure Structure(SnapshotId sid) const;
+
+  /// As above, binding only `symbols` (a subset of property_symbols()):
+  /// a formula that names no other symbol evaluates the same on it.
+  fo::MapStructure Structure(SnapshotId sid,
+                             const runtime::PropertySymbolTable& symbols) const;
 
   size_t size() const { return store_.size(); }
   size_t transitions_computed() const { return transitions_; }
@@ -154,6 +169,7 @@ class SnapshotGraph {
                               ThreadPool* pool, size_t helpers);
 
   const runtime::TransitionGenerator* generator_;
+  std::shared_ptr<const runtime::PropertySymbolTable> symbols_;
   runtime::FlatSnapshotCodec codec_;
   FlatExpander expander_;
 
@@ -296,6 +312,8 @@ class LeafCache {
 
   SnapshotGraph* graph_;
   std::vector<fo::FormulaPtr> leaves_;
+  /// The property symbols some leaf names: all a leaf evaluation reads.
+  runtime::PropertySymbolTable symbols_;
   std::vector<std::vector<std::string>> leaf_vars_;
   fo::Evaluator evaluator_;
   std::vector<Memo> memos_;

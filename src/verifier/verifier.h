@@ -61,7 +61,8 @@ struct VerificationStats {
   /// Instances discharged by the rigid-proposition prefilter without a
   /// state-space search.
   size_t prefiltered = 0;
-  /// Prefilter memoization effectiveness across valuations.
+  /// Prefilter memo lookups, one per checked valuation: truth-status keys
+  /// built (once per run) versus reused across valuations and databases.
   size_t prefilter_memo_misses = 0;
   size_t prefilter_memo_hits = 0;
   /// Worker threads the database sweep ran with (after resolving jobs=0 to

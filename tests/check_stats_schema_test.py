@@ -184,7 +184,9 @@ def main(argv):
 
     memo_counters = {"engine.valuations_checked": 100,
                      "engine.prefiltered": 49, "engine.searches": 15,
-                     "engine.search_memo_hits": 36}
+                     "engine.search_memo_hits": 36,
+                     "engine.prefilter_memo_misses": 4,
+                     "engine.prefilter_memo_hits": 96}
     memo = mutate(base_doc(), "counters",
                   {"sweep.databases": 4, **memo_counters})
     memo_hits_uncounted = mutate(base_doc(), "counters",
@@ -197,6 +199,23 @@ def main(argv):
     rollup_memo_bad = mutate(merge_doc(), "shards.counters",
                              {**memo_counters,
                               "engine.valuations_checked": 99})
+    # Prefilter memo: one lookup per checked valuation. A database sweep
+    # of 8 valuations over 4 databases that shares one memo across the
+    # run misses once per distinct truth-status key.
+    prefilter_counters = {"sweep.databases": 4,
+                          "engine.databases_checked": 4,
+                          "engine.valuations_checked": 8,
+                          "engine.prefiltered": 8,
+                          "engine.prefilter_memo_misses": 2,
+                          "engine.prefilter_memo_hits": 6}
+    prefilter_memo = mutate(base_doc(), "counters", prefilter_counters)
+    prefilter_hit_uncounted = mutate(base_doc(), "counters",
+                                     dict(prefilter_counters,
+                                          **{"engine.prefilter_memo_hits":
+                                             5}))
+    rollup_prefilter_lookup_twice = mutate(
+        merge_doc(), "shards.counters",
+        dict(prefilter_counters, **{"engine.prefilter_memo_misses": 3}))
 
     supervised = mutate(merge_doc(), "supervisor",
                         {"leases": 4, "relaunches": 2, "watchdog_kills": 1,
@@ -399,6 +418,11 @@ def main(argv):
          False),
         ("rollup valid search memo accounting", rollup_memo, True),
         ("rollup accounting off by one", rollup_memo_bad, False),
+        ("valid prefilter memo accounting", prefilter_memo, True),
+        ("prefilter memo hit left uncounted", prefilter_hit_uncounted,
+         False),
+        ("rollup prefilter memo looked up twice",
+         rollup_prefilter_lookup_twice, False),
         # Leaf-cache footprint memo accounting.
         ("valid leaf memo accounting", leaf_memo, True),
         ("footprint_hits + leaf_evals off in verdict stats", leaf_stats_off,

@@ -4,6 +4,8 @@
 #include <vector>
 
 #include "ltl/property.h"
+#include "modular/env_spec.h"
+#include "modular/modular_verifier.h"
 #include "obs/metrics.h"
 #include "spec/parser.h"
 #include "verifier/verifier.h"
@@ -126,6 +128,93 @@ TEST(ParallelSweep, HoldsVerdictHasIdenticalStatistics) {
               serial.result.stats.search.snapshots);
     EXPECT_EQ(parallel.result.stats.search.product_states,
               serial.result.stats.search.product_states);
+  }
+}
+
+/// A generated open composition (fuzz corpus seed 17, external regime): P1
+/// stores what the environment sends on q0 when its database has it and
+/// forwards it to P2, which stores anything but "c0".
+constexpr char kExternalPipeline[] = R"(
+peer P1 {
+  database { d1(a0); }
+  state { s1(a0); }
+  inqueue flat { q0(m0); }
+  outqueue flat { q1(m0); }
+  rules {
+    insert s1(x) :- (q0(x) and d1(x));
+    send q1(x) :- q0(x);
+  }
+}
+peer P2 {
+  state { s2(a0); }
+  action { out(a0); }
+  inqueue flat { q1(m0); }
+  outqueue flat { final(m0); }
+  rules {
+    insert s2(x) :- (q1(x) and not (x = "c0"));
+    action out(x) :- q1(x);
+    send final(x) :- q1(x);
+  }
+}
+composition Gen { peers P1, P2; }
+)";
+
+/// The modular sweep analogue of ValuationFanout's holds test: every
+/// database is checked at every job count, so the verdict and every
+/// aggregate match jobs 1 exactly. The prefilter memo is built once per
+/// run, not once per database: its entries depend on the automaton and the
+/// truth-status key alone, so the databases share the few distinct keys
+/// and the memo misses fewer times than there are databases.
+TEST(ParallelSweep, HoldsModularSweepSharesOnePrefilterMemo) {
+  auto comp = spec::ParseComposition(kExternalPipeline);
+  ASSERT_TRUE(comp.ok()) << comp.status();
+  // Holds only under the environment spec: the environment sends "c0"
+  // alone, which P2 never stores.
+  auto property = ltl::Property::Parse("forall x: G(P2.s2(x) -> (x = \"c0\"))");
+  ASSERT_TRUE(property.ok()) << property.status();
+  auto env = modular::EnvironmentSpec::Parse(
+      "G (forall x: env.q0(x) -> (x = \"c0\"))");
+  ASSERT_TRUE(env.ok()) << env.status();
+  auto run = [&](size_t jobs) {
+    obs::Registry::Global().Reset();
+    modular::ModularVerifierOptions options;
+    options.fresh_domain_size = 1;
+    options.jobs = jobs;
+    options.env_quantifier_domain = {"c0", "c1"};
+    options.run.env_message_candidates["q0"] = {{"c0"}, {"c1"}};
+    modular::ModularVerifier verifier(&*comp, options);
+    auto result = verifier.Verify(*property, *env);
+    EXPECT_TRUE(result.ok()) << result.status();
+    return std::move(*result);
+  };
+
+  const VerificationResult serial = run(1);
+  ASSERT_TRUE(serial.holds);
+  EXPECT_GT(serial.stats.databases_checked, 1u);
+  for (size_t jobs : {1u, 2u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    const VerificationResult r = jobs == 1 ? serial : run(jobs);
+    EXPECT_TRUE(r.holds);
+    EXPECT_EQ(r.stats.databases_checked, serial.stats.databases_checked);
+    EXPECT_EQ(r.stats.valuations_checked, serial.stats.valuations_checked);
+    EXPECT_EQ(r.stats.prefiltered, serial.stats.prefiltered);
+    EXPECT_EQ(r.stats.searches, serial.stats.searches);
+    EXPECT_EQ(r.stats.prefilter_memo_misses,
+              serial.stats.prefilter_memo_misses);
+    EXPECT_EQ(r.stats.prefilter_memo_hits, serial.stats.prefilter_memo_hits);
+    EXPECT_LT(r.stats.prefilter_memo_misses, r.stats.databases_checked);
+    EXPECT_EQ(r.stats.search.snapshots, serial.stats.search.snapshots);
+    EXPECT_EQ(r.stats.search.graph_transitions,
+              serial.stats.search.graph_transitions);
+    EXPECT_EQ(r.stats.search.product_states,
+              serial.stats.search.product_states);
+    EXPECT_EQ(r.stats.search.leaf_cache_hits,
+              serial.stats.search.leaf_cache_hits);
+    EXPECT_EQ(r.stats.search.leaf_cache_misses,
+              serial.stats.search.leaf_cache_misses);
+    EXPECT_EQ(r.stats.search.leaf_evals, serial.stats.search.leaf_evals);
+    EXPECT_EQ(r.stats.search.footprint_hits,
+              serial.stats.search.footprint_hits);
   }
 }
 

@@ -5,7 +5,8 @@ Usage:
   bench_diff.py OLD.json NEW.json [--threshold PCT] [--metric real|cpu]
 
 Benchmarks are matched by (binary, name); real_time_ms (default) or
-cpu_time_ms is compared. NEW regressing past --threshold percent (default
+cpu_time_ms is compared, as the median of a benchmark's rows when the
+document repeats it. NEW regressing past --threshold percent (default
 25 — single-run google-benchmark numbers on a busy host are noisy; tighten
 it when the baselines are repetition-aggregated) on any matched benchmark
 exits 1 and lists the offenders. Benchmarks present on only one side are
@@ -25,6 +26,7 @@ exercises the full match/compare path and must always exit 0.
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -48,13 +50,23 @@ def load(path):
 
 
 def flatten(doc, metric_key):
-    """{(binary, benchmark name): (time_ms, max_rss_kb or None)}."""
-    out = {}
+    """{(binary, benchmark name): (time_ms, max_rss_kb or None)}.
+
+    A document recorded with repetitions holds one row per repetition under
+    the same name; the time is their median and the RSS the largest the
+    rows report (the process peak, which only grows)."""
+    rows = {}
     for run in doc.get("runs", []):
         binary = run.get("binary", "?")
         for bench in run.get("benchmarks", []):
             rss = bench.get("counters", {}).get("process.max_rss_kb")
-            out[(binary, bench["name"])] = (bench[metric_key], rss)
+            rows.setdefault((binary, bench["name"]), []).append(
+                (bench[metric_key], rss))
+    out = {}
+    for key, reps in rows.items():
+        rss = [r for _, r in reps if r is not None]
+        out[key] = (statistics.median(t for t, _ in reps),
+                    max(rss) if rss else None)
     return out
 
 

@@ -10,7 +10,9 @@ phase tree ("phases"); v3 added the "process" section (peak memory); v4
 checks the valuation accounting: every checked valuation is prefiltered,
 searched or served by the search memo, so engine.prefiltered +
 engine.searches + engine.search_memo_hits = engine.valuations_checked,
-per document and on the shard roll-up; v5 dropped the flat timer map, so
+and does one prefilter memo lookup, so engine.prefilter_memo_misses +
+engine.prefilter_memo_hits = engine.valuations_checked, per document and
+on the shard roll-up; v5 dropped the flat timer map, so
 the phase tree is the one record of phase time (its paths must be closed
 under parents: "a/b" needs an "a" entry). A document carries no top-level
 section and a roll-up no key beyond the known ones, so a stale section
@@ -271,7 +273,10 @@ def check_valuation_counters(counters, where):
     """Validates the valuation accounting (schema v4): every checked
     valuation is either discharged by the prefilter, searched, or served
     by the engine's search memo, so prefiltered + searches +
-    search_memo_hits = valuations_checked (absent counters count as 0)."""
+    search_memo_hits = valuations_checked; and every checked valuation
+    looks its truth-status key up in the prefilter memo exactly once, so
+    prefilter_memo_misses + prefilter_memo_hits = valuations_checked
+    (absent counters count as 0)."""
     checked = counters.get("engine.valuations_checked", 0)
     parts = {name: counters.get(f"engine.{name}", 0)
              for name in ("prefiltered", "searches", "search_memo_hits")}
@@ -279,6 +284,12 @@ def check_valuation_counters(counters, where):
            f"'{where}': prefiltered {parts['prefiltered']} + searches "
            f"{parts['searches']} + search_memo_hits "
            f"{parts['search_memo_hits']} != engine.valuations_checked "
+           f"{checked}")
+    misses, hits = (counters.get(f"engine.prefilter_memo_{name}", 0)
+                    for name in ("misses", "hits"))
+    expect(misses + hits == checked,
+           f"'{where}': prefilter_memo_misses {misses} + "
+           f"prefilter_memo_hits {hits} != engine.valuations_checked "
            f"{checked}")
 
 
