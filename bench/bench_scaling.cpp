@@ -210,7 +210,7 @@ peer Store {
       state.SkipWithError("property unexpectedly violated");
       return;
     }
-    valuations = result->stats.valuations_checked;
+    valuations = result->stats.instances;
     searches = result->stats.searches;
   }
   bench::ExportObsCounters(state);

@@ -8,14 +8,19 @@ namespace wsv::automata {
 
 namespace {
 
-/// Adjacency over satisfiable-guard transitions only.
+/// Adjacency over the transitions whose guards are satisfiable under
+/// `truths`.
 std::vector<std::vector<StateId>> SatisfiableEdges(
-    const BuchiAutomaton& automaton) {
+    const BuchiAutomaton& automaton, const std::vector<int8_t>& truths) {
   std::vector<std::vector<StateId>> adj(automaton.num_states());
   for (size_t s = 0; s < automaton.num_states(); ++s) {
     for (const BuchiTransition& t :
          automaton.transitions_from(static_cast<StateId>(s))) {
-      if (t.guard->IsSatisfiable()) adj[s].push_back(t.to);
+      const bool satisfiable =
+          truths.empty() ? t.guard->IsSatisfiable()
+                         : PropExpr::PartialEval(t.guard, truths)
+                               ->IsSatisfiable();
+      if (satisfiable) adj[s].push_back(t.to);
     }
   }
   return adj;
@@ -74,12 +79,13 @@ std::vector<StateId> BfsCycle(const std::vector<std::vector<StateId>>& adj,
 
 }  // namespace
 
-std::optional<Lasso> FindAcceptingLasso(const BuchiAutomaton& automaton) {
+std::optional<Lasso> FindAcceptingLasso(const BuchiAutomaton& automaton,
+                                        const std::vector<int8_t>& truths) {
   assert(automaton.num_accepting_sets() <= 1 &&
          "degeneralize before emptiness checking");
   if (automaton.num_accepting_sets() == 0) {
     // All runs accept: any reachable cycle is a witness.
-    std::vector<std::vector<StateId>> adj = SatisfiableEdges(automaton);
+    std::vector<std::vector<StateId>> adj = SatisfiableEdges(automaton, truths);
     for (size_t s = 0; s < automaton.num_states(); ++s) {
       std::vector<StateId> cycle = BfsCycle(adj, static_cast<StateId>(s));
       if (cycle.empty()) continue;
@@ -91,7 +97,7 @@ std::optional<Lasso> FindAcceptingLasso(const BuchiAutomaton& automaton) {
     return std::nullopt;
   }
 
-  std::vector<std::vector<StateId>> adj = SatisfiableEdges(automaton);
+  std::vector<std::vector<StateId>> adj = SatisfiableEdges(automaton, truths);
   for (StateId acc : automaton.accepting_set(0)) {
     std::vector<StateId> prefix =
         BfsPath(adj, automaton.initial_states(), acc);

@@ -1,6 +1,7 @@
 #ifndef WSVERIFY_AUTOMATA_EMPTINESS_H_
 #define WSVERIFY_AUTOMATA_EMPTINESS_H_
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -17,13 +18,16 @@ struct Lasso {
 };
 
 /// Searches a plain (1 acceptance set) Büchi automaton for an accepting
-/// lasso, considering only transitions whose guards are satisfiable.
-/// Returns nullopt iff the language is empty.
-std::optional<Lasso> FindAcceptingLasso(const BuchiAutomaton& automaton);
+/// lasso, considering only transitions whose guards are satisfiable with
+/// the propositions of `truths` fixed (truths[p] 0 or 1; -1 or past the
+/// end leaves p free). Returns nullopt iff no run over those edges accepts.
+std::optional<Lasso> FindAcceptingLasso(const BuchiAutomaton& automaton,
+                                        const std::vector<int8_t>& truths = {});
 
-/// True iff the automaton's language is empty.
-inline bool IsEmptyLanguage(const BuchiAutomaton& automaton) {
-  return !FindAcceptingLasso(automaton).has_value();
+/// True iff the automaton accepts no run under `truths` (as above).
+inline bool IsEmptyLanguage(const BuchiAutomaton& automaton,
+                            const std::vector<int8_t>& truths = {}) {
+  return !FindAcceptingLasso(automaton, truths).has_value();
 }
 
 }  // namespace wsv::automata

@@ -225,7 +225,7 @@ Result<data::Value> Evaluator::ResolveConstant(
 }
 
 Result<ValuationSet> Evaluator::EvalAtom(const Formula& atom,
-                                         const StructureView& structure) const {
+                                         const MapStructure& structure) const {
   const data::Relation* rel = structure.Find(atom.relation());
   if (rel == nullptr) {
     return Status::NotFound("relation '" + atom.relation() +
@@ -285,7 +285,7 @@ Result<ValuationSet> Evaluator::EvalAtom(const Formula& atom,
 }
 
 Result<ValuationSet> Evaluator::EvalEquality(
-    const Formula& eq, const StructureView& structure) const {
+    const Formula& eq, const MapStructure& structure) const {
   const Term& lhs = eq.terms()[0];
   const Term& rhs = eq.terms()[1];
   if (lhs.is_constant() && rhs.is_constant()) {
@@ -313,7 +313,7 @@ Result<ValuationSet> Evaluator::EvalEquality(
 }
 
 Result<ValuationSet> Evaluator::Evaluate(const FormulaPtr& formula,
-                                         const StructureView& structure) const {
+                                         const MapStructure& structure) const {
   const data::Domain& domain = structure.EvaluationDomain();
   switch (formula->kind()) {
     case FormulaKind::kTrue:
@@ -378,7 +378,7 @@ Result<ValuationSet> Evaluator::Evaluate(const FormulaPtr& formula,
 }
 
 Result<bool> Evaluator::EvaluateSentence(const FormulaPtr& formula,
-                                         const StructureView& structure) const {
+                                         const MapStructure& structure) const {
   WSV_ASSIGN_OR_RETURN(ValuationSet result, Evaluate(formula, structure));
   if (!result.variables().empty()) {
     return Status::InvalidSpec("formula is not a sentence; free variables: " +
@@ -389,7 +389,7 @@ Result<bool> Evaluator::EvaluateSentence(const FormulaPtr& formula,
 
 Result<data::Relation> Evaluator::EvaluateQuery(
     const FormulaPtr& formula, const std::vector<std::string>& head_vars,
-    const StructureView& structure) const {
+    const MapStructure& structure) const {
   WSV_ASSIGN_OR_RETURN(ValuationSet result, Evaluate(formula, structure));
   // Free variables of the body must all be head variables (checked by spec
   // validation); head variables missing from the body range over the domain.

@@ -65,8 +65,8 @@ class ValuationSet {
   data::Relation rows_;                 // arity == variables_.size()
 };
 
-/// Evaluates FO formulas against a StructureView using active-domain
-/// semantics with the view's EvaluationDomain as quantification range.
+/// Evaluates FO formulas against a MapStructure using active-domain
+/// semantics with the structure's EvaluationDomain as quantification range.
 ///
 /// The evaluation strategy is bottom-up relational: each subformula yields
 /// the ValuationSet of its satisfying assignments, combined by join (and),
@@ -82,11 +82,11 @@ class Evaluator {
 
   /// Satisfying assignments of `formula`'s free variables.
   Result<ValuationSet> Evaluate(const FormulaPtr& formula,
-                                const StructureView& structure) const;
+                                const MapStructure& structure) const;
 
   /// Truth value of a sentence (formula with no free variables).
   Result<bool> EvaluateSentence(const FormulaPtr& formula,
-                                const StructureView& structure) const;
+                                const MapStructure& structure) const;
 
   /// Evaluates a rule body `formula` and returns the result relation with
   /// columns in `head_vars` order (Definition 2.1's "result of evaluating
@@ -94,14 +94,14 @@ class Evaluator {
   /// whole evaluation domain.
   Result<data::Relation> EvaluateQuery(
       const FormulaPtr& formula, const std::vector<std::string>& head_vars,
-      const StructureView& structure) const;
+      const MapStructure& structure) const;
 
  private:
   Result<data::Value> ResolveConstant(const std::string& spelling) const;
   Result<ValuationSet> EvalAtom(const Formula& atom,
-                                const StructureView& structure) const;
+                                const MapStructure& structure) const;
   Result<ValuationSet> EvalEquality(const Formula& eq,
-                                    const StructureView& structure) const;
+                                    const MapStructure& structure) const;
 
   const Interner* interner_;
 };

@@ -1,329 +1,9 @@
 #include "spec/library.h"
 
+#include "spec/library_specs.h"
 #include "spec/parser.h"
 
 namespace wsv::spec::library {
-
-namespace {
-
-constexpr char kLoanSource[] = R"(
-// The bank loan application composition (Figure 1 / Example 2.2).
-
-peer Customer {
-  database { wants(cId, loan); }
-  input    { submit(cId, loan); }
-  outqueue flat { apply(cId, loan); }
-  rules {
-    options submit(c, l) :- wants(c, l);
-    send apply(c, l) :- submit(c, l);
-  }
-}
-
-peer Officer {
-  database { customer(cId, ssn, name); }
-  input    { reccom(cId, recommendation); }
-  state {
-    application(cId, loan);
-    awaitsHist(cId, ssn, name, loan, rating);
-    awaitsMgr(cId, ssn, name, loan, rating, account, balance);
-  }
-  action { letter(cId, name, loan, decision); }
-  inqueue flat {
-    apply(cId, loan);
-    rating(ssn, category);
-    decision(cId, dec);
-  }
-  inqueue nested  { history(ssn, account, balance); }
-  outqueue flat   { getRating(ssn); getHistory(ssn); }
-  outqueue nested {
-    recommend(cId, ssn, name, loan, rec, rating, account, balance);
-  }
-  rules {
-    // (1) the officer recommends approval or denial for known customers
-    options reccom(id, rec) :-
-      exists ssn, name: customer(id, ssn, name)
-        and (rec = "approve" or rec = "deny");
-    // (2) arriving applications are recorded
-    insert application(id, loan) :- ?apply(id, loan);
-    // (3) and a credit rating request is sent, translating id -> ssn
-    send getRating(ssn) :-
-      exists id, loan, name: ?apply(id, loan) and customer(id, ssn, name);
-    // (4)-(6) letters: excellent -> approved, poor -> denied,
-    //         otherwise the manager's decision
-    action letter(id, name, loan, dec) :-
-      exists ssn: customer(id, ssn, name) and application(id, loan) and
-        [ ?rating(ssn, "excellent") and dec = "approved"
-          or ?rating(ssn, "poor") and dec = "denied"
-          or ?decision(id, dec) ];
-    // (7) middling ratings trigger a history request
-    send getHistory(ssn) :-
-      exists r: ?rating(ssn, r)
-        and not (r = "excellent" or r = "poor");
-    // (8) ... and the applicant waits for the history
-    insert awaitsHist(id, ssn, name, l, r) :-
-      ?rating(ssn, r) and not (r = "excellent" or r = "poor")
-        and application(id, l) and customer(id, ssn, name);
-    // (9) history received: ready for the manager
-    insert awaitsMgr(id, ssn, name, loan, rating, acc, bal) :-
-      ?history(ssn, acc, bal)
-        and awaitsHist(id, ssn, name, loan, rating);
-    // (10) the officer's recommendation goes to the manager
-    send recommend(id, ssn, name, loan, rec, rating, acc, bal) :-
-      reccom(id, rec) and awaitsMgr(id, ssn, name, loan, rating, acc, bal);
-  }
-}
-
-peer Manager {
-  database { client(cId, ssn, name); }
-  input    { decide(cId, dec); }
-  state {
-    pending(cId, ssn, name, loan, rec, rating, account, balance);
-  }
-  inqueue nested {
-    recommend(cId, ssn, name, loan, rec, rating, account, balance);
-  }
-  outqueue flat { decision(cId, dec); }
-  rules {
-    insert pending(id, ssn, name, loan, rec, rating, acc, bal) :-
-      ?recommend(id, ssn, name, loan, rec, rating, acc, bal);
-    // Input-boundedness (Section 3.1, condition 2) forbids non-ground state
-    // atoms in options rules, so the menu is driven by the client database;
-    // the officer's letter rule only reacts to decisions for recorded
-    // applications.
-    options decide(id, dec) :-
-      exists ssn, name: client(id, ssn, name)
-        and (dec = "approved" or dec = "denied");
-    send decision(id, dec) :- decide(id, dec);
-  }
-}
-
-peer CreditAgency {
-  database {
-    creditRecord(ssn, category);
-    accounts(ssn, account, balance);
-  }
-  inqueue flat  { getRating(ssn); getHistory(ssn); }
-  outqueue flat { rating(ssn, category); }
-  outqueue nested { history(ssn, account, balance); }
-  rules {
-    send rating(s, cat) :- ?getRating(s) and creditRecord(s, cat);
-    send history(s, acc, bal) :- ?getHistory(s) and accounts(s, acc, bal);
-  }
-}
-
-composition Loan { peers Customer, Officer, Manager, CreditAgency; }
-)";
-
-constexpr char kOfficerOnlySource[] = R"(
-// The Officer peer of Example 2.2 in isolation: an open composition whose
-// channels face the environment (customer, manager and credit agency are
-// undisclosed outside peers, Section 5).
-
-peer Officer {
-  database { customer(cId, ssn, name); }
-  input    { reccom(cId, recommendation); }
-  state {
-    application(cId, loan);
-    awaitsHist(cId, ssn, name, loan, rating);
-    awaitsMgr(cId, ssn, name, loan, rating, account, balance);
-  }
-  action { letter(cId, name, loan, decision); }
-  inqueue flat {
-    apply(cId, loan);
-    rating(ssn, category);
-    decision(cId, dec);
-  }
-  inqueue nested  { history(ssn, account, balance); }
-  outqueue flat   { getRating(ssn); getHistory(ssn); }
-  outqueue nested {
-    recommend(cId, ssn, name, loan, rec, rating, account, balance);
-  }
-  rules {
-    options reccom(id, rec) :-
-      exists ssn, name: customer(id, ssn, name)
-        and (rec = "approve" or rec = "deny");
-    insert application(id, loan) :- ?apply(id, loan);
-    send getRating(ssn) :-
-      exists id, loan, name: ?apply(id, loan) and customer(id, ssn, name);
-    action letter(id, name, loan, dec) :-
-      exists ssn: customer(id, ssn, name) and application(id, loan) and
-        [ ?rating(ssn, "excellent") and dec = "approved"
-          or ?rating(ssn, "poor") and dec = "denied"
-          or ?decision(id, dec) ];
-    send getHistory(ssn) :-
-      exists r: ?rating(ssn, r)
-        and not (r = "excellent" or r = "poor");
-    insert awaitsHist(id, ssn, name, l, r) :-
-      ?rating(ssn, r) and not (r = "excellent" or r = "poor")
-        and application(id, l) and customer(id, ssn, name);
-    insert awaitsMgr(id, ssn, name, loan, rating, acc, bal) :-
-      ?history(ssn, acc, bal)
-        and awaitsHist(id, ssn, name, loan, rating);
-    send recommend(id, ssn, name, loan, rec, rating, acc, bal) :-
-      reccom(id, rec) and awaitsMgr(id, ssn, name, loan, rating, acc, bal);
-  }
-}
-
-composition OfficerOnly { peers Officer; }
-)";
-
-constexpr char kShopSource[] = R"(
-// A single-peer computer-shopping site in the spirit of the WAVE demos
-// (Dell-like store): the degenerate no-queue case of Lemma 3.5.
-
-peer Shop {
-  database {
-    product(pId, price);
-    inStock(pId);
-  }
-  input {
-    view(pId);
-    addToCart(pId);
-    checkout();
-  }
-  state {
-    viewed(pId);
-    cart(pId);
-    ordered(pId);
-  }
-  action {
-    ship(pId);
-    confirm(pId);
-  }
-  rules {
-    options view(p) :- exists price: product(p, price);
-    options addToCart(p) :- prev_view(p) and inStock(p);
-    options checkout() :- true;
-    insert viewed(p) :- view(p);
-    insert cart(p) :- addToCart(p);
-    delete cart(p) :- cart(p) and checkout();
-    insert ordered(p) :- cart(p) and checkout();
-    action ship(p) :- cart(p) and checkout() and inStock(p);
-    action confirm(p) :- cart(p) and checkout();
-  }
-}
-
-composition ShopOnly { peers Shop; }
-)";
-
-constexpr char kBookstoreSource[] = R"(
-// An online bookstore in the spirit of Barnes & Noble (Section 3.1 claims
-// such sites are input-bounded-modelable): a storefront peer takes orders
-// and a warehouse peer picks and ships them.
-
-peer Storefront {
-  database { book(bId, title); }
-  input    { order(bId); }
-  state    { placed(bId); shipped(bId); }
-  action   { notifyShipped(bId); }
-  inqueue flat  { shipNotice(bId); }
-  outqueue flat { pickRequest(bId); }
-  rules {
-    options order(b) :- exists t: book(b, t);
-    insert placed(b) :- order(b);
-    send pickRequest(b) :- order(b);
-    insert shipped(b) :- ?shipNotice(b);
-    action notifyShipped(b) :- ?shipNotice(b) and placed(b);
-  }
-}
-
-peer Warehouse {
-  database { stock(bId, shelf); }
-  state    { picked(bId); }
-  inqueue flat  { pickRequest(bId); }
-  outqueue flat { shipNotice(bId); }
-  rules {
-    insert picked(b) :- exists s: ?pickRequest(b) and stock(b, s);
-    send shipNotice(b) :- exists s: ?pickRequest(b) and stock(b, s);
-  }
-}
-
-composition Bookstore { peers Storefront, Warehouse; }
-)";
-
-constexpr char kAirlineSource[] = R"(
-// An airline-reservation composition in the spirit of Expedia (Section 3.1
-// claims such sites are input-bounded-modelable): a travel front-end
-// searches flights, places holds with the airline's inventory service, and
-// confirms bookings from the acknowledgments.
-
-peer Travel {
-  database { flight(fId, dest); }
-  input    { searchDest(dest); book(fId); }
-  state    { results(fId, dest); held(fId); confirmed(fId); }
-  action   { itinerary(fId); }
-  inqueue flat  { bookAck(fId, status); }
-  outqueue flat { hold(fId); }
-  rules {
-    options searchDest(d) :- exists f: flight(f, d);
-    insert results(f, d) :- searchDest(d) and flight(f, d);
-    // Booking is offered for flights matching the previous search
-    // (previous-input guards keep the rule input-bounded).
-    options book(f) :- exists d: prev_searchDest(d) and flight(f, d);
-    send hold(f) :- book(f);
-    insert held(f) :- book(f);
-    insert confirmed(f) :- ?bookAck(f, "ok") and held(f);
-    delete held(f) :- ?bookAck(f, "ok") or ?bookAck(f, "full");
-    action itinerary(f) :- ?bookAck(f, "ok") and held(f);
-  }
-}
-
-peer Airline {
-  database { seats(fId); }
-  inqueue flat  { hold(fId); }
-  outqueue flat { bookAck(fId, status); }
-  rules {
-    send bookAck(f, st) :-
-      ?hold(f) and (seats(f) and st = "ok"
-                    or not seats(f) and st = "full");
-  }
-}
-
-composition Airline { peers Travel, Airline; }
-)";
-
-constexpr char kMotoGpSource[] = R"(
-// A Motorcycle Grand Prix fan site (the fourth site modeled with WAVE,
-// Section 3.1): race browsing, rider following, and a poll whose options
-// depend on the race the fan just viewed.
-
-peer MotoGP {
-  database {
-    race(raceId, circuit);
-    result(raceId, rider, position);
-    rider(riderId, team);
-  }
-  input {
-    viewRace(raceId);
-    follow(riderId);
-    vote(riderId);
-  }
-  state {
-    viewing(raceId);
-    followed(riderId);
-    votes(riderId);
-  }
-  action { notify(riderId, raceId); }
-  rules {
-    options viewRace(r) :- exists c: race(r, c);
-    options follow(rd) :- exists t: rider(rd, t);
-    // The poll offers the winner of the race the fan viewed last —
-    // a previous-input guard keeps the rule input-bounded.
-    options vote(rd) :-
-      exists r: prev_viewRace(r) and result(r, rd, "p1");
-    insert viewing(r) :- viewRace(r);
-    delete viewing(r) :- viewing(r) and not viewRace(r);
-    insert followed(rd) :- follow(rd);
-    insert votes(rd) :- vote(rd);
-    action notify(rd, r) :-
-      followed(rd) and viewRace(r) and result(r, rd, "p1");
-  }
-}
-
-composition MotoGP { peers MotoGP; }
-)";
-
-}  // namespace
 
 const char* LoanCompositionSource() { return kLoanSource; }
 

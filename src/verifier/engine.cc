@@ -150,43 +150,6 @@ VerificationEngine::VerificationEngine(
 
 namespace {
 
-/// A leaf is database-rigid when every relation it mentions is a fixed
-/// database relation.
-bool IsRigidLeaf(const fo::FormulaPtr& leaf, const spec::Composition& comp) {
-  for (const std::string& rel : leaf->RelationNames()) {
-    if (comp.Classify(rel) != fo::RelClass::kDatabase) return false;
-  }
-  return true;
-}
-
-/// Rebuilds `automaton` with guards partially evaluated under the rigid
-/// truths, dropping edges whose guards became false.
-automata::BuchiAutomaton RestrictAutomaton(
-    const automata::BuchiAutomaton& automaton,
-    const std::vector<int8_t>& truths) {
-  automata::BuchiAutomaton out(automaton.num_props());
-  for (size_t s = 0; s < automaton.num_states(); ++s) out.AddState();
-  for (automata::StateId s : automaton.initial_states()) out.AddInitial(s);
-  for (size_t s = 0; s < automaton.num_states(); ++s) {
-    for (const automata::BuchiTransition& t :
-         automaton.transitions_from(static_cast<automata::StateId>(s))) {
-      automata::PropExprPtr guard =
-          automata::PropExpr::PartialEval(t.guard, truths);
-      if (guard->kind() == automata::PropExpr::Kind::kFalse) continue;
-      out.AddTransition(static_cast<automata::StateId>(s), t.to,
-                        std::move(guard));
-    }
-  }
-  std::vector<automata::StateId> accepting;
-  for (size_t s = 0; s < automaton.num_states(); ++s) {
-    if (automaton.IsAccepting(static_cast<automata::StateId>(s))) {
-      accepting.push_back(static_cast<automata::StateId>(s));
-    }
-  }
-  out.AddAcceptingSet(std::move(accepting));
-  return out;
-}
-
 /// The snapshot normalization for a task's leaves: keeps exactly the
 /// snapshot parts some proposition (or, for previous inputs, some rule)
 /// observes.
@@ -276,25 +239,19 @@ class ShardedMemo {
   std::array<Shard, kShards> shards_;
 };
 
-/// Prefilter memo entry: at most 3^#leaves distinct truth-status vectors
-/// versus |domain|^#vars valuations. Concurrent product searches read the
-/// memoized automata in place.
-struct PrefilterEntry {
-  bool empty_language = false;
-  automata::BuchiAutomaton automaton{0};
-  /// Guard cubes compiled once per restricted automaton and shared by
-  /// every product search (one per valuation) that hits this entry.
-  ProductSearch::GuardTable guards;
-};
+/// Prefilter memo entry, keyed by the truth-status vector (at most
+/// 3^#leaves keys versus |domain|^#vars valuations): whether the task
+/// automaton accepts no run over the edges still satisfiable under those
+/// truths.
 constexpr char kPrefilterMemoSite[] = "prefilter_memo";
-using PrefilterMemo = ShardedMemo<PrefilterEntry, kPrefilterMemoSite>;
+using PrefilterMemo = ShardedMemo<bool, kPrefilterMemoSite>;
 
-/// Search memo entry, keyed by leaf signature and used on a complete graph
-/// only. Two valuations with the same prefilter key whose leaf rows fall in
-/// the same footprint results of every unfixed leaf see the same truth
-/// values at every snapshot, so their product searches run on the same
-/// restricted automaton over the same labelled graph and end the same way.
-/// The first lane with a signature searches under the entry's lock, so
+/// Search memo entry, keyed by leaf signature and used on a sealed graph
+/// only. Every snapshot's cell of a leaf is one of its footprint results,
+/// so two valuations whose leaf rows fall in the same results of every
+/// leaf see the same truth values at every snapshot: their product searches
+/// run on the same automaton over the same labelled graph and end the same
+/// way. The first lane with a signature searches under the entry's lock, so
 /// only lanes with that signature wait on it and each signature is searched
 /// once at any job count. Only completed outcomes (found, not found,
 /// budget-cut) are stored; after a deadline, cancel or hard error the entry
@@ -318,11 +275,8 @@ struct VerificationEngine::RunState {
   const SymbolicTask* task = nullptr;
   SnapshotNormalization normalization;
   std::shared_ptr<const runtime::PropertySymbolTable> symbols;
-  /// rigid[i]: leaf i reads fixed database relations only, so its truth
-  /// (per valuation) is constant along every run over one database and can
-  /// be folded into the automaton before the search.
-  std::vector<bool> rigid;
-  bool any_rigid = false;
+  /// The task automaton's guards, compiled once for every product search.
+  ProductSearch::GuardTable guards;
   /// leaf_positions[i][k]: closure-variable position of leaf i's k-th free
   /// variable (in LeafCache::LeafVariables order).
   std::vector<std::vector<size_t>> leaf_positions;
@@ -350,13 +304,13 @@ struct VerificationEngine::ValuationLane {
   /// Lowest-index witness this lane found.
   std::optional<Candidate> candidate;
 
-  // Scratch reused across valuations: the decoded assignment, the rigid
-  // truth-status vector and the two memo keys built from it (no per-lookup
-  // string reallocation).
+  // Scratch reused across valuations: the decoded assignment, the
+  // truth-status vector (the prefilter memo key) and the leaf signature
+  // (the search memo key), so lookups reallocate nothing.
   std::vector<data::Value> values;
-  std::vector<int8_t> rigid_truths;
+  std::vector<int8_t> truths;
   std::string memo_key;
-  std::string search_key;
+  std::string signature;
 };
 
 /// Per-database state shared by every valuation instance.
@@ -368,11 +322,6 @@ struct VerificationEngine::ValuationContext {
   SearchMemo* search_memo;
   /// Collects the budget cuts of the searches.
   FirstWitness* race;
-  /// A snapshot of the graph: rigid leaves read only the database, so any
-  /// snapshot decides them.
-  SnapshotId init_sid;
-  const std::vector<const data::Relation*>* ever_sat;
-  const std::vector<const data::Relation*>* always_sat;
 };
 
 Result<bool> VerificationEngine::CheckOneValuation(const ValuationContext& ctx,
@@ -386,9 +335,16 @@ Result<bool> VerificationEngine::CheckOneValuation(const ValuationContext& ctx,
   }
   task.valuations.DecodeValues(index, &lane.values);
 
-  // Build this instance's per-leaf lookup rows.
+  // The instance's signature: per leaf, one bit per footprint result, set
+  // iff the leaf row is in it. On a sealed graph every snapshot's cell is
+  // one of the results, so a leaf whose bits agree has the same truth at
+  // every snapshot. On a partial graph the results seen so far need not
+  // cover the graph: only a leaf that reads no snapshot part, with one
+  // result for every snapshot, is fixed.
+  const bool sealed = ctx.search_memo != nullptr;
   const size_t num_leaves = task.leaves.size();
-  lane.rigid_truths.assign(num_leaves, -1);
+  lane.truths.assign(num_leaves, -1);
+  lane.signature.clear();
   std::vector<data::Tuple> leaf_rows;
   leaf_rows.reserve(num_leaves);
   for (size_t i = 0; i < num_leaves; ++i) {
@@ -397,40 +353,32 @@ Result<bool> VerificationEngine::CheckOneValuation(const ValuationContext& ctx,
     row.reserve(positions.size());
     for (size_t pos : positions) row.push_back(lane.values[pos]);
     leaf_rows.push_back(data::Tuple(std::move(row)));
-    if (ctx.run->rigid[i]) {
-      WSV_ASSIGN_OR_RETURN(const fo::ValuationSet* sat,
-                           ctx.cache->Get(ctx.init_sid, i));
-      lane.rigid_truths[i] = sat->rows().Contains(leaf_rows[i]) ? 1 : 0;
-    } else if ((*ctx.ever_sat)[i] != nullptr &&
-               !(*ctx.ever_sat)[i]->Contains(leaf_rows[i])) {
-      lane.rigid_truths[i] = 0;  // never satisfied anywhere in the graph
-    } else if ((*ctx.always_sat)[i] != nullptr &&
-               (*ctx.always_sat)[i]->Contains(leaf_rows[i])) {
-      lane.rigid_truths[i] = 1;  // satisfied at every reachable snapshot
+    if (!sealed) {
+      if (!ctx.cache->ReadsNoPart(i)) continue;
+      if (ctx.cache->FootprintResults(i).empty()) {
+        // Snapshot 0 is an initial snapshot; the searches read it first.
+        WSV_RETURN_IF_ERROR(ctx.cache->GetAll(0).status());
+      }
     }
+    lane.truths[i] =
+        ctx.cache->AppendSignature(i, leaf_rows[i], &lane.signature);
   }
 
-  // Prefilter: with database-rigid and never/always-satisfied propositions
-  // fixed, an automaton with empty language cannot accept any run — skip
-  // the search. Restriction + emptiness depends only on the truth-status
-  // vector, so it is memoized across valuations and databases.
+  // Prefilter: with the fixed leaves' truths, a task automaton that accepts
+  // no run over the edges still satisfiable accepts none of this
+  // instance's runs, so the search is skipped. The answer depends only on
+  // the truth-status vector, so it is memoized across valuations and
+  // databases.
   bool any_fixed = false;
-  for (int8_t t : lane.rigid_truths) any_fixed = any_fixed || t >= 0;
-  lane.memo_key.assign(lane.rigid_truths.begin(), lane.rigid_truths.end());
+  for (int8_t t : lane.truths) any_fixed = any_fixed || t >= 0;
+  lane.memo_key.assign(lane.truths.begin(), lane.truths.end());
   bool was_miss = false;
-  const PrefilterEntry* entry =
-      ctx.run->prefilter_memo.GetOrCompute(lane.memo_key, &was_miss, [&] {
+  const bool empty_language = *ctx.run->prefilter_memo.GetOrCompute(
+      lane.memo_key, &was_miss, [&] {
         obs::PhaseTimer prefilter_phase("prefilter");
-        auto e = std::make_unique<PrefilterEntry>();
-        e->automaton = any_fixed ? RestrictAutomaton(task.automaton,
-                                                     lane.rigid_truths)
-                                 : task.automaton;
-        e->empty_language =
-            any_fixed && automata::IsEmptyLanguage(e->automaton);
-        if (!e->empty_language) {
-          e->guards = ProductSearch::CompileGuards(e->automaton);
-        }
-        return e;
+        return std::make_unique<bool>(
+            any_fixed &&
+            automata::IsEmptyLanguage(task.automaton, lane.truths));
       });
   obs::Registry& registry = obs::Registry::Global();
   static obs::Counter& valuations_checked =
@@ -447,39 +395,21 @@ Result<bool> VerificationEngine::CheckOneValuation(const ValuationContext& ctx,
         registry.counter("engine.prefilter_memo_hits");
     memo_hits.Add(1);
   }
-  if (entry->empty_language) {
+  if (empty_language) {
     ++lane.prefiltered;
     static obs::Counter& prefiltered = registry.counter("engine.prefiltered");
     prefiltered.Add(1);
     return false;
   }
 
-  // Search memo: the prefilter key, then one bit per footprint result of
-  // each unfixed leaf — whether this valuation's row is in it. Every
-  // snapshot's cell is one of those results, so equal keys mean equal
-  // truth everywhere and the memoized outcome is this valuation's own.
+  // Search memo: equal signatures mean equal truth everywhere, so the
+  // memoized outcome is this valuation's own.
   SearchEntry* memo_entry = nullptr;
   std::unique_lock<obs::TimedMutex> memo_lock;
-  if (ctx.search_memo != nullptr) {
-    lane.search_key = lane.memo_key;
-    for (size_t i = 0; i < num_leaves; ++i) {
-      if (lane.rigid_truths[i] >= 0) continue;
-      uint8_t bits = 0;
-      size_t used = 0;
-      for (const auto& sat : ctx.cache->FootprintResults(i)) {
-        bits = static_cast<uint8_t>(
-            (bits << 1) | (sat->rows().Contains(leaf_rows[i]) ? 1 : 0));
-        if (++used == 8) {
-          lane.search_key.push_back(static_cast<char>(bits));
-          bits = 0;
-          used = 0;
-        }
-      }
-      if (used > 0) lane.search_key.push_back(static_cast<char>(bits));
-    }
+  if (sealed) {
     bool first_lookup = false;
     memo_entry = ctx.search_memo->GetOrCompute(
-        lane.search_key, &first_lookup,
+        lane.signature, &first_lookup,
         [] { return std::make_unique<SearchEntry>(); });
     memo_lock = std::unique_lock<obs::TimedMutex>(memo_entry->mu);
   }
@@ -496,9 +426,9 @@ Result<bool> VerificationEngine::CheckOneValuation(const ValuationContext& ctx,
     ++lane.searches;
     static obs::Counter& searches = registry.counter("engine.searches");
     searches.Add(1);
-    ProductSearch search(ctx.graph, ctx.cache, &entry->automaton,
+    ProductSearch search(ctx.graph, ctx.cache, &task.automaton,
                          std::move(leaf_rows), options_.budget,
-                         &entry->guards);
+                         &ctx.run->guards);
     Result<std::optional<LassoWitness>> witness = [&] {
       obs::PhaseTimer ndfs_phase("ndfs");
       return search.FindAcceptedRun(&lane.stats);
@@ -560,7 +490,7 @@ Result<bool> VerificationEngine::CheckDatabases(
   } guard{graph, cache, outcome};
 
   // Exhaustively explore the configuration graph once: every instance
-  // shares it, and full coverage enables the ever-satisfied prefilter. Each
+  // shares it, and a sealed graph fixes more leaves for the prefilter. Each
   // BFS level's successor computation runs on all lanes of the scheduler
   // (pool_); ids do not depend on the lane count.
   WSV_ASSIGN_OR_RETURN(bool complete_graph,
@@ -574,42 +504,17 @@ Result<bool> VerificationEngine::CheckDatabases(
         " snapshots; verdict is bounded");
   } else {
     // Seal the leaf cache up front (in parallel when lanes are available):
-    // every later Get is a lock-free hit, which both serves concurrent
+    // every later GetAll is a lock-free hit, which both serves concurrent
     // product searches and keeps hit/miss statistics identical at every job
     // count. On an incomplete graph the cache stays lazy — the searches
     // below then run serially, since they grow the graph on the fly.
     WSV_RETURN_IF_ERROR(cache.SealAndPopulate(pool_, lanes_));
   }
 
-  SnapshotId init_sid = 0;
-  if (run.any_rigid) {
-    WSV_ASSIGN_OR_RETURN(const std::vector<SnapshotId>* initials,
-                         graph.Initials());
-    init_sid = initials->front();
-  }
-
-  // Ever-satisfied unions per leaf (valid only over a complete graph): a
-  // valuation row never satisfied anywhere makes its proposition
-  // constant-false along every run.
-  std::vector<const data::Relation*> ever_sat(task.leaves.size(), nullptr);
-  std::vector<const data::Relation*> always_sat(task.leaves.size(), nullptr);
-  if (complete_graph) {
-    for (size_t i = 0; i < task.leaves.size(); ++i) {
-      WSV_ASSIGN_OR_RETURN(ever_sat[i], cache.EverSatisfied(i));
-      WSV_ASSIGN_OR_RETURN(always_sat[i], cache.AlwaysSatisfied(i));
-    }
-  }
-
   SearchMemo search_memo;
   FirstWitness race("engine.fanout_stop");
-  const ValuationContext ctx{&run,
-                             &graph,
-                             &cache,
-                             complete_graph ? &search_memo : nullptr,
-                             &race,
-                             init_sid,
-                             &ever_sat,
-                             &always_sat};
+  const ValuationContext ctx{&run, &graph, &cache,
+                             complete_graph ? &search_memo : nullptr, &race};
   const size_t total = task.valuations.size();
   // Valuation shard bounds; the full space on database sweeps (Run()
   // rejects a valuation range there). Indices stay absolute, so a shard's
@@ -760,6 +665,11 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
         "sweeps shard with --db-range instead");
   }
 
+  // The verdict's `instances`, also on a count-only run.
+  obs::Registry::Global()
+      .counter("engine.instances")
+      .Add(task.valuations.size());
+
   if (options_.count_only) {
     // Count-only: report the size of the enumeration space (the coordinate
     // system shard ranges index into) without checking anything.
@@ -782,20 +692,14 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
     return outcome;
   }
 
-  obs::Registry::Global()
-      .counter("engine.instances")
-      .Add(task.valuations.size());
-
   RunState run;
   run.task = &task;
   run.normalization = NormalizationFor(*comp_, task.leaves);
   run.symbols = std::make_shared<const runtime::PropertySymbolTable>(
       runtime::PropertySymbols(*comp_));
-  run.rigid.resize(task.leaves.size());
+  run.guards = ProductSearch::CompileGuards(task.automaton);
   run.leaf_positions.resize(task.leaves.size());
   for (size_t i = 0; i < task.leaves.size(); ++i) {
-    run.rigid[i] = IsRigidLeaf(task.leaves[i], *comp_);
-    run.any_rigid = run.any_rigid || run.rigid[i];
     // The sorted free variables: LeafCache's column order.
     for (const std::string& var : task.leaves[i]->FreeVariables()) {
       auto it = std::find(task.closure_variables.begin(),

@@ -217,8 +217,8 @@ struct EngineOutcome {
 
   size_t databases_checked = 0;
   size_t searches = 0;
-  /// Instances discharged by the rigid-proposition emptiness prefilter
-  /// without a state-space search.
+  /// Instances discharged by the emptiness prefilter without a
+  /// state-space search.
   size_t prefiltered = 0;
   /// Prefilter memo lookups, one per checked valuation: distinct
   /// truth-status vectors computed (once per run, shared by every database)
@@ -260,8 +260,9 @@ struct EngineOutcome {
 /// Runs the symbolic task against every database over the pseudo-domain
 /// (canonical representatives only, when iso_reduction), stopping at the
 /// first violation. Per database: the configuration graph is explored once
-/// and shared by all instances; instances whose automaton is empty after
-/// fixing the database-rigid propositions are skipped without search.
+/// and shared by all instances; instances whose automaton accepts no run
+/// once the leaves constant along every run are fixed are skipped without
+/// search.
 ///
 /// With options.jobs > 1 the sweep runs on a worker pool (ParallelSweep):
 /// each worker checks whole databases against its private accumulators;

@@ -335,7 +335,6 @@ void LeafCache::AppendKey(size_t leaf, runtime::FlatSnapshot flat,
 void LeafCache::CountMisses(size_t snapshots, size_t evals) {
   const size_t cells = snapshots * leaves_.size();
   misses_.fetch_add(snapshots, std::memory_order_relaxed);
-  evaluated_ += snapshots;
   leaf_evals_ += evals;
   footprint_hits_ += cells - evals;
   obs::Registry& registry = obs::Registry::Global();
@@ -351,11 +350,6 @@ void LeafCache::CountMisses(size_t snapshots, size_t evals) {
 bool LeafCache::Evaluated(SnapshotId sid) const {
   const size_t first = static_cast<size_t>(sid) * leaves_.size();
   return first < cells_.size() && cells_[first] != nullptr;
-}
-
-Result<const fo::ValuationSet*> LeafCache::Get(SnapshotId sid, size_t leaf) {
-  WSV_ASSIGN_OR_RETURN(const fo::ValuationSet* const* row, GetAll(sid));
-  return row[leaf];
 }
 
 Result<const fo::ValuationSet* const*> LeafCache::GetAll(SnapshotId sid) {
@@ -515,41 +509,25 @@ Status LeafCache::SealBatch(const SnapshotId* sids, size_t count,
   return Status::Ok();
 }
 
-Status LeafCache::EnsureComplete() {
-  if (evaluated_ == graph_->size()) return Status::Ok();
-  return SealAndPopulate();
-}
-
-Result<const data::Relation*> LeafCache::EverSatisfied(size_t leaf) {
-  if (ever_.size() < leaves_.size()) ever_.resize(leaves_.size());
-  if (!ever_[leaf].has_value()) {
-    WSV_RETURN_IF_ERROR(EnsureComplete());
-    // Every snapshot's result is one of the leaf's distinct results: gather
-    // their rows, then sort and deduplicate once.
-    std::vector<data::Tuple> rows;
-    for (const std::unique_ptr<fo::ValuationSet>& sat : memos_[leaf].results) {
-      rows.insert(rows.end(), sat->rows().begin(), sat->rows().end());
+int8_t LeafCache::AppendSignature(size_t leaf, const data::Tuple& row,
+                                  std::string* out) const {
+  bool any_in = false;
+  bool any_out = false;
+  uint8_t bits = 0;
+  size_t used = 0;
+  for (const std::unique_ptr<fo::ValuationSet>& sat : memos_[leaf].results) {
+    const bool in = sat->rows().Contains(row);
+    any_in = any_in || in;
+    any_out = any_out || !in;
+    bits = static_cast<uint8_t>((bits << 1) | (in ? 1 : 0));
+    if (++used == 8) {
+      out->push_back(static_cast<char>(bits));
+      bits = 0;
+      used = 0;
     }
-    ever_[leaf] = data::Relation(leaf_vars_[leaf].size(), std::move(rows));
   }
-  return &*ever_[leaf];
-}
-
-Result<const data::Relation*> LeafCache::AlwaysSatisfied(size_t leaf) {
-  if (always_.size() < leaves_.size()) always_.resize(leaves_.size());
-  if (!always_[leaf].has_value()) {
-    WSV_RETURN_IF_ERROR(EnsureComplete());
-    const std::vector<std::unique_ptr<fo::ValuationSet>>& results =
-        memos_[leaf].results;
-    data::Relation common(leaf_vars_[leaf].size());
-    for (size_t i = 0; i < results.size(); ++i) {
-      common = i == 0 ? results[i]->rows()
-                      : common.Intersection(results[i]->rows());
-      if (common.empty()) break;
-    }
-    always_[leaf] = std::move(common);
-  }
-  return &*always_[leaf];
+  if (used > 0) out->push_back(static_cast<char>(bits));
+  return !any_in ? 0 : !any_out ? 1 : -1;
 }
 
 }  // namespace wsv::verifier

@@ -201,8 +201,8 @@ class SnapshotGraph {
 /// leaf's memo rather than a copy.
 ///
 /// After a complete exploration, SealAndPopulate evaluates every snapshot
-/// up front (optionally in parallel); Get is then a lock-free read, safe to
-/// call concurrently from many product searches.
+/// up front (optionally in parallel); GetAll is then a lock-free read, safe
+/// to call concurrently from many product searches.
 class LeafCache {
  public:
   /// `graph` must outlive the cache; `interner` resolves leaf constants.
@@ -217,39 +217,24 @@ class LeafCache {
     return leaf_vars_[leaf];
   }
 
-  /// Satisfying assignments of leaf `leaf` at snapshot `sid`.
-  Result<const fo::ValuationSet*> Get(SnapshotId sid, size_t leaf);
-
-  /// All leaves of `sid` at once, as an array indexed by leaf. One hit/miss
-  /// account per call instead of per leaf — the product search reads
-  /// every leaf of a snapshot anyway when it computes a valuation, and the
-  /// per-leaf accounting (two atomic increments each) dominates the
-  /// sealed-cache lookup. The array stays valid until a lazy Get grows
-  /// the cache; after SealAndPopulate it never moves.
+  /// The satisfying assignments of every leaf at `sid`, as an array indexed
+  /// by leaf, with one hit/miss account per call. The array stays valid
+  /// until a lazy GetAll grows the cache; after SealAndPopulate it never
+  /// moves.
   Result<const fo::ValuationSet* const*> GetAll(SnapshotId sid);
 
   /// Evaluates every leaf on every snapshot of the (fully explored) graph:
   /// footprints are computed in parallel over `pool` (see
   /// ThreadPool::ParallelChunks; serial when pool is null or lanes <= 1),
   /// deduplicated per leaf in snapshot-id order, and each new footprint is
-  /// evaluated once, again in parallel. Afterwards every Get is a hit and
+  /// evaluated once, again in parallel. Afterwards every GetAll is a hit and
   /// touches no mutable state, so concurrent product searches can read the
   /// cache without locks. Results and counters are identical at every lane
   /// count and to the lazy path on a complete graph (one miss per
   /// snapshot). On error, reports the lowest-snapshot-id failure.
   Status SealAndPopulate(ThreadPool* pool = nullptr, size_t lanes = 1);
 
-  /// Union of the satisfying assignments of leaf `leaf` over *all* reachable
-  /// snapshots; requires graph->fully_explored(). A valuation row absent
-  /// from this union makes the proposition constant-false along every run —
-  /// the engine then discharges the instance by automaton emptiness alone.
-  Result<const data::Relation*> EverSatisfied(size_t leaf);
-
-  /// Intersection over all reachable snapshots: rows satisfied *everywhere*
-  /// make the proposition constant-true along every run.
-  Result<const data::Relation*> AlwaysSatisfied(size_t leaf);
-
-  /// Get() calls answered from an already-evaluated snapshot...
+  /// GetAll() calls answered from an already-evaluated snapshot...
   size_t hits() const { return hits_.load(std::memory_order_relaxed); }
   /// ...versus snapshots whose leaves had to be looked up or evaluated.
   size_t misses() const { return misses_.load(std::memory_order_relaxed); }
@@ -268,6 +253,21 @@ class LeafCache {
       size_t leaf) const {
     return memos_[leaf].results;
   }
+
+  /// Whether leaf `leaf` reads no snapshot part, only the database and the
+  /// domain, which are fixed for the graph: it then has one footprint, and
+  /// its one result holds at every snapshot.
+  bool ReadsNoPart(size_t leaf) const { return memos_[leaf].parts.empty(); }
+
+  /// Appends the signature of `row` (an assignment of leaf `leaf`'s
+  /// variables, in LeafVariables order) to `*out`: one bit per footprint
+  /// result, set iff the row is in it, packed eight to a byte. Returns the
+  /// truth the bits fix: 1 if the row is in every result, 0 if it is in
+  /// none (or there is no result), -1 if the bits differ. Once every
+  /// snapshot is evaluated, each cell is one of the results, so a fixed
+  /// truth is the leaf's truth at every snapshot of the graph.
+  int8_t AppendSignature(size_t leaf, const data::Tuple& row,
+                         std::string* out) const;
 
  private:
   /// One leaf's footprint memo: footprint keys with one result slot each.
@@ -307,9 +307,6 @@ class LeafCache {
   /// needed a fresh evaluation.
   void CountMisses(size_t snapshots, size_t evals);
 
-  /// Evaluates every pending snapshot (a serial seal) unless all are done.
-  Status EnsureComplete();
-
   SnapshotGraph* graph_;
   std::vector<fo::FormulaPtr> leaves_;
   /// The property symbols some leaf names: all a leaf evaluation reads.
@@ -319,9 +316,6 @@ class LeafCache {
   std::vector<Memo> memos_;
   /// cells_[sid * leaves + leaf], null until the snapshot is evaluated.
   std::vector<const fo::ValuationSet*> cells_;
-  size_t evaluated_ = 0;
-  std::vector<std::optional<data::Relation>> ever_;
-  std::vector<std::optional<data::Relation>> always_;
   std::atomic<size_t> hits_{0};
   std::atomic<size_t> misses_{0};
   size_t leaf_evals_ = 0;

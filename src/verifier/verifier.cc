@@ -51,6 +51,7 @@ VerificationResult ToVerificationResult(EngineOutcome outcome,
   const bool pinned = options.fixed_databases.has_value();
   VerificationResult result;
   result.regime = std::move(regime);
+  result.stats.instances = valuations;
   result.stats.valuations_checked = valuations;
   result.coverage.unit = outcome.coverage_unit;
   if (options.count_only) {

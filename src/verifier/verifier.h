@@ -54,12 +54,24 @@ struct Counterexample {
                        const Interner& interner) const;
 };
 
+/// A run's totals. `databases_checked` and `instances` equal the
+/// `engine.*` counters of the same name. The valuation tallies
+/// (`searches`, `prefiltered`, `prefilter_memo_*`) count the valuations the
+/// run checked; at jobs > 1 a violated run also checks some valuations past
+/// the witness before the stop lands, so there they vary from run to run.
 struct VerificationStats {
   size_t databases_checked = 0;
+  /// Property instances: the size of the valuation space of the universal
+  /// closure, checked per database (the checked valuations are counted by
+  /// `engine.valuations_checked`).
+  size_t instances = 0;
+  /// `instances` under its former name, still read by
+  /// perfbench/perfbench.cc; goes with the next change to the benchmark.
   size_t valuations_checked = 0;
+  /// Product searches run: valuations neither prefiltered nor served by
+  /// the search memo.
   size_t searches = 0;
-  /// Instances discharged by the rigid-proposition prefilter without a
-  /// state-space search.
+  /// Valuations discharged by the prefilter without a product search.
   size_t prefiltered = 0;
   /// Prefilter memo lookups, one per checked valuation: truth-status keys
   /// built (once per run) versus reused across valuations and databases.

@@ -211,6 +211,23 @@ TEST(Emptiness, UnsatisfiableGuardsCutEdges) {
   EXPECT_TRUE(IsEmptyLanguage(a));
 }
 
+TEST(Emptiness, FixedTruthsCutEdges) {
+  // s0 -p0-> s1 (accepting, self-loop on not p1).
+  BuchiAutomaton a(2);
+  StateId s0 = a.AddState();
+  StateId s1 = a.AddState();
+  a.AddInitial(s0);
+  a.AddTransition(s0, s1, PropExpr::Lit(0));
+  a.AddTransition(s1, s1, PropExpr::Not(PropExpr::Lit(1)));
+  a.AddAcceptingSet({s1});
+  EXPECT_FALSE(IsEmptyLanguage(a));
+  EXPECT_FALSE(IsEmptyLanguage(a, {-1, -1}));
+  EXPECT_FALSE(IsEmptyLanguage(a, {1, 0}));
+  EXPECT_TRUE(IsEmptyLanguage(a, {0, -1}));
+  EXPECT_TRUE(IsEmptyLanguage(a, {-1, 1}));
+  EXPECT_FALSE(IsEmptyLanguage(a, {1}));  // p1 past the end stays free
+}
+
 class ComplementTest : public ::testing::Test {
  protected:
   PLtlManager m_;

@@ -217,6 +217,27 @@ def main(argv):
         merge_doc(), "shards.counters",
         dict(prefilter_counters, **{"engine.prefilter_memo_misses": 3}))
 
+    # Verdict stats against the counters: one database, 8 instances, all
+    # prefiltered through 2 memo keys.
+    tallies = {"databases_checked": 1, "instances": 8, "prefiltered": 8,
+               "searches": 0, "prefilter_memo_misses": 2,
+               "prefilter_memo_hits": 6}
+    verdict_tallies = mutate(
+        mutate(base_doc(), "counters",
+               dict(prefilter_counters,
+                    **{"engine.databases_checked": 1,
+                       "engine.instances": 8})),
+        "verdict.stats", dict(tallies, jobs=2))
+    # The valuation space reported where the counter has the instances.
+    instances_off = mutate(verdict_tallies, "verdict.stats.instances", 16)
+    prefiltered_off = mutate(
+        mutate(verdict_tallies, "verdict.stats.prefiltered", 7),
+        "verdict.stats.searches", 1)
+    # A retried database books its first attempt's counters but not its
+    # tallies.
+    retried_tallies = mutate(prefiltered_off, "verdict.coverage.db_retries",
+                             1)
+
     supervised = mutate(merge_doc(), "supervisor",
                         {"leases": 4, "relaunches": 2, "watchdog_kills": 1,
                          "chaos_kills": 1, "corruptions": 1,
@@ -423,6 +444,14 @@ def main(argv):
          False),
         ("rollup prefilter memo looked up twice",
          rollup_prefilter_lookup_twice, False),
+        ("valid verdict stats equal to the counters", verdict_tallies,
+         True),
+        ("verdict instances off the engine.instances counter",
+         instances_off, False),
+        ("verdict prefiltered off the engine.prefiltered counter",
+         prefiltered_off, False),
+        ("valid verdict tallies off the counters after a retry",
+         retried_tallies, True),
         # Leaf-cache footprint memo accounting.
         ("valid leaf memo accounting", leaf_memo, True),
         ("footprint_hits + leaf_evals off in verdict stats", leaf_stats_off,

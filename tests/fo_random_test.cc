@@ -20,7 +20,7 @@ using Assignment = std::map<std::string, data::Value>;
 
 /// Direct recursive truth evaluation under a full assignment of the free
 /// variables — the semantics oracle.
-bool Oracle(const FormulaPtr& f, const StructureView& structure,
+bool Oracle(const FormulaPtr& f, const MapStructure& structure,
             const Interner& interner, Assignment& env) {
   switch (f->kind()) {
     case FormulaKind::kTrue:

@@ -164,23 +164,63 @@ TEST(LeafCacheEquivalence, SealedCellsMatchDirectEvaluationAtJobs1And4) {
 
   ExpectCellsMatchDirectEvaluation(g, {&serial, &parallel, &lazy_first});
 
-  // Ever/always folds over distinct results equal the per-snapshot folds.
+  // The truth a row's signature fixes equals the fold over every
+  // snapshot's cell: 1 iff the row is in all of them, 0 iff in none. The
+  // footprint ids do not depend on the lane count, so neither do the bits.
+  const std::vector<data::Value> domain(g.pd.domain.values().begin(),
+                                        g.pd.domain.values().end());
+  size_t fixed = 0;
+  size_t varying = 0;
   for (size_t leaf = 0; leaf < num_leaves; ++leaf) {
-    data::Relation ever(serial.LeafVariables(leaf).size());
+    SCOPED_TRACE(kLeaves[leaf]);
+    const size_t arity = serial.LeafVariables(leaf).size();
+    data::Relation ever(arity);
     data::Relation always = ever;
     for (SnapshotId sid = 0; sid < n; ++sid) {
-      const data::Relation& rows = (*serial.Get(sid, leaf))->rows();
+      const data::Relation& rows = (*serial.GetAll(sid))[leaf]->rows();
       ever = ever.Union(rows);
       always = sid == 0 ? rows : always.Intersection(rows);
     }
-    for (LeafCache* cache : {&serial, &parallel}) {
-      EXPECT_EQ(**cache->EverSatisfied(leaf), ever) << kLeaves[leaf];
-      EXPECT_EQ(**cache->AlwaysSatisfied(leaf), always) << kLeaves[leaf];
+    std::vector<size_t> digits(arity, 0);
+    for (bool more = true; more;) {
+      std::vector<data::Value> values;
+      for (size_t d : digits) values.push_back(domain[d]);
+      const data::Tuple row(std::move(values));
+      const int8_t expected = always.Contains(row) ? 1
+                              : ever.Contains(row) ? -1
+                                                   : 0;
+      std::string serial_bits;
+      std::string parallel_bits;
+      ASSERT_EQ(serial.AppendSignature(leaf, row, &serial_bits), expected)
+          << row.ToString(g.pd.interner);
+      ASSERT_EQ(parallel.AppendSignature(leaf, row, &parallel_bits),
+                expected);
+      ASSERT_EQ(serial_bits.size(), (serial.footprints(leaf) + 7) / 8);
+      ASSERT_EQ(parallel_bits, serial_bits);
+      ++(expected >= 0 ? fixed : varying);
+      more = false;
+      for (size_t& d : digits) {
+        if (++d < domain.size()) {
+          more = true;
+          break;
+        }
+        d = 0;
+      }
     }
   }
+  EXPECT_GT(fixed, 0u);
+  EXPECT_GT(varying, 0u);
+  // A leaf that reads no snapshot part has one footprint.
+  for (size_t leaf = 0; leaf < num_leaves; ++leaf) {
+    if (serial.ReadsNoPart(leaf)) {
+      EXPECT_EQ(serial.footprints(leaf), 1u) << kLeaves[leaf];
+    }
+  }
+  EXPECT_TRUE(serial.ReadsNoPart(num_leaves - 1));
+  EXPECT_FALSE(serial.ReadsNoPart(0));
 }
 
-/// A budget-cut graph stays lazy: Get evaluates through the same memo.
+/// A budget-cut graph stays lazy: GetAll evaluates through the same memo.
 /// Nothing is normalized, so the mover and received_* propositions vary.
 TEST(LeafCacheEquivalence, LazyCellsOnPartialGraphMatchDirectEvaluation) {
   LoanGraph g;

@@ -196,7 +196,7 @@ TEST(ParallelSweep, HoldsModularSweepSharesOnePrefilterMemo) {
     const VerificationResult r = jobs == 1 ? serial : run(jobs);
     EXPECT_TRUE(r.holds);
     EXPECT_EQ(r.stats.databases_checked, serial.stats.databases_checked);
-    EXPECT_EQ(r.stats.valuations_checked, serial.stats.valuations_checked);
+    EXPECT_EQ(r.stats.instances, serial.stats.instances);
     EXPECT_EQ(r.stats.prefiltered, serial.stats.prefiltered);
     EXPECT_EQ(r.stats.searches, serial.stats.searches);
     EXPECT_EQ(r.stats.prefilter_memo_misses,

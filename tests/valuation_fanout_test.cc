@@ -166,7 +166,7 @@ TEST(ValuationFanout, HoldsVerdictHasIdenticalStatistics) {
   RunResult serial = VerifyPinned(*comp, property, 1);
   ASSERT_TRUE(serial.result.holds) << serial.counterexample_text;
   EXPECT_EQ(serial.violations_counter, 0u);
-  EXPECT_GT(serial.result.stats.valuations_checked, 1u);
+  EXPECT_GT(serial.result.stats.instances, 1u);
   EXPECT_GT(serial.chunks_counter, 0u);
 
   for (size_t jobs : {2u, 4u}) {
@@ -175,8 +175,8 @@ TEST(ValuationFanout, HoldsVerdictHasIdenticalStatistics) {
     EXPECT_TRUE(parallel.result.holds) << parallel.counterexample_text;
     EXPECT_EQ(parallel.violations_counter, 0u);
     EXPECT_GT(parallel.chunks_counter, 0u);
-    EXPECT_EQ(parallel.result.stats.valuations_checked,
-              serial.result.stats.valuations_checked);
+    EXPECT_EQ(parallel.result.stats.instances,
+              serial.result.stats.instances);
     EXPECT_EQ(parallel.result.stats.searches, serial.result.stats.searches);
     EXPECT_EQ(parallel.result.stats.prefiltered,
               serial.result.stats.prefiltered);
@@ -348,7 +348,7 @@ TEST(ValuationFanout, OneValuationSlicesAgreeWithTheMemoizedRun) {
     ASSERT_FALSE(full.result.holds);
     ASSERT_TRUE(full.result.counterexample.has_value());
     const size_t witness = full.result.counterexample->valuation_index;
-    ASSERT_EQ(full.result.stats.valuations_checked, c.space);
+    ASSERT_EQ(full.result.stats.instances, c.space);
 
     std::vector<size_t> violated_slices;
     for (size_t i = 0; i < c.space; ++i) {

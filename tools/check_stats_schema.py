@@ -18,7 +18,10 @@ under parents: "a/b" needs an "a" entry). A document carries no top-level
 section and a roll-up no key beyond the known ones, so a stale section
 fails loudly instead of riding along. Verdicts that
 report 'leaves' must also satisfy the leaf-cache accounting
-footprint_hits + leaf_evals = leaf_cache_misses * leaves. The snapshot
+footprint_hits + leaf_evals = leaf_cache_misses * leaves, and a wsvc
+verdict's stats must equal the run's engine.* counters (instances,
+databases_checked, and the valuation tallies unless the run retried a
+database or stopped on the memory budget). The snapshot
 graph's move memo does one lookup per expanded snapshot and peer, so a
 document that reports its peer count ("peers") must satisfy
 graph.move_lookups = graph.successor_calls * peers; evaluations never
@@ -136,6 +139,8 @@ def check_stats(path):
             expect(isinstance(jobs, int) and jobs >= 1,
                    "'verdict.stats.jobs' must be a positive integer")
             check_leaf_counters(verdict["stats"], doc["counters"])
+            check_verdict_tallies(verdict["stats"], doc["counters"],
+                                  verdict.get("coverage", {}))
         if "coverage" in verdict:
             check_coverage(verdict["coverage"])
     return doc
@@ -291,6 +296,36 @@ def check_valuation_counters(counters, where):
            f"'{where}': prefilter_memo_misses {misses} + "
            f"prefilter_memo_hits {hits} != engine.valuations_checked "
            f"{checked}")
+
+
+# Verdict stats keys with the engine counter each must equal.
+VERDICT_COUNTERS = {"instances": "engine.instances",
+                    "databases_checked": "engine.databases_checked"}
+# Valuation tallies the engine merges from its lanes once a database's
+# fan-out returns.
+VERDICT_TALLIES = {name: f"engine.{name}"
+                   for name in ("prefiltered", "searches",
+                                "prefilter_memo_misses",
+                                "prefilter_memo_hits")}
+
+
+def check_verdict_tallies(stats, counters, coverage):
+    """Validates a wsvc verdict's stats against the same run's counters:
+    instances and databases_checked always equal their engine.* counters,
+    and the valuation tallies equal theirs unless the run retried a
+    database or stopped on the memory budget. A check unwound by a throw
+    keeps the counters it booked but loses its lanes' tallies, and a
+    retried check books both attempts (absent counters count as 0)."""
+    names = dict(VERDICT_COUNTERS)
+    if (coverage.get("db_retries", 0) == 0
+            and coverage.get("stop_reason") != "memory-budget"):
+        names.update(VERDICT_TALLIES)
+    for key, counter in names.items():
+        if key not in stats:
+            continue
+        expect(stats[key] == counters.get(counter, 0),
+               f"'verdict.stats.{key}' {stats[key]} != {counter} "
+               f"{counters.get(counter, 0)}")
 
 
 def check_intern_counters(counters, where):

@@ -431,7 +431,7 @@ void PrintVerdict(const char* what, const verifier::VerificationResult& r) {
   std::printf("%s: %s\n", what, r.holds ? "HOLDS" : "VIOLATED");
   std::printf("  regime: %s\n",
               r.regime.ok() ? "decidable" : r.regime.message().c_str());
-  std::printf("  databases: %zu, instances: %zu (+%zu prefiltered), "
+  std::printf("  databases: %zu, searches: %zu (+%zu prefiltered), "
               "snapshots: %zu, product states: %zu\n",
               r.stats.databases_checked, r.stats.searches, r.stats.prefiltered,
               r.stats.search.snapshots, r.stats.search.product_states);
@@ -686,7 +686,7 @@ std::string RenderVerdictJson(const CliReport& report, int exit_code) {
     w.Key("stats").BeginObject();
     w.Key("jobs").Uint(r.stats.jobs);
     w.Key("databases_checked").Uint(r.stats.databases_checked);
-    w.Key("valuations_checked").Uint(r.stats.valuations_checked);
+    w.Key("instances").Uint(r.stats.instances);
     w.Key("searches").Uint(r.stats.searches);
     w.Key("prefiltered").Uint(r.stats.prefiltered);
     w.Key("prefilter_memo_hits").Uint(r.stats.prefilter_memo_hits);
