@@ -63,7 +63,7 @@ def main():
     clean_corpus = os.path.join(opts.workdir, "corpus_clean")
     shutil.rmtree(clean_corpus, ignore_errors=True)
     p = run(opts.fuzz_bin, ["run", "--seed", "2", "--count", "12",
-                            "--corpus", clean_corpus, "--quiet"])
+                            "--corpus", clean_corpus])
     expect(p.returncode == 0, f"clean run exited {p.returncode}: {p.stderr}")
     expect("mismatches: 0" in p.stdout, f"unexpected summary: {p.stdout}")
     expect(not os.path.isdir(clean_corpus) or not os.listdir(clean_corpus),

@@ -56,7 +56,7 @@ def main():
         cmd = [opts.fuzz_bin, "run", "--seed", str(seed),
                "--count", str(opts.batch),
                "--jobs", str(opts.jobs), "--shards", str(opts.shards),
-               "--corpus", opts.corpus, "--quiet"]
+               "--corpus", opts.corpus]
         if opts.regimes:
             cmd += ["--regimes", opts.regimes]
         if opts.max_states > 0:

@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -18,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "common/strings.h"
 #include "gen/differ.h"
 #include "gen/generator.h"
@@ -27,78 +27,10 @@ namespace {
 
 using namespace wsv;
 
-int Usage(FILE* out) {
-  std::fprintf(out, R"(usage:
-  wsvc-fuzz run [options]        seeded differential sweep
-  wsvc-fuzz replay FILE...       re-run corpus repro files
-  wsvc-fuzz generate [options]   print one generated scenario (debugging)
-
-run options:
-  --seed N          base seed (default 1); composition i uses a derived seed
-  --count N         compositions to generate (default 200)
-  --regimes a,b,c   regime rotation (default: all of core,perfect,recency,
-                    detflat,external,cfsm)
-  --jobs N          thread count of the parallel legs (default 2)
-  --shards N        shard count of the sharded+merged leg (default 2)
-  --corpus DIR      where shrunk repros are written (default tests/corpus)
-  --break-leg LEG   test hook: flip LEG's verdict (e.g. engine-jobs2) to
-                    prove the mismatch->shrink->repro pipeline end to end;
-                    also read from the WSV_FUZZ_BREAK environment variable
-  --max-states N    per-search state cap override
-  --quiet           summary only
-
-generate options: --seed N --regime NAME [--max-states N]
-
-exit codes: 0 all legs agreed, 1 mismatch (repro written), 2 usage error
-)");
-  return out == stdout ? 0 : 2;
-}
-
-struct Args {
-  std::string command;
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> flags;
-  bool quiet = false;
-};
-
-Result<Args> ParseArgs(int argc, char** argv) {
-  Args args;
-  if (argc < 2) return Status::ParseError("missing command");
-  args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--quiet") {
-      args.quiet = true;
-    } else if (StartsWith(arg, "--")) {
-      if (i + 1 >= argc) return Status::ParseError("flag needs value: " + arg);
-      args.flags[arg] = argv[++i];
-    } else {
-      args.positional.push_back(std::move(arg));
-    }
-  }
-  return args;
-}
-
-uint64_t FlagOr(const Args& args, const std::string& name, uint64_t fallback) {
-  auto it = args.flags.find(name);
-  if (it == args.flags.end()) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long value = std::strtoull(it->second.c_str(), &end, 10);
-  if (errno != 0 || end == it->second.c_str() || *end != '\0' ||
-      it->second[0] == '-') {
-    std::fprintf(stderr, "wsvc-fuzz: flag %s expects a number, got '%s'\n",
-                 name.c_str(), it->second.c_str());
-    std::exit(2);
-  }
-  return value;
-}
-
-Result<std::vector<gen::Regime>> ParseRegimes(const Args& args) {
-  auto it = args.flags.find("--regimes");
-  if (it == args.flags.end()) return gen::AllRegimes();
+Result<std::vector<gen::Regime>> ParseRegimes(const cli::ParsedArgs& args) {
+  if (!args.Has("--regimes")) return gen::AllRegimes();
   std::vector<gen::Regime> regimes;
-  for (const std::string& name : Split(it->second, ',')) {
+  for (const std::string& name : Split(args.Get("--regimes"), ',')) {
     if (name.empty()) continue;
     auto regime = gen::RegimeFromName(name);
     if (!regime.has_value()) {
@@ -110,23 +42,22 @@ Result<std::vector<gen::Regime>> ParseRegimes(const Args& args) {
   return regimes;
 }
 
-gen::DiffOptions DiffFromArgs(const Args& args) {
+gen::DiffOptions DiffFromArgs(const cli::ParsedArgs& args) {
   gen::DiffOptions diff;
-  diff.jobs = FlagOr(args, "--jobs", 2);
-  diff.shards = FlagOr(args, "--shards", 2);
-  auto it = args.flags.find("--break-leg");
-  if (it != args.flags.end()) {
-    diff.break_leg = it->second;
+  diff.jobs = args.Number("--jobs", 2);
+  diff.shards = args.Number("--shards", 2);
+  if (args.Has("--break-leg")) {
+    diff.break_leg = args.Get("--break-leg");
   } else if (const char* env = std::getenv("WSV_FUZZ_BREAK")) {
     diff.break_leg = env;
   }
   return diff;
 }
 
-int RunCommand(const Args& args) {
-  const uint64_t base_seed = FlagOr(args, "--seed", 1);
-  const uint64_t count = FlagOr(args, "--count", 200);
-  const uint64_t max_states = FlagOr(args, "--max-states", 0);
+int RunCommand(const cli::ParsedArgs& args) {
+  const uint64_t base_seed = args.Number("--seed", 1);
+  const uint64_t count = args.Number("--count", 200);
+  const uint64_t max_states = args.Number("--max-states", 0);
   auto regimes_result = ParseRegimes(args);
   if (!regimes_result.ok()) {
     std::fprintf(stderr, "wsvc-fuzz: %s\n",
@@ -135,10 +66,8 @@ int RunCommand(const Args& args) {
   }
   const std::vector<gen::Regime>& regimes = regimes_result.value();
   const gen::DiffOptions diff = DiffFromArgs(args);
-  std::string corpus_dir = "tests/corpus";
-  if (auto it = args.flags.find("--corpus"); it != args.flags.end()) {
-    corpus_dir = it->second;
-  }
+  const std::string corpus_dir =
+      args.Has("--corpus") ? args.Get("--corpus") : "tests/corpus";
 
   std::map<std::string, uint64_t> per_regime;
   uint64_t mismatches = 0, generator_errors = 0;
@@ -209,11 +138,7 @@ int RunCommand(const Args& args) {
   return mismatches == 0 && generator_errors == 0 ? 0 : 1;
 }
 
-int ReplayCommand(const Args& args) {
-  if (args.positional.empty()) {
-    std::fprintf(stderr, "wsvc-fuzz: replay needs at least one file\n");
-    return 2;
-  }
+int ReplayCommand(const cli::ParsedArgs& args) {
   int failures = 0;
   for (const std::string& path : args.positional) {
     std::ifstream in(path);
@@ -245,7 +170,7 @@ int ReplayCommand(const Args& args) {
       std::fprintf(stderr, "FAIL %s: %s\n", path.c_str(),
                    outcome.value().detail.c_str());
       ++failures;
-    } else if (!args.quiet) {
+    } else if (!args.Has("--quiet")) {
       std::printf("PASS %s (%zu legs%s)\n", path.c_str(),
                   outcome.value().legs.size(),
                   corpus.value().regenerated ? ", regenerated" : "");
@@ -254,18 +179,11 @@ int ReplayCommand(const Args& args) {
   return failures == 0 ? 0 : 1;
 }
 
-int GenerateCommand(const Args& args) {
+int GenerateCommand(const cli::ParsedArgs& args) {
   gen::GenOptions options;
-  options.seed = FlagOr(args, "--seed", 1);
-  auto it = args.flags.find("--regime");
-  if (it != args.flags.end()) {
-    auto regime = gen::RegimeFromName(it->second);
-    if (!regime.has_value()) {
-      std::fprintf(stderr, "wsvc-fuzz: unknown regime: %s\n",
-                   it->second.c_str());
-      return 2;
-    }
-    options.regime = *regime;
+  options.seed = args.Number("--seed", 1);
+  if (args.Has("--regime")) {
+    options.regime = *gen::RegimeFromName(args.Get("--regime"));
   }
   Result<gen::Scenario> scenario = gen::GenerateScenario(options);
   if (!scenario.ok()) {
@@ -273,7 +191,7 @@ int GenerateCommand(const Args& args) {
                  scenario.status().ToString().c_str());
     return 1;
   }
-  const uint64_t max_states = FlagOr(args, "--max-states", 0);
+  const uint64_t max_states = args.Number("--max-states", 0);
   if (max_states > 0) scenario.value().max_states = max_states;
   std::fputs(
       gen::RenderCorpusFile(scenario.value(), DiffFromArgs(args), {}).c_str(),
@@ -284,18 +202,14 @@ int GenerateCommand(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Result<Args> args = ParseArgs(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "wsvc-fuzz: %s\n", args.status().ToString().c_str());
-    return Usage(stderr);
+  const cli::Tool& tool = cli::FuzzTool();
+  const std::string first = argc > 1 ? argv[1] : "";
+  if (first == "help" || first == "--help" || first == "-h") {
+    std::fputs(cli::Usage(tool, "").c_str(), stdout);
+    return 0;
   }
-  const std::string& command = args.value().command;
-  if (command == "run") return RunCommand(args.value());
-  if (command == "replay") return ReplayCommand(args.value());
-  if (command == "generate") return GenerateCommand(args.value());
-  if (command == "help" || command == "--help" || command == "-h") {
-    return Usage(stdout);
-  }
-  std::fprintf(stderr, "wsvc-fuzz: unknown command '%s'\n", command.c_str());
-  return Usage(stderr);
+  const cli::ParsedArgs args = cli::ParseOrExit(tool, argc, argv);
+  if (args.command == "run") return RunCommand(args);
+  if (args.command == "replay") return ReplayCommand(args);
+  return GenerateCommand(args);
 }

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "common/fault.h"
 #include "obs/obs.h"
 #include "verifier/merge.h"
@@ -32,22 +33,7 @@ namespace {
 using namespace wsv;
 
 int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: wsvc-merge [--stats-json FILE] [--incremental STATE "
-      "[--finalize]]\n"
-      "                  [STATS1 CKPT1 [STATS2 CKPT2 ...]]\n"
-      "\n"
-      "  STATSi  a shard's `wsvc --stats-json` document\n"
-      "  CKPTi   the shard's --checkpoint file, or '-' if it had none\n"
-      "  --stats-json FILE    write the merged verdict as a stats document\n"
-      "                       (schema v%d, generator \"wsvc-merge\")\n"
-      "  --incremental STATE  fold the pairs into the merge state at STATE\n"
-      "                       (created on first use) instead of merging\n"
-      "                       everything at once; exits 0 without a verdict\n"
-      "  --finalize           with --incremental: derive the verdict from\n"
-      "                       the accumulated state (pairs may be empty)\n",
-      obs::kStatsSchemaVersion);
+  std::fputs(cli::Usage(cli::MergeTool(), "").c_str(), stderr);
   return 2;
 }
 
@@ -66,33 +52,11 @@ Result<std::string> ReadFile(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path;
-  std::string state_path;
-  bool finalize = false;
-  std::vector<std::string> positional;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--stats-json") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "wsvc-merge: --stats-json requires a value\n");
-        return Usage();
-      }
-      out_path = argv[++i];
-    } else if (arg == "--incremental") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "wsvc-merge: --incremental requires a value\n");
-        return Usage();
-      }
-      state_path = argv[++i];
-    } else if (arg == "--finalize") {
-      finalize = true;
-    } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-      std::fprintf(stderr, "wsvc-merge: unknown flag '%s'\n", arg.c_str());
-      return Usage();
-    } else {
-      positional.push_back(std::move(arg));
-    }
-  }
+  const cli::ParsedArgs args = cli::ParseOrExit(cli::MergeTool(), argc, argv);
+  const std::string out_path = args.Get("--stats-json");
+  const std::string state_path = args.Get("--incremental");
+  const bool finalize = args.Has("--finalize");
+  const std::vector<std::string>& positional = args.positional;
   if (finalize && state_path.empty()) {
     std::fprintf(stderr, "wsvc-merge: --finalize requires --incremental\n");
     return Usage();
