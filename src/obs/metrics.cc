@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <bit>
 
 namespace wsv::obs {
@@ -22,20 +23,56 @@ Histogram& Histogram::operator=(const Histogram& other) {
   return *this;
 }
 
-void Histogram::Record(uint64_t value) {
-  uint64_t prev = min_.load(std::memory_order_relaxed);
+namespace {
+
+/// Bucket 0: exact zero. Bucket i: [2^(i-1), 2^i), i.e. bit_width(value).
+size_t Bucket(uint64_t value) {
+  return value == 0 ? 0 : static_cast<size_t>(std::bit_width(value));
+}
+
+void StoreMin(std::atomic<uint64_t>& min, uint64_t value) {
+  uint64_t prev = min.load(std::memory_order_relaxed);
   while (value < prev &&
-         !min_.compare_exchange_weak(prev, value, std::memory_order_relaxed)) {
+         !min.compare_exchange_weak(prev, value, std::memory_order_relaxed)) {
   }
-  prev = max_.load(std::memory_order_relaxed);
+}
+
+void StoreMax(std::atomic<uint64_t>& max, uint64_t value) {
+  uint64_t prev = max.load(std::memory_order_relaxed);
   while (value > prev &&
-         !max_.compare_exchange_weak(prev, value, std::memory_order_relaxed)) {
+         !max.compare_exchange_weak(prev, value, std::memory_order_relaxed)) {
   }
+}
+
+}  // namespace
+
+void Histogram::Batch::Record(uint64_t value) {
+  ++count;
+  sum += value;
+  min = std::min(min, value);
+  max = std::max(max, value);
+  ++buckets[Bucket(value)];
+}
+
+void Histogram::Record(uint64_t value) {
+  StoreMin(min_, value);
+  StoreMax(max_, value);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);
-  // Bucket 0: exact zero. Bucket i: [2^(i-1), 2^i), i.e. bit_width(value).
-  buckets_[value == 0 ? 0 : std::bit_width(value)].fetch_add(
-      1, std::memory_order_relaxed);
+  buckets_[Bucket(value)].fetch_add(1, std::memory_order_relaxed);
+}
+
+void Histogram::Add(const Batch& batch) {
+  if (batch.count == 0) return;
+  StoreMin(min_, batch.min);
+  StoreMax(max_, batch.max);
+  count_.fetch_add(batch.count, std::memory_order_relaxed);
+  sum_.fetch_add(batch.sum, std::memory_order_relaxed);
+  for (size_t i = 0; i < kBuckets; ++i) {
+    if (batch.buckets[i] != 0) {
+      buckets_[i].fetch_add(batch.buckets[i], std::memory_order_relaxed);
+    }
+  }
 }
 
 std::array<uint64_t, Histogram::kBuckets> Histogram::buckets() const {

@@ -40,12 +40,26 @@ class Histogram {
   /// Zeros + one bucket per bit of a uint64_t.
   static constexpr size_t kBuckets = 65;
 
+  /// Samples tallied by one thread with no atomics, for one Add(): a hot
+  /// loop records into a Batch and books it once.
+  struct Batch {
+    uint64_t count = 0;
+    uint64_t sum = 0;
+    uint64_t min = ~static_cast<uint64_t>(0);
+    uint64_t max = 0;
+    std::array<uint64_t, kBuckets> buckets{};
+
+    void Record(uint64_t value);
+  };
+
   Histogram() = default;
   /// Snapshot copy (relaxed loads); safe concurrently with Record().
   Histogram(const Histogram& other);
   Histogram& operator=(const Histogram& other);
 
   void Record(uint64_t value);
+  /// Adds every sample of `batch`: the same values as Record() per sample.
+  void Add(const Batch& batch);
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }

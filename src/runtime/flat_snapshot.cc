@@ -1,6 +1,8 @@
 #include "runtime/flat_snapshot.h"
 
+#include <algorithm>
 #include <cassert>
+#include <initializer_list>
 
 #include "data/schema.h"
 
@@ -55,6 +57,51 @@ const uint32_t* ReadRelationWords(const uint32_t* at, uint32_t arity,
   }
   out->AssignSorted(std::move(tuples));
   return at;
+}
+
+void AppendStateUpdate(const uint32_t* state, const uint32_t* insert,
+                       const uint32_t* remove, uint32_t arity,
+                       std::vector<uint32_t>* out) {
+  // The next tuple of a block and the tuples left in it; a missing rule is
+  // an empty block.
+  struct Cursor {
+    const uint32_t* at;
+    uint32_t left;
+  };
+  auto open = [](const uint32_t* block) {
+    return block == nullptr ? Cursor{nullptr, 0} : Cursor{block + 1, block[0]};
+  };
+  Cursor s = open(state), ins = open(insert), del = open(remove);
+  if (ins.left == 0 && del.left == 0) {
+    out->insert(out->end(), state, state + RelationBlockWords(state, arity));
+    return;
+  }
+  const size_t count_at = out->size();
+  out->push_back(0);
+  uint32_t count = 0;
+  auto less = [arity](const uint32_t* a, const uint32_t* b) {
+    return std::lexicographical_compare(a, a + arity, b, b + arity);
+  };
+  // A tuple only in the delete block is out, so the merge ends with S and φ+.
+  while (s.left > 0 || ins.left > 0) {
+    const uint32_t* min = nullptr;
+    for (const Cursor* c : {&s, &ins, &del}) {
+      if (c->left > 0 && (min == nullptr || less(c->at, min))) min = c->at;
+    }
+    // Takes the cursor's head if it is the smallest tuple.
+    auto take = [&](Cursor* c) {
+      if (c->left == 0 || !std::equal(min, min + arity, c->at)) return false;
+      c->at += arity;
+      --c->left;
+      return true;
+    };
+    const bool in_s = take(&s), in_ins = take(&ins), in_del = take(&del);
+    if ((in_ins && !in_del) || (in_s && (in_ins || !in_del))) {
+      out->insert(out->end(), min, min + arity);
+      ++count;
+    }
+  }
+  (*out)[count_at] = count;
 }
 
 const data::Instance& PeerPart(const PeerConfig& cfg, uint32_t part) {

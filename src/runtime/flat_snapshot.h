@@ -101,6 +101,16 @@ inline uint32_t RelationBlockWords(const uint32_t* at, uint32_t arity) {
   return 1 + at[0] * arity;
 }
 
+/// Appends the relation block of Definition 2.4's state update of `state`
+/// by the insert result `insert` and the delete result `remove` (relation
+/// blocks of `arity`-tuples; null where the relation has no such rule):
+/// (φ+ ∧ ¬φ−) ∨ (S ∧ φ+ ∧ φ−) ∨ (S ∧ ¬φ+ ∧ ¬φ−), so a tuple both inserted
+/// and deleted keeps its truth. One merge of the three sorted blocks, in
+/// data::Tuple order (lexicographic over value ids).
+void AppendStateUpdate(const uint32_t* state, const uint32_t* insert,
+                       const uint32_t* remove, uint32_t arity,
+                       std::vector<uint32_t>* out);
+
 /// Word offsets of the relations and queues inside one flat encoding,
 /// computed by FlatSnapshotCodec::Locate (one pass over the span) and read
 /// by AppendPart. Reusable across spans.

@@ -78,7 +78,8 @@ struct MoveRules {
 /// environment; within a peer move, send alternatives, then per message
 /// the drop branch before the deliver branch, then input choices.
 /// verifier::FlatExpander reproduces this order on flat encodings from the
-/// same EvaluateMoveRules / AssembleMove / InputChoices / EnvCandidates.
+/// same EvaluateMoveRules / InputChoices / EnvCandidates, assembling each
+/// move on words as AssembleMove does on objects.
 class TransitionGenerator {
  public:
   /// Channel wiring of one peer.
@@ -141,12 +142,6 @@ class TransitionGenerator {
                            const std::vector<bool>* only,
                            std::vector<data::Relation>* results) const;
 
-  /// The move of `peer` at `view` (Definition 2.4) from the results of its
-  /// move rules, aligned with move_rules(peer).rules: the state update, the
-  /// actions, the send alternatives and the shifted lookback window.
-  PeerMove AssembleMove(size_t peer, LocalView view,
-                        std::vector<data::Relation> results) const;
-
   /// The options-consistent input instances of `peer` at the configuration
   /// whose local view is `view` (Definition 2.3: at most one option tuple
   /// per input relation); view.input is not read. The first choice is the
@@ -168,6 +163,12 @@ class TransitionGenerator {
   Result<fo::MapStructure> BuildRuleStructure(size_t peer,
                                               const LocalView& view,
                                               bool include_input) const;
+
+  /// The move of `peer` at `view` (Definition 2.4) from the results of its
+  /// move rules, aligned with move_rules(peer).rules: the state update, the
+  /// actions, the send alternatives and the shifted lookback window.
+  PeerMove AssembleMove(size_t peer, LocalView view,
+                        std::vector<data::Relation> results) const;
 
   /// Applies channel delivery (lossy branching, bounds) of `messages` to
   /// `base`, appending all resulting snapshots to `out`.

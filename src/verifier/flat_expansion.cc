@@ -255,45 +255,8 @@ Result<uint32_t*> FlatExpander::Move(FlatSnapshot parent, size_t p,
   }
   ++counts->move_lookups;
   auto encode = [&](std::vector<uint32_t>* out) -> Status {
-    WSV_ASSIGN_OR_RETURN(runtime::PeerMove move,
-                         EvaluateMove(p, lane, counts));
-    std::vector<uint32_t>& v = *out;
-    const size_t start = v.size();
-    v.resize(start + kMoveHeader);
-    auto append_all = [&](const data::Instance& inst,
-                          const std::vector<bool>* keep, bool keep_all) {
-      for (size_t r = 0; r < inst.size(); ++r) {
-        if (keep_all && (keep == nullptr || r >= keep->size() || (*keep)[r])) {
-          runtime::AppendRelationWords(inst.relation(r), &v);
-        } else {
-          v.push_back(0);  // normalized away: the empty relation
-        }
-      }
-    };
-    append_all(move.state, nullptr, true);
-    const size_t state_end = v.size();
-    append_all(move.prev, nullptr, true);
-    const size_t prev_end = v.size();
-    const std::vector<bool>* keep_prev =
-        normalization_.keep_prev.empty() ? nullptr
-                                         : &normalization_.keep_prev[p];
-    append_all(move.prev, keep_prev, true);
-    append_all(move.action, nullptr, normalization_.keep_actions);
-    const size_t tail_end = v.size();
-    for (bool error : move.send_errors) v.push_back(error ? 1 : 0);
-    v.push_back(static_cast<uint32_t>(move.sends.size()));
-    for (const std::vector<runtime::OutgoingMessage>& alt : move.sends) {
-      v.push_back(static_cast<uint32_t>(alt.size()));
-      for (const runtime::OutgoingMessage& msg : alt) {
-        v.push_back(static_cast<uint32_t>(msg.channel));
-        runtime::AppendRelationWords(msg.content, &v);
-      }
-    }
-    v[start] = static_cast<uint32_t>(state_end - start - kMoveHeader);
-    v[start + 1] = static_cast<uint32_t>(prev_end - state_end);
-    v[start + 2] = static_cast<uint32_t>(tail_end - prev_end);
-    v[start + 3] = static_cast<uint32_t>(move.send_errors.size());
-    v[start + 4] = v[start + 5] = FlatIdSet::kEmpty;
+    WSV_RETURN_IF_ERROR(RuleResults(p, lane, counts));
+    AssembleMove(p, lane, out);
     return Status::Ok();
   };
   Lane::Memo& memo = lane->moves[p];
@@ -307,8 +270,8 @@ Result<uint32_t*> FlatExpander::Move(FlatSnapshot parent, size_t p,
   return Memoized(&memo, key, &counts->move_evals, encode);
 }
 
-Result<runtime::PeerMove> FlatExpander::EvaluateMove(
-    size_t p, Lane* lane, MemoCounts* counts) const {
+Status FlatExpander::RuleResults(size_t p, Lane* lane,
+                                 MemoCounts* counts) const {
   const std::vector<uint32_t>& key = lane->key;
   std::vector<uint32_t>& part_begin = lane->part_begin;
   part_begin.clear();
@@ -323,11 +286,11 @@ Result<runtime::PeerMove> FlatExpander::EvaluateMove(
   std::vector<Lane::Memo>& memos = lane->rules[p];
   std::vector<uint32_t>& rule_keys = lane->rule_keys;
   std::vector<Lane::RuleMiss>& misses = lane->rule_misses;
+  std::vector<uint32_t>& result_at = lane->result_at;
   rule_keys.clear();
   misses.clear();
+  result_at.resize(rules.size());
   lane->rule_missed.assign(rules.size(), false);
-  std::vector<data::Relation> results;
-  results.reserve(rules.size());
   for (uint32_t i = 0; i < rules.size(); ++i) {
     const uint32_t begin = static_cast<uint32_t>(rule_keys.size());
     for (uint32_t part : rule_parts_[p][i]) {
@@ -339,32 +302,163 @@ Result<runtime::PeerMove> FlatExpander::EvaluateMove(
         runtime::HashFlatSnapshot(rule_keys.data() + begin, end - begin);
     const uint32_t id =
         memos[i].keys.Find(rule_keys.data() + begin, end - begin, hash);
-    data::Relation& result = results.emplace_back(rules[i]->head_vars.size());
     if (id == FlatIdSet::kEmpty) {
       misses.push_back({i, begin, end, hash});
       lane->rule_missed[i] = true;
     } else {
-      runtime::ReadRelationWords(
-          memos[i].values.data() + memos[i].value_begin[id],
-          static_cast<uint32_t>(result.arity()), &result);
+      result_at[i] = memos[i].value_begin[id];
     }
   }
   counts->rule_lookups += rules.size();
   counts->rule_evals += misses.size();
 
-  runtime::LocalView view = DecodeView(p, move_view_[p], key.data());
   if (!misses.empty()) {
+    std::vector<data::Relation> results(rules.size());
     WSV_RETURN_IF_ERROR(generator_->EvaluateMoveRules(
-        p, view, &lane->rule_missed, &results));
+        p, DecodeView(p, move_view_[p], key.data()), &lane->rule_missed,
+        &results));
     for (const Lane::RuleMiss& miss : misses) {
       Lane::Memo& memo = memos[miss.rule];
+      result_at[miss.rule] = static_cast<uint32_t>(memo.values.size());
       runtime::AppendRelationWords(results[miss.rule], &memo.values);
       memo.value_begin.push_back(static_cast<uint32_t>(memo.values.size()));
       memo.keys.Add(rule_keys.data() + miss.begin, miss.end - miss.begin,
                     miss.hash);
     }
   }
-  return generator_->AssembleMove(p, std::move(view), std::move(results));
+  return Status::Ok();
+}
+
+void FlatExpander::AssembleMove(size_t p, Lane* lane,
+                                std::vector<uint32_t>* out) const {
+  const spec::Peer& peer = generator_->composition().peers()[p];
+  const runtime::MoveRules& rules = generator_->move_rules(p);
+  const std::vector<uint32_t>& arities = move_part_arities_[p];
+  const uint32_t* key = lane->key.data();
+  const std::vector<uint32_t>& part_begin = lane->part_begin;
+  const std::vector<Lane::Memo>& memos = lane->rules[p];
+  auto result = [&](int rule) -> const uint32_t* {
+    return rule < 0 ? nullptr
+                    : memos[rule].values.data() + lane->result_at[rule];
+  };
+  std::vector<uint32_t>& v = *out;
+  auto append = [&](const uint32_t* block, uint32_t arity) {
+    v.insert(v.end(), block, block + runtime::RelationBlockWords(block, arity));
+  };
+  const size_t start = v.size();
+  v.resize(start + kMoveHeader);
+
+  // State: Definition 2.4's update, one merge per relation. The move key
+  // holds the state, input and prev relations in that order.
+  const size_t states = rules.insert.size();
+  for (size_t s = 0; s < states; ++s) {
+    runtime::AppendStateUpdate(key + part_begin[s], result(rules.insert[s]),
+                               result(rules.remove[s]), arities[s], &v);
+  }
+  const size_t state_end = v.size();
+
+  // The lookback window, shifted by each non-empty input the move consumed.
+  const size_t inputs = rules.window.size();
+  const size_t prev_base = states + inputs;
+  std::vector<const uint32_t*>& prev = lane->prev;
+  prev.resize(peer.prev_input_schema().size());
+  for (size_t r = 0; r < prev.size(); ++r) {
+    prev[r] = key + part_begin[prev_base + r];
+  }
+  for (size_t i = 0; i < inputs; ++i) {
+    const uint32_t* input = key + part_begin[states + i];
+    if (input[0] == 0) continue;  // window unchanged
+    const std::vector<size_t>& window = rules.window[i];
+    for (size_t k = window.size(); k > 1; --k) {
+      prev[window[k - 1]] = prev[window[k - 2]];
+    }
+    prev[window.front()] = input;
+  }
+  for (size_t r = 0; r < prev.size(); ++r) {
+    append(prev[r], arities[prev_base + r]);
+  }
+  const size_t prev_end = v.size();
+
+  // The tail: the window and the actions, less what is normalized away
+  // (stored as the empty relation).
+  const std::vector<bool>* keep_prev =
+      normalization_.keep_prev.empty() ? nullptr
+                                       : &normalization_.keep_prev[p];
+  for (size_t r = 0; r < prev.size(); ++r) {
+    if (keep_prev == nullptr || r >= keep_prev->size() || (*keep_prev)[r]) {
+      append(prev[r], arities[prev_base + r]);
+    } else {
+      v.push_back(0);
+    }
+  }
+  for (size_t a = 0; a < rules.action.size(); ++a) {
+    if (normalization_.keep_actions && rules.action[a] >= 0) {
+      append(result(rules.action[a]),
+             static_cast<uint32_t>(peer.action_schema().relation(a).arity()));
+    } else {
+      v.push_back(0);
+    }
+  }
+  const size_t tail_end = v.size();
+
+  // Sends (Definition 2.4): a nested queue gets the whole result, a flat
+  // one a single tuple; with several, each tuple is an alternative, or a
+  // send error under the deterministic-send semantics (Theorem 3.8).
+  const runtime::RunOptions& options = generator_->options();
+  const size_t errors = v.size();
+  v.resize(errors + rules.send.size(), 0);
+  std::vector<Lane::Send>& sends = lane->sends;
+  sends.clear();
+  uint32_t alternatives = 1;
+  for (size_t q = 0; q < rules.send.size(); ++q) {
+    if (rules.send[q] < 0) continue;
+    const uint32_t* block = result(rules.send[q]);
+    const uint32_t channel =
+        static_cast<uint32_t>(generator_->wiring(p).out_channel[q]);
+    if (peer.out_queues()[q].kind == spec::QueueKind::kNested) {
+      if (block[0] == 0 && options.skip_empty_nested_sends) continue;
+      sends.push_back({channel, block, false});
+    } else if (block[0] == 1) {
+      sends.push_back({channel, block, false});
+    } else if (block[0] > 1) {
+      if (options.deterministic_flat_sends) {
+        v[errors + q] = 1;
+      } else {
+        sends.push_back({channel, block, true});
+        alternatives *= block[0];
+      }
+    }
+  }
+  // The alternatives in TransitionGenerator order: the picks of later
+  // queues vary fastest.
+  std::vector<uint32_t>& picks = lane->picks;
+  picks.assign(sends.size(), 0);
+  v.push_back(alternatives);
+  for (uint32_t alt = 0; alt < alternatives; ++alt) {
+    v.push_back(static_cast<uint32_t>(sends.size()));
+    for (size_t m = 0; m < sends.size(); ++m) {
+      const Lane::Send& send = sends[m];
+      const uint32_t arity = codec_->channel_arity(send.channel);
+      v.push_back(send.channel);
+      if (!send.pick) {
+        append(send.block, arity);
+      } else {
+        const uint32_t* tuple = send.block + 1 + picks[m] * arity;
+        v.push_back(1);
+        v.insert(v.end(), tuple, tuple + arity);
+      }
+    }
+    for (size_t m = sends.size(); m-- > 0;) {
+      if (!sends[m].pick) continue;
+      if (++picks[m] < sends[m].block[0]) break;
+      picks[m] = 0;
+    }
+  }
+  v[start] = static_cast<uint32_t>(state_end - start - kMoveHeader);
+  v[start + 1] = static_cast<uint32_t>(prev_end - state_end);
+  v[start + 2] = static_cast<uint32_t>(tail_end - prev_end);
+  v[start + 3] = static_cast<uint32_t>(rules.send.size());
+  v[start + 4] = v[start + 5] = FlatIdSet::kEmpty;
 }
 
 Result<uint32_t*> FlatExpander::InputChoices(size_t p, Lane* lane,

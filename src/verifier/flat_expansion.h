@@ -66,15 +66,21 @@ struct MemoCounts {
 /// only its own configuration and the queues it uses (Definitions 2.4 and
 /// 2.6). So the rules run once per distinct view: the move memo maps the
 /// view's words, sliced from the parent's rebuilt span, to the encoded
-/// PeerMove, and the input memo maps the part of the successor's view that
+/// move, and the input memo maps the part of the successor's view that
 /// the options rules read to the encoded input choices. Under the move
 /// memo, each move rule (runtime::MoveRules) reads only the view parts its
 /// body names, its footprint: on a move miss the rule memo maps each rule's
-/// footprint, sliced from the move key, to the rule's encoded result, and
-/// only the rules that miss there are evaluated before
-/// TransitionGenerator::AssembleMove builds the move. Each successor is
-/// then the parent's vector with a new header, the mover's state, input and
-/// tail section ids and the ids of the channels it edits (consumed
+/// footprint, sliced from the move key, to the rule's result block, and
+/// only the rules that miss there are evaluated, on the view decoded from
+/// the key. The move is then assembled on words from the key's relation
+/// blocks and the rules' result blocks, as TransitionGenerator assembles
+/// it on objects: each state relation is one merge of sorted blocks
+/// (runtime::AppendStateUpdate), the lookback window shifts block
+/// pointers, and the send alternatives copy result blocks or single
+/// tuples. A move whose rules all hit builds no view and no relation.
+/// Each successor is then the parent's vector with a new header, the
+/// mover's state, input and tail section ids and the ids of the channels
+/// it edits (consumed
 /// in-queues dequeued, delivered messages appended). A section id is looked
 /// up read-only in the store's part table, and the mover's section ids are
 /// cached next to the move and input memo entries once found, so a
@@ -120,6 +126,13 @@ class FlatExpander {
       uint32_t rule, begin, end;
       size_t hash;
     };
+    /// A message of every send alternative: a send rule's result block on
+    /// `channel`, whole, or (`pick`) one tuple of it per alternative.
+    struct Send {
+      uint32_t channel;
+      const uint32_t* block;
+      bool pick;
+    };
 
     /// Delivered successors' emitted ids, keyed by the successor vector
     /// with the mover's input slot open: entry i is ids[begin[i],
@@ -142,6 +155,11 @@ class FlatExpander {
     std::vector<uint32_t> rule_keys;
     std::vector<RuleMiss> rule_misses;
     std::vector<bool> rule_missed;  // per move rule
+    /// Per move rule: its result block's offset in its memo's values.
+    std::vector<uint32_t> result_at;
+    std::vector<const uint32_t*> prev;     // per prev relation, shifted
+    std::vector<Send> sends;
+    std::vector<uint32_t> picks;  // per send: the tuple it picks
     std::vector<uint32_t> input_key;  // a move's input-key prefix
     std::vector<uint32_t> span;  // the parent's rebuilt span
     std::vector<uint32_t> base;  // a move's successor vector before delivery
@@ -168,24 +186,30 @@ class FlatExpander {
                 Candidates* out, MemoCounts* counts) const;
 
  private:
-  /// Header words of an encoded PeerMove (see Move()): the word counts of
-  /// its state, raw prev and normalized tail sections, its error-flag
-  /// count, and the part ids of its state and tail sections (kEmpty until
-  /// found in the part table). The sections follow in that order, then the
-  /// send alternatives: [alternatives, per alternative: [messages, per
-  /// message: channel, relation block]].
+  /// Header words of an encoded move (runtime::PeerMove on words): the
+  /// word counts of its state, raw prev and normalized tail sections, its
+  /// error-flag count, and the part ids of its state and tail sections
+  /// (kEmpty until found in the part table). The sections follow in that
+  /// order, then one error flag word per out-queue, then the send
+  /// alternatives: [alternatives, per alternative: [messages, per message:
+  /// channel, relation block]].
   static constexpr size_t kMoveHeader = 6;
 
   /// The move of peer `p` from `parent` (located in lane->layout): its
-  /// encoded PeerMove, from the lane's memo or freshly evaluated.
+  /// encoded move, from the lane's memo or freshly assembled.
   Result<uint32_t*> Move(runtime::FlatSnapshot parent, size_t p, Lane* lane,
                          MemoCounts* counts) const;
 
-  /// The move of peer `p` for the move key in lane->key: each rule's
-  /// result from the rule memo (its key sliced from the move key), the
-  /// missed rules evaluated on the decoded view.
-  Result<runtime::PeerMove> EvaluateMove(size_t p, Lane* lane,
-                                         MemoCounts* counts) const;
+  /// Sets lane->result_at to each move rule's result block for peer `p`'s
+  /// move key in lane->key (and lane->part_begin to the key's parts): from
+  /// the rule memo, its key sliced from the move key, or, for the rules
+  /// that miss, evaluated on the decoded view and memoized.
+  Status RuleResults(size_t p, Lane* lane, MemoCounts* counts) const;
+
+  /// Appends peer `p`'s encoded move to `out`, assembled from the move
+  /// key's relation blocks and the rules' result blocks (see RuleResults)
+  /// as TransitionGenerator assembles a PeerMove, normalized.
+  void AssembleMove(size_t p, Lane* lane, std::vector<uint32_t>* out) const;
 
   /// Encoded input choices of peer `p` for the input key in lane->key:
   /// [choices, per choice: [words, part id (kEmpty until found), input
@@ -259,7 +283,8 @@ class FlatExpander {
   std::vector<ViewSelection> move_view_, input_view_;
   std::vector<std::vector<runtime::SnapshotPart>> move_parts_;
   /// Per peer, per move part: the arity of its relation block, or a
-  /// one-word flag marker; locates the parts inside a move key.
+  /// one-word flag marker; locates the parts inside a move key and gives
+  /// the state and prev arities for assembling the move.
   std::vector<std::vector<uint32_t>> move_part_arities_;
   /// Per peer, per move rule: its footprint, the indices into move_parts_
   /// of the parts its body names (the database is fixed per graph).

@@ -54,17 +54,15 @@ SnapshotGraph::SnapshotGraph(
       expansions_(1) {}
 
 SnapshotId SnapshotGraph::Intern(const uint32_t* vec, size_t hash,
-                                 size_t* hits) {
+                                 MergeTally* tally) {
   SnapshotId id = store_.Find(vec, hash);
   if (id != FlatIdSet::kEmpty) {
-    ++*hits;
+    ++tally->hits;
     return id;
   }
   id = store_.Add(vec, hash);
   successors_.emplace_back();
-  static obs::Counter& interned =
-      obs::Registry::Global().counter("graph.snapshots");
-  interned.Add(1);
+  ++tally->snapshots;
   return id;
 }
 
@@ -81,7 +79,7 @@ Result<const std::vector<SnapshotId>*> SnapshotGraph::Initials() {
     for (const runtime::Snapshot& s : snaps) {
       codec_.Encode(s, &words);
       store_.Split({words.data(), static_cast<uint32_t>(words.size())}, &vec);
-      ids.push_back(Intern(vec.data(), store_.Hash(vec.data()), &tally.hits));
+      ids.push_back(Intern(vec.data(), store_.Hash(vec.data()), &tally));
     }
     tally.candidates = snaps.size();
     Book(tally, bytes);
@@ -125,7 +123,7 @@ void SnapshotGraph::Merge(SnapshotId sid, Expansion& exp, size_t node,
     uint32_t* vec = candidates.fresh.data() + *fresh * store_.width();
     size_t hash = candidates.fresh_hashes[(*fresh)++];
     if (store_.InternUnseen(vec, candidates)) hash = store_.Hash(vec);
-    id = Intern(vec, hash, &tally->hits);
+    id = Intern(vec, hash, tally);
   }
   tally->candidates += ids.size();
   std::sort(ids.begin(), ids.end());
@@ -134,9 +132,7 @@ void SnapshotGraph::Merge(SnapshotId sid, Expansion& exp, size_t node,
   ++tally->nodes;
   tally->edges += ids.size();
   tally->memo += exp.nodes[node].memo;
-  static obs::Histogram& fanout =
-      obs::Registry::Global().histogram("graph.successors_per_snapshot");
-  fanout.Record(ids.size());
+  tally->fanout.Record(ids.size());
   successors_[sid] = std::move(ids);
 }
 
@@ -147,8 +143,13 @@ void SnapshotGraph::Book(const MergeTally& tally, size_t bytes) const {
   static obs::Counter& calls = registry.counter("graph.successor_calls");
   static obs::Counter& edges = registry.counter("graph.transitions");
   static obs::Counter& arena_bytes = registry.counter("graph.arena_bytes");
+  static obs::Counter& snapshots = registry.counter("graph.snapshots");
+  static obs::Histogram& fanout =
+      registry.histogram("graph.successors_per_snapshot");
   encodes.Add(tally.candidates);
   intern_hits.Add(tally.hits);
+  snapshots.Add(tally.snapshots);
+  fanout.Add(tally.fanout);
   calls.Add(tally.nodes);
   edges.Add(tally.edges);
   arena_bytes.Add(store_.bytes() - bytes);

@@ -13,6 +13,7 @@
 #include "common/thread_pool.h"
 #include "fo/eval.h"
 #include "fo/structure.h"
+#include "obs/metrics.h"
 #include "runtime/flat_snapshot.h"
 #include "runtime/snapshot_view.h"
 #include "runtime/transition.h"
@@ -135,18 +136,23 @@ class SnapshotGraph {
     void Clear();
   };
 
-  /// Counters of merged nodes, booked into the registry once per batch.
+  /// Counters and the fan-out histogram of merged nodes, booked into the
+  /// registry once per batch, so the lanes of a sweep do not contend on
+  /// them per snapshot.
   struct MergeTally {
     size_t nodes = 0;
     size_t candidates = 0;
     size_t hits = 0;
+    size_t snapshots = 0;
     size_t edges = 0;
     MemoCounts memo;
+    obs::Histogram::Batch fanout;
   };
 
-  /// Interns a vector: returns the existing id (counting it in `hits`) or
-  /// adds the vector under a fresh id.
-  SnapshotId Intern(const uint32_t* vec, size_t hash, size_t* hits);
+  /// Interns a vector: returns the existing id (counting it in
+  /// tally->hits) or adds the vector under a fresh id (counting it in
+  /// tally->snapshots).
+  SnapshotId Intern(const uint32_t* vec, size_t hash, MergeTally* tally);
 
   /// Expands `sid` on `lane` and appends it to `out`, probing candidates
   /// against the graph as it stands. Reads the graph only, so lanes may

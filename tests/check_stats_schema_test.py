@@ -268,6 +268,27 @@ def main(argv):
                      "graph.input_lookups": 50, "graph.input_evals": 6}
     move_memo = mutate(mutate(base_doc(), "counters", move_counters),
                        "peers", 3)
+    # The fan-out histogram: one sample per expanded snapshot (10), summing
+    # to the graph's distinct transitions (37).
+    fanout = {"count": 10, "sum": 37, "min": 1, "max": 8,
+              "buckets": [0, 2, 3, 4, 1]}
+    move_memo = mutate(
+        mutate(move_memo, "counters",
+               dict(move_counters, **{"graph.transitions": 37})),
+        "histograms", {"graph.successors_per_snapshot": fanout})
+    move_counters = move_memo["counters"]
+    fanout_count_off = mutate(move_memo, "histograms",
+                              {"graph.successors_per_snapshot":
+                               dict(fanout, count=9)})
+    fanout_sum_off = mutate(move_memo, "counters",
+                            dict(move_counters,
+                                 **{"graph.transitions": 36}))
+    fanout_missing = mutate(move_memo, "histograms", {})
+    rollup_fanout_bad = mutate(
+        mutate(merge_doc(), "shards.counters",
+               {"graph.successor_calls": 10, "graph.transitions": 37}),
+        "shards.histograms",
+        {"graph.successors_per_snapshot": dict(fanout, sum=38)})
     move_lookups_off = mutate(move_memo, "counters",
                               dict(move_counters,
                                    **{"graph.move_lookups": 29}))
@@ -464,6 +485,10 @@ def main(argv):
         ("intern hit booked for a fresh snapshot", intern_fresh_hit, False),
         ("roll-up intern accounting off", rollup_intern_bad, False),
         ("valid move memo accounting", move_memo, True),
+        ("fan-out count off successor_calls", fanout_count_off, False),
+        ("fan-out sum off transitions", fanout_sum_off, False),
+        ("fan-out histogram missing", fanout_missing, False),
+        ("rollup fan-out sum off transitions", rollup_fanout_bad, False),
         ("move_lookups != successor_calls * peers", move_lookups_off, False),
         ("input_evals over input_lookups", input_evals_over, False),
         ("rule_evals over rule_lookups", rule_evals_over, False),

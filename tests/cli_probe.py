@@ -2,9 +2,11 @@
 """Runs a command-line call and checks how it ends.
 
 Usage:
-  cli_probe.py exit CODE PATTERN -- CMD...
+  cli_probe.py exit CODE PATTERN -- [SETUP... --then]... CMD...
       CMD must exit with CODE and print PATTERN (a regex) on stdout or
-      stderr. A crash (a signal) never passes.
+      stderr. A crash (a signal) never passes. Each SETUP command (say, a
+      run that writes the checkpoint or shard CMD reads) runs first, in
+      order, and must exit 0.
   cli_probe.py differ FLAG -- CMD...
       CMD and CMD FLAG must both exit 0 and print different output: FLAG
       changes what CMD does.
@@ -26,12 +28,19 @@ def fail(message):
 
 def main():
     if "--" not in sys.argv:
-        fail("usage: cli_probe.py exit CODE PATTERN -- CMD... | "
-             "differ FLAG -- CMD...")
+        fail("usage: cli_probe.py exit CODE PATTERN -- "
+             "[SETUP... --then]... CMD... | differ FLAG -- CMD...")
     split = sys.argv.index("--")
     mode, params, cmd = sys.argv[1], sys.argv[2:split], sys.argv[split + 1:]
     if mode == "exit" and len(params) == 2:
         code, pattern = int(params[0]), params[1]
+        while "--then" in cmd:
+            split = cmd.index("--then")
+            setup, cmd = cmd[:split], cmd[split + 1:]
+            p = run(setup)
+            if p.returncode != 0:
+                fail(f"setup exit {p.returncode}: {setup}\n"
+                     f"{p.stdout}{p.stderr}")
         p = run(cmd)
         output = p.stdout + p.stderr
         if p.returncode != code:

@@ -6,8 +6,12 @@
 // reported interned exactly when its span is in the graph. Inputs cover
 // every spec file, the loan composition at k = 1 and 2, and generated
 // compositions of all six regimes (environment moves, perfect channels,
-// deterministic flat sends, lookback, nested queues) and E-T3.4's synthetic
-// peer, under each normalization, serially and on four lanes. Every
+// deterministic flat sends, lookback, nested queues), E-T3.4's synthetic
+// peer and a fixture that fires each branch of assembling a move on words
+// (delete-only and conflicting updates, an arity-0 relation, multi-tuple
+// flat sends under both send semantics, empty nested sends skipped and
+// enqueued, a two-deep window), under each normalization, serially and on
+// four lanes. Every
 // expansion's memo traffic is checked too: rules are looked up only when
 // their move missed, and the emitted-choice memo hits on the synthetic peer
 // (so its hits are compared with the reference too). The store itself is
@@ -528,6 +532,159 @@ TEST(FlatExpansion, SyntheticPeerEmitsChoicesOncePerSuccessorVector) {
   Coverage coverage;
   for (size_t lanes : {1, 4}) CheckInput(in, norm, lanes, &coverage);
   EXPECT_EQ(checked, 2u);
+}
+
+/// Small compositions for the branches of assembling a move on words:
+/// `held` has an insert and a delete rule that conflict when a value is
+/// picked twice in a row (inside and outside the state), `gone` only a
+/// delete rule, `ready` is an arity-0 relation with both, `many` is a flat
+/// send of both database tuples, `bag` a nested send that is empty
+/// whenever nothing is picked, the window is two inputs deep and the
+/// action echoes the pick.
+constexpr char kMoveBranchesSpec[] = R"(
+peer A {
+  database { item(x); }
+  input    { pick(x); }
+  lookback 2;
+  state    { held(x); gone(x); ready(); }
+  action   { echo(x); }
+  outqueue flat   { many(x); }
+  outqueue nested { bag(x); }
+  rules {
+    options pick(x) :- item(x);
+    insert held(x) :- pick(x);
+    delete held(x) :- prev_pick(x);
+    delete gone(x) :- item(x);
+    insert ready() :- exists x: pick(x);
+    delete ready() :- exists x: prev_pick(x);
+    action echo(x) :- pick(x);
+    send many(x) :- item(x);
+    send bag(x) :- pick(x);
+  }
+}
+peer B {
+  inqueue flat   { many(x); }
+  inqueue nested { bag(x); }
+  state { got(x); }
+  rules {
+    insert got(x) :- ?many(x) or ?bag(x);
+  }
+}
+composition Branches { peers A, B; }
+)";
+
+/// How often each branch of a move's assembly fires over the snapshots of
+/// a graph, evaluated on the object path (TransitionGenerator's view and
+/// rule results).
+struct MoveBranches {
+  size_t delete_only = 0;      // a delete rule without an insert rule hits
+  size_t conflict_kept = 0;    // inserted, deleted and in the state
+  size_t conflict_absent = 0;  // inserted, deleted and not in the state
+  size_t nullary_updates = 0;  // an arity-0 state relation's rule holds
+  size_t multi_flat_sends = 0;   // a flat send of two or more tuples
+  size_t empty_nested_sends = 0;
+  size_t window_shifts = 0;    // an input pushes a non-empty prev_ deeper
+  size_t actions = 0;          // a non-empty action (dropped unless kept)
+  size_t deep_prev = 0;        // a non-empty prev relation at odd index
+};
+
+MoveBranches CountMoveBranches(const SnapshotGraph& graph) {
+  const runtime::TransitionGenerator& generator = graph.generator();
+  const spec::Composition& comp = generator.composition();
+  MoveBranches out;
+  for (size_t sid = 0; sid < graph.size(); ++sid) {
+    const runtime::Snapshot snap =
+        graph.snapshot(static_cast<SnapshotId>(sid));
+    for (size_t p = 0; p < comp.peers().size(); ++p) {
+      const spec::Peer& peer = comp.peers()[p];
+      const runtime::MoveRules& rules = generator.move_rules(p);
+      const runtime::LocalView view = generator.View(snap, p);
+      std::vector<data::Relation> results(rules.rules.size());
+      EXPECT_TRUE(
+          generator.EvaluateMoveRules(p, view, nullptr, &results).ok());
+      for (size_t s = 0; s < rules.insert.size(); ++s) {
+        const int ins = rules.insert[s];
+        const int del = rules.remove[s];
+        if (del >= 0 && ins < 0 && !results[del].empty()) ++out.delete_only;
+        if (view.state.relation(s).arity() == 0 &&
+            ((ins >= 0 && !results[ins].empty()) ||
+             (del >= 0 && !results[del].empty()))) {
+          ++out.nullary_updates;
+        }
+        if (ins < 0 || del < 0) continue;
+        const data::Relation both = results[ins].Intersection(results[del]);
+        for (const data::Tuple& t : both.tuples()) {
+          ++(view.state.relation(s).Contains(t) ? out.conflict_kept
+                                                : out.conflict_absent);
+        }
+      }
+      for (size_t q = 0; q < rules.send.size(); ++q) {
+        if (rules.send[q] < 0) continue;
+        const data::Relation& sent = results[rules.send[q]];
+        if (peer.out_queues()[q].kind == spec::QueueKind::kNested) {
+          out.empty_nested_sends += sent.empty();
+        } else {
+          out.multi_flat_sends += sent.size() >= 2;
+        }
+      }
+      for (size_t i = 0; i < rules.window.size(); ++i) {
+        out.window_shifts += rules.window[i].size() >= 2 &&
+                             !view.input.relation(i).empty() &&
+                             !view.prev.relation(rules.window[i][0]).empty();
+      }
+      for (int a : rules.action) out.actions += a >= 0 && !results[a].empty();
+      for (size_t r = 1; r < view.prev.size(); r += 2) {
+        out.deep_prev += !view.prev.relation(r).empty();
+      }
+    }
+  }
+  return out;
+}
+
+/// The move-assembly fixture under both flat-send semantics (a 2-tuple
+/// send picks a tuple, or sets the send error) and with empty nested sends
+/// skipped and enqueued; each branch must fire in the explored graph.
+TEST(FlatExpansion, MoveBranchFixturesMatchReference) {
+  for (const bool deterministic : {false, true}) {
+    for (const bool skip_empty : {true, false}) {
+      auto comp = spec::ParseComposition(kMoveBranchesSpec);
+      ASSERT_TRUE(comp.ok()) << comp.status();
+      Input in(std::string("move branches, deterministic sends ") +
+                   (deterministic ? "on" : "off") + ", skip empty nested " +
+                   (skip_empty ? "on" : "off"),
+               std::move(*comp));
+      in.pinned.resize(2);
+      in.pinned[0]["item"] = {{"a"}, {"b"}};
+      in.constants = {"a", "b"};
+      in.run.deterministic_flat_sends = deterministic;
+      in.run.skip_empty_nested_sends = skip_empty;
+      in.max_snapshots = 600;
+      size_t checked = 0;
+      in.check_memo = [&](const SnapshotGraph& graph,
+                          const SnapshotNormalization& norm,
+                          const std::vector<MemoCounts>&) {
+        // With every part kept, the graph holds each branch's snapshots.
+        if (!norm.keep_mover || !norm.keep_flags || !norm.keep_actions ||
+            !norm.keep_prev.empty()) {
+          return;
+        }
+        const MoveBranches branches = CountMoveBranches(graph);
+        EXPECT_GT(branches.delete_only, 0u);
+        EXPECT_GT(branches.conflict_kept, 0u);
+        EXPECT_GT(branches.conflict_absent, 0u);
+        EXPECT_GT(branches.nullary_updates, 0u);
+        EXPECT_GT(branches.multi_flat_sends, 0u);
+        EXPECT_GT(branches.empty_nested_sends, 0u);
+        EXPECT_GT(branches.window_shifts, 0u);
+        EXPECT_GT(branches.actions, 0u);
+        EXPECT_GT(branches.deep_prev, 0u);
+        ++checked;
+      };
+      CheckAll(in);
+      if (HasFailure()) return;
+      EXPECT_EQ(checked, 2u);  // at 1 and 4 lanes
+    }
+  }
 }
 
 /// Definition-faithful multi-queue environment moves, over every tuple of

@@ -2,7 +2,8 @@
 // (src/runtime/flat_snapshot.*): randomized round-trips through
 // Encode/Decode and the hash/equality consistency contract the intern
 // table relies on (span equality <=> snapshot equality, equal spans =>
-// equal hashes). Registered under the `flat` ctest label.
+// equal hashes), and the block-level state update against the relation
+// algebra. Registered under the `flat` ctest label.
 
 #include <gtest/gtest.h>
 
@@ -111,6 +112,64 @@ TEST(FlatSnapshot, RandomizedRoundTrip) {
     codec.Encode(scratch, &buf2);
     ASSERT_EQ(buf, buf2) << "re-encode not canonical at iter " << iter;
   }
+}
+
+/// AppendStateUpdate against Definition 2.4's update on data::Relation:
+/// (φ+ ∧ ¬φ−) ∨ (S ∧ φ+ ∧ φ−) ∨ (S ∧ ¬φ+ ∧ ¬φ−), with Union, Difference and
+/// Intersection, and φ+ or φ− absent where the relation has no such rule.
+/// Values come from a small range so the three relations overlap often:
+/// insert-and-delete conflicts inside and outside S, deletes of tuples S
+/// lacks, and at arity 0 the one tuple in any of the three.
+TEST(FlatSnapshot, StateUpdateMatchesRelationAlgebra) {
+  std::mt19937 rng(20261019);
+  auto random_relation = [&](size_t arity) {
+    data::Relation rel(arity);
+    const size_t n = std::uniform_int_distribution<size_t>(0, 6)(rng);
+    for (size_t t = 0; t < n; ++t) {
+      std::vector<data::Value> vals(arity);
+      for (data::Value& v : vals) {
+        v = std::uniform_int_distribution<data::Value>(0, 2)(rng);
+      }
+      rel.Insert(data::Tuple(std::move(vals)));
+    }
+    return rel;
+  };
+  size_t conflicts = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    const size_t arity = static_cast<size_t>(iter % 4);
+    const data::Relation state = random_relation(arity);
+    const data::Relation plus = random_relation(arity);
+    const data::Relation minus = random_relation(arity);
+    const int rules = std::uniform_int_distribution<int>(0, 3)(rng);
+    const bool has_insert = (rules & 1) != 0;
+    const bool has_delete = (rules & 2) != 0;
+
+    data::Relation want = state;
+    if (has_insert && has_delete) {
+      want = plus.Difference(minus)
+                 .Union(state.Intersection(plus.Intersection(minus)))
+                 .Union(state.Difference(plus.Union(minus)));
+      conflicts += plus.Intersection(minus).size();
+    } else if (has_insert) {
+      want = state.Union(plus);
+    } else if (has_delete) {
+      want = state.Difference(minus);
+    }
+
+    std::vector<uint32_t> s, i, d, got{7};  // a word before the block
+    AppendRelationWords(state, &s);
+    AppendRelationWords(plus, &i);
+    AppendRelationWords(minus, &d);
+    AppendStateUpdate(s.data(), has_insert ? i.data() : nullptr,
+                      has_delete ? d.data() : nullptr,
+                      static_cast<uint32_t>(arity), &got);
+    std::vector<uint32_t> expected{7};
+    AppendRelationWords(want, &expected);
+    ASSERT_EQ(got, expected) << "iter " << iter << " arity " << arity
+                             << " insert " << has_insert << " delete "
+                             << has_delete;
+  }
+  EXPECT_GT(conflicts, 100u);
 }
 
 TEST(FlatSnapshot, HashAndEqualityAreConsistent) {

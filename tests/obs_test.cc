@@ -102,6 +102,25 @@ TEST(Histogram, PowerOfTwoBuckets) {
   EXPECT_EQ(h.buckets()[7], 1u);
 }
 
+TEST(Histogram, BatchAddMatchesRecordPerSample) {
+  const std::vector<uint64_t> samples = {5, 0, 17, 3, 1ull << 40, 5};
+  obs::Histogram recorded, added;
+  obs::Histogram::Batch batch;
+  for (uint64_t v : samples) {
+    recorded.Record(v);
+    batch.Record(v);
+  }
+  added.Record(9);  // samples booked before the batch keep counting
+  recorded.Record(9);
+  added.Add(batch);
+  added.Add(obs::Histogram::Batch{});  // an empty batch changes nothing
+  EXPECT_EQ(added.count(), recorded.count());
+  EXPECT_EQ(added.sum(), recorded.sum());
+  EXPECT_EQ(added.min(), recorded.min());
+  EXPECT_EQ(added.max(), recorded.max());
+  EXPECT_EQ(added.buckets(), recorded.buckets());
+}
+
 TEST(PhaseTimer, RecordsOnlyWhenTimingEnabled) {
   obs::PhaseTreeReset();
   obs::SetTimingEnabled(false);

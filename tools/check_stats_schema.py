@@ -32,6 +32,9 @@ is probed at most once per input lookup, so graph.choice_lookups <=
 graph.input_lookups. Every successor candidate the graph encodes is
 either found interned or interned as a new snapshot, so
 graph.intern_hits + graph.snapshots = graph.encode, per document and on
+the shard roll-up. Each expanded snapshot records its distinct successor
+count in the graph.successors_per_snapshot histogram, so its count equals
+graph.successor_calls and its sum graph.transitions, per document and on
 the shard roll-up.
 With a trace argument, also checks that the trace file is a well-formed
 Chrome trace-event document. --require-counter (repeatable) additionally
@@ -103,6 +106,7 @@ def check_stats(path):
                    f"histogram '{name}' missing integer '{field}'")
         expect(isinstance(hist.get("buckets"), list),
                f"histogram '{name}' missing 'buckets' list")
+    check_fanout(doc["counters"], doc["histograms"], "")
 
     check_workers(doc["workers"])
     check_locks(doc["locks"])
@@ -230,6 +234,7 @@ def check_shards_rollup(shards):
     check_fault_counters(shards["counters"], "shards.counters")
     check_valuation_counters(shards["counters"], "shards.counters")
     check_intern_counters(shards["counters"], "shards.counters")
+    check_fanout(shards["counters"], shards["histograms"], "shards.")
     util = shards.get("utilization")
     expect(isinstance(util, dict), "'shards.utilization' must be an object")
     for field in ("mean", "min", "max"):
@@ -339,6 +344,21 @@ def check_intern_counters(counters, where):
     expect(hits + snapshots == encoded,
            f"'{where}': graph.intern_hits {hits} + graph.snapshots "
            f"{snapshots} != graph.encode {encoded}")
+
+
+def check_fanout(counters, histograms, where):
+    """Validates the fan-out histogram against the graph counters: one
+    sample per expanded snapshot, its distinct successor count, so
+    graph.successors_per_snapshot has count = graph.successor_calls and
+    sum = graph.transitions (an absent histogram or counter counts as 0)."""
+    hist = histograms.get("graph.successors_per_snapshot", {})
+    for field, counter in (("count", "graph.successor_calls"),
+                           ("sum", "graph.transitions")):
+        value = hist.get(field, 0)
+        expected = counters.get(counter, 0)
+        expect(value == expected,
+               f"'{where}histograms': graph.successors_per_snapshot.{field} "
+               f"{value} != {where}counters {counter} {expected}")
 
 
 def check_leaf_counters(stats, counters):

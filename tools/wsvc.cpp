@@ -78,7 +78,9 @@ Result<std::vector<verifier::NamedDatabase>> BuildDatabases(
 /// the robustness options (deadline/cancel token, fault isolation,
 /// checkpoint/resume). The fingerprint covers everything that determines
 /// the enumeration order and the verdict (command, spec source,
-/// property/protocol/env, domain- and semantics-shaping flags) — but NOT
+/// property/protocol/env, domain- and semantics-shaping flags, the queue
+/// bound and the fresh-value count as resolved numbers, so `--fresh 02`
+/// matches `--fresh 2` and an omitted flag its default) — but NOT
 /// --jobs, --max-databases, --db-range or budgets: resuming or sharding with
 /// different resource limits is exactly the point. It is always computed
 /// (the verdict JSON carries it so wsvc-merge can refuse cross-problem
@@ -125,8 +127,10 @@ int OptionsFromFlags(const cli::ParsedArgs& args,
   }
   out->checkpoint_fingerprint = verifier::FingerprintParts(
       {args.command, spec_source, args.Get("--property"), args.Get("--ltl"),
-       args.Get("--env"), args.Get("--observer"), args.Get("--queue-bound"),
-       args.Has("--perfect") ? "perfect" : "lossy", args.Get("--fresh"),
+       args.Get("--env"), args.Get("--observer"),
+       std::to_string(out->run.queue_bound),
+       args.Has("--perfect") ? "perfect" : "lossy",
+       std::to_string(out->fresh_domain_size),
        args.Get("--env-domain"), dbs_joined, env_msgs_joined});
   if (!args.Has("--checkpoint")) {
     if (args.Has("--resume")) {
