@@ -64,32 +64,6 @@ LegResult LegError(std::string name, const Status& status) {
   return leg;
 }
 
-/// Parses "Peer.relation=v1,v2;v3" pinned-database flags (the wsvc --db
-/// format) into per-peer NamedDatabase maps.
-Result<std::vector<verifier::NamedDatabase>> BuildPinnedDatabases(
-    const Composition& comp, const std::vector<std::string>& flags) {
-  std::vector<verifier::NamedDatabase> dbs(comp.peers().size());
-  for (const std::string& flag : flags) {
-    size_t eq = flag.find('=');
-    size_t dot = flag.find('.');
-    if (eq == std::string::npos || dot == std::string::npos || dot > eq) {
-      return Status::ParseError("bad pinned-db flag: " + flag);
-    }
-    std::string peer = flag.substr(0, dot);
-    std::string relation = flag.substr(dot + 1, eq - dot - 1);
-    size_t index = comp.PeerIndex(peer);
-    if (index == Composition::kNpos) {
-      return Status::NotFound("pinned-db flag names unknown peer: " + flag);
-    }
-    auto& rel = dbs[index][relation];
-    for (const std::string& row : Split(flag.substr(eq + 1), ';')) {
-      if (row.empty()) continue;
-      rel.push_back(Split(row, ','));
-    }
-  }
-  return dbs;
-}
-
 struct EngineLegConfig {
   size_t jobs = 1;
   size_t range_lo = 0;
@@ -108,16 +82,12 @@ Result<VerificationResult> RunEngine(const Composition& comp,
   options.budget.max_states = scenario.max_states;
   options.jobs = config.jobs;
   options.count_only = config.count_only;
-  bool pinned = !scenario.pinned_dbs.empty();
-  if (pinned) {
-    WSV_ASSIGN_OR_RETURN(auto dbs,
-                         BuildPinnedDatabases(comp, scenario.pinned_dbs));
-    options.fixed_databases = std::move(dbs);
-    options.valuation_range_lo = config.range_lo;
-    options.valuation_range_hi = config.range_hi;
-  } else {
-    options.db_range_lo = config.range_lo;
-    options.db_range_hi = config.range_hi;
+  options.range_lo = config.range_lo;
+  options.range_hi = config.range_hi;
+  if (!scenario.pinned_dbs.empty()) {
+    WSV_ASSIGN_OR_RETURN(
+        options.fixed_databases,
+        verifier::ParseNamedDatabases(comp, scenario.pinned_dbs));
   }
   verifier::Verifier engine(&comp, std::move(options));
   return engine.Verify(property);
@@ -138,8 +108,8 @@ Result<VerificationResult> RunModular(const Composition& comp,
   options.budget.max_states = scenario.max_states;
   options.jobs = config.jobs;
   options.count_only = config.count_only;
-  options.db_range_lo = config.range_lo;
-  options.db_range_hi = config.range_hi;
+  options.range_lo = config.range_lo;
+  options.range_hi = config.range_hi;
   options.env_quantifier_domain = scenario.env_domain;
   modular::ModularVerifier verifier(&comp, std::move(options));
   return verifier.Verify(property, env);
@@ -173,20 +143,16 @@ Result<std::optional<LegResult>> RunShardedLeg(
     config.range_hi = s + 1 == num_shards ? static_cast<size_t>(-1)
                                           : total * (s + 1) / num_shards;
     WSV_ASSIGN_OR_RETURN(VerificationResult result, runner(config));
-    verifier::ShardReport report;
-    report.source = name + "[" + std::to_string(s) + "]";
-    report.fingerprint = Fingerprint(scenario);
-    report.holds = result.holds;
-    if (result.counterexample.has_value()) {
-      report.has_witness = true;
-      report.witness_db_index = result.counterexample->database_index;
-      report.witness_valuation_index = result.counterexample->valuation_index;
-    }
-    report.covered = result.coverage.covered;
-    report.unit = result.coverage.unit;
-    report.range_lo = result.coverage.range_lo;
-    report.range_hi = result.coverage.range_hi;
-    report.stop_reason = StopReasonName(result.coverage.stop_reason);
+    // Each shard travels through the verdict document wsvc writes and
+    // wsvc-merge reads.
+    const std::string verdict = verifier::RenderVerdictJson(
+        verifier::VerdictExitCode(result),
+        scenario.use_modular ? "modular" : "property", &result,
+        Fingerprint(scenario));
+    WSV_ASSIGN_OR_RETURN(
+        verifier::ShardReport report,
+        verifier::ShardFromStatsJson("{\"verdict\":" + verdict + "}",
+                                     name + "[" + std::to_string(s) + "]"));
     reports.push_back(std::move(report));
   }
   WSV_ASSIGN_OR_RETURN(verifier::MergeReport merged,

@@ -68,7 +68,6 @@ struct JsonValue {
   std::vector<JsonValue> array;
   std::vector<std::pair<std::string, JsonValue>> object;
 
-  bool IsNull() const { return kind == Kind::kNull; }
   bool IsObject() const { return kind == Kind::kObject; }
   bool IsArray() const { return kind == Kind::kArray; }
 

@@ -23,7 +23,6 @@ class ProgressMeter {
   enum class GoalUnit { kNone = 0, kDatabases = 1, kValuations = 2 };
 
   void Enable(int64_t period_millis = 1000);
-  void Disable() { enabled_.store(false, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Declares the run's known work total (databases for a bounded sweep,

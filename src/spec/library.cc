@@ -5,8 +5,6 @@
 
 namespace wsv::spec::library {
 
-const char* LoanCompositionSource() { return kLoanSource; }
-
 Result<Composition> LoanComposition() { return ParseComposition(kLoanSource); }
 
 std::string LoanProperty11() {

@@ -17,10 +17,6 @@ namespace wsv::spec::library {
 /// input-boundedness discipline of Section 3.1.
 Result<Composition> LoanComposition();
 
-/// The DSL source of the loan composition (for tests of the parser and for
-/// display in examples).
-const char* LoanCompositionSource();
-
 /// Property (11): every received application from a known customer
 /// eventually results in an approval or denial letter.
 std::string LoanProperty11();

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "automata/emptiness.h"
+#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "obs/lock_profile.h"
 #include "obs/metrics.h"
@@ -22,6 +23,29 @@
 #include "verifier/parallel_sweep.h"
 
 namespace wsv::verifier {
+
+Result<std::vector<NamedDatabase>> ParseNamedDatabases(
+    const spec::Composition& comp, const std::vector<std::string>& texts) {
+  std::vector<NamedDatabase> dbs(comp.peers().size());
+  for (const std::string& text : texts) {
+    size_t eq = text.find('=');
+    size_t dot = text.find('.');
+    if (eq == std::string::npos || dot == std::string::npos || dot > eq) {
+      return Status::ParseError(
+          "--db expects Peer.relation=v1,v2;v3,v4 — got: " + text);
+    }
+    std::string peer = text.substr(0, dot);
+    size_t index = comp.PeerIndex(peer);
+    if (index == spec::Composition::kNpos) {
+      return Status::NotFound("--db references unknown peer '" + peer + "'");
+    }
+    auto& rel = dbs[index][text.substr(dot + 1, eq - dot - 1)];
+    for (const std::string& row : Split(text.substr(eq + 1), ';')) {
+      if (!row.empty()) rel.push_back(Split(row, ','));
+    }
+  }
+  return dbs;
+}
 
 Result<std::vector<data::Instance>> MaterializeDatabases(
     const spec::Composition& comp, const std::vector<NamedDatabase>& named,
@@ -291,18 +315,11 @@ struct VerificationEngine::RunState {
 /// dispatching caller, others = pool drainers), so nothing here is locked;
 /// lanes are merged when the fan-out completes.
 struct VerificationEngine::ValuationLane {
-  struct Candidate {
-    size_t index;
-    LassoWitness lasso;
-  };
-
-  size_t searches = 0;
-  size_t prefiltered = 0;
-  size_t memo_misses = 0;
-  size_t memo_hits = 0;
-  SearchStats stats;
-  /// Lowest-index witness this lane found.
-  std::optional<Candidate> candidate;
+  /// The lane's valuation tallies (searches, prefiltered, prefilter memo
+  /// and search counters).
+  VerificationStats stats;
+  /// Lowest-index witness this lane found: valuation index and lasso.
+  std::optional<Counterexample> witness;
 
   // Scratch reused across valuations: the decoded assignment, the
   // truth-status vector (the prefilter memo key) and the leaf signature
@@ -385,18 +402,18 @@ Result<bool> VerificationEngine::CheckOneValuation(const ValuationContext& ctx,
       registry.counter("engine.valuations_checked");
   valuations_checked.Add(1);
   if (was_miss) {
-    ++lane.memo_misses;
+    ++lane.stats.prefilter_memo_misses;
     static obs::Counter& memo_misses =
         registry.counter("engine.prefilter_memo_misses");
     memo_misses.Add(1);
   } else {
-    ++lane.memo_hits;
+    ++lane.stats.prefilter_memo_hits;
     static obs::Counter& memo_hits =
         registry.counter("engine.prefilter_memo_hits");
     memo_hits.Add(1);
   }
   if (empty_language) {
-    ++lane.prefiltered;
+    ++lane.stats.prefiltered;
     static obs::Counter& prefiltered = registry.counter("engine.prefiltered");
     prefiltered.Add(1);
     return false;
@@ -423,7 +440,7 @@ Result<bool> VerificationEngine::CheckOneValuation(const ValuationContext& ctx,
     found = memo_entry->witness;
     budget = memo_entry->budget;
   } else {
-    ++lane.searches;
+    ++lane.stats.searches;
     static obs::Counter& searches = registry.counter("engine.searches");
     searches.Add(1);
     ProductSearch search(ctx.graph, ctx.cache, &task.automaton,
@@ -431,7 +448,7 @@ Result<bool> VerificationEngine::CheckOneValuation(const ValuationContext& ctx,
                          &ctx.run->guards);
     Result<std::optional<LassoWitness>> witness = [&] {
       obs::PhaseTimer ndfs_phase("ndfs");
-      return search.FindAcceptedRun(&lane.stats);
+      return search.FindAcceptedRun(&lane.stats.search);
     }();
     if (witness.ok()) {
       found = std::move(witness).value();
@@ -452,15 +469,17 @@ Result<bool> VerificationEngine::CheckOneValuation(const ValuationContext& ctx,
     return false;
   }
   if (!found.has_value()) return false;
-  if (!lane.candidate.has_value() || index < lane.candidate->index) {
-    lane.candidate = ValuationLane::Candidate{index, std::move(*found)};
+  if (!lane.witness.has_value() || index < lane.witness->valuation_index) {
+    lane.witness.emplace();
+    lane.witness->valuation_index = index;
+    lane.witness->lasso = std::move(*found);
   }
   return true;
 }
 
 Result<bool> VerificationEngine::CheckDatabases(
     RunState& run, const std::vector<data::Instance>& dbs, size_t db_index,
-    EngineOutcome& outcome) {
+    VerificationResult& out) {
   const SymbolicTask& task = *run.task;
   // One trace span per database sweep iteration; args built only when the
   // recorder is on so the common path stays allocation-free.
@@ -476,18 +495,17 @@ Result<bool> VerificationEngine::CheckDatabases(
   struct GraphStatsGuard {
     SnapshotGraph& graph;
     LeafCache& cache;
-    EngineOutcome& outcome;
+    SearchStats& stats;
     ~GraphStatsGuard() {
-      outcome.search_stats.snapshots += graph.size();
-      outcome.search_stats.graph_transitions += graph.transitions_computed();
-      outcome.search_stats.leaf_cache_hits += cache.hits();
-      outcome.search_stats.leaf_cache_misses += cache.misses();
-      outcome.search_stats.leaf_evals += cache.leaf_evals();
-      outcome.search_stats.footprint_hits += cache.footprint_hits();
-      outcome.search_stats.leaves =
-          std::max(outcome.search_stats.leaves, cache.leaves().size());
+      stats.snapshots += graph.size();
+      stats.graph_transitions += graph.transitions_computed();
+      stats.leaf_cache_hits += cache.hits();
+      stats.leaf_cache_misses += cache.misses();
+      stats.leaf_evals += cache.leaf_evals();
+      stats.footprint_hits += cache.footprint_hits();
+      stats.leaves = std::max(stats.leaves, cache.leaves().size());
     }
-  } guard{graph, cache, outcome};
+  } guard{graph, cache, out.stats.search};
 
   // Exhaustively explore the configuration graph once: every instance
   // shares it, and a sealed graph fixes more leaves for the prefilter. Each
@@ -498,7 +516,7 @@ Result<bool> VerificationEngine::CheckDatabases(
                                         options_.budget.control, pool_,
                                         lanes_));
   if (!complete_graph) {
-    outcome.stop_status = Status::BudgetExceeded(
+    out.coverage.stop_status = Status::BudgetExceeded(
         "configuration graph exceeded max_states = " +
         std::to_string(options_.budget.max_states) +
         " snapshots; verdict is bounded");
@@ -516,11 +534,12 @@ Result<bool> VerificationEngine::CheckDatabases(
   const ValuationContext ctx{&run, &graph, &cache,
                              complete_graph ? &search_memo : nullptr, &race};
   const size_t total = task.valuations.size();
-  // Valuation shard bounds; the full space on database sweeps (Run()
-  // rejects a valuation range there). Indices stay absolute, so a shard's
+  // The run's range indexes valuations on a pinned run (a valuation shard);
+  // a sweep checks every valuation. Indices stay absolute, so a shard's
   // witness valuation index matches the unsharded run's.
-  const size_t v_lo = std::min(options_.valuation_range_lo, total);
-  const size_t v_hi = std::min(options_.valuation_range_hi, total);
+  const bool pinned = fixed_databases_.has_value();
+  const size_t v_lo = pinned ? std::min(options_.range_lo, total) : 0;
+  const size_t v_hi = pinned ? std::min(options_.range_hi, total) : total;
 
   // The valuation sweep, in chunks claimed in increasing index order. On
   // an incomplete graph the searches grow the graph, so they run on the
@@ -557,30 +576,25 @@ Result<bool> VerificationEngine::CheckDatabases(
         }
       });
 
-  for (const ValuationLane& lane : valuation_lanes) {
-    outcome.searches += lane.searches;
-    outcome.prefiltered += lane.prefiltered;
-    outcome.prefilter_memo_misses += lane.memo_misses;
-    outcome.prefilter_memo_hits += lane.memo_hits;
-    outcome.search_stats.Add(lane.stats);
-  }
+  for (const ValuationLane& lane : valuation_lanes) out.stats.Add(lane.stats);
   if (std::optional<Status> error = race.error()) return *error;
   const size_t witness = race.witness();
+  Status& stop_status = out.coverage.stop_status;
   if (race.stop().has_value()) {
     // A witness that raced with a deadline/cancel stop is still a sound
     // violation; without one the stop ends the check.
     if (witness == FirstWitness::kNone) return *race.stop();
-    outcome.stop_status = *race.stop();
+    stop_status = *race.stop();
   } else if (std::optional<Status> budget_cut = race.budget_cut()) {
-    outcome.stop_status = *budget_cut;
+    stop_status = *budget_cut;
   }
   if (witness == FirstWitness::kNone) {
     // A shard cut short by its upper bound reports range-end — unless a
     // bounded search set a budget status, which must survive (range-end
     // would let a merge attest full coverage of a range whose valuations
     // were only partially searched).
-    if (v_hi < total && outcome.stop_status.ok()) {
-      outcome.stop_status = Status::RangeEnd(
+    if (v_hi < total && stop_status.ok()) {
+      stop_status = Status::RangeEnd(
           "valuation sweep stopped at the end of the assigned range; the "
           "verdict covers exactly this shard's valuations");
     }
@@ -589,36 +603,36 @@ Result<bool> VerificationEngine::CheckDatabases(
   // The engine.violations counter is bumped by Run() once the winning
   // witness is selected, so it counts exactly one per run.
   for (ValuationLane& lane : valuation_lanes) {
-    if (lane.candidate.has_value() && lane.candidate->index == witness) {
-      outcome.lasso = std::move(lane.candidate->lasso);
+    if (lane.witness.has_value() && lane.witness->valuation_index == witness) {
+      out.counterexample = std::move(lane.witness);
     }
   }
-  outcome.violation_found = true;
-  outcome.databases = dbs;
-  outcome.label = task.valuations.DecodeSpellings(witness);
-  outcome.violation_valuation_index = witness;
+  out.counterexample->databases = dbs;
+  out.counterexample->closure_valuation =
+      task.valuations.DecodeSpellings(witness);
+  out.counterexample->database_index = db_index;
   return true;
 }
 
 namespace {
 
-void CountDatabase(EngineOutcome& outcome) {
-  ++outcome.databases_checked;
+void CountDatabase(VerificationResult& result) {
+  ++result.stats.databases_checked;
   static obs::Counter& dbs =
       obs::Registry::Global().counter("engine.databases_checked");
   dbs.Add(1);
   obs::ProgressMeter::Global().MaybeBeat();
 }
 
-/// Best-effort checkpoint write: a failed write must not take down a sweep
+/// Best-effort checkpoint write: a failed write must not take down a run
 /// that is otherwise making progress, so the status is only counted.
-void PersistCheckpoint(const EngineOptions& options,
+void PersistCheckpoint(const EngineOptions& options, const std::string& unit,
                        const std::vector<IndexInterval>& covered,
                        const std::vector<size_t>& failed,
-                       size_t databases_completed,
-                       const std::string& stop_reason) {
+                       size_t units_completed, const std::string& stop_reason) {
   Checkpoint cp;
   cp.fingerprint = options.checkpoint_fingerprint;
+  cp.unit = unit;
   cp.covered = covered;
   // A parallel sweep can fail a database ahead of the completed run; such
   // indices are re-checked on resume (which restarts at the first hole), so
@@ -627,7 +641,7 @@ void PersistCheckpoint(const EngineOptions& options,
   for (size_t index : failed) {
     if (IntervalsContain(covered, index)) cp.failed_indices.push_back(index);
   }
-  cp.databases_completed = databases_completed;
+  cp.databases_completed = units_completed;
   cp.stop_reason = stop_reason;
   Status written = WriteCheckpoint(options.checkpoint_path, cp);
   obs::Registry& registry = obs::Registry::Global();
@@ -640,29 +654,19 @@ void PersistCheckpoint(const EngineOptions& options,
 
 }  // namespace
 
-Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
-  EngineOutcome outcome;
-  size_t jobs = ThreadPool::ResolveJobs(options_.jobs);
-
-  if (options_.db_range_hi < options_.db_range_lo) {
-    return Status::InvalidSpec("--db-range upper bound " +
-                               std::to_string(options_.db_range_hi) +
+Result<VerificationResult> VerificationEngine::Run(SymbolicTask& task) {
+  const size_t jobs = ThreadPool::ResolveJobs(options_.jobs);
+  const bool pinned = fixed_databases_.has_value();
+  if (options_.range_hi < options_.range_lo) {
+    return Status::InvalidSpec("range upper bound " +
+                               std::to_string(options_.range_hi) +
                                " is below its lower bound " +
-                               std::to_string(options_.db_range_lo));
+                               std::to_string(options_.range_lo));
   }
-  if (options_.valuation_range_hi < options_.valuation_range_lo) {
-    return Status::InvalidSpec("--valuation-range upper bound " +
-                               std::to_string(options_.valuation_range_hi) +
-                               " is below its lower bound " +
-                               std::to_string(options_.valuation_range_lo));
-  }
-  const bool has_valuation_range =
-      options_.valuation_range_lo != 0 ||
-      options_.valuation_range_hi != static_cast<size_t>(-1);
-  if (has_valuation_range && !fixed_databases_.has_value()) {
+  if (pinned && options_.max_databases != static_cast<size_t>(-1)) {
     return Status::InvalidSpec(
-        "--valuation-range requires pinned databases (--db): database "
-        "sweeps shard with --db-range instead");
+        "--max-databases bounds a database sweep; a run on pinned databases "
+        "(--db) checks exactly those");
   }
 
   // The verdict's `instances`, also on a count-only run.
@@ -670,12 +674,15 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
       .counter("engine.instances")
       .Add(task.valuations.size());
 
+  VerificationResult result;
+  // The run's coverage unit: what its range, coverage and checkpoints index.
+  result.coverage.unit = pinned ? "valuation" : "database";
   if (options_.count_only) {
     // Count-only: report the size of the enumeration space (the coordinate
     // system shard ranges index into) without checking anything.
-    if (fixed_databases_.has_value()) {
-      outcome.coverage_unit = "valuation";
-      outcome.enumeration_count = task.valuations.size();
+    result.holds = true;  // nothing verified; callers key off count_only
+    if (pinned) {
+      result.enumeration_count = task.valuations.size();
     } else {
       DatabaseEnumerator enumerator(comp_, domain_, fresh_,
                                     options_.iso_reduction);
@@ -683,13 +690,13 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
       obs::PhaseTimer enum_phase("db_enum");
       std::vector<data::Instance> scratch;
       while (enumerator.Next(&scratch)) {
-        ++outcome.enumeration_count;
+        ++result.enumeration_count;
         if (options_.control != nullptr) {
           WSV_RETURN_IF_ERROR(options_.control->Check());
         }
       }
     }
-    return outcome;
+    return result;
   }
 
   RunState run;
@@ -738,152 +745,146 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
   if (jobs > 1) pool.emplace(jobs - 1);
   SchedulerBinding binding(this, pool.has_value() ? &*pool : nullptr, jobs);
 
-  if (fixed_databases_.has_value()) {
+  // Work units this run's final checkpoint reports as completed.
+  size_t units_completed = 0;
+  if (pinned) {
     // A single pinned database: all parallelism is within-database (graph
-    // exploration, leaf sealing, valuation fan-out).
-    outcome.jobs = jobs;
-    {
-      // Pinned runs know their work total up front: the assigned valuation
-      // slice. The heartbeat turns it into an ETA.
-      const size_t v_total = task.valuations.size();
-      const size_t v_lo = std::min(options_.valuation_range_lo, v_total);
-      const size_t v_hi = std::min(options_.valuation_range_hi, v_total);
-      obs::ProgressMeter::Global().SetGoal(
-          obs::ProgressMeter::GoalUnit::kValuations, v_hi - v_lo);
-    }
-    CountDatabase(outcome);
+    // exploration, leaf sealing, valuation fan-out). The run knows its work
+    // total up front — the assigned valuation slice — and the heartbeat
+    // turns it into an ETA.
+    const size_t v_total = task.valuations.size();
+    const size_t v_lo = std::min(options_.range_lo, v_total);
+    const size_t v_hi = std::min(options_.range_hi, v_total);
+    obs::ProgressMeter::Global().SetGoal(
+        obs::ProgressMeter::GoalUnit::kValuations, v_hi - v_lo);
+    CountDatabase(result);
     // The sweep lanes' exception boundary: a memory-budget throw becomes
     // the memory-budget stop below instead of escaping the run.
     Result<bool> found = GuardedCheck([&] {
-      return CheckDatabases(run, *fixed_databases_, /*db_index=*/0, outcome);
+      return CheckDatabases(run, *fixed_databases_, /*db_index=*/0, result);
     });
+    Status& stop_status = result.coverage.stop_status;
     if (!found.ok()) {
       if (!RunControl::IsStopStatus(found.status())) return found.status();
-      // A deadline/cancel stop still yields a partial outcome: the caller
+      // A deadline/cancel stop still yields a partial result: the caller
       // reports an inconclusive verdict over zero completed databases.
-      outcome.stop_status = found.status();
-    } else if (*found) {
-      outcome.violation_db_index = 0;
-      obs::Registry::Global().counter("engine.violations").Add(1);
-    }
-    if (found.ok()) outcome.completed_prefix = 1;
-    // Pinned runs shard over valuations, so coverage is valuation-indexed:
-    // a clean or range-end pass covered the whole assigned slice, a
-    // violation covers the slice below its witness (mirroring the sweep's
-    // witness-capped checkpoints), and any other stop claims nothing (the
-    // fan-out has no per-valuation completion order to attest).
-    outcome.coverage_unit = "valuation";
-    if (found.ok()) {
-      const size_t v_total = task.valuations.size();
-      const size_t v_lo = std::min(options_.valuation_range_lo, v_total);
-      const size_t v_hi = std::min(options_.valuation_range_hi, v_total);
+      stop_status = found.status();
+    } else {
+      result.coverage.completed_prefix = 1;
+      // Coverage is valuation-indexed: a clean or range-end pass covered
+      // the whole assigned slice, a violation covers the slice below its
+      // witness (mirroring the sweep's witness-capped checkpoints), and
+      // any other stop claims nothing (the fan-out has no per-valuation
+      // completion order to attest).
+      size_t end = v_lo;
       if (*found) {
-        AddInterval(&outcome.covered, v_lo,
-                    outcome.violation_valuation_index);
-      } else if (outcome.stop_status.ok() ||
-                 outcome.stop_status.code() == StatusCode::kRangeEnd) {
-        AddInterval(&outcome.covered, v_lo, v_hi);
+        end = result.counterexample->valuation_index;
+      } else if (stop_status.ok() ||
+                 stop_status.code() == StatusCode::kRangeEnd) {
+        end = v_hi;
       }
+      AddInterval(&result.coverage.covered, v_lo, end);
+      units_completed = end - v_lo;
     }
-    outcome.stop_reason = StopReasonFromStatus(outcome.stop_status);
-    if (outcome.stop_reason == StopReason::kDeadline) {
-      obs::Registry::Global().counter("engine.deadline_hits").Add(1);
-    }
-    return outcome;
-  }
+    result.coverage.stop_reason = StopReasonFromStatus(stop_status);
+  } else {
+    DatabaseEnumerator enumerator(comp_, domain_, fresh_,
+                                  options_.iso_reduction);
+    WSV_RETURN_IF_ERROR(enumerator.status());
 
-  DatabaseEnumerator enumerator(comp_, domain_, fresh_,
-                                options_.iso_reduction);
-  WSV_RETURN_IF_ERROR(enumerator.status());
-
-  // Every job count runs one sweep code path (jobs == 1 is the same
-  // fan-out with no helper lanes): fault isolation, deadline/cancel
-  // winding and checkpointing behave identically at every job count.
-  SweepOptions sweep_options;
-  sweep_options.jobs = jobs;
-  sweep_options.max_databases = options_.max_databases;
-  // Coverage inherited from a resume, and the dispatch origin: the range
-  // start, or the end of the covered run containing it. Indices stay
-  // absolute throughout.
-  const std::vector<IndexInterval> resume_base =
-      NormalizeIntervals(options_.resume_covered);
-  const size_t sweep_start =
-      static_cast<size_t>(ResumeStart(resume_base, options_.db_range_lo));
-  // Databases of this work unit that earlier legs completed.
-  const size_t resumed_databases = sweep_start - options_.db_range_lo;
-  sweep_options.start_index = sweep_start;
-  sweep_options.end_index = options_.db_range_hi;
-  // A bounded sweep (range upper bound or --max-databases) has a known
-  // database total; the heartbeat derives an ETA from it. Unbounded sweeps
-  // leave the goal unset — the enumeration size is what the run discovers.
-  {
-    const size_t bound =
-        std::min(options_.db_range_hi, options_.max_databases);
+    // Every job count runs one sweep code path (jobs == 1 is the same
+    // fan-out with no helper lanes): fault isolation, deadline/cancel
+    // winding and checkpointing behave identically at every job count.
+    SweepOptions sweep_options;
+    sweep_options.jobs = jobs;
+    sweep_options.max_databases = options_.max_databases;
+    // Coverage inherited from a resume, and the dispatch origin: the range
+    // start, or the end of the covered run containing it. Indices stay
+    // absolute throughout.
+    const std::vector<IndexInterval> resume_base =
+        NormalizeIntervals(options_.resume_covered);
+    const size_t sweep_start =
+        static_cast<size_t>(ResumeStart(resume_base, options_.range_lo));
+    // Databases of this work unit that earlier legs completed.
+    const size_t resumed_databases = sweep_start - options_.range_lo;
+    sweep_options.start_index = sweep_start;
+    sweep_options.end_index = options_.range_hi;
+    // A bounded sweep (range upper bound or --max-databases) has a known
+    // database total; the heartbeat derives an ETA from it. Unbounded
+    // sweeps leave the goal unset — the enumeration size is what the run
+    // discovers.
+    const size_t bound = std::min(options_.range_hi, options_.max_databases);
     if (bound != static_cast<size_t>(-1) && bound > sweep_start) {
       obs::ProgressMeter::Global().SetGoal(
           obs::ProgressMeter::GoalUnit::kDatabases, bound - sweep_start);
     }
-  }
-  sweep_options.control = options_.control;
-  sweep_options.skip_failed_databases =
-      options_.on_db_error == OnDbError::kSkip;
-  sweep_options.resume_failed = options_.resume_failed;
-  if (options_.db_range_lo != 0 ||
-      options_.db_range_hi != static_cast<size_t>(-1)) {
-    obs::Registry& registry = obs::Registry::Global();
-    registry.counter("sweep.range_lo").Add(options_.db_range_lo);
-    if (options_.db_range_hi != static_cast<size_t>(-1)) {
-      registry.counter("sweep.range_hi").Add(options_.db_range_hi);
+    sweep_options.control = options_.control;
+    sweep_options.skip_failed_databases =
+        options_.on_db_error == OnDbError::kSkip;
+    sweep_options.resume_failed = options_.resume_failed;
+    if (options_.range_lo != 0 ||
+        options_.range_hi != static_cast<size_t>(-1)) {
+      obs::Registry& registry = obs::Registry::Global();
+      registry.counter("sweep.range_lo").Add(options_.range_lo);
+      if (options_.range_hi != static_cast<size_t>(-1)) {
+        registry.counter("sweep.range_hi").Add(options_.range_hi);
+      }
     }
+    if (!options_.checkpoint_path.empty()) {
+      sweep_options.checkpoint_every = options_.checkpoint_every;
+      sweep_options.checkpoint_fn = [this, sweep_start, resume_base,
+                                     resumed_databases](
+                                        size_t completed_prefix,
+                                        const std::vector<size_t>& failed,
+                                        size_t databases_completed) {
+        std::vector<IndexInterval> covered = resume_base;
+        AddInterval(&covered, sweep_start, completed_prefix);
+        PersistCheckpoint(options_, "database", covered, failed,
+                          resumed_databases + databases_completed,
+                          "in-progress");
+      };
+    }
+    sweep_options.pool = pool_;
+    ParallelSweep sweep(&enumerator, sweep_options);
+    WSV_ASSIGN_OR_RETURN(
+        result,
+        sweep.Run([&](size_t db_index, const std::vector<data::Instance>& dbs,
+                      VerificationResult& worker) {
+          return CheckDatabases(run, dbs, db_index, worker);
+        }));
+    // Coverage: resumed intervals plus the contiguous run this sweep
+    // completed from its dispatch origin — capped below the witness when a
+    // violation was found, so a resume (or a merge of shard checkpoints)
+    // re-checks the witness database and reproduces the VIOLATED verdict
+    // instead of silently skipping past it.
+    std::vector<IndexInterval>& covered = result.coverage.covered;
+    covered = resume_base;
+    AddInterval(&covered, sweep_start, result.coverage.completed_prefix);
+    if (result.counterexample.has_value()) {
+      covered =
+          IntersectIntervals(covered, 0, result.counterexample->database_index);
+    }
+    units_completed = resumed_databases + result.stats.databases_checked;
   }
-  if (!options_.checkpoint_path.empty()) {
-    sweep_options.checkpoint_every = options_.checkpoint_every;
-    sweep_options.checkpoint_fn = [this, sweep_start, resume_base,
-                                   resumed_databases](
-                                      size_t completed_prefix,
-                                      const std::vector<size_t>& failed,
-                                      size_t databases_completed) {
-      std::vector<IndexInterval> covered = resume_base;
-      AddInterval(&covered, sweep_start, completed_prefix);
-      PersistCheckpoint(options_, covered, failed,
-                        resumed_databases + databases_completed,
-                        "in-progress");
-    };
-  }
-  sweep_options.pool = pool_;
-  ParallelSweep sweep(&enumerator, sweep_options);
-  WSV_ASSIGN_OR_RETURN(
-      EngineOutcome swept,
-      sweep.Run([&](size_t db_index, const std::vector<data::Instance>& dbs,
-                    EngineOutcome& worker_outcome) {
-        return CheckDatabases(run, dbs, db_index, worker_outcome);
-      }));
-  swept.jobs = jobs;
-  if (swept.violation_found) {
+
+  result.holds = !result.counterexample.has_value();
+  result.stats.jobs = jobs;
+  result.coverage.range_lo = options_.range_lo;
+  result.coverage.range_hi = options_.range_hi;
+  if (result.counterexample.has_value()) {
     obs::Registry::Global().counter("engine.violations").Add(1);
   }
-  if (swept.stop_reason == StopReason::kDeadline) {
+  if (result.coverage.stop_reason == StopReason::kDeadline) {
     obs::Registry::Global().counter("engine.deadline_hits").Add(1);
   }
-  // Coverage: resumed intervals plus the contiguous run this sweep
-  // completed from its dispatch origin — capped below the witness when a
-  // violation was found, so a resume (or a merge of shard checkpoints)
-  // re-checks the witness database and reproduces the VIOLATED verdict
-  // instead of silently skipping past it.
-  std::vector<IndexInterval> covered = resume_base;
-  AddInterval(&covered, sweep_start, swept.completed_prefix);
-  if (swept.violation_found) {
-    covered = IntersectIntervals(covered, 0, swept.violation_db_index);
-  }
-  swept.covered = covered;
   if (!options_.checkpoint_path.empty()) {
-    // Final checkpoint carries the real stop reason — "complete" marks the
-    // sweep as finished so a --resume of it is a no-op fast path.
-    PersistCheckpoint(options_, covered, swept.failed_db_indices,
-                      resumed_databases + swept.databases_checked,
-                      StopReasonName(swept.stop_reason));
+    // The final checkpoint carries the real stop reason — "complete" marks
+    // the run as finished so a --resume of a sweep is a no-op fast path.
+    PersistCheckpoint(options_, result.coverage.unit, result.coverage.covered,
+                      result.coverage.failed_db_indices, units_completed,
+                      StopReasonName(result.coverage.stop_reason));
   }
-  return swept;
+  return result;
 }
 
 }  // namespace wsv::verifier

@@ -19,6 +19,7 @@
 #include "spec/composition.h"
 #include "verifier/checkpoint.h"
 #include "verifier/product_search.h"
+#include "verifier/result.h"
 
 namespace wsv::verifier {
 
@@ -94,6 +95,11 @@ struct SymbolicTask {
 using NamedDatabase =
     std::map<std::string, std::vector<std::vector<std::string>>>;
 
+/// Parses `Peer.relation=a,b;c,d` texts (wsvc's --db values: rows split on
+/// ';', values on ',') into one NamedDatabase per peer of `comp`.
+Result<std::vector<NamedDatabase>> ParseNamedDatabases(
+    const spec::Composition& comp, const std::vector<std::string>& texts);
+
 /// Materializes one NamedDatabase per peer into instances over `interner`,
 /// interning unseen spellings and adding them to `domain`.
 Result<std::vector<data::Instance>> MaterializeDatabases(
@@ -121,7 +127,7 @@ enum class OnDbError {
   /// and surface the error.
   kAbort,
   /// Retry the database once; if it fails again, record its index in the
-  /// outcome's failed list and keep sweeping. A clean pass then degrades to
+  /// result's failed list and keep sweeping. A clean pass then degrades to
   /// a bounded verdict (StopReason::kDbFailures); a found violation is
   /// still a sound VIOLATION.
   kSkip,
@@ -136,24 +142,21 @@ struct EngineOptions {
   /// Exclusive bound on the enumeration in ABSOLUTE canonical indices:
   /// databases with index >= max_databases are never dispatched, counted
   /// from index 0 regardless of any resume offset or range lower bound.
+  /// Sweeps only: Run() rejects it on a pinned-database run.
   size_t max_databases = static_cast<size_t>(-1);
-  /// Absolute half-open slice [db_range_lo, db_range_hi) of the canonical
-  /// database enumeration this run checks — one shard's work unit. The
-  /// defaults cover the whole enumeration. A sweep cut short by the upper
-  /// bound (with more databases beyond it) stops with StopReason::kRangeEnd;
-  /// a sweep whose enumerator is exhausted inside the range stops kComplete,
+  /// Absolute half-open slice [range_lo, range_hi) of the run's
+  /// enumeration — one shard's work unit — in the run's coverage unit:
+  /// canonical databases on a sweep, valuations on a pinned-database run.
+  /// The defaults cover everything. A run cut short by the upper bound
+  /// (with more indices beyond it) stops with StopReason::kRangeEnd; a
+  /// sweep whose enumerator is exhausted inside the range stops kComplete,
   /// which is the attestation a merge needs that the space ends in-range.
-  size_t db_range_lo = 0;
-  size_t db_range_hi = static_cast<size_t>(-1);
-  /// Half-open slice of the valuation space, legal only on pinned-database
-  /// runs (a valuation shard); Run() rejects it on database sweeps — those
-  /// shard with db_range instead.
-  size_t valuation_range_lo = 0;
-  size_t valuation_range_hi = static_cast<size_t>(-1);
+  size_t range_lo = 0;
+  size_t range_hi = static_cast<size_t>(-1);
   /// Walk the enumeration without checking anything and report its size in
-  /// EngineOutcome::enumeration_count (canonical databases, or valuations
-  /// when the databases are pinned). Shard coordinators use this to split
-  /// ranges evenly.
+  /// VerificationResult::enumeration_count (canonical databases, or
+  /// valuations when the databases are pinned). Shard coordinators use this
+  /// to split ranges evenly.
   bool count_only = false;
   /// Per-search state cap.
   SearchBudget budget;
@@ -169,93 +172,37 @@ struct EngineOptions {
   size_t jobs = 1;
 
   /// Deadline/cancellation token polled by every pipeline loop (not owned;
-  /// may be null). A stop ends the run with a partial outcome: stop_reason
+  /// may be null). A stop ends the run with a partial result: stop_reason
   /// kDeadline / kCanceled, covering the completed database prefix.
   RunControl* control = nullptr;
   /// Fault isolation policy for per-database check failures in the sweep.
   OnDbError on_db_error = OnDbError::kAbort;
 
-  /// When non-empty, the sweep persists progress checkpoints here (atomic
-  /// temp-file + rename) every `checkpoint_every` completed databases and
-  /// once more when the sweep ends, stamped with `checkpoint_fingerprint`
-  /// verbatim (validating it against a loaded checkpoint is the caller's
-  /// job).
+  /// When non-empty, the run persists checkpoints here (atomic temp-file +
+  /// rename), stamped with `checkpoint_fingerprint` verbatim (validating it
+  /// against a loaded checkpoint is the caller's job): a sweep every
+  /// `checkpoint_every` completed databases and once more when it ends, a
+  /// pinned run once when it ends (unit "valuation").
   std::string checkpoint_path;
   std::string checkpoint_fingerprint;
   size_t checkpoint_every = 64;
-  /// Resume support: coverage intervals inherited from a resumed
-  /// checkpoint (absolute indices); unioned into the outcome's covered set
-  /// and into persisted checkpoints. Dispatch starts at
-  /// ResumeStart(resume_covered, db_range_lo), skipping the covered run
+  /// Resume support for sweeps: coverage intervals inherited from a
+  /// resumed checkpoint (absolute indices); unioned into the result's
+  /// covered set and into persisted checkpoints. Dispatch starts at
+  /// ResumeStart(resume_covered, range_lo), skipping the covered run
   /// containing the range start (the enumerator still walks it so indices
-  /// stay aligned with an uninterrupted run).
+  /// stay aligned with an uninterrupted run). A pinned run ignores it and
+  /// re-checks its one database.
   std::vector<IndexInterval> resume_covered;
   /// Indices inside the skipped run that a previous run failed and
-  /// skipped; carried into the outcome's failed list.
+  /// skipped; carried into the result's failed list.
   std::vector<size_t> resume_failed;
 };
 
-/// Outcome of an engine run; the caller wraps it into the public
-/// VerificationResult types.
-struct EngineOutcome {
-  bool violation_found = false;
-  /// Set when violation_found.
-  std::vector<data::Instance> databases;
-  std::vector<std::string> label;
-  LassoWitness lasso;
-  /// Position of the witness database in enumeration order (SIZE_MAX when
-  /// no violation). The same at every job count.
-  size_t violation_db_index = static_cast<size_t>(-1);
-  /// Index of the witness valuation in ValuationSpace order (SIZE_MAX when
-  /// no violation). The same at every job count: the reported witness is
-  /// always the lowest-index one.
-  size_t violation_valuation_index = static_cast<size_t>(-1);
-
-  /// Worker threads the sweep actually ran with (EngineOptions::jobs after
-  /// resolving 0 to the hardware concurrency).
-  size_t jobs = 1;
-
-  size_t databases_checked = 0;
-  size_t searches = 0;
-  /// Instances discharged by the emptiness prefilter without a
-  /// state-space search.
-  size_t prefiltered = 0;
-  /// Prefilter memo lookups, one per checked valuation: distinct
-  /// truth-status vectors computed (once per run, shared by every database)
-  /// versus reused across valuations and databases.
-  size_t prefilter_memo_misses = 0;
-  size_t prefilter_memo_hits = 0;
-  SearchStats search_stats;
-  /// Why the run is not complete: budget exhaustion (kBudgetExceeded),
-  /// deadline (kDeadlineExceeded), cancellation (kCanceled) or skipped
-  /// database failures (kPartialFailure). OK when stop_reason == kComplete.
-  /// Generalizes the old budget_status field.
-  Status stop_status = Status::Ok();
-  /// stop_status, classified (kComplete / kBudget / kDeadline / kCanceled /
-  /// kDbFailures).
-  StopReason stop_reason = StopReason::kComplete;
-  /// High-water mark of the contiguous completed run starting at the
-  /// dispatch origin (the resume/range start; index 0 for a whole-space
-  /// run): every index from the origin up to here was checked or recorded
-  /// as failed. Includes any resumed prefix.
-  size_t completed_prefix = 0;
-  /// Disjoint covered intervals of the enumeration order (absolute
-  /// half-open indices, normalized), including resumed coverage; capped
-  /// below the witness when a violation is found, mirroring the persisted
-  /// checkpoint so a resume re-finds the witness. Unit: coverage_unit.
-  std::vector<IndexInterval> covered;
-  /// What `covered` indexes: "database" for sweeps, "valuation" for
-  /// pinned-database runs.
-  std::string coverage_unit = "database";
-  /// Count-only mode (EngineOptions::count_only): the size of the full
-  /// enumeration space; zero otherwise.
-  size_t enumeration_count = 0;
-  /// Indices whose checks failed hard and were skipped (OnDbError::kSkip),
-  /// sorted; includes EngineOptions::resume_failed.
-  std::vector<size_t> failed_db_indices;
-  /// Per-database check retries performed by the fault-isolated sweep.
-  size_t db_retries = 0;
-};
+/// The engine's result record under its former name, kept only because
+/// perfbench/perfbench.cc names it in its ParallelSweep callback; goes with
+/// the next change to the benchmark.
+using EngineOutcome = VerificationResult;
 
 /// Runs the symbolic task against every database over the pseudo-domain
 /// (canonical representatives only, when iso_reduction), stopping at the
@@ -265,7 +212,7 @@ struct EngineOutcome {
 /// search.
 ///
 /// With options.jobs > 1 the sweep runs on a worker pool (ParallelSweep):
-/// each worker checks whole databases against its private accumulators;
+/// each worker checks whole databases against its private result record;
 /// the task, composition, interner and domain are shared read-only.
 class VerificationEngine {
  public:
@@ -279,7 +226,8 @@ class VerificationEngine {
       EngineOptions options,
       std::optional<std::vector<data::Instance>> fixed_databases);
 
-  Result<EngineOutcome> Run(SymbolicTask& task);
+  /// Fills every field of the result except `regime` and `complete`.
+  Result<VerificationResult> Run(SymbolicTask& task);
 
  private:
   /// The task-invariant state of one run, built once by Run() and shared
@@ -291,13 +239,13 @@ class VerificationEngine {
 
   /// The per-database checking step of the sweep: explores the
   /// configuration graph for `dbs` and runs every task instance against it,
-  /// accumulating into `outcome`. Returns true when a witness was recorded
-  /// (outcome.databases/label/lasso; the caller assigns the index).
-  /// `db_index` labels the trace span. Thread-safe for concurrent calls
-  /// with distinct `outcome` objects.
+  /// adding its tallies to `out.stats` and a budget cut to
+  /// `out.coverage.stop_status`. Returns true when it recorded the witness
+  /// (database `db_index`) in `out.counterexample`. Thread-safe for
+  /// concurrent calls with distinct `out` records.
   Result<bool> CheckDatabases(RunState& run,
                               const std::vector<data::Instance>& dbs,
-                              size_t db_index, EngineOutcome& outcome);
+                              size_t db_index, VerificationResult& out);
   Result<bool> CheckOneValuation(const ValuationContext& ctx, size_t index,
                                  ValuationLane& lane);
 

@@ -283,6 +283,82 @@ Result<IncrementalMergeState> LoadMergeState(const std::string& path) {
   return state;
 }
 
+std::string RenderVerdictJson(int exit_code, const char* kind,
+                              const VerificationResult* result,
+                              const std::string& fingerprint) {
+  obs::JsonWriter w;
+  w.BeginObject();
+  w.Key("exit_code").Int(exit_code);
+  if (kind != nullptr && result != nullptr) {
+    const VerificationResult& r = *result;
+    w.Key("kind").String(kind);
+    if (!fingerprint.empty()) w.Key("fingerprint").String(fingerprint);
+    w.Key("holds").Bool(r.holds);
+    w.Key("complete").Bool(r.complete);
+    w.Key("enumeration_count").Uint(r.enumeration_count);
+    w.Key("counterexample").Bool(r.counterexample.has_value());
+    if (r.counterexample.has_value()) {
+      w.Key("witness_db_index").Uint(r.counterexample->database_index);
+      w.Key("witness_valuation_index").Uint(r.counterexample->valuation_index);
+    }
+    w.Key("regime").BeginObject();
+    w.Key("ok").Bool(r.regime.ok());
+    w.Key("code").String(StatusCodeName(r.regime.code()));
+    w.Key("message").String(r.regime.message());
+    w.EndObject();
+    w.Key("budget_exceeded")
+        .Bool(r.regime.code() == StatusCode::kBudgetExceeded ||
+              r.stats.search.budget_hits > 0);
+    w.Key("coverage").BeginObject();
+    w.Key("stop_reason").String(StopReasonName(r.coverage.stop_reason));
+    w.Key("stop_code").String(StatusCodeName(r.coverage.stop_status.code()));
+    w.Key("stop_message").String(r.coverage.stop_status.message());
+    w.Key("completed_prefix").Uint(r.coverage.completed_prefix);
+    w.Key("covered").BeginArray();
+    for (const IndexInterval& iv : r.coverage.covered) {
+      w.BeginArray().Uint(iv.first).Uint(iv.second).EndArray();
+    }
+    w.EndArray();
+    w.Key("unit").String(r.coverage.unit);
+    w.Key("range_lo").Uint(r.coverage.range_lo);
+    w.Key("range_hi").Uint(r.coverage.range_hi);
+    w.Key("databases_completed").Uint(r.stats.databases_checked);
+    w.Key("failed_db_indices").BeginArray();
+    for (size_t index : r.coverage.failed_db_indices) w.Uint(index);
+    w.EndArray();
+    w.Key("db_retries").Uint(r.coverage.db_retries);
+    w.EndObject();
+    w.Key("stats").BeginObject();
+    w.Key("jobs").Uint(r.stats.jobs);
+    w.Key("databases_checked").Uint(r.stats.databases_checked);
+    w.Key("instances").Uint(r.stats.instances);
+    w.Key("searches").Uint(r.stats.searches);
+    w.Key("prefiltered").Uint(r.stats.prefiltered);
+    w.Key("prefilter_memo_hits").Uint(r.stats.prefilter_memo_hits);
+    w.Key("prefilter_memo_misses").Uint(r.stats.prefilter_memo_misses);
+    w.Key("snapshots").Uint(r.stats.search.snapshots);
+    w.Key("graph_transitions").Uint(r.stats.search.graph_transitions);
+    w.Key("product_states").Uint(r.stats.search.product_states);
+    w.Key("product_transitions").Uint(r.stats.search.transitions);
+    w.Key("leaf_cache_hits").Uint(r.stats.search.leaf_cache_hits);
+    w.Key("leaf_cache_misses").Uint(r.stats.search.leaf_cache_misses);
+    w.Key("leaf_evals").Uint(r.stats.search.leaf_evals);
+    w.Key("footprint_hits").Uint(r.stats.search.footprint_hits);
+    w.Key("leaves").Uint(r.stats.search.leaves);
+    w.Key("inner_searches").Uint(r.stats.search.inner_searches);
+    w.Key("budget_hits").Uint(r.stats.search.budget_hits);
+    w.EndObject();
+  }
+  w.EndObject();
+  return w.Take();
+}
+
+int VerdictExitCode(const VerificationResult& result) {
+  if (!result.holds) return 3;
+  if (result.coverage.stop_reason == StopReason::kCanceled) return 130;
+  return 0;
+}
+
 Result<ShardReport> ShardFromStatsJson(const std::string& json_text,
                                        const std::string& source) {
   WSV_ASSIGN_OR_RETURN(obs::JsonValue doc, obs::JsonParse(json_text));

@@ -7,6 +7,7 @@
 
 #include "common/status.h"
 #include "verifier/checkpoint.h"
+#include "verifier/result.h"
 
 namespace wsv::verifier {
 
@@ -121,6 +122,18 @@ MergeReport FinalizeMerge(const IncrementalMergeState& state);
 Status SaveMergeState(const std::string& path,
                       const IncrementalMergeState& state);
 Result<IncrementalMergeState> LoadMergeState(const std::string& path);
+
+/// Renders the "verdict" section of a `wsvc --stats-json` document: the
+/// exit code and, when `result` is non-null, the command `kind` ("property"
+/// | "protocol" | "modular"), the spec/property/options `fingerprint`
+/// (omitted when empty) and the result. ShardFromStatsJson reads it back.
+std::string RenderVerdictJson(int exit_code, const char* kind,
+                              const VerificationResult* result,
+                              const std::string& fingerprint);
+
+/// Exit code of one run's verdict: 0 holds, 3 violated (sound even when the
+/// run was cut short), 130 canceled before any conclusion.
+int VerdictExitCode(const VerificationResult& result);
 
 /// Parses one `wsvc --stats-json` document into a ShardReport (fingerprint,
 /// verdict, witness, coverage). `source` labels diagnostics.

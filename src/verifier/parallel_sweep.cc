@@ -19,23 +19,6 @@ namespace wsv::verifier {
 
 namespace {
 
-/// A violation found by one worker: everything needed to reconstruct the
-/// serial sweep's witness once the lowest index is known.
-struct Candidate {
-  size_t index;
-  size_t valuation_index;
-  std::vector<data::Instance> databases;
-  std::vector<std::string> label;
-  LassoWitness lasso;
-};
-
-/// Worker-local sweep state; only touched by its own thread until the
-/// barrier at the end of Run().
-struct Worker {
-  EngineOutcome outcome;
-  std::optional<Candidate> candidate;
-};
-
 /// Shared completion bookkeeping: the contiguous completed prefix of the
 /// enumeration order (the checkpointable high-water mark), out-of-order
 /// completions ahead of it, and the failed-index list.
@@ -76,7 +59,7 @@ ParallelSweep::ParallelSweep(DatabaseEnumerator* enumerator,
   if (options_.jobs == 0) options_.jobs = 1;
 }
 
-Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
+Result<VerificationResult> ParallelSweep::Run(const CheckFn& check) {
   // Resume fast-forward: walk the enumerator over the completed prefix so
   // dispatch indices stay aligned with an uninterrupted run's.
   if (options_.start_index > 0) {
@@ -103,7 +86,10 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
   progress.failed = options_.resume_failed;
   std::sort(progress.failed.begin(), progress.failed.end());
 
-  std::vector<Worker> workers(options_.jobs);
+  // Worker-local records, each only touched by its own loop until the
+  // barrier below. A worker's counterexample is its witness: it stops
+  // pulling databases once it has one.
+  std::vector<VerificationResult> workers(options_.jobs);
 
   obs::Registry& registry = obs::Registry::Global();
   static obs::Counter& dbs_counter =
@@ -146,7 +132,7 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
 
   // One worker loop; `at` tracks the database it is on, so a throw outside
   // the check itself is ordered like a failure of that database.
-  auto worker_loop = [&](Worker& me, size_t& at) {
+  auto worker_loop = [&](VerificationResult& me, size_t& at) {
     std::vector<data::Instance> dbs;
     for (;;) {
       size_t index;
@@ -180,11 +166,11 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
         }
         index = next_index++;
       }
-      ++me.outcome.databases_checked;
+      ++me.stats.databases_checked;
       dbs_counter.Add(1);
       obs::ProgressMeter::Global().MaybeBeat();
 
-      auto check_one = [&] { return check(index, dbs, me.outcome); };
+      auto check_one = [&] { return check(index, dbs, me); };
       Result<bool> found = GuardedCheck(check_one);
       if (!found.ok() && RunControl::IsStopStatus(found.status())) {
         race.Stop(found.status());
@@ -195,8 +181,8 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
         // (statistics may double-count the failed attempt; the verdict
         // machinery is unaffected). Clear any budget event the failed
         // attempt left behind so it is not replayed twice.
-        me.outcome.stop_status = Status::Ok();
-        ++me.outcome.db_retries;
+        me.coverage.stop_status = Status::Ok();
+        ++me.coverage.db_retries;
         retries_counter.Add(1);
         found = GuardedCheck(check_one);
         if (!found.ok() && RunControl::IsStopStatus(found.status())) {
@@ -205,7 +191,7 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
         }
         if (!found.ok()) {
           if (options_.skip_failed_databases) {
-            me.outcome.stop_status = Status::Ok();
+            me.coverage.stop_status = Status::Ok();
             mark_failed(index);
             continue;
           }
@@ -213,22 +199,17 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
           break;
         }
       }
-      if (!me.outcome.stop_status.ok()) {
-        race.BudgetCut(index, std::move(me.outcome.stop_status));
-        me.outcome.stop_status = Status::Ok();
+      Status& stop_status = me.coverage.stop_status;
+      if (!stop_status.ok()) {
+        race.BudgetCut(index, std::move(stop_status));
+        stop_status = Status::Ok();
       }
       mark_done(index);
       if (*found) {
-        me.candidate = Candidate{index,
-                                 me.outcome.violation_valuation_index,
-                                 std::move(me.outcome.databases),
-                                 std::move(me.outcome.label),
-                                 std::move(me.outcome.lasso)};
-        me.outcome.violation_found = false;
-        me.outcome.violation_valuation_index = static_cast<size_t>(-1);
-        me.outcome.databases.clear();
-        me.outcome.label.clear();
-        me.outcome.lasso = LassoWitness{};
+        if (!me.counterexample.has_value()) {
+          me.counterexample.emplace();
+        }
+        me.counterexample->database_index = index;
         race.Witness(index);
         // This worker's future pulls would all have higher indices than its
         // own witness — nothing left for it to decide.
@@ -266,71 +247,60 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
 
   // --- Merge: sums first, then the deterministic winner selection. ---
   obs::PhaseTimer merge_phase("merge");
-  EngineOutcome merged;
-  for (const Worker& w : workers) {
-    merged.databases_checked += w.outcome.databases_checked;
-    merged.searches += w.outcome.searches;
-    merged.prefiltered += w.outcome.prefiltered;
-    merged.prefilter_memo_misses += w.outcome.prefilter_memo_misses;
-    merged.prefilter_memo_hits += w.outcome.prefilter_memo_hits;
-    merged.db_retries += w.outcome.db_retries;
-    merged.search_stats.Add(w.outcome.search_stats);
+  VerificationResult merged;
+  for (const VerificationResult& w : workers) {
+    merged.stats.Add(w.stats);
+    merged.coverage.db_retries += w.coverage.db_retries;
   }
-  merged.completed_prefix = progress.next_expected;
+  merged.coverage.completed_prefix = progress.next_expected;
 
   if (std::optional<Status> error = race.error()) return *error;
-  Candidate* best = nullptr;
-  for (Worker& w : workers) {
-    if (w.candidate.has_value() && w.candidate->index == race.witness()) {
-      best = &*w.candidate;
+  for (VerificationResult& w : workers) {
+    std::optional<Counterexample>& witness = w.counterexample;
+    if (witness.has_value() && witness->database_index == race.witness()) {
+      merged.counterexample = std::move(witness);
     }
   }
-
-  if (best != nullptr) {
-    merged.violation_found = true;
-    merged.violation_db_index = best->index;
-    merged.violation_valuation_index = best->valuation_index;
-    merged.databases = std::move(best->databases);
-    merged.label = std::move(best->label);
-    merged.lasso = std::move(best->lasso);
-  }
+  const bool found = merged.counterexample.has_value();
+  merged.holds = !found;
 
   // Failed indices: sorted, and — when a witness exists — restricted to
   // indices below it: a serial fault-isolated run stops at the witness, so
   // later failures are unreachable.
+  Coverage& coverage = merged.coverage;
   std::sort(progress.failed.begin(), progress.failed.end());
   for (size_t index : progress.failed) {
-    if (best != nullptr && index >= best->index) break;
-    merged.failed_db_indices.push_back(index);
+    if (found && index >= merged.counterexample->database_index) break;
+    coverage.failed_db_indices.push_back(index);
   }
 
   // Stop status, serial-equivalent. Precedence: a deadline/cancel stop is
   // the reason the sweep ended; otherwise skipped failures bound the
   // verdict; otherwise the replayed budget cut.
   if (race.stop().has_value()) {
-    merged.stop_status = *race.stop();
-  } else if (!merged.failed_db_indices.empty()) {
-    merged.stop_status = Status::PartialFailure(
-        std::to_string(merged.failed_db_indices.size()) +
+    coverage.stop_status = *race.stop();
+  } else if (!coverage.failed_db_indices.empty()) {
+    coverage.stop_status = Status::PartialFailure(
+        std::to_string(coverage.failed_db_indices.size()) +
         " database check(s) failed and were skipped; verdict is bounded to "
         "the databases that completed");
   } else {
     const std::optional<Status> budget_cut = race.budget_cut();
-    if (budget_cut.has_value()) merged.stop_status = *budget_cut;
-    if (best == nullptr && range_end_hit && !budget_cut.has_value()) {
+    if (budget_cut.has_value()) coverage.stop_status = *budget_cut;
+    if (!found && range_end_hit && !budget_cut.has_value()) {
       // A bounded per-database search keeps its budget status: reporting
       // range-end over it would let a merge attest full coverage of a range
       // whose databases were only partially searched.
-      merged.stop_status = Status::RangeEnd(
+      coverage.stop_status = Status::RangeEnd(
           "database enumeration stopped at the end of the assigned range; "
           "the verdict covers exactly this shard's indices");
-    } else if (best == nullptr && max_databases_hit) {
-      merged.stop_status = Status::BudgetExceeded(
+    } else if (!found && max_databases_hit) {
+      coverage.stop_status = Status::BudgetExceeded(
           "database enumeration stopped at max_databases; verdict is "
           "bounded");
     }
   }
-  merged.stop_reason = StopReasonFromStatus(merged.stop_status);
+  coverage.stop_reason = StopReasonFromStatus(coverage.stop_status);
   return merged;
 }
 

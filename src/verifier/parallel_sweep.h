@@ -44,7 +44,7 @@ struct SweepOptions {
   /// skips it (recording its index) and false aborts the sweep.
   bool skip_failed_databases = false;
   /// Failed indices inherited from a resumed checkpoint (all <
-  /// start_index); carried into the merged outcome and checkpoints.
+  /// start_index); carried into the merged result and checkpoints.
   std::vector<size_t> resume_failed;
   /// Invoke checkpoint_fn every this many completed databases (0 = never).
   size_t checkpoint_every = 0;
@@ -68,7 +68,7 @@ Result<bool> GuardedCheck(const std::function<Result<bool>()>& check);
 /// semantics: `jobs` worker loops, the chunks of one
 /// ThreadPool::ParallelChunks call, pull databases from the enumerator
 /// under a producer lock (enumeration is cheap; checking is expensive) and
-/// run the check callback on worker-local EngineOutcome accumulators,
+/// run the check callback on worker-local VerificationResult records,
 /// merged when all loops have drained.
 ///
 /// Determinism guarantee (uninterrupted runs): the reported witness is
@@ -87,7 +87,7 @@ Result<bool> GuardedCheck(const std::function<Result<bool>()>& check);
 /// the sweep continues. A throw from the loop around the check (enumerator,
 /// progress bookkeeping, checkpoint_fn) is classified the same way and ends
 /// the sweep. A deadline or cancellation stop (RunControl) winds the
-/// sweep down cooperatively; the merged outcome then covers the completed
+/// sweep down cooperatively; the merged result then covers the completed
 /// prefix (stop_reason kDeadline / kCanceled) and a witness found before
 /// the stop is still a sound violation (its index may exceed the
 /// uninterrupted run's, since earlier databases may not have finished).
@@ -95,25 +95,28 @@ class ParallelSweep {
  public:
   /// Per-database check: `db_index` is the database's position in
   /// enumeration order, `dbs` the materialized instances (worker-owned),
-  /// `outcome` the calling worker's private accumulator. Returns true when
-  /// a violation witness was recorded into `outcome`. Must be safe to call
-  /// concurrently on distinct `outcome` objects (shared inputs read-only).
+  /// `out` the calling worker's private record: the check adds its tallies
+  /// to `out.stats`, a budget cut to `out.coverage.stop_status`, and
+  /// returns true when it recorded a witness in `out.counterexample` (the
+  /// sweep sets its database_index). Must be safe to call concurrently on
+  /// distinct `out` records (shared inputs read-only).
   using CheckFn = std::function<Result<bool>(
       size_t db_index, const std::vector<data::Instance>& dbs,
-      EngineOutcome& outcome)>;
+      VerificationResult& out)>;
 
   /// `enumerator` must outlive the sweep and be freshly positioned; it is
   /// only advanced under the internal producer lock.
   ParallelSweep(DatabaseEnumerator* enumerator, SweepOptions options);
 
   /// Runs the sweep to completion (or until a stop/abort) and merges the
-  /// worker outcomes: summed statistics, the lowest-index witness (if any),
+  /// worker records: summed statistics, the lowest-index witness (if any),
   /// serial-equivalent stop status, the completed-prefix high-water mark
-  /// and the sorted failed-index list. Hard (non-budget, non-stop) errors
+  /// and the sorted failed-index list. Coverage intervals, range and jobs
+  /// are left to the caller. Hard (non-budget, non-stop) errors
   /// abort the sweep and are returned when skip_failed_databases is off,
   /// unless a witness with a lower database index makes them unreachable in
   /// the serial order.
-  Result<EngineOutcome> Run(const CheckFn& check);
+  Result<VerificationResult> Run(const CheckFn& check);
 
  private:
   DatabaseEnumerator* enumerator_;

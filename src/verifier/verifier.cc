@@ -42,56 +42,20 @@ std::string Counterexample::ToString(const spec::Composition& comp,
 
 namespace {
 
-/// Wraps an engine outcome into the public result. A pinned-database run's
-/// coverage indexes valuations, so it reports the valuation range.
-VerificationResult ToVerificationResult(EngineOutcome outcome,
+/// Adds to the engine's result what only RunVerification knows: the
+/// regime, completeness and the instance count.
+VerificationResult ToVerificationResult(VerificationResult result,
                                         const VerifierOptions& options,
                                         Status regime, bool may_be_complete,
                                         size_t valuations) {
-  const bool pinned = options.fixed_databases.has_value();
-  VerificationResult result;
   result.regime = std::move(regime);
   result.stats.instances = valuations;
   result.stats.valuations_checked = valuations;
-  result.coverage.unit = outcome.coverage_unit;
-  if (options.count_only) {
-    result.enumeration_count = outcome.enumeration_count;
-    result.holds = true;  // nothing verified; callers key off count_only
-    return result;
-  }
-
-  result.stats.databases_checked = outcome.databases_checked;
-  result.stats.searches = outcome.searches;
-  result.stats.prefiltered = outcome.prefiltered;
-  result.stats.prefilter_memo_misses = outcome.prefilter_memo_misses;
-  result.stats.prefilter_memo_hits = outcome.prefilter_memo_hits;
-  result.stats.search = outcome.search_stats;
-  result.stats.jobs = outcome.jobs;
-  result.holds = !outcome.violation_found;
-  if (outcome.violation_found) {
-    Counterexample ce;
-    ce.databases = std::move(outcome.databases);
-    ce.closure_valuation = std::move(outcome.label);
-    ce.lasso = std::move(outcome.lasso);
-    ce.database_index = outcome.violation_db_index;
-    ce.valuation_index = outcome.violation_valuation_index;
-    result.counterexample = std::move(ce);
-  }
-  result.coverage.stop_reason = outcome.stop_reason;
-  result.coverage.stop_status = outcome.stop_status;
-  result.coverage.completed_prefix = outcome.completed_prefix;
-  result.coverage.covered = std::move(outcome.covered);
-  result.coverage.range_lo =
-      pinned ? options.valuation_range_lo : options.db_range_lo;
-  result.coverage.range_hi =
-      pinned ? options.valuation_range_hi : options.db_range_hi;
-  result.coverage.failed_db_indices = std::move(outcome.failed_db_indices);
-  result.coverage.db_retries = outcome.db_retries;
-  if (!outcome.stop_status.ok() && result.holds && result.regime.ok()) {
-    result.regime = outcome.stop_status;
-  }
-  result.complete = may_be_complete && result.regime.ok() &&
-                    outcome.stop_status.ok() && !pinned &&
+  if (options.count_only) return result;
+  const Status& stop = result.coverage.stop_status;
+  if (!stop.ok() && result.holds && result.regime.ok()) result.regime = stop;
+  result.complete = may_be_complete && result.regime.ok() && stop.ok() &&
+                    !options.fixed_databases.has_value() &&
                     options.fresh_domain_size == 0;
   return result;
 }
@@ -133,8 +97,8 @@ Result<VerificationResult> RunVerification(
 
   VerificationEngine engine(&comp, &pd->interner, pd->domain, pd->fresh,
                             options, std::move(fixed));
-  WSV_ASSIGN_OR_RETURN(EngineOutcome outcome, engine.Run(task));
-  return ToVerificationResult(std::move(outcome), options, std::move(regime),
+  WSV_ASSIGN_OR_RETURN(VerificationResult result, engine.Run(task));
+  return ToVerificationResult(std::move(result), options, std::move(regime),
                               may_be_complete, task.valuations.size());
 }
 

@@ -2,11 +2,14 @@
 """Runs a command-line call and checks how it ends.
 
 Usage:
-  cli_probe.py exit CODE PATTERN -- [SETUP... --then]... CMD...
+  cli_probe.py exit CODE PATTERN -- [SETUP... --then[=SETUP_CODE]]... CMD...
       CMD must exit with CODE and print PATTERN (a regex) on stdout or
-      stderr. A crash (a signal) never passes. Each SETUP command (say, a
-      run that writes the checkpoint or shard CMD reads) runs first, in
-      order, and must exit 0.
+      stderr; its output is echoed, so a ctest FAIL_REGULAR_EXPRESSION can
+      reject a message as well. A crash (a signal) never passes. Each
+      SETUP command (say, a run that writes the checkpoint or shard CMD
+      reads) runs first, in order, and must exit 0, or SETUP_CODE when
+      its separator names one (a violated run that writes a shard
+      exits 3).
   cli_probe.py differ FLAG -- CMD...
       CMD and CMD FLAG must both exit 0 and print different output: FLAG
       changes what CMD does.
@@ -21,6 +24,10 @@ def run(cmd):
     return subprocess.run(cmd, capture_output=True, text=True, timeout=60)
 
 
+def is_then(arg):
+    return arg == "--then" or arg.startswith("--then=")
+
+
 def fail(message):
     print(f"cli_probe: FAIL: {message}")
     sys.exit(1)
@@ -29,17 +36,18 @@ def fail(message):
 def main():
     if "--" not in sys.argv:
         fail("usage: cli_probe.py exit CODE PATTERN -- "
-             "[SETUP... --then]... CMD... | differ FLAG -- CMD...")
+             "[SETUP... --then[=CODE]]... CMD... | differ FLAG -- CMD...")
     split = sys.argv.index("--")
     mode, params, cmd = sys.argv[1], sys.argv[2:split], sys.argv[split + 1:]
     if mode == "exit" and len(params) == 2:
         code, pattern = int(params[0]), params[1]
-        while "--then" in cmd:
-            split = cmd.index("--then")
+        while any(is_then(arg) for arg in cmd):
+            split = next(i for i, arg in enumerate(cmd) if is_then(arg))
+            want = int(cmd[split].partition("=")[2] or 0)
             setup, cmd = cmd[:split], cmd[split + 1:]
             p = run(setup)
-            if p.returncode != 0:
-                fail(f"setup exit {p.returncode}: {setup}\n"
+            if p.returncode != want:
+                fail(f"setup exit {p.returncode}, want {want}: {setup}\n"
                      f"{p.stdout}{p.stderr}")
         p = run(cmd)
         output = p.stdout + p.stderr
@@ -47,6 +55,7 @@ def main():
             fail(f"exit {p.returncode}, want {code}\n{output}")
         if not re.search(pattern, output):
             fail(f"output does not match {pattern!r}\n{output}")
+        print(output, end="")
     elif mode == "differ" and len(params) == 1:
         plain, flagged = run(cmd), run(cmd + params)
         for p in (plain, flagged):

@@ -172,8 +172,8 @@ void CheckConfig(const SpecFamily& family, const char* property,
   std::vector<ShardReport> shards;
   for (size_t i = 0; i < cuts.size(); ++i) {
     VerifierOptions shard = base;
-    shard.db_range_lo = cuts[i];
-    shard.db_range_hi =
+    shard.range_lo = cuts[i];
+    shard.range_hi =
         i + 1 < cuts.size() ? cuts[i + 1] : static_cast<size_t>(-1);
     shard.jobs = 1 + (*rng)() % 2;
     shards.push_back(ToShard(RunVerifier(*comp, property, shard),
@@ -233,8 +233,8 @@ TEST(DistributedSweep, RangeBeyondTheSpaceIsEmptyAndComplete) {
   ASSERT_TRUE(comp.ok());
   VerifierOptions options;
   options.fresh_domain_size = 2;  // 3 databases
-  options.db_range_lo = 50;
-  options.db_range_hi = 60;
+  options.range_lo = 50;
+  options.range_hi = 60;
   const VerificationResult r =
       RunVerifier(*comp, "forall x: G(not Requester.got(x))", options);
   EXPECT_TRUE(r.holds);
@@ -249,17 +249,18 @@ TEST(DistributedSweep, InvalidRangesAreRejected) {
   ASSERT_TRUE(property.ok());
 
   VerifierOptions backwards;
-  backwards.db_range_lo = 5;
-  backwards.db_range_hi = 2;
+  backwards.range_lo = 5;
+  backwards.range_hi = 2;
   Verifier v1(&*comp, backwards);
   EXPECT_FALSE(v1.Verify(*property).ok());
 
-  // --valuation-range needs pinned databases: on a sweep the valuation
-  // subspace differs per database and absolute indices would be ambiguous.
-  VerifierOptions valuation_on_sweep;
-  valuation_on_sweep.valuation_range_lo = 0;
-  valuation_on_sweep.valuation_range_hi = 1;
-  Verifier v2(&*comp, valuation_on_sweep);
+  // max_databases bounds a sweep; a pinned run checks exactly its
+  // databases, so a cap there is an error rather than silently ignored.
+  VerifierOptions capped_pinned;
+  capped_pinned.fixed_databases =
+      std::vector<NamedDatabase>(comp->peers().size());
+  capped_pinned.max_databases = 0;
+  Verifier v2(&*comp, capped_pinned);
   EXPECT_FALSE(v2.Verify(*property).ok());
 }
 
@@ -326,11 +327,11 @@ TEST(DistributedSweep, ValuationRangeShardsMergeLikeTheSingleRun) {
   for (int i = 0; i < 4; ++i) {
     const size_t cut = rng() % (total + 1);
     VerifierOptions lo = base;
-    lo.valuation_range_lo = 0;
-    lo.valuation_range_hi = cut;
+    lo.range_lo = 0;
+    lo.range_hi = cut;
     VerifierOptions hi = base;
-    hi.valuation_range_lo = cut;
-    hi.valuation_range_hi = static_cast<size_t>(-1);
+    hi.range_lo = cut;
+    hi.range_hi = static_cast<size_t>(-1);
     std::vector<ShardReport> shards = {ToShard(RunVerifier(*comp, property, lo), "lo"),
                                        ToShard(RunVerifier(*comp, property, hi),
                                                "hi")};

@@ -74,7 +74,7 @@ TEST_F(FaultInjectionTest, ThrowingCheckIsRetriedThenSkipped) {
     DatabaseEnumerator enumerator = MakeEnumerator();
     ParallelSweep sweep(&enumerator, options);
     auto outcome = sweep.Run([&](size_t index, const std::vector<data::Instance>&,
-                                 EngineOutcome&) -> Result<bool> {
+                                 VerificationResult&) -> Result<bool> {
       if (index == 1) {
         ++attempts_on_bad;
         throw std::bad_alloc();
@@ -82,13 +82,14 @@ TEST_F(FaultInjectionTest, ThrowingCheckIsRetriedThenSkipped) {
       return false;
     });
     ASSERT_TRUE(outcome.ok()) << outcome.status();
-    EXPECT_FALSE(outcome->violation_found);
-    EXPECT_EQ(outcome->failed_db_indices, std::vector<size_t>{1});
+    EXPECT_FALSE(outcome->counterexample.has_value());
+    EXPECT_EQ(outcome->coverage.failed_db_indices, std::vector<size_t>{1});
     EXPECT_EQ(attempts_on_bad.load(), 2u);  // original attempt + one retry
-    EXPECT_EQ(outcome->db_retries, 1u);
-    EXPECT_EQ(outcome->completed_prefix, 3u);
-    EXPECT_EQ(outcome->stop_reason, StopReason::kDbFailures);
-    EXPECT_EQ(outcome->stop_status.code(), StatusCode::kPartialFailure);
+    EXPECT_EQ(outcome->coverage.db_retries, 1u);
+    EXPECT_EQ(outcome->coverage.completed_prefix, 3u);
+    EXPECT_EQ(outcome->coverage.stop_reason, StopReason::kDbFailures);
+    EXPECT_EQ(outcome->coverage.stop_status.code(),
+              StatusCode::kPartialFailure);
   }
 }
 
@@ -101,17 +102,17 @@ TEST_F(FaultInjectionTest, TransientFailureSucceedsOnRetry) {
   DatabaseEnumerator enumerator = MakeEnumerator();
   ParallelSweep sweep(&enumerator, options);
   auto outcome = sweep.Run([&](size_t index, const std::vector<data::Instance>&,
-                               EngineOutcome&) -> Result<bool> {
+                               VerificationResult&) -> Result<bool> {
     if (index == 1 && attempts_on_bad.fetch_add(1) == 0) {
       return Status::Internal("transient fault");
     }
     return false;
   });
   ASSERT_TRUE(outcome.ok()) << outcome.status();
-  EXPECT_TRUE(outcome->failed_db_indices.empty());
-  EXPECT_EQ(outcome->db_retries, 1u);
-  EXPECT_EQ(outcome->completed_prefix, 3u);
-  EXPECT_EQ(outcome->stop_reason, StopReason::kComplete);
+  EXPECT_TRUE(outcome->coverage.failed_db_indices.empty());
+  EXPECT_EQ(outcome->coverage.db_retries, 1u);
+  EXPECT_EQ(outcome->coverage.completed_prefix, 3u);
+  EXPECT_EQ(outcome->coverage.stop_reason, StopReason::kComplete);
 }
 
 /// Without skip_failed_databases the sweep aborts and the error surfaces
@@ -122,7 +123,7 @@ TEST_F(FaultInjectionTest, AbortModeSurfacesTheError) {
   DatabaseEnumerator enumerator = MakeEnumerator();
   ParallelSweep sweep(&enumerator, options);
   auto outcome = sweep.Run([&](size_t index, const std::vector<data::Instance>&,
-                               EngineOutcome&) -> Result<bool> {
+                               VerificationResult&) -> Result<bool> {
     if (index == 1) throw std::runtime_error("injected");
     return false;
   });
@@ -150,12 +151,12 @@ TEST_F(FaultInjectionTest, ThrowOutsideTheCheckEndsTheSweep) {
       DatabaseEnumerator enumerator = MakeEnumerator();
       ParallelSweep sweep(&enumerator, options);
       auto outcome = sweep.Run([](size_t, const std::vector<data::Instance>&,
-                                  EngineOutcome&) -> Result<bool> {
+                                  VerificationResult&) -> Result<bool> {
         return false;
       });
       if (budget) {
         ASSERT_TRUE(outcome.ok()) << outcome.status();
-        EXPECT_EQ(outcome->stop_reason, StopReason::kMemoryBudget);
+        EXPECT_EQ(outcome->coverage.stop_reason, StopReason::kMemoryBudget);
       } else {
         ASSERT_FALSE(outcome.ok());
         EXPECT_EQ(outcome.status().code(), StatusCode::kInternal);
@@ -178,19 +179,20 @@ TEST_F(FaultInjectionTest, WitnessBeforeFailureHidesTheFailure) {
     DatabaseEnumerator enumerator = MakeEnumerator();
     ParallelSweep sweep(&enumerator, options);
     auto outcome = sweep.Run([&](size_t index, const std::vector<data::Instance>&,
-                                 EngineOutcome& out) -> Result<bool> {
+                                 VerificationResult& out) -> Result<bool> {
       if (index == 0) {
-        out.label = {"witness-0"};
+        out.counterexample.emplace().closure_valuation = {"witness-0"};
         return true;
       }
       if (index == 2) throw std::bad_alloc();
       return false;
     });
     ASSERT_TRUE(outcome.ok()) << outcome.status();
-    ASSERT_TRUE(outcome->violation_found);
-    EXPECT_EQ(outcome->violation_db_index, 0u);
-    EXPECT_EQ(outcome->label, std::vector<std::string>{"witness-0"});
-    EXPECT_TRUE(outcome->failed_db_indices.empty());
+    ASSERT_TRUE(outcome->counterexample.has_value());
+    EXPECT_EQ(outcome->counterexample->database_index, 0u);
+    EXPECT_EQ(outcome->counterexample->closure_valuation,
+              std::vector<std::string>{"witness-0"});
+    EXPECT_TRUE(outcome->coverage.failed_db_indices.empty());
   }
 }
 
@@ -205,18 +207,18 @@ TEST_F(FaultInjectionTest, FailureBelowWitnessIsReported) {
     DatabaseEnumerator enumerator = MakeEnumerator();
     ParallelSweep sweep(&enumerator, options);
     auto outcome = sweep.Run([&](size_t index, const std::vector<data::Instance>&,
-                                 EngineOutcome& out) -> Result<bool> {
+                                 VerificationResult& out) -> Result<bool> {
       if (index == 0) throw std::bad_alloc();
       if (index == 2) {
-        out.label = {"witness-2"};
+        out.counterexample.emplace().closure_valuation = {"witness-2"};
         return true;
       }
       return false;
     });
     ASSERT_TRUE(outcome.ok()) << outcome.status();
-    ASSERT_TRUE(outcome->violation_found);
-    EXPECT_EQ(outcome->violation_db_index, 2u);
-    EXPECT_EQ(outcome->failed_db_indices, std::vector<size_t>{0});
+    ASSERT_TRUE(outcome->counterexample.has_value());
+    EXPECT_EQ(outcome->counterexample->database_index, 2u);
+    EXPECT_EQ(outcome->coverage.failed_db_indices, std::vector<size_t>{0});
   }
 }
 
@@ -230,12 +232,12 @@ TEST_F(FaultInjectionTest, CancellationStopsDispatch) {
   DatabaseEnumerator enumerator = MakeEnumerator();
   ParallelSweep sweep(&enumerator, options);
   auto outcome = sweep.Run(
-      [&](size_t, const std::vector<data::Instance>&, EngineOutcome&)
+      [&](size_t, const std::vector<data::Instance>&, VerificationResult&)
           -> Result<bool> { return false; });
   ASSERT_TRUE(outcome.ok()) << outcome.status();
-  EXPECT_EQ(outcome->databases_checked, 0u);
-  EXPECT_EQ(outcome->completed_prefix, 0u);
-  EXPECT_EQ(outcome->stop_reason, StopReason::kCanceled);
+  EXPECT_EQ(outcome->stats.databases_checked, 0u);
+  EXPECT_EQ(outcome->coverage.completed_prefix, 0u);
+  EXPECT_EQ(outcome->coverage.stop_reason, StopReason::kCanceled);
 }
 
 /// A deadline that expires during the first check stops the sweep with a
@@ -248,7 +250,7 @@ TEST_F(FaultInjectionTest, DeadlineStopsSweepMidway) {
   DatabaseEnumerator enumerator = MakeEnumerator();
   ParallelSweep sweep(&enumerator, options);
   auto outcome = sweep.Run([&](size_t, const std::vector<data::Instance>&,
-                               EngineOutcome&) -> Result<bool> {
+                               VerificationResult&) -> Result<bool> {
     // Outlive the deadline, then report the stop the way a control-polling
     // check would.
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -257,8 +259,8 @@ TEST_F(FaultInjectionTest, DeadlineStopsSweepMidway) {
     return false;
   });
   ASSERT_TRUE(outcome.ok()) << outcome.status();
-  EXPECT_EQ(outcome->stop_reason, StopReason::kDeadline);
-  EXPECT_EQ(outcome->completed_prefix, 0u);
+  EXPECT_EQ(outcome->coverage.stop_reason, StopReason::kDeadline);
+  EXPECT_EQ(outcome->coverage.completed_prefix, 0u);
 }
 
 /// Periodic checkpoints report a monotonically non-decreasing completed
@@ -282,7 +284,7 @@ TEST_F(FaultInjectionTest, CheckpointCallbackSeesMonotoneProgress) {
   DatabaseEnumerator enumerator = MakeEnumerator();
   ParallelSweep sweep(&enumerator, options);
   auto outcome = sweep.Run([&](size_t index, const std::vector<data::Instance>&,
-                               EngineOutcome&) -> Result<bool> {
+                               VerificationResult&) -> Result<bool> {
     if (index == 1) throw std::bad_alloc();
     return false;
   });
@@ -291,7 +293,7 @@ TEST_F(FaultInjectionTest, CheckpointCallbackSeesMonotoneProgress) {
   for (size_t i = 1; i < prefixes.size(); ++i) {
     EXPECT_LE(prefixes[i - 1], prefixes[i]);
   }
-  EXPECT_EQ(outcome->completed_prefix, 3u);
+  EXPECT_EQ(outcome->coverage.completed_prefix, 3u);
 }
 
 /// Resume alignment: start_index fast-forwards the enumerator so a resumed
@@ -306,7 +308,7 @@ TEST_F(FaultInjectionTest, StartIndexPreservesIndexAlignment) {
     ParallelSweep sweep(&enumerator, SweepOptions{});
     auto outcome = sweep.Run(
         [&](size_t index, const std::vector<data::Instance>& dbs,
-            EngineOutcome&) -> Result<bool> {
+            VerificationResult&) -> Result<bool> {
           std::lock_guard<std::mutex> lock(mu);
           seen[index] = dbs;
           return false;
@@ -321,7 +323,7 @@ TEST_F(FaultInjectionTest, StartIndexPreservesIndexAlignment) {
   ParallelSweep sweep(&enumerator, options);
   auto outcome = sweep.Run(
       [&](size_t index, const std::vector<data::Instance>& dbs,
-          EngineOutcome&) -> Result<bool> {
+          VerificationResult&) -> Result<bool> {
         EXPECT_GE(index, 1u);
         EXPECT_LT(index, 3u);
         EXPECT_EQ(dbs.size(), seen[index].size());
@@ -332,10 +334,10 @@ TEST_F(FaultInjectionTest, StartIndexPreservesIndexAlignment) {
         return false;
       });
   ASSERT_TRUE(outcome.ok()) << outcome.status();
-  EXPECT_EQ(outcome->databases_checked, 2u);
-  EXPECT_EQ(outcome->completed_prefix, 3u);
-  EXPECT_EQ(outcome->failed_db_indices, std::vector<size_t>{0});
-  EXPECT_EQ(outcome->stop_reason, StopReason::kDbFailures);
+  EXPECT_EQ(outcome->stats.databases_checked, 2u);
+  EXPECT_EQ(outcome->coverage.completed_prefix, 3u);
+  EXPECT_EQ(outcome->coverage.failed_db_indices, std::vector<size_t>{0});
+  EXPECT_EQ(outcome->coverage.stop_reason, StopReason::kDbFailures);
 }
 
 // --- The deterministic fault-injection subsystem itself. ---
@@ -458,17 +460,17 @@ TEST_F(FaultSubsystemTest, MemoryBudgetStopsSweepGracefully) {
   ParallelSweep sweep(&enumerator, options);
   auto outcome = sweep.Run([&](size_t index,
                                const std::vector<data::Instance>&,
-                               EngineOutcome&) -> Result<bool> {
+                               VerificationResult&) -> Result<bool> {
     if (index == 1) {
       throw fault::MemoryBudgetError("simulated arena exhaustion");
     }
     return false;
   });
   ASSERT_TRUE(outcome.ok()) << outcome.status();
-  EXPECT_FALSE(outcome->violation_found);
-  EXPECT_EQ(outcome->stop_reason, StopReason::kMemoryBudget);
-  EXPECT_EQ(outcome->stop_status.code(), StatusCode::kMemoryBudget);
-  EXPECT_LE(outcome->completed_prefix, 1u);
+  EXPECT_FALSE(outcome->counterexample.has_value());
+  EXPECT_EQ(outcome->coverage.stop_reason, StopReason::kMemoryBudget);
+  EXPECT_EQ(outcome->coverage.stop_status.code(), StatusCode::kMemoryBudget);
+  EXPECT_LE(outcome->coverage.completed_prefix, 1u);
 }
 
 }  // namespace

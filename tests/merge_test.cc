@@ -286,6 +286,60 @@ TEST(ShardFromStatsJson, RejectsDocumentsWithoutAVerdict) {
   EXPECT_FALSE(ShardFromStatsJson("not json", "s").ok());
 }
 
+// The verdict wsvc writes is the verdict wsvc-merge reads: every field a
+// merge decides on survives RenderVerdictJson -> ShardFromStatsJson.
+TEST(RenderVerdictJson, RoundTripsThroughShardFromStatsJson) {
+  VerificationResult result;
+  result.counterexample.emplace();
+  result.counterexample->database_index = 7;
+  result.counterexample->valuation_index = 41;
+  result.coverage.stop_reason = StopReason::kDbFailures;
+  result.coverage.covered = {{2, 4}, {5, 7}};
+  result.coverage.range_lo = 2;
+  result.coverage.range_hi = 9;
+  result.coverage.failed_db_indices = {3, 6};
+  EXPECT_EQ(VerdictExitCode(result), 3);
+  const std::string verdict =
+      RenderVerdictJson(VerdictExitCode(result), "property", &result, "f0");
+  auto shard = ShardFromStatsJson("{\"verdict\":" + verdict + "}", "s");
+  ASSERT_TRUE(shard.ok()) << shard.status() << verdict;
+  EXPECT_EQ(shard->fingerprint, "f0");
+  EXPECT_FALSE(shard->holds);
+  EXPECT_TRUE(shard->has_witness);
+  EXPECT_EQ(shard->witness_db_index, 7u);
+  EXPECT_EQ(shard->witness_valuation_index, 41u);
+  EXPECT_EQ(shard->covered, result.coverage.covered);
+  EXPECT_EQ(shard->unit, "database");
+  EXPECT_EQ(shard->range_lo, 2u);
+  EXPECT_EQ(shard->range_hi, 9u);
+  EXPECT_EQ(shard->stop_reason, "db-failures");
+  EXPECT_EQ(shard->failed_indices, (std::vector<uint64_t>{3, 6}));
+
+  // A holding valuation shard with an open upper bound.
+  VerificationResult holds;
+  holds.holds = true;
+  holds.coverage.unit = "valuation";
+  holds.coverage.covered = {{0, 5}};
+  const std::string open =
+      RenderVerdictJson(VerdictExitCode(holds), "modular", &holds, "");
+  shard = ShardFromStatsJson("{\"verdict\":" + open + "}", "s");
+  ASSERT_TRUE(shard.ok()) << shard.status() << open;
+  EXPECT_TRUE(shard->holds);
+  EXPECT_FALSE(shard->has_witness);
+  EXPECT_TRUE(shard->fingerprint.empty());
+  EXPECT_EQ(shard->unit, "valuation");
+  EXPECT_EQ(shard->covered, (Intervals{{0, 5}}));
+  EXPECT_EQ(shard->range_hi, UINT64_MAX);
+  EXPECT_EQ(shard->stop_reason, "complete");
+
+  // A command that exited before verifying writes no result to merge.
+  EXPECT_FALSE(
+      ShardFromStatsJson("{\"verdict\":" +
+                             RenderVerdictJson(2, nullptr, nullptr, "") + "}",
+                         "s")
+          .ok());
+}
+
 TEST(RenderMergeJson, EmitsWellFormedJson) {
   auto merged = MergeShards(
       {MakeShard("a", 0, 6), MakeShard("b", 4, 9, "complete")});

@@ -88,8 +88,8 @@ RunResult VerifyPinned(const spec::Composition& comp,
   options.fresh_domain_size = run_options.fresh;
   options.jobs = jobs;
   options.control = run_options.control;
-  options.valuation_range_lo = run_options.v_lo;
-  options.valuation_range_hi = run_options.v_hi;
+  options.range_lo = run_options.v_lo;
+  options.range_hi = run_options.v_hi;
   options.budget.max_states = run_options.max_states;
   options.fixed_databases = run_options.databases;
   Verifier verifier(&comp, options);

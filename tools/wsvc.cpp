@@ -25,6 +25,7 @@
 #include "spec/parser.h"
 #include "spec/printer.h"
 #include "verifier/checkpoint.h"
+#include "verifier/merge.h"
 #include "verifier/verifier.h"
 
 namespace {
@@ -46,31 +47,6 @@ Result<std::string> ReadFile(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
-}
-
-/// Parses the "Peer.relation=a,b;c,d" values of --db into one named
-/// database per peer.
-Result<std::vector<verifier::NamedDatabase>> BuildDatabases(
-    const spec::Composition& comp, const std::vector<std::string>& db_flags) {
-  std::vector<verifier::NamedDatabase> dbs(comp.peers().size());
-  for (const std::string& text : db_flags) {
-    size_t eq = text.find('=');
-    size_t dot = text.find('.');
-    if (eq == std::string::npos || dot == std::string::npos || dot > eq) {
-      return Status::ParseError(
-          "--db expects Peer.relation=v1,v2;v3,v4 — got: " + text);
-    }
-    std::string peer = text.substr(0, dot);
-    size_t index = comp.PeerIndex(peer);
-    if (index == spec::Composition::kNpos) {
-      return Status::NotFound("--db references unknown peer '" + peer + "'");
-    }
-    auto& rel = dbs[index][text.substr(dot + 1, eq - dot - 1)];
-    for (const std::string& row : Split(text.substr(eq + 1), ';')) {
-      if (!row.empty()) rel.push_back(Split(row, ','));
-    }
-  }
-  return dbs;
 }
 
 /// Fills the options verify, protocol and modular share from the flags:
@@ -96,15 +72,27 @@ int OptionsFromFlags(const cli::ParsedArgs& args,
   out->budget.max_states = args.Number("--max-states", 4000000);
   out->max_databases = args.Number("--max-databases", SIZE_MAX);
   out->jobs = args.Number("--jobs", 1);
-  if (auto range = args.Range("--db-range")) {
-    std::tie(out->db_range_lo, out->db_range_hi) = *range;
+  // One range in the run's unit: databases on a sweep, valuations on a
+  // pinned (--db) run.
+  const bool pinned = args.Has("--db");
+  if (pinned && args.Has("--db-range")) {
+    std::fprintf(stderr,
+                 "wsvc: --db-range shards a database sweep; a run on pinned "
+                 "databases (--db) shards with --valuation-range\n");
+    return 2;
   }
-  if (auto range = args.Range("--valuation-range")) {
-    std::tie(out->valuation_range_lo, out->valuation_range_hi) = *range;
+  if (!pinned && args.Has("--valuation-range")) {
+    std::fprintf(stderr,
+                 "wsvc: --valuation-range requires pinned databases (--db): "
+                 "database sweeps shard with --db-range instead\n");
+    return 2;
+  }
+  if (auto range = args.Range(pinned ? "--valuation-range" : "--db-range")) {
+    std::tie(out->range_lo, out->range_hi) = *range;
   }
   out->count_only = args.Has("--count-databases");
-  if (args.Has("--db")) {
-    auto dbs = BuildDatabases(comp, args.All("--db"));
+  if (pinned) {
+    auto dbs = verifier::ParseNamedDatabases(comp, args.All("--db"));
     if (!dbs.ok()) {
       std::fprintf(stderr, "%s\n", dbs.status().ToString().c_str());
       return 2;
@@ -161,6 +149,13 @@ int OptionsFromFlags(const cli::ParsedArgs& args,
       return 0;
     }
     const verifier::Checkpoint& cp = loaded->checkpoint;
+    if (pinned) {
+      std::fprintf(stderr,
+                   "wsvc: --resume: a run on pinned databases re-checks "
+                   "them; checkpoint coverage %s is not skipped\n",
+                   verifier::IntervalsToString(cp.covered).c_str());
+      return 0;
+    }
     // A range shard resumes from the end of the covered interval containing
     // its own range start, not from the global prefix.
     out->resume_covered = cp.covered;
@@ -192,14 +187,6 @@ void PrintVerdict(const char* what, const verifier::VerificationResult& r) {
                 r.coverage.completed_prefix,
                 r.coverage.failed_db_indices.size(), r.coverage.db_retries);
   }
-}
-
-/// Maps a verdict to the process exit code: 0 holds, 3 violated (sound even
-/// when the run was cut short), 130 canceled before any conclusion.
-int VerdictExitCode(const verifier::VerificationResult& r) {
-  if (!r.holds) return 3;
-  if (r.coverage.stop_reason == StopReason::kCanceled) return 130;
-  return 0;
 }
 
 int RunCheck(spec::Composition& comp) {
@@ -248,7 +235,7 @@ int FinishVerification(const cli::ParsedArgs& args,
       std::printf("%s",
                   result->counterexample->ToString(comp, interner).c_str());
     }
-    rc = VerdictExitCode(*result);
+    rc = verifier::VerdictExitCode(*result);
   }
   report->result = std::move(*result);
   return rc;
@@ -328,7 +315,7 @@ int RunModular(const cli::ParsedArgs& args, const std::string& spec_source,
 }
 
 int RunSimulate(const cli::ParsedArgs& args, spec::Composition& comp) {
-  auto named = BuildDatabases(comp, args.All("--db"));
+  auto named = verifier::ParseNamedDatabases(comp, args.All("--db"));
   if (!named.ok()) {
     std::fprintf(stderr, "%s\n", named.status().ToString().c_str());
     return 2;
@@ -354,77 +341,6 @@ int RunSimulate(const cli::ParsedArgs& args, spec::Composition& comp) {
     std::printf("%s", snap.ToString(comp, interner).c_str());
   }
   return 0;
-}
-
-/// Renders the "verdict" stats-JSON section from the command's result.
-std::string RenderVerdictJson(const CliReport& report, int exit_code) {
-  obs::JsonWriter w;
-  w.BeginObject();
-  w.Key("exit_code").Int(exit_code);
-  if (report.kind != nullptr && report.result.has_value()) {
-    const verifier::VerificationResult& r = *report.result;
-    w.Key("kind").String(report.kind);
-    if (!report.fingerprint.empty()) {
-      w.Key("fingerprint").String(report.fingerprint);
-    }
-    w.Key("holds").Bool(r.holds);
-    w.Key("complete").Bool(r.complete);
-    w.Key("enumeration_count").Uint(r.enumeration_count);
-    w.Key("counterexample").Bool(r.counterexample.has_value());
-    if (r.counterexample.has_value()) {
-      w.Key("witness_db_index").Uint(r.counterexample->database_index);
-      w.Key("witness_valuation_index").Uint(r.counterexample->valuation_index);
-    }
-    w.Key("regime").BeginObject();
-    w.Key("ok").Bool(r.regime.ok());
-    w.Key("code").String(StatusCodeName(r.regime.code()));
-    w.Key("message").String(r.regime.message());
-    w.EndObject();
-    w.Key("budget_exceeded")
-        .Bool(r.regime.code() == StatusCode::kBudgetExceeded ||
-              r.stats.search.budget_hits > 0);
-    w.Key("coverage").BeginObject();
-    w.Key("stop_reason").String(StopReasonName(r.coverage.stop_reason));
-    w.Key("stop_code").String(StatusCodeName(r.coverage.stop_status.code()));
-    w.Key("stop_message").String(r.coverage.stop_status.message());
-    w.Key("completed_prefix").Uint(r.coverage.completed_prefix);
-    w.Key("covered").BeginArray();
-    for (const verifier::IndexInterval& iv : r.coverage.covered) {
-      w.BeginArray().Uint(iv.first).Uint(iv.second).EndArray();
-    }
-    w.EndArray();
-    w.Key("unit").String(r.coverage.unit);
-    w.Key("range_lo").Uint(r.coverage.range_lo);
-    w.Key("range_hi").Uint(r.coverage.range_hi);
-    w.Key("databases_completed").Uint(r.stats.databases_checked);
-    w.Key("failed_db_indices").BeginArray();
-    for (size_t index : r.coverage.failed_db_indices) w.Uint(index);
-    w.EndArray();
-    w.Key("db_retries").Uint(r.coverage.db_retries);
-    w.EndObject();
-    w.Key("stats").BeginObject();
-    w.Key("jobs").Uint(r.stats.jobs);
-    w.Key("databases_checked").Uint(r.stats.databases_checked);
-    w.Key("instances").Uint(r.stats.instances);
-    w.Key("searches").Uint(r.stats.searches);
-    w.Key("prefiltered").Uint(r.stats.prefiltered);
-    w.Key("prefilter_memo_hits").Uint(r.stats.prefilter_memo_hits);
-    w.Key("prefilter_memo_misses").Uint(r.stats.prefilter_memo_misses);
-    w.Key("snapshots").Uint(r.stats.search.snapshots);
-    w.Key("graph_transitions").Uint(r.stats.search.graph_transitions);
-    w.Key("product_states").Uint(r.stats.search.product_states);
-    w.Key("product_transitions").Uint(r.stats.search.transitions);
-    w.Key("leaf_cache_hits").Uint(r.stats.search.leaf_cache_hits);
-    w.Key("leaf_cache_misses").Uint(r.stats.search.leaf_cache_misses);
-    w.Key("leaf_evals").Uint(r.stats.search.leaf_evals);
-    w.Key("footprint_hits").Uint(r.stats.search.footprint_hits);
-    w.Key("leaves").Uint(r.stats.search.leaves);
-    w.Key("inner_searches").Uint(r.stats.search.inner_searches);
-    w.Key("budget_hits").Uint(r.stats.search.budget_hits);
-    w.EndObject();
-  }
-  w.EndObject();
-  return w.Take();
 }
 
 /// First Ctrl-C: request cooperative cancellation — the run winds down and
@@ -513,7 +429,12 @@ int main(int argc, char** argv) {
     extra.emplace_back("command", "\"" + obs::JsonEscape(args.command) + "\"");
     extra.emplace_back("spec", "\"" + obs::JsonEscape(spec_file) + "\"");
     extra.emplace_back("peers", std::to_string(comp->peers().size()));
-    extra.emplace_back("verdict", RenderVerdictJson(report, rc));
+    extra.emplace_back(
+        "verdict",
+        verifier::RenderVerdictJson(
+            rc, report.kind,
+            report.result.has_value() ? &*report.result : nullptr,
+            report.fingerprint));
     Status written = obs::WriteStatsJson(obs::Registry::Global(), "wsvc",
                                          args.Get("--stats-json"), extra);
     if (!written.ok()) {
